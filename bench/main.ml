@@ -7,8 +7,7 @@
      dune exec bench/main.exe appendix1       -- code comparison vs baseline
      dune exec bench/main.exe ablation-grammar
      dune exec bench/main.exe ablation-regalloc
-     dune exec bench/main.exe speed           -- Bechamel timings
-     dune exec bench/main.exe profile         -- regenerate bench/default.cogprof *)
+     dune exec bench/main.exe speed           -- Bechamel timings *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -57,30 +56,6 @@ let risc32_tables =
      | Error es ->
          Fmt.epr "%a@." (Fmt.list Cogg.Cogg_build.pp_error) es;
          exit 1)
-
-(* The checked-in default profile (regenerated by the `profile`
-   subcommand below) and the table bundle specialized against it.  Both
-   are [None] when bench/default.cogprof is absent or stale — every
-   hybrid row below then simply disappears rather than failing. *)
-let default_profile =
-  lazy
-    (match find_up (Sys.getcwd ()) "bench/default.cogprof" with
-    | None -> None
-    | Some p -> (
-        match Cogg.Cogprof.load p with
-        | Ok pr -> Some pr
-        | Error m ->
-            Fmt.epr "warning: %s: %s (hybrid rows skipped)@." p m;
-            None))
-
-let hybrid_tables =
-  lazy
-    (match Lazy.force default_profile with
-    | None -> None
-    | Some pr -> (
-        match Cogg.Cogg_build.build ~profile:pr (Lazy.force spec) with
-        | Ok t when t.Cogg.Tables.hybrid <> None -> Some t
-        | Ok _ | Error _ -> None))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -131,30 +106,7 @@ let table2 () =
       ("default reductions", Cogg.Compress.Defaults_only);
       ("comb packing", Cogg.Compress.Comb_only);
       ("defaults + comb", Cogg.Compress.Defaults_and_comb);
-    ];
-  (* the profile-specialized hybrid layout, when a default profile is
-     checked in: comb packing for the cold tail plus dense O(1) rows for
-     the hottest states *)
-  match Lazy.force default_profile with
-  | None -> ()
-  | Some pr ->
-      (* sized the way Cogg_build sizes it: whatever fits 110% of comb *)
-      let comb =
-        Cogg.Compress.compress ~method_:Cogg.Compress.Defaults_and_comb
-          t.Cogg.Tables.parse
-      in
-      let c =
-        Cogg.Compress.specialize
-          ~size_budget:(comb.Cogg.Compress.size_bytes * 110 / 100)
-          ~profile:pr t.Cogg.Tables.parse
-      in
-      (match Cogg.Compress.verify c t.Cogg.Tables.parse with
-      | Ok _ -> ()
-      | Error e ->
-          Fmt.epr "hybrid verification failed: %s@." e;
-          exit 1);
-      Fmt.pr "%-24s %12d %8.1f@." "hybrid (profiled)" c.Cogg.Compress.size_bytes
-        (Cogg.Tables_io.pages c.Cogg.Compress.size_bytes)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Appendix 1: code comparison against the hand-written generator      *)
@@ -434,69 +386,6 @@ let fingerprint () =
   let fp = Pipeline.Batch.fingerprint (Pipeline.Batch.compile_all t (bench_batch ())) in
   Fmt.pr "batch fingerprint: %s@." fp
 
-(* Regenerate bench/default.cogprof: compile the 32-job bench batch and
-   replay the default fuzz corpus (seed 11, 64 cases — the same corpus
-   @fuzz-smoke checks) with a collector attached, then overwrite the
-   checked-in profile.  Both halves are deterministic, so the file is
-   reproducible bit-for-bit.  Sequential throughout: the collector is
-   plain mutable state, never shared across domains. *)
-let profile ?(check = false) () =
-  let t = Lazy.force tables in
-  let pr =
-    Cogg.Cogprof.create
-      ~n_states:(Cogg.Parse_table.n_states t.Cogg.Tables.parse)
-      ~n_prods:(Cogg.Grammar.n_prods t.Cogg.Tables.grammar)
-  in
-  Array.iter
-    (fun j -> ignore (Pipeline.compile ~profile:pr t j.Pipeline.Batch.source))
-    (bench_batch ());
-  let cfg =
-    { Fuzz.Runner.default_config with seed = 11; count = 64; collect = Some pr }
-  in
-  let r = Fuzz.Runner.run t cfg in
-  if r.Fuzz.Runner.r_findings <> [] then begin
-    Fmt.epr "fuzz corpus produced findings; fix those before profiling@.";
-    exit 1
-  end;
-  let path =
-    Filename.concat
-      (Filename.dirname (Filename.dirname (spec_path ())))
-      (Filename.concat "bench" "default.cogprof")
-  in
-  if check then begin
-    (* drift detection: compare the checked-in profile's hot set with a
-       fresh capture of the identical workload.  Capture is
-       deterministic, so any divergence means the code (or corpus)
-       changed since the profile was recorded and the checked-in hot set
-       no longer reflects reality. *)
-    match Cogg.Cogprof.load path with
-    | Error m ->
-        Fmt.epr "%s: %s (regenerate with `bench/main.exe profile`)@." path m;
-        exit 1
-    | Ok stored ->
-        let k = Cogg.Compress.default_hot_k in
-        let overlap = Cogg.Cogprof.hot_overlap ~k stored pr in
-        let identical = Cogg.Cogprof.digest stored = Cogg.Cogprof.digest pr in
-        Fmt.pr "profile check: %s@.  digest: %s@.  hot-set overlap (k=%d): %.3f@."
-          path
-          (if identical then "identical to fresh capture" else "differs from fresh capture")
-          k overlap;
-        if overlap < 0.9 then begin
-          Fmt.epr
-            "profile drift: the checked-in hot set no longer matches this \
-             workload (overlap %.3f < 0.90); regenerate with \
-             `bench/main.exe profile`@."
-            overlap;
-          exit 1
-        end
-  end
-  else
-    match Cogg.Cogprof.save path pr with
-    | Ok () -> Fmt.pr "wrote %s (%a)@." path Cogg.Cogprof.pp pr
-    | Error m ->
-        Fmt.epr "cannot write %s: %s@." path m;
-        exit 1
-
 let speed ?(json = false) () =
   Fmt.pr "@.== Timings (Bechamel) ==@.@.";
   let open Bechamel in
@@ -556,13 +445,6 @@ let speed ?(json = false) () =
   end;
   Fmt.pr "batch-compile: N = %d domain(s), %d jobs, parallel fingerprint ok@.@."
     n_domains batch_m;
-  let ht = Lazy.force hybrid_tables in
-  (match ht with
-  | Some _ -> ()
-  | None ->
-      Fmt.pr
-        "note: bench/default.cogprof not loadable; hybrid rows skipped \
-         (regenerate with `dune exec bench/main.exe -- profile`)@.@.");
   (* the spec-edit loop: one production's template edited in a copy of
      the spec text (a duplicated [modifies] line), rebuilt warm —
      spliced from the previous build — vs cold from scratch.  Both rows
@@ -664,19 +546,6 @@ let speed ?(json = false) () =
                         (Cogg.Codegen.generate ~dispatch:Cogg.Driver.Comb t ts))
                     real_tokens));
          ])
-    @
-    (* the profile-specialized dispatcher, timed on the same token stream
-       as the comb/flat rows so the three are directly comparable *)
-    (match ht with
-    | None -> []
-    | Some ht ->
-        [
-          Test.make ~name:"codegen(hybrid)"
-            (Staged.stage (fun () ->
-                 ignore
-                   (Cogg.Codegen.generate ~dispatch:Cogg.Driver.Hybrid ht
-                      tokens)));
-        ])
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
@@ -716,9 +585,8 @@ let speed ?(json = false) () =
       ("batch-compile(real.NxM)", n_real);
     ];
   (* table representation sizes, in bytes, merged into the trajectory so
-     a specialization change that bloats the hybrid layout is visible:
-     comb is the shipped default, flat the uncompressed ceiling, hybrid
-     the profile-specialized layout (absent without a default profile) *)
+     a compression change that bloats the packed table is visible: comb
+     is the shipped default, flat the uncompressed ceiling *)
   let size_row name bytes =
     Fmt.pr "%-34s %14d bytes@." name bytes;
     rows := (name, float_of_int bytes) :: !rows
@@ -728,28 +596,16 @@ let speed ?(json = false) () =
   size_row "table.flat_bytes" (Cogg.Compress.uncompressed_bytes t.Cogg.Tables.parse);
   size_row "table.risc32.comb_bytes"
     rt.Cogg.Tables.compressed.Cogg.Compress.size_bytes;
-  (match ht with
-  | Some ht -> (
-      match ht.Cogg.Tables.hybrid with
-      | Some h -> size_row "table.hybrid_bytes" h.Cogg.Compress.size_bytes
-      | None -> ())
-  | None -> ());
   (* derived rows: per-token codegen cost (the appendix-1 equation IF is
-     the unit of work; the default dispatcher — hybrid when a profile is
-     checked in, comb otherwise — is the one metered) and the minor-heap
-     allocation per warm compile, the budget @perf-smoke enforces *)
+     the unit of work, under the default comb dispatch) and the
+     minor-heap allocation per warm compile, the budget @perf-smoke
+     enforces *)
   let n_tokens = List.length tokens in
-  let per_token =
-    match List.assoc_opt "codegen(hybrid)" !rows with
-    | Some ns -> Some ("hybrid", ns)
-    | None ->
-        Option.map (fun ns -> ("comb", ns)) (List.assoc_opt "codegen(comb)" !rows)
-  in
-  (match per_token with
-  | Some (which, ns) when n_tokens > 0 ->
+  (match List.assoc_opt "codegen(comb)" !rows with
+  | Some ns when n_tokens > 0 ->
       let per = ns /. float_of_int n_tokens in
-      Fmt.pr "%-34s %14.1f ns/token (%d tokens, %s dispatch)@."
-        "codegen.ns_per_token" per n_tokens which;
+      Fmt.pr "%-34s %14.1f ns/token (%d tokens, comb dispatch)@."
+        "codegen.ns_per_token" per n_tokens;
       rows := ("codegen.ns_per_token", per) :: !rows
   | _ -> ());
   (* the risc32 counterpart, gated below now that the trajectory has a
@@ -804,7 +660,6 @@ let speed ?(json = false) () =
       "batch-compile(1x32)";
       "batch-compile(Nx32)";
       "codegen(comb)";
-      "codegen(hybrid)";
       "codegen.ns_per_token";
       "codegen.risc32(comb)";
       "codegen.risc32.ns_per_token";
@@ -1080,8 +935,7 @@ let () =
      BENCH_speed.json: name -> ns/run *)
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
-  let check = List.mem "--check" args in
-  match List.filter (fun a -> a <> "--json" && a <> "--check") args with
+  match List.filter (fun a -> a <> "--json") args with
   | [] -> all ~json ()
   | args ->
       List.iter
@@ -1093,7 +947,6 @@ let () =
           | "ablation-regalloc" -> ablation_regalloc ()
           | "speed" -> speed ~json ()
           | "fingerprint" -> fingerprint ()
-          | "profile" -> profile ~check ()
           | "serve" -> serve_bench ~json ()
           | "all" -> all ~json ()
           | a ->

@@ -2,16 +2,11 @@
      dune build @perf-smoke
    runs one metered warm compile of the appendix-1 equation and fails if
    the minor-heap allocation per compile exceeds the checked-in budget
-   (bench/perf_budget.txt, passed as argv.(1)).  The budget is ~1.5x the
-   measured steady-state figure, so drift — a new per-token allocation,
-   a listing rendered through Format again — trips it long before it
-   shows up as wall-clock noise.
-
-   The budget file holds one number per line: line 1 is the default
-   (comb) dispatch budget, line 2 — optional — the hybrid-dispatch
-   budget, metered against tables specialized with the checked-in
-   bench/default.cogprof.  The hybrid pass is skipped when line 2 or the
-   profile is absent. *)
+   (bench/perf_budget.txt, passed as argv.(1); one number, metered under
+   the default comb dispatch).  The budget is ~1.5x the measured
+   steady-state figure, so drift — a new per-token allocation, a listing
+   rendered through Format again — trips it long before it shows up as
+   wall-clock noise. *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -19,25 +14,25 @@ let rec find_up ?(depth = 6) dir rel =
   else if depth = 0 then None
   else find_up ~depth:(depth - 1) (Filename.dirname dir) rel
 
-let meter ~label ~budget tables tokens ~dispatch =
+let meter ~budget tables tokens =
   (* warm up (interning tables, buffer growth, code paths), then meter *)
   for _ = 1 to 10 do
-    ignore (Cogg.Codegen.generate ~dispatch tables tokens)
+    ignore (Cogg.Codegen.generate tables tokens)
   done;
   let runs = 50 in
   let w0 = Gc.minor_words () in
   for _ = 1 to runs do
-    ignore (Cogg.Codegen.generate ~dispatch tables tokens)
+    ignore (Cogg.Codegen.generate tables tokens)
   done;
   let per_compile = (Gc.minor_words () -. w0) /. float_of_int runs in
-  Fmt.pr "perf-smoke[%s]: %.0f minor words/compile (budget %.0f)@." label
-    per_compile budget;
+  Fmt.pr "perf-smoke: %.0f minor words/compile (budget %.0f)@." per_compile
+    budget;
   if per_compile > budget then begin
     Fmt.epr
-      "perf-smoke[%s] FAILED: %.0f minor words/compile exceeds the budget \
-       of %.0f (bench/perf_budget.txt); the codegen hot path is allocating \
+      "perf-smoke FAILED: %.0f minor words/compile exceeds the budget of \
+       %.0f (bench/perf_budget.txt); the codegen hot path is allocating \
        more than it used to@."
-      label per_compile budget;
+      per_compile budget;
     exit 1
   end
 
@@ -49,32 +44,15 @@ let () =
       exit 2
     end
   in
-  let budgets =
+  let budget =
     let ic = open_in budget_file in
-    let lines = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" then lines := line :: !lines
-       done
-     with End_of_file -> ());
+    let text = String.trim (In_channel.input_all ic) in
     close_in ic;
-    List.rev_map
-      (fun line ->
-        match float_of_string_opt line with
-        | Some b -> b
-        | None ->
-            Fmt.epr "%s: not a number: %S@." budget_file line;
-            exit 2)
-      !lines
-  in
-  let comb_budget, hybrid_budget =
-    match budgets with
-    | [] ->
-        Fmt.epr "%s: empty budget file@." budget_file;
+    match float_of_string_opt text with
+    | Some b -> b
+    | None ->
+        Fmt.epr "%s: not a number: %S@." budget_file text;
         exit 2
-    | [ c ] -> (c, None)
-    | c :: h :: _ -> (c, Some h)
   in
   let spec_file =
     match find_up (Sys.getcwd ()) "specs/amdahl470.cgg" with
@@ -83,15 +61,8 @@ let () =
         Fmt.epr "cannot locate specs/amdahl470.cgg@.";
         exit 2
   in
-  let spec =
-    match Cogg.Spec_parse.of_file spec_file with
-    | Ok s -> s
-    | Error e ->
-        Fmt.epr "%a@." Cogg.Spec_parse.pp_error e;
-        exit 2
-  in
   let tables =
-    match Cogg.Cogg_build.build spec with
+    match Cogg.Cogg_build.build_file spec_file with
     | Ok t -> t
     | Error es ->
         Fmt.epr "%a@." (Fmt.list Cogg.Cogg_build.pp_error) es;
@@ -104,24 +75,4 @@ let () =
         Fmt.epr "%s@." m;
         exit 2
   in
-  meter ~label:"comb" ~budget:comb_budget tables tokens
-    ~dispatch:Cogg.Driver.Comb;
-  match hybrid_budget with
-  | None -> ()
-  | Some budget -> (
-      match find_up (Sys.getcwd ()) "bench/default.cogprof" with
-      | None ->
-          Fmt.pr "perf-smoke[hybrid]: skipped (no bench/default.cogprof)@."
-      | Some prof_path -> (
-          match Cogg.Cogprof.load prof_path with
-          | Error m ->
-              Fmt.epr "%s: %s@." prof_path m;
-              exit 2
-          | Ok profile -> (
-              match Cogg.Cogg_build.build ~profile spec with
-              | Error es ->
-                  Fmt.epr "%a@." (Fmt.list Cogg.Cogg_build.pp_error) es;
-                  exit 2
-              | Ok ht ->
-                  meter ~label:"hybrid" ~budget ht tokens
-                    ~dispatch:Cogg.Driver.Hybrid)))
+  meter ~budget tables tokens

@@ -78,17 +78,16 @@ let spec_for target spec_opt =
   | None -> target.Machine.Target.spec_file
 
 (* Built tables are cached on disk keyed by the spec's content digest
-   (plus the target name, plus the profile digest for specialized
-   builds), so repeat runs skip LR construction entirely; on a miss, the
-   pool (if any) parallelizes the build itself. *)
-let load_tables ?pool ?profile ?target ~no_cache spec_path =
+   (plus the target name), so repeat runs skip LR construction entirely;
+   on a miss, the pool (if any) parallelizes the build itself. *)
+let load_tables ?pool ?target ~no_cache spec_path =
   if no_cache then
-    match Cogg.Cogg_build.build_file ?pool ?profile ?target spec_path with
+    match Cogg.Cogg_build.build_file ?pool ?target spec_path with
     | Ok t -> t
     | Error es ->
         or_die (Error (Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es))
   else
-    match Cogg.Tables_cache.build_file ?pool ?profile ?target spec_path with
+    match Cogg.Tables_cache.build_file ?pool ?target spec_path with
     | Ok (t, origin) ->
         if Sys.getenv_opt "COGG_CACHE_VERBOSE" <> None then
           Fmt.epr "[tables-cache] %s: %a@." spec_path Cogg.Tables_cache.pp_origin
@@ -96,29 +95,6 @@ let load_tables ?pool ?profile ?target ~no_cache spec_path =
         t
     | Error es ->
         or_die (Error (Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es))
-
-(* Write a captured profile, merging into an existing same-shape profile
-   at the path (repeated capture runs accumulate); a mismatched or
-   unreadable existing file is overwritten with the fresh capture. *)
-let write_profile path (pr : Cogg.Cogprof.t) =
-  let merged =
-    match Cogg.Cogprof.load path with
-    | Ok old -> (
-        match Cogg.Cogprof.merge old pr with
-        | Ok m -> m
-        | Error m ->
-            Fmt.epr "%s: %s; overwriting@." path m;
-            pr)
-    | Error _ -> pr
-  in
-  match Cogg.Cogprof.save path merged with
-  | Ok () -> Fmt.epr "wrote %s (%a)@." path Cogg.Cogprof.pp merged
-  | Error m -> or_die (Error (Fmt.str "cannot write profile %s: %s" path m))
-
-let new_collector (tables : Cogg.Tables.t) =
-  Cogg.Cogprof.create
-    ~n_states:(Cogg.Parse_table.n_states tables.Cogg.Tables.parse)
-    ~n_prods:(Cogg.Grammar.n_prods tables.Cogg.Tables.grammar)
 
 let pp_value ppf = function
   | Pascal.Interp.Vint n -> Fmt.int ppf n
@@ -136,8 +112,7 @@ let run_executed (x : Pipeline.executed) =
 
 let compile_cmd =
   let run target spec_opt src_paths jobs no_cse no_cache checks baseline
-      show_if show_listing run_it verify stats trace explain profile_out
-      specialize dispatch_opt =
+      show_if show_listing run_it verify stats trace explain dispatch =
     let spec_path = spec_for target spec_opt in
     if baseline && target.Machine.Target.name <> Machine.Targets.default.Machine.Target.name
     then
@@ -192,74 +167,18 @@ let compile_cmd =
         else Cogg.Pool.with_pool ~domains (fun p -> f (Some p))
       in
       with_pool @@ fun pool ->
-      let spec_profile =
-        Option.map (fun p -> or_die (Cogg.Cogprof.load p)) specialize
-      in
-      let tables =
-        load_tables ?pool ?profile:spec_profile ~target ~no_cache spec_path
-      in
-      (match spec_profile with
-      | Some p
-        when not
-               (Cogg.Cogprof.compatible p
-                  ~n_states:(Cogg.Parse_table.n_states tables.Cogg.Tables.parse)
-                  ~n_prods:(Cogg.Grammar.n_prods tables.Cogg.Tables.grammar)) ->
-          Fmt.epr
-            "warning: profile %s was captured against different tables (%d \
-             states/%d prods); specialization will be ineffective@."
-            (Option.get specialize) (Cogg.Cogprof.n_states p)
-            (Cogg.Cogprof.n_prods p)
-      | _ -> ());
-      (* dispatch defaults to hybrid for a specialized bundle, comb
-         otherwise *)
-      let dispatch =
-        match dispatch_opt with
-        | Some d -> d
-        | None ->
-            if tables.Cogg.Tables.hybrid <> None then Cogg.Driver.Hybrid
-            else Cogg.Driver.Comb
-      in
+      let tables = load_tables ?pool ~target ~no_cache spec_path in
       let batch =
         Array.of_list
           (List.map
              (fun p -> { Pipeline.Batch.name = p; source = read_file p })
              src_paths)
       in
-      let collector = Option.map (fun _ -> new_collector tables) profile_out in
       let results =
         Cogg.Trace.with_span ~cat:"batch" "batch" (fun () ->
-            match collector with
-            | Some pr ->
-                (* profile capture runs the batch sequentially: the
-                   collector is plain mutable state, one per run, never
-                   shared with pool domains *)
-                Array.map
-                  (fun j ->
-                    Pipeline.compile ~cse:(not no_cse) ~checks ~dispatch
-                      ~profile:pr ~explain tables j.Pipeline.Batch.source)
-                  batch
-            | None ->
-                Pipeline.Batch.compile_all ?pool ~cse:(not no_cse) ~checks
-                  ~dispatch ~explain tables batch)
+            Pipeline.Batch.compile_all ?pool ~cse:(not no_cse) ~checks
+              ~dispatch ~explain tables batch)
       in
-      (match (profile_out, collector) with
-      | Some path, Some pr -> write_profile path pr
-      | _ -> ());
-      (* profile drift: when specializing against a stored profile while
-         also capturing a fresh one, compare the hot sets the two would
-         promote — a low overlap means the stored profile no longer
-         matches this workload and the specialization is stale *)
-      (match (spec_profile, collector) with
-      | Some stored, Some fresh when not (Cogg.Cogprof.is_empty fresh) ->
-          let k = Cogg.Compress.default_hot_k in
-          let overlap = Cogg.Cogprof.hot_overlap ~k stored fresh in
-          if overlap < 0.5 then
-            Fmt.epr
-              "warning: profile %s looks stale for this workload (hot-set \
-               overlap %.2f at k=%d); re-capture with --profile-out and \
-               refresh it@."
-              (Option.get specialize) overlap k
-      | _ -> ());
       (* reporting stays sequential and in input order: batch output must
          be byte-identical to compiling the files one by one *)
       let failed = ref false in
@@ -336,42 +255,13 @@ let compile_cmd =
            directives responsible for it (table-driven generators only)"
       $ Arg.(
           value
-          & opt (some string) None
-          & info [ "profile-out" ] ~docv:"FILE"
-              ~doc:
-                "Capture an execution profile (per-state dispatch counts, \
-                 per-production reduction counts) over the batch and write \
-                 it to $(docv), merging into an existing same-shape \
-                 profile; the batch runs sequentially while capturing.  \
-                 Feed the file back with $(b,--specialize).")
-      $ Arg.(
-          value
-          & opt ~vopt:(Some "bench/default.cogprof") (some string) None
-          & info [ "specialize" ] ~docv:"FILE"
-              ~doc:
-                "Build profile-specialized tables from the $(b,.cogprof) \
-                 profile in $(docv) (default $(b,bench/default.cogprof)): \
-                 the hottest states get flat O(1) dispatch rows, the cold \
-                 tail stays comb-packed, and default reductions follow \
-                 measured frequency.  Implies $(b,--dispatch hybrid) \
-                 unless overridden.")
-      $ Arg.(
-          value
           & opt
-              (some
-                 (enum
-                    [
-                      ("flat", Cogg.Driver.Flat);
-                      ("comb", Cogg.Driver.Comb);
-                      ("hybrid", Cogg.Driver.Hybrid);
-                    ]))
-              None
+              (enum [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ])
+              Cogg.Driver.Comb
           & info [ "dispatch" ] ~docv:"D"
               ~doc:
                 "Parse-table dispatch the driver probes: $(b,comb) \
-                 (packed, the default), $(b,flat) (uncompressed), or \
-                 $(b,hybrid) (profile-specialized; needs \
-                 $(b,--specialize), otherwise identical to comb)."))
+                 (packed, the default) or $(b,flat) (uncompressed)."))
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -413,7 +303,7 @@ let write_corpus_entry dir index (e : Fuzz.Runner.corpus_entry) : string =
 
 let fuzz_cmd =
   let run target spec_opt seed count start profile minimize malformed jobs
-      corpus profile_out cross guided shards minutes replay distill =
+      corpus cross guided shards minutes replay distill =
     let spec_path = spec_for target spec_opt in
     let profile =
       Option.map (fun s -> or_die (Fuzz.Profile.of_string s)) profile
@@ -548,7 +438,6 @@ let fuzz_cmd =
               (Fuzz.Runner.kept_entries r));
         if r.Fuzz.Runner.g_findings <> [] then exit 1
     | None, None ->
-    let collector = Option.map (fun _ -> new_collector tables) profile_out in
     let cfg =
       {
         Fuzz.Runner.seed;
@@ -562,14 +451,10 @@ let fuzz_cmd =
         cache_dir =
           Some (Filename.concat (Filename.get_temp_dir_name ()) "pasc-fuzz-cache");
         log = (fun m -> Fmt.epr "%s@." m);
-        collect = collector;
         cross = cross_tables;
       }
     in
     let report = Fuzz.Runner.run tables cfg in
-    (match (profile_out, collector) with
-    | Some path, Some pr -> write_profile path pr
-    | _ -> ());
     Fmt.pr "%a@." Fuzz.Runner.pp_report report;
     List.iter
       (fun (f : Fuzz.Runner.finding) ->
@@ -637,16 +522,6 @@ let fuzz_cmd =
       $ jobs_arg $ corpus_arg
       $ Arg.(
           value
-          & opt (some string) None
-          & info [ "profile-out" ] ~docv:"FILE"
-              ~doc:
-                "Additionally compile every case's (pre-mutation) input \
-                 with profile capture on and write the accumulated \
-                 $(b,.cogprof) to $(docv) (merging into an existing \
-                 same-shape profile) — the fuzz-corpus half of the \
-                 default specialization profile.")
-      $ Arg.(
-          value
           & opt
               (some
                  (enum
@@ -707,7 +582,7 @@ let socket_arg =
 
 let serve_cmd =
   let run target spec_opt socket jobs queue_capacity cache_capacity verify
-      no_self_check specialize =
+      no_self_check =
     let spec_path = spec_for target spec_opt in
     let domains =
       if jobs = 0 then Domain.recommended_domain_count () else jobs
@@ -717,15 +592,12 @@ let serve_cmd =
       else Cogg.Pool.with_pool ~domains (fun p -> f (Some p))
     in
     with_pool @@ fun pool ->
-    let profile =
-      Option.map (fun p -> or_die (Cogg.Cogprof.load p)) specialize
-    in
-    let tables = load_tables ?pool ?profile ~target ~no_cache:false spec_path in
+    let tables = load_tables ?pool ~target ~no_cache:false spec_path in
     (* the table bundle's own cache key doubles as its identity in every
        result-cache key, so results can never outlive the spec (or the
-       profile, or the target) they were compiled under *)
+       target) they were compiled under *)
     let table_key =
-      Cogg.Tables_cache.key ?profile ~target ~mode:Cogg.Lookahead.Slr
+      Cogg.Tables_cache.key ~target ~mode:Cogg.Lookahead.Slr
         (read_file spec_path)
     in
     let server =
@@ -781,12 +653,7 @@ let serve_cmd =
           & info [ "no-self-check" ]
               ~doc:
                 "Skip the startup determinism self-check (the oracle run \
-                 that gates the cache's correctness premise)")
-      $ Arg.(
-          value
-          & opt ~vopt:(Some "bench/default.cogprof") (some string) None
-          & info [ "specialize" ] ~docv:"FILE"
-              ~doc:"Serve profile-specialized tables (see $(b,compile))"))
+                 that gates the cache's correctness premise)"))
 
 let client_cmd =
   let run socket srcs show_listing do_stats do_ping do_shutdown pause_ms =

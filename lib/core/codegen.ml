@@ -26,8 +26,8 @@ let pp_error ppf = function
   | Resolve_failure m -> Fmt.pf ppf "loader record generation failed: %s" m
 
 (** Generate code for a linearized IF program. *)
-let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?profile
-    ?reload_dsp ?reload_reg ?(explain = false) ?on_reduce (tables : Tables.t)
+let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?reload_dsp
+    ?reload_reg ?(explain = false) ?on_reduce (tables : Tables.t)
     (input : Ifl.Token.t list) : (result_t, error) result =
   let emitter = Emit.create ~strategy ?reload_dsp ?reload_reg ~explain tables in
   let reduce =
@@ -39,7 +39,7 @@ let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?profile
           Emit.reduce emitter ~prod ~rhs ~remap
   in
   let result =
-    match Driver.parse ?dispatch ?profile tables ~reduce input with
+    match Driver.parse ?dispatch tables ~reduce input with
     | Error e -> Error (Parse_error e)
     | exception Emit.Emit_error m -> Error (Emit_failure m)
     | exception Regalloc.Pressure m -> Error (Emit_failure m)
@@ -64,14 +64,14 @@ let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?profile
   result
 
 (** Convenience: parse the textual IF syntax and generate. *)
-let generate_string ?name ?strategy ?dispatch ?profile ?reload_dsp ?reload_reg
-    ?explain tables text : (result_t, string) result =
+let generate_string ?name ?strategy ?dispatch ?reload_dsp ?reload_reg ?explain
+    tables text : (result_t, string) result =
   match Ifl.Reader.program_of_string text with
   | Error m -> Error m
   | Ok tokens -> (
       match
-        generate ?name ?strategy ?dispatch ?profile ?reload_dsp ?reload_reg
-          ?explain tables tokens
+        generate ?name ?strategy ?dispatch ?reload_dsp ?reload_reg ?explain
+          tables tokens
       with
       | Ok r -> Ok r
       | Error e -> Error (Fmt.str "%a" pp_error e))

@@ -25,7 +25,6 @@ val generate :
   ?name:string ->
   ?strategy:Regalloc.strategy ->
   ?dispatch:Driver.dispatch ->
-  ?profile:Cogprof.t ->
   ?reload_dsp:string ->
   ?reload_reg:string ->
   ?explain:bool ->
@@ -35,10 +34,7 @@ val generate :
   (result_t, error) result
 (** Generate code for a linearized IF program.  [strategy] selects the
     register allocation policy (default LRU); [dispatch] the parse-table
-    representation the driver probes (default comb); [profile] a
-    {!Cogprof} collector the parse records state visits and production
-    fires into (profile capture for {!Compress.specialize});
-    [reload_dsp]/[reload_reg] name the terminals used when a common
+    representation the driver probes (default comb); [reload_dsp]/[reload_reg] name the terminals used when a common
     subexpression is reloaded from its temporary (defaults ["dsp"]/["r"]);
     [explain] (default false) additionally records, per emitted item, the
     production and directives responsible, surfaced as [explanation];
@@ -49,7 +45,6 @@ val generate_string :
   ?name:string ->
   ?strategy:Regalloc.strategy ->
   ?dispatch:Driver.dispatch ->
-  ?profile:Cogprof.t ->
   ?reload_dsp:string ->
   ?reload_reg:string ->
   ?explain:bool ->

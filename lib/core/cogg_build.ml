@@ -63,9 +63,27 @@ let grammar_of_spec (symtab : Symtab.t) (spec : Spec_ast.t) :
     spec.Spec_ast.productions;
   if !errs <> [] then Error (List.rev !errs) else Ok (Grammar.finish b)
 
-let build ?pool ?(mode = Lookahead.Slr) ?(profile : Cogprof.t option)
-    ?(target = Machine.Targets.default) (spec : Spec_ast.t) :
-    (Tables.t, error list) result =
+(* Per-symbol register class and value kind, indexed by grammar symbol. *)
+let type_info (grammar : Grammar.t) (symtab : Symtab.t) =
+  let n = Grammar.n_syms grammar in
+  let class_of = Array.make n None in
+  let kind_of = Array.make n None in
+  List.iter
+    (fun (name, cls) ->
+      match Grammar.sym grammar name with
+      | Some s -> class_of.(s) <- Some cls
+      | None -> ())
+    symtab.Symtab.nonterminals;
+  List.iter
+    (fun (name, k) ->
+      match Grammar.sym grammar name with
+      | Some s -> kind_of.(s) <- Some k
+      | None -> ())
+    symtab.Symtab.terminals;
+  (class_of, kind_of)
+
+let build ?pool ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
+    (spec : Spec_ast.t) : (Tables.t, error list) result =
   let* symtab =
     Result.map_error (fun e -> [ lift_symtab e ]) (Symtab.of_spec ~target spec)
   in
@@ -91,53 +109,22 @@ let build ?pool ?(mode = Lookahead.Slr) ?(profile : Cogprof.t option)
       | Error e -> errs := lift_template e :: !errs)
     template_results;
   if !errs <> [] then Error (List.rev !errs)
-  else begin
-    let n = Grammar.n_syms grammar in
-    let class_of = Array.make n None in
-    let kind_of = Array.make n None in
-    List.iter
-      (fun (name, cls) ->
-        match Grammar.sym grammar name with
-        | Some s -> class_of.(s) <- Some cls
-        | None -> ())
-      symtab.Symtab.nonterminals;
-    List.iter
-      (fun (name, k) ->
-        match Grammar.sym grammar name with
-        | Some s -> kind_of.(s) <- Some k
-        | None -> ())
-      symtab.Symtab.terminals;
-    let compressed =
-      Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse
-    in
+  else
+    let class_of, kind_of = type_info grammar symtab in
     Ok
       {
         Tables.target;
         grammar;
         symtab;
         parse;
-        compressed;
-        hybrid =
-          (* the profile-specialized layout rides alongside the comb
-             table, sized adaptively: as many hot states as fit in 110%
-             of the comb table's bytes.  Profile access in [specialize]
-             is bounds-guarded, so a profile captured against other
-             tables degrades to an unhelpful (never unsound)
-             specialization *)
-          Option.map
-            (fun p ->
-              Compress.specialize ?pool
-                ~size_budget:(compressed.Compress.size_bytes * 110 / 100)
-                ~profile:p parse)
-            profile;
+        compressed =
+          Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse;
         compiled;
         n_user_prods = n_user;
         class_of;
         kind_of;
         hashes = Spec_hash.of_spec symtab spec;
-        profile_digest = Option.map Cogprof.digest profile;
       }
-  end
 
 (* -- incremental rebuilds ---------------------------------------------------- *)
 
@@ -167,10 +154,7 @@ let scratch_stats n =
     - same grammar shape ([Spec_hash.shape]) additionally reuses the
       LR(0) automaton, action table, conflict log and comb packing
       wholesale — comb packing is a global first-fit, so it is reused
-      all-or-nothing, never partially repacked;
-    - the hybrid table is spliced only when the requested profile
-      digests identically to the one the previous build specialized
-      against.
+      all-or-nothing, never partially repacked.
 
     Anything the previous build cannot cover (different target, shifted
     symbol ids, a previous bundle with inconsistent metadata) falls back
@@ -179,14 +163,13 @@ let scratch_stats n =
     count — splicing changes how the bytes are obtained, never which
     bytes. *)
 let build_incremental ?pool ?(mode = Lookahead.Slr)
-    ?(profile : Cogprof.t option) ?(target = Machine.Targets.default)
-    ~(previous : Tables.t) (spec : Spec_ast.t) :
-    (Tables.t * incr_stats, error list) result =
+    ?(target = Machine.Targets.default) ~(previous : Tables.t)
+    (spec : Spec_ast.t) : (Tables.t * incr_stats, error list) result =
   let n_user = List.length spec.Spec_ast.productions in
   let fallback () =
     Result.map
       (fun t -> (t, scratch_stats n_user))
-      (build ?pool ~mode ?profile ~target spec)
+      (build ?pool ~mode ~target spec)
   in
   if
     previous.Tables.target.Machine.Target.name
@@ -294,36 +277,7 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
           if splice then previous.Tables.compressed
           else Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse
         in
-        let profile_digest = Option.map Cogprof.digest profile in
-        let hybrid =
-          Option.map
-            (fun p ->
-              match previous.Tables.hybrid with
-              | Some h
-                when splice && previous.Tables.profile_digest = profile_digest
-                ->
-                  h
-              | _ ->
-                  Compress.specialize ?pool
-                    ~size_budget:(compressed.Compress.size_bytes * 110 / 100)
-                    ~profile:p parse)
-            profile
-        in
-        let n = Grammar.n_syms grammar in
-        let class_of = Array.make n None in
-        let kind_of = Array.make n None in
-        List.iter
-          (fun (name, cls) ->
-            match Grammar.sym grammar name with
-            | Some s -> class_of.(s) <- Some cls
-            | None -> ())
-          symtab.Symtab.nonterminals;
-        List.iter
-          (fun (name, k) ->
-            match Grammar.sym grammar name with
-            | Some s -> kind_of.(s) <- Some k
-            | None -> ())
-          symtab.Symtab.terminals;
+        let class_of, kind_of = type_info grammar symtab in
         Ok
           ( {
               Tables.target;
@@ -331,13 +285,11 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
               symtab;
               parse;
               compressed;
-              hybrid;
               compiled;
               n_user_prods = n_user;
               class_of;
               kind_of;
               hashes;
-              profile_digest;
             },
             {
               spliced_tables = splice;
@@ -347,23 +299,23 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
       end
     end
 
-let build_incremental_string ?pool ?mode ?profile ?target ~previous
-    (text : string) : (Tables.t * incr_stats, error list) result =
+let build_incremental_string ?pool ?mode ?target ~previous (text : string) :
+    (Tables.t * incr_stats, error list) result =
   let* spec =
     Result.map_error (fun e -> [ lift_parse e ]) (Spec_parse.of_string text)
   in
-  build_incremental ?pool ?mode ?profile ?target ~previous spec
+  build_incremental ?pool ?mode ?target ~previous spec
 
-let build_string ?pool ?mode ?profile ?target (text : string) :
+let build_string ?pool ?mode ?target (text : string) :
     (Tables.t, error list) result =
   let* spec =
     Result.map_error (fun e -> [ lift_parse e ]) (Spec_parse.of_string text)
   in
-  build ?pool ?mode ?profile ?target spec
+  build ?pool ?mode ?target spec
 
-let build_file ?pool ?mode ?profile ?target (path : string) :
+let build_file ?pool ?mode ?target (path : string) :
     (Tables.t, error list) result =
   let* spec =
     Result.map_error (fun e -> [ lift_parse e ]) (Spec_parse.of_file path)
   in
-  build ?pool ?mode ?profile ?target spec
+  build ?pool ?mode ?target spec

@@ -16,7 +16,6 @@ val grammar_of_spec :
 val build :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   Spec_ast.t ->
   (Tables.t, error list) result
@@ -24,12 +23,10 @@ val build :
     default, as in the paper) or LALR(1) lookaheads.  [pool] parallelizes
     lookahead computation, the per-state action-table fill, table
     compression prep and template compilation; the resulting bundle is
-    byte-identical at any worker count.  [profile] additionally builds
-    the profile-specialized hybrid table ({!Compress.specialize}) into
-    [Tables.hybrid]; without it the bundle carries none.  [target]
-    selects the machine substrate the spec's opcodes and template shapes
-    are checked against (default: the Amdahl 470); it is recorded in
-    [Tables.target] and drives emission, loading and simulation. *)
+    byte-identical at any worker count.  [target] selects the machine
+    substrate the spec's opcodes and template shapes are checked against
+    (default: the Amdahl 470); it is recorded in [Tables.target] and
+    drives emission, loading and simulation. *)
 
 type incr_stats = {
   spliced_tables : bool;
@@ -47,7 +44,6 @@ val pp_incr_stats : Format.formatter -> incr_stats -> unit
 val build_incremental :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   previous:Tables.t ->
   Spec_ast.t ->
@@ -60,15 +56,13 @@ val build_incremental :
     Splice rules: stable declaration structure transfers hash-matched
     compiled templates (rebound to their new production ids); an
     unchanged grammar shape additionally transfers the automaton,
-    action rows, conflicts and comb packing; the hybrid table transfers
-    only on an identical profile digest.  The result is byte-identical
+    action rows, conflicts and comb packing.  The result is byte-identical
     to a from-scratch build of the same spec at any worker count —
     enforced by the randomized edit oracle in the test suite. *)
 
 val build_incremental_string :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   previous:Tables.t ->
   string ->
@@ -77,7 +71,6 @@ val build_incremental_string :
 val build_string :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   string ->
   (Tables.t, error list) result
@@ -85,7 +78,6 @@ val build_string :
 val build_file :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   string ->
   (Tables.t, error list) result

@@ -9,13 +9,6 @@
     - row-displacement ("comb") packing: the remaining sparse rows are
       overlaid into a single value array with a check array.
 
-    Plus one profile-guided layout ({!specialize}): the hottest states by
-    measured visit count get dense flat rows ([hot_value], probed in O(1)
-    with no check), the cold tail stays comb-packed, and default
-    reductions are chosen by measured production frequency instead of
-    static cell counts — Samuelsson's example-based table specialization
-    applied to Bird's code-generator tables.
-
     Entry encoding (16-bit): 0 = error, 1 = accept, 2+2k = shift k,
     3+2k = reduce k. *)
 
@@ -24,9 +17,6 @@ type method_ =
   | Defaults_only
   | Comb_only
   | Defaults_and_comb
-  | Hybrid
-      (** profile-specialized: hot states dense in [hot_value], cold
-          states comb-packed with frequency-chosen defaults *)
 
 let encode_action : Parse_table.action -> int = function
   | Error -> 0
@@ -49,10 +39,6 @@ type t = {
   offsets : int array; (* per-row displacement into value/check *)
   value : int array;
   check : int array; (* owning column symbol + 1, 0 = free *)
-  hot_index : int array;
-      (* state -> offset of its dense row in hot_value, or -1; empty
-         unless method_ = Hybrid *)
-  hot_value : int array; (* dense rows, n_syms entries each, hottest first *)
   size_bytes : int;
 }
 
@@ -63,17 +49,13 @@ let uncompressed_bytes (pt : Parse_table.t) =
 
 (* Default selection.  The candidates are the reduce actions present in
    the row (shifts and errors are never defaulted: a defaulted shift
-   would consume input wrongly).  [weight] ranks candidates first — by
-   measured production frequency under {!specialize}, constant 0
-   otherwise — then the static cell count, then the smaller encoding.
-   The tie chain is a strict total order, so the choice is independent
-   of hash iteration order, and a uniform profile (all weights equal)
-   picks exactly what the unprofiled path picks. *)
-let row_default ?(weight = fun _ -> 0) method_ (row : Parse_table.action array)
-    : int =
+   would consume input wrongly).  Candidates rank by cell count, then
+   by the smaller encoding: a strict total order, so the choice is
+   independent of hash iteration order. *)
+let row_default method_ (row : Parse_table.action array) : int =
   match method_ with
   | No_compression | Comb_only -> 0
-  | Defaults_only | Defaults_and_comb | Hybrid ->
+  | Defaults_only | Defaults_and_comb ->
       let counts = Hashtbl.create 8 in
       Array.iter
         (fun a ->
@@ -84,10 +66,10 @@ let row_default ?(weight = fun _ -> 0) method_ (row : Parse_table.action array)
                 (1 + Option.value (Hashtbl.find_opt counts v) ~default:0)
           | _ -> ())
         row;
-      let best = ref 0 and best_key = ref (min_int, min_int, min_int) in
+      let best = ref 0 and best_key = ref (min_int, min_int) in
       Hashtbl.iter
         (fun v c ->
-          let key = (weight ((v - 3) / 2), c, -v) in
+          let key = (c, -v) in
           if key > !best_key then begin
             best_key := key;
             best := v
@@ -99,11 +81,11 @@ let row_default ?(weight = fun _ -> 0) method_ (row : Parse_table.action array)
    n_states x n_syms sweep, each state independent, mapped over the
    pool; results land by state index, so the outcome is worker-count
    invariant. *)
-let extract_rows ?pool ?weight method_ (pt : Parse_table.t) :
+let extract_rows ?pool method_ (pt : Parse_table.t) :
     (int * (int * int) list) array =
   Pool.maybe pool
     (fun row ->
-      let d = row_default ?weight method_ row in
+      let d = row_default method_ row in
       let entries = ref [] in
       Array.iteri
         (fun sym a ->
@@ -135,9 +117,9 @@ let share_rows (state_rows : (int * (int * int) list) array) :
     state_rows;
   (row_index, Array.of_list (List.rev !distinct))
 
-(* First-fit row displacement over the rows named by [order] (every
-   other row gets the past-the-end offset: all probes miss into the
-   default).  The check array stores the *column symbol* (one byte),
+(* First-fit row displacement, densest row first (ties broken by row id
+   for a strict total order, so the packing sequence is fully determined
+   by the input).  The check array stores the *column symbol* (one byte),
    which is sound because packed rows always take distinct offsets: a
    position p can only satisfy check[p] = sym with p = offset + sym for
    the single row that owns it.
@@ -154,9 +136,16 @@ let share_rows (state_rows : (int * (int * int) list) array) :
    sequential: each row's offset depends on the occupancy left by every
    earlier row, and byte-identical tables at any worker count are a
    hard requirement. *)
-let pack_rows ?pool ~(n_rows : int)
-    ~(entries_of : (int * int) list array) ~(order : int array) () :
+let pack_rows ?pool (entries_of : (int * int) list array) :
     int array * int array * int array =
+  let n_rows = Array.length entries_of in
+  let row_len = Array.map List.length entries_of in
+  let order = Array.init n_rows Fun.id in
+  Array.sort
+    (fun (a : int) b ->
+      if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
+      else Int.compare a b)
+    order;
   let prepped =
     Pool.maybe pool
       (fun entry_list ->
@@ -267,8 +256,7 @@ let pack_rows ?pool ~(n_rows : int)
               if p + 1 > !used then used := p + 1)
             entries)
     order;
-  (* unpacked rows (empty, or excluded from [order]) point past the
-     packed area: every probe misses *)
+  (* empty rows point past the packed area: every probe misses *)
   Array.iteri (fun rid off -> if off < 0 then offsets.(rid) <- !used) offsets;
   (offsets, Array.sub !value 0 !used, Array.sub !check 0 !used)
 
@@ -277,8 +265,6 @@ let compress ?pool ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
   let n_syms = Grammar.n_syms pt.Parse_table.grammar in
   let state_rows = extract_rows ?pool method_ pt in
   match method_ with
-  | Hybrid ->
-      invalid_arg "Compress.compress: Hybrid requires a profile (specialize)"
   | No_compression | Defaults_only ->
       (* dense layout, one row per state (no sharing: the point of this
          method is the flat table the paper calls "uncompressed") *)
@@ -301,24 +287,12 @@ let compress ?pool ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
         + match method_ with Defaults_only -> n_states * 2 | _ -> 0
       in
       { n_states; n_syms; method_; row_index; defaults; offsets; value; check;
-        hot_index = [||]; hot_value = [||]; size_bytes }
+        size_bytes }
   | Comb_only | Defaults_and_comb ->
       let row_index, rows = share_rows state_rows in
       let n_rows = Array.length rows in
       let defaults = Array.map fst rows in
-      let entries_of = Array.map snd rows in
-      let row_len = Array.map List.length entries_of in
-      let order = Array.init n_rows (fun i -> i) in
-      (* densest first; ties broken by row id for a strict total order,
-         so the packing sequence is fully determined by the input *)
-      Array.sort
-        (fun (a : int) b ->
-          if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
-          else Int.compare a b)
-        order;
-      let offsets, value, check =
-        pack_rows ?pool ~n_rows ~entries_of ~order ()
-      in
+      let offsets, value, check = pack_rows ?pool (Array.map snd rows) in
       let used = Array.length value in
       let size_bytes =
         (used * 2) (* value: 16-bit actions *)
@@ -328,164 +302,23 @@ let compress ?pool ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
         + match method_ with Defaults_and_comb -> n_rows * 2 | _ -> 0
       in
       { n_states; n_syms; method_; row_index; defaults; offsets; value; check;
-        hot_index = [||]; hot_value = [||]; size_bytes }
-
-(* -- profile-guided specialization -------------------------------------------- *)
-
-(** Hot set size: how many of the most-visited states get dense flat
-    rows.  48 rows of ~2·n_syms bytes keeps the hybrid table within
-    ~1.2x of the comb-packed size on the amdahl470 grammar while
-    covering the overwhelming share of dispatches on measured
-    workloads; override per call with [?hot_k]. *)
-let default_hot_k = 48
-
-let specialize ?pool ?hot_k ?size_budget ~(profile : Cogprof.t)
-    (pt : Parse_table.t) : t =
-  let n_states = Parse_table.n_states pt in
-  let n_syms = Grammar.n_syms pt.Parse_table.grammar in
-  let visits s =
-    if s < Array.length profile.Cogprof.state_visits then
-      profile.Cogprof.state_visits.(s)
-    else 0
-  in
-  let fires p =
-    if p < Array.length profile.Cogprof.prod_fires then
-      profile.Cogprof.prod_fires.(p)
-    else 0
-  in
-  (* defaults by measured production frequency; a uniform profile makes
-     every weight equal, so the choice degrades to the static one *)
-  let state_rows = extract_rows ?pool ~weight:fires Hybrid pt in
-  let row_index, rows = share_rows state_rows in
-  let n_rows = Array.length rows in
-  let defaults = Array.map fst rows in
-  let entries_of = Array.map snd rows in
-  (* the hot set: top-k states by visit count (visited states only);
-     ties broken by state id so the layout is fully determined *)
-  let by_heat = Array.init n_states Fun.id in
-  Array.sort
-    (fun a b ->
-      if visits a <> visits b then Int.compare (visits b) (visits a)
-      else Int.compare a b)
-    by_heat;
-  let live_max =
-    let rec live i =
-      if i < n_states && visits by_heat.(i) > 0 then live (i + 1) else i
-    in
-    live 0
-  in
-  let row_len = Array.map List.length entries_of in
-  (* one complete layout at a given hot-state count; everything above
-     (row extraction, sharing, heat order) is shared across candidates *)
-  let layout (k : int) : t =
-    let k = min k live_max in
-    let hot_index = Array.make n_states (-1) in
-    let hot_value = Array.make (k * n_syms) 0 in
-    for slot = 0 to k - 1 do
-      let s = by_heat.(slot) in
-      let d, entries = state_rows.(s) in
-      (* the dense row materializes exactly what the comb probe answers:
-         significant entries explicit, everything else the row default *)
-      let base = slot * n_syms in
-      Array.fill hot_value base n_syms d;
-      List.iter (fun (sym, v) -> hot_value.(base + sym) <- v) entries;
-      hot_index.(s) <- base
-    done;
-    (* comb-pack only the rows some cold state still probes; rows owned
-       exclusively by hot states are served from hot_value and take no
-       comb space.  Row heat = summed visits of the cold states probing
-       it; packing order is densest-and-hottest-first. *)
-    let cold_heat = Array.make n_rows (-1) in
-    Array.iteri
-      (fun s rid ->
-        if hot_index.(s) < 0 then
-          cold_heat.(rid) <- max 0 cold_heat.(rid) + visits s)
-      row_index;
-    let packable =
-      Array.init n_rows Fun.id
-      |> Array.to_list
-      |> List.filter (fun rid -> cold_heat.(rid) >= 0 && row_len.(rid) > 0)
-      |> Array.of_list
-    in
-    Array.sort
-      (fun (a : int) b ->
-        if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
-        else if cold_heat.(a) <> cold_heat.(b) then
-          Int.compare cold_heat.(b) cold_heat.(a)
-        else Int.compare a b)
-      packable;
-    let offsets, value, check =
-      pack_rows ?pool ~n_rows ~entries_of ~order:packable ()
-    in
-    let used = Array.length value in
-    let size_bytes =
-      (used * 2) (* value: 16-bit actions *)
-      + used (* check: 8-bit symbol ids *)
-      + (n_rows * 2) (* offsets *)
-      + (n_states * 2) (* state -> row mapping *)
-      + (n_rows * 2) (* defaults *)
-      + (n_states * 2) (* hot_index *)
-      + (k * n_syms * 2) (* dense hot rows *)
-    in
-    { n_states; n_syms; method_ = Hybrid; row_index; defaults; offsets; value;
-      check; hot_index; hot_value; size_bytes }
-  in
-  match (hot_k, size_budget) with
-  | Some k, _ -> layout (min k n_states)
-  | None, None -> layout (min default_hot_k n_states)
-  | None, Some budget ->
-      (* adaptive: the largest hot-state count whose laid-out size fits
-         the budget.  size(k) grows by ~2·n_syms bytes per promoted
-         state minus whatever comb space exclusively-owned rows free, so
-         it is monotone enough for a binary search; the result is always
-         within budget when even k=0 is (k=0 is comb packing plus two
-         empty side arrays), and fully deterministic — the probe
-         sequence depends only on the table, profile and budget. *)
-      let floor = layout 0 in
-      if floor.size_bytes > budget || live_max = 0 then floor
-      else begin
-        let ceiling = layout live_max in
-        if ceiling.size_bytes <= budget then ceiling
-        else begin
-          let lo = ref 0 and hi = ref live_max and best = ref floor in
-          while !hi - !lo > 1 do
-            let mid = (!lo + !hi) / 2 in
-            let cand = layout mid in
-            if cand.size_bytes <= budget then begin
-              lo := mid;
-              best := cand
-            end
-            else hi := mid
-          done;
-          !best
-        end
-      end
+        size_bytes }
 
 (** O(1) probe returning the raw encoded entry: row_index -> offset ->
-    value/check, falling back to the row default on a check miss; hot
-    states of a hybrid table are served from their dense row in one
-    indexed read.  This is the runtime dispatch path {!Driver.parse}
-    runs on, so it avoids allocating a {!Parse_table.action} per
-    lookup. *)
+    value/check, falling back to the row default on a check miss.  This
+    is the runtime dispatch path {!Driver.parse} runs on, so it avoids
+    allocating a {!Parse_table.action} per lookup. *)
 let action_code (c : t) (state : int) (sym : int) : int =
-  let comb_probe () =
-    let rid = c.row_index.(state) in
-    let p = c.offsets.(rid) + sym in
-    if p >= 0 && p < Array.length c.check && c.check.(p) = sym + 1 then
-      c.value.(p)
-    else c.defaults.(rid)
+  let rid = c.row_index.(state) in
+  let p = c.offsets.(rid) + sym in
+  (* packed rows check the column symbol, dense rows their own state *)
+  let owner =
+    match c.method_ with
+    | Comb_only | Defaults_and_comb -> sym + 1
+    | No_compression | Defaults_only -> state + 1
   in
-  match c.method_ with
-  | Comb_only | Defaults_and_comb -> comb_probe ()
-  | Hybrid ->
-      let h = c.hot_index.(state) in
-      if h >= 0 then c.hot_value.(h + sym) else comb_probe ()
-  | No_compression | Defaults_only ->
-      let rid = c.row_index.(state) in
-      let p = c.offsets.(rid) + sym in
-      if p >= 0 && p < Array.length c.check && c.check.(p) = state + 1 then
-        c.value.(p)
-      else c.defaults.(rid)
+  if p >= 0 && p < Array.length c.check && c.check.(p) = owner then c.value.(p)
+  else c.defaults.(rid)
 
 (** Specialized probe for the driver's inner loop: the table's arrays and
     the method dispatch are resolved once, outside the per-lookup path.
@@ -504,25 +337,12 @@ let dispatcher (c : t) : int -> int -> int =
         let rid = row_index.(state) in
         let p = offsets.(rid) + sym in
         if p < ncheck && check.(p) = sym + 1 then value.(p) else defaults.(rid)
-  | Hybrid ->
-      let hot_index = c.hot_index and hot_value = c.hot_value in
-      fun state sym ->
-        let h = hot_index.(state) in
-        if h >= 0 then hot_value.(h + sym)
-        else
-          let rid = row_index.(state) in
-          let p = offsets.(rid) + sym in
-          if p < ncheck && check.(p) = sym + 1 then value.(p)
-          else defaults.(rid)
   | No_compression | Defaults_only -> fun state sym -> action_code c state sym
 
-(** Decoded variant of {!action_code}. *)
+(** Decoded variant of {!action_code}: table lookup through the
+    compressed representation. *)
 let action (c : t) (state : int) (sym : int) : Parse_table.action =
   decode_action (action_code c state sym)
-
-(** Table lookup through the compressed representation. *)
-let lookup (c : t) ~(state : int) ~(sym : int) : Parse_table.action =
-  action c state sym
 
 (** Check that a compressed table reproduces the original exactly, modulo
     default reductions replacing errors (which only delay error
@@ -535,7 +355,7 @@ let verify (c : t) (pt : Parse_table.t) : (int, string) result =
     (fun state row ->
       Array.iteri
         (fun sym a ->
-          let got = lookup c ~state ~sym in
+          let got = action c state sym in
           if got <> a then
             match (a, got) with
             | Parse_table.Error, Parse_table.Reduce _ -> incr softened

@@ -9,22 +9,13 @@
     - row-displacement ("comb") packing with row sharing: identical rows
       collapse, and distinct rows overlay into one value array with a
       one-byte column-check array (sound because distinct rows take
-      distinct offsets).
-
-    Plus one profile-guided layout ({!specialize}): the hottest states by
-    measured visit count get dense flat rows probed in O(1) with no
-    check, the cold tail stays comb-packed, and default reductions are
-    chosen by measured production frequency. *)
+      distinct offsets). *)
 
 type method_ =
   | No_compression
   | Defaults_only
   | Comb_only
   | Defaults_and_comb
-  | Hybrid
-      (** profile-specialized: hot states dense in [hot_value], cold
-          states comb-packed with frequency-chosen defaults; built by
-          {!specialize}, never by {!compress} *)
 
 val encode_action : Parse_table.action -> int
 (** 16-bit entry encoding: 0 = error, 1 = accept, even = shift, odd =
@@ -41,13 +32,6 @@ type t = {
   offsets : int array;  (** per-row displacement into value/check *)
   value : int array;
   check : int array;
-  hot_index : int array;
-      (** state -> offset of its dense row in [hot_value], or -1; empty
-          unless [method_ = Hybrid] *)
-  hot_value : int array;
-      (** dense hot rows, [n_syms] entries each, hottest first; each row
-          bakes in its comb answer (explicit entries over the row
-          default), so hybrid and comb dispatch agree entry-for-entry *)
   size_bytes : int;  (** the Table-2 size accounting *)
 }
 
@@ -57,42 +41,12 @@ val uncompressed_bytes : Parse_table.t -> int
 val compress : ?pool:Pool.t -> ?method_:method_ -> Parse_table.t -> t
 (** [?pool] parallelizes the per-state row extraction and the per-row
     packing prep; the first-fit placement itself is sequential, so the
-    packed table is byte-identical at any worker count.  Raises
-    [Invalid_argument] on [~method_:Hybrid] — that layout needs a
-    profile; use {!specialize}. *)
-
-val default_hot_k : int
-(** How many of the most-visited states {!specialize} promotes to dense
-    rows when [?hot_k] is not given. *)
-
-val specialize :
-  ?pool:Pool.t ->
-  ?hot_k:int ->
-  ?size_budget:int ->
-  profile:Cogprof.t ->
-  Parse_table.t ->
-  t
-(** [specialize ~profile pt] is the profile-guided hybrid layout: the
-    hottest states by recorded visit count (visited states only) get
-    dense O(1) rows; the rest comb-pack densest-and-hottest-first, with
-    rows probed only by hot states dropped from the comb entirely; row
-    defaults are chosen by recorded production frequency (falling back
-    to static cell counts on ties, so a {!Cogprof.uniform} profile
-    yields a table dispatch-equivalent to [compress]).
-
-    The hot-state count: an explicit [?hot_k] is used as-is (clamped to
-    the visited prefix); otherwise, when [?size_budget] (bytes) is
-    given, the largest count whose laid-out [size_bytes] fits the
-    budget is chosen by binary search — when even zero hot states
-    overshoot (tiny budget), the zero-hot layout is returned, so the
-    result is always defined; with neither, {!default_hot_k} applies.
-    Deterministic: same table + same profile + same arguments =
-    byte-identical layout at any worker count. *)
+    packed table is byte-identical at any worker count. *)
 
 val action_code : t -> int -> int -> int
 (** [action_code c state sym] is the O(1) runtime probe: row_index ->
     offset -> value/check, falling back to the row default on a check
-    miss (hot hybrid states: one dense read).  Returns the raw encoded
+    miss.  Returns the raw encoded
     entry (no allocation); this is what {!Driver.parse} dispatches on. *)
 
 val dispatcher : t -> int -> int -> int
@@ -100,10 +54,8 @@ val dispatcher : t -> int -> int -> int
     dispatch resolved once, for the driver's inner loop. *)
 
 val action : t -> int -> int -> Parse_table.action
-(** [action c state sym] is [action_code] decoded. *)
-
-val lookup : t -> state:int -> sym:int -> Parse_table.action
-(** Table lookup through the compressed representation. *)
+(** [action c state sym] is [action_code] decoded: table lookup through
+    the compressed representation. *)
 
 val verify : t -> Parse_table.t -> (int, string) result
 (** Check that the compressed table reproduces the original exactly,

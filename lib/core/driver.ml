@@ -29,7 +29,7 @@
     in the same representation, so reduction-prefixed tokens re-enter the
     stream already interned. *)
 
-type dispatch = Flat | Comb | Hybrid
+type dispatch = Flat | Comb
 
 (** A prepared IF token: the grammar symbol id (interned once, at stream
     preparation or by the emitter) and the coerced attribute value.  The
@@ -124,7 +124,7 @@ let bottom = { psym = min_int; pvalue = Ifl.Value.Unit }
     [need] directive transfers a busy register); the returned tokens are
     prefixed to the input (first element consumed first) and must carry
     interned symbol ids. *)
-let parse ?(dispatch = Comb) ?(profile : Cogprof.t option) (tables : Tables.t)
+let parse ?(dispatch = Comb) (tables : Tables.t)
     ~(reduce :
        prod:int ->
        rhs:ptoken array ->
@@ -134,35 +134,14 @@ let parse ?(dispatch = Comb) ?(profile : Cogprof.t option) (tables : Tables.t)
   let pt = tables.Tables.parse in
   let n_syms = Grammar.n_syms g in
   (* the action source, as encoded entries (Compress encoding); the comb
-     and hybrid paths read the packed int directly, the flat path encodes
-     the variant (all allocation-free) *)
+     path reads the packed int directly, the flat path encodes the
+     variant (both allocation-free) *)
   let lookup : int -> int -> int =
     match dispatch with
-    | Comb ->
-        let c = tables.Tables.compressed in
-        Compress.dispatcher c
-    | Hybrid ->
-        (* the profile-specialized layout when the bundle carries one;
-           otherwise the comb table (same answers, just no hot rows) *)
-        let c =
-          match tables.Tables.hybrid with
-          | Some h -> h
-          | None -> tables.Tables.compressed
-        in
-        Compress.dispatcher c
+    | Comb -> Compress.dispatcher tables.Tables.compressed
     | Flat ->
         let actions = pt.Parse_table.actions in
         fun state sym -> Compress.encode_action actions.(state).(sym)
-  in
-  (* profile capture wraps the resolved dispatcher, so the common
-     no-profile parse pays nothing for it *)
-  let lookup =
-    match profile with
-    | None -> lookup
-    | Some pr ->
-        fun state sym ->
-          Cogprof.visit pr state;
-          lookup state sym
   in
   (* -- stream preparation ------------------------------------------------
      Tokens that fail interning or the value discipline become negative
@@ -389,7 +368,6 @@ let parse ?(dispatch = Comb) ?(profile : Cogprof.t option) (tables : Tables.t)
         else begin
           (* reduce *)
           let p = (v - 3) / 2 in
-          (match profile with None -> () | Some pr -> Cogprof.fire pr p);
           incr reductions;
           incr reduce_run;
           if !reduce_run > max_reductions_between_shifts then

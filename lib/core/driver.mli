@@ -14,11 +14,6 @@ type dispatch =
       (** probe the comb-packed table carried in {!Tables.t}
           ({!Compress.action_code}); the default, and the production
           configuration of the paper's Table 2 *)
-  | Hybrid
-      (** probe the profile-specialized hybrid table ([Tables.hybrid]):
-          hot states answer from dense flat rows in one read, cold
-          states fall back to the comb probe; when the bundle carries
-          no hybrid table, degrades to the comb table (same answers) *)
 
 type ptoken = { psym : Grammar.sym; pvalue : Ifl.Value.t }
 (** A {e prepared} IF token: the grammar symbol id (interned once, at
@@ -57,7 +52,6 @@ type outcome = { reductions : int; shifts : int; max_stack : int }
 
 val parse :
   ?dispatch:dispatch ->
-  ?profile:Cogprof.t ->
   Tables.t ->
   reduce:
     (prod:int ->
@@ -68,16 +62,11 @@ val parse :
   (outcome, error) result
 (** [parse ?dispatch tables ~reduce input] runs the table-driven parse.
 
-    [dispatch] selects the action source (default [Comb]).  All sources
+    [dispatch] selects the action source (default [Comb]).  Both sources
     run the same skeleton over array-backed stacks and take identical
-    actions on well-formed IF; comb and hybrid dispatch may delay (never
-    lose) error detection on malformed IF, because default reductions
-    stand in for error entries.
-
-    [profile] is a {!Cogprof.t} collector: when given, every action
-    lookup records a visit of its state and every reduction records a
-    fire of its production.  The collector is plain mutable state — use
-    one per capture run, never across domains.
+    actions on well-formed IF; comb dispatch may delay (never lose)
+    error detection on malformed IF, because default reductions stand in
+    for error entries.
 
     [input] is prepared in a single pass before the loop starts: each
     token's [sym] string is interned to its grammar id, the integer

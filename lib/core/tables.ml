@@ -12,11 +12,6 @@ type t = {
       (** the comb-packed (defaults + row displacement) form of [parse],
           built once at table-construction time; the driver's default
           dispatch path probes this representation *)
-  hybrid : Compress.t option;
-      (** the profile-specialized hybrid (hot-flat / cold-comb) form,
-          present only when the bundle was built with a profile
-          ({!Compress.specialize}); [Driver.parse ~dispatch:Hybrid]
-          probes it and falls back to [compressed] when absent *)
   compiled : Template.compiled option array;
       (** per production id; [None] for the augmentation productions *)
   n_user_prods : int;
@@ -25,11 +20,7 @@ type t = {
   hashes : Spec_hash.t;
       (** per-production content hashes of the spec this bundle was
           built from — the partial-build state an incremental rebuild
-          diffs against; persisted in the bundle (format v5) *)
-  profile_digest : string option;
-      (** {!Cogprof.digest} of the profile behind [hybrid], when the
-          bundle carries one; an incremental rebuild only splices the
-          hybrid table when the requested profile digests identically *)
+          diffs against; persisted in the bundle (format v6) *)
 }
 
 let class_of t sym = t.class_of.(sym)

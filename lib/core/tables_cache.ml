@@ -13,11 +13,12 @@
 (* Bumping this invalidates every existing entry; it must change whenever
    the Tables_io bundle format does, or when table construction starts
    producing different (still correct) bytes — v7: bundles carry the
-   incremental appendix (CGB5: per-production content hashes, lookahead
-   mode, profile digest), and a per-lineage pointer file lets a miss on
-   an edited spec locate the previous build and splice instead of
-   rebuilding from scratch. *)
-let format_version = 7
+   incremental appendix (per-production content hashes, lookahead mode),
+   and a per-lineage pointer file lets a miss on an edited spec locate
+   the previous build and splice instead of rebuilding from scratch;
+   v8: the CGB6 bundle drops the profile-specialized table and its
+   profile digest. *)
+let format_version = 8
 
 type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 
@@ -63,27 +64,21 @@ let mode_tag : Lookahead.mode -> string = function
   | Lookahead.Slr -> "slr"
   | Lookahead.Lalr -> "lalr"
 
-let key ?(profile : Cogprof.t option)
-    ?(target = Machine.Targets.default) ~(mode : Lookahead.mode)
+let key ?(target = Machine.Targets.default) ~(mode : Lookahead.mode)
     (spec_text : string) : string =
-  (* the profile digest is part of the key: a bundle specialized against
-     one workload must never serve as a hit for another (or for an
-     unspecialized build).  Likewise the target name: the same spec text
-     checked against two machines yields different bundles. *)
-  let profile_tag =
-    match profile with None -> "" | Some p -> ":" ^ Cogprof.digest p
-  in
+  (* the target name is part of the key: the same spec text checked
+     against two machines yields different bundles *)
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "cogg-tables-v%d:%s:%s%s:%s" format_version
-          (mode_tag mode) target.Machine.Target.name profile_tag spec_text))
+       (Printf.sprintf "cogg-tables-v%d:%s:%s:%s" format_version
+          (mode_tag mode) target.Machine.Target.name spec_text))
 
 (** Cache file an unchanged spec would hit; exposed so tests (and curious
     users) can inspect or corrupt the entry. *)
-let entry_path ?(mode = Lookahead.Slr) ?profile ?target ?cache_dir
-    (spec_text : string) : string =
+let entry_path ?(mode = Lookahead.Slr) ?target ?cache_dir (spec_text : string)
+    : string =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
-  Filename.concat dir ("cogg-" ^ key ?profile ?target ~mode spec_text ^ ".cgt")
+  Filename.concat dir ("cogg-" ^ key ?target ~mode spec_text ^ ".cgt")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -106,9 +101,10 @@ let rec mkdir_p dir =
    half-written bytes through the rename. *)
 let tmp_counter = Atomic.make 0
 
-(* Size cap: a long-lived daemon rebuilding tables against rotating
-   profiles (every distinct profile digest is a distinct entry) must not
-   grow the cache directory without bound.  Entries are evicted
+(* Size cap: spec edits never overwrite an entry (every distinct spec
+   text is a distinct entry), so a spec author's edit loop, or a
+   long-lived daemon serving edited specs, must not grow the cache
+   directory without bound.  Entries are evicted
    oldest-first by modification time (the entry just written was just
    touched, so it is always the newest); ties break by file name so the
    victim set is deterministic.  Everything is best effort — a
@@ -192,21 +188,18 @@ let store path bytes =
    — by design, but it also severs the edited spec from the build of its
    previous revision, which is precisely what an incremental rebuild
    wants to splice from.  The bridge is one pointer file per lineage
-   (format version x mode x target x profile digest, everything in the
-   key except the text): it names the newest entry stored for that
+   (format version x mode x target, everything in the key except the
+   text): it names the newest entry stored for that
    lineage.  On a miss, the pointer locates the previous partial build;
    the pointer itself is a hint — stale, pruned-away or corrupt targets
    simply degrade to a scratch build. *)
 
-let lineage_path ?(mode = Lookahead.Slr) ?(profile : Cogprof.t option)
-    ?(target = Machine.Targets.default) ?cache_dir () : string =
+let lineage_path ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
+    ?cache_dir () : string =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
-  let profile_tag =
-    match profile with None -> "" | Some p -> ":" ^ Cogprof.digest p
-  in
   let tag =
-    Printf.sprintf "cogg-lineage-v%d:%s:%s%s" format_version (mode_tag mode)
-      target.Machine.Target.name profile_tag
+    Printf.sprintf "cogg-lineage-v%d:%s:%s" format_version (mode_tag mode)
+      target.Machine.Target.name
   in
   Filename.concat dir ("cogg-" ^ Digest.to_hex (Digest.string tag) ^ ".ptr")
 
@@ -246,14 +239,14 @@ let load path : Tables.t option =
 (** [build_text ?mode ?cache_dir text] returns the tables for a
     specification given as text, via the cache.  On a miss, the lineage
     pointer is consulted for the previous build of the same (mode,
-    target, profile) line: when one loads, the rebuild is incremental —
+    target) line: when one loads, the rebuild is incremental —
     {!Cogg_build.build_incremental} splices every artifact the edit
     left untouched — and still byte-identical to a scratch build, so
     the stored entry is the same either way. *)
-let build_text ?pool ?(mode = Lookahead.Slr) ?profile ?target ?cache_dir
-    (text : string) : (Tables.t * origin, Cogg_build.error list) result =
-  let path = entry_path ~mode ?profile ?target ?cache_dir text in
-  let lpath = lineage_path ~mode ?profile ?target ?cache_dir () in
+let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
+    : (Tables.t * origin, Cogg_build.error list) result =
+  let path = entry_path ~mode ?target ?cache_dir text in
+  let lpath = lineage_path ~mode ?target ?cache_dir () in
   match load path with
   | Some t ->
       Atomic.incr hit_count;
@@ -277,7 +270,7 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?profile ?target ?cache_dir
       let built =
         match previous with
         | Some prev ->
-            Cogg_build.build_incremental_string ?pool ~mode ?profile ?target
+            Cogg_build.build_incremental_string ?pool ~mode ?target
               ~previous:prev text
         | None ->
             Result.map
@@ -288,7 +281,7 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?profile ?target ?cache_dir
                        templates_reused = 0;
                        templates_recompiled = 0;
                      }))
-              (Cogg_build.build_string ?pool ~mode ?profile ?target text)
+              (Cogg_build.build_string ?pool ~mode ?target text)
       in
       match built with
       | Error es -> Error es
@@ -308,8 +301,8 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?profile ?target ?cache_dir
 (** [build_file ?mode ?cache_dir path] is {!build_text} over the file's
     contents: the digest covers the text, so editing the spec in place is
     a clean miss, not a stale hit. *)
-let build_file ?pool ?mode ?profile ?target ?cache_dir (path : string) :
+let build_file ?pool ?mode ?target ?cache_dir (path : string) :
     (Tables.t * origin, Cogg_build.error list) result =
   match read_file path with
-  | text -> build_text ?pool ?mode ?profile ?target ?cache_dir text
+  | text -> build_text ?pool ?mode ?target ?cache_dir text
   | exception Sys_error m -> Error [ { Cogg_build.line = 0; msg = m } ]

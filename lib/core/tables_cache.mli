@@ -35,21 +35,13 @@ val prune : ?cache_dir:string -> ?max_entries:int -> unit -> int
     swallowed.  Every successful [store] runs this automatically, so a
     long-lived daemon's cache directory stays bounded. *)
 
-val key :
-  ?profile:Cogprof.t ->
-  ?target:Machine.Target.t ->
-  mode:Lookahead.mode ->
-  string ->
-  string
-(** Digest a specification text into its cache key.  When [profile] is
-    given (a profile-specialized build), its {!Cogprof.digest} is mixed
-    in, so a stale specialization can never hit.  The [target]'s name
+val key : ?target:Machine.Target.t -> mode:Lookahead.mode -> string -> string
+(** Digest a specification text into its cache key.  The [target]'s name
     (default: the Amdahl 470) is part of the key, so the same spec text
     checked against two machines never shares an entry. *)
 
 val entry_path :
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->
@@ -59,13 +51,12 @@ val entry_path :
 
 val lineage_path :
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   unit ->
   string
-(** The pointer file naming the newest entry of a (mode, target,
-    profile) lineage — everything in the key except the spec text.  A
+(** The pointer file naming the newest entry of a (mode, target)
+    lineage — everything in the key except the spec text.  A
     miss follows it to the previous partial build and rebuilds
     incrementally; it is refreshed on every hit and store.  Setting
     [COGG_NO_INCREMENTAL=1] makes misses ignore it (scratch builds). *)
@@ -73,21 +64,18 @@ val lineage_path :
 val build_text :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->
   (Tables.t * origin, Cogg_build.error list) result
 (** Tables for a specification given as text, through the cache.
     [pool] parallelizes the build on a miss; the stored bundle is
-    byte-identical at any worker count.  [profile] builds (and caches) a
-    bundle carrying the profile-specialized hybrid table.  [target]
-    selects the machine substrate the spec is checked against. *)
+    byte-identical at any worker count.  [target] selects the machine
+    substrate the spec is checked against. *)
 
 val build_file :
   ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
-  ?profile:Cogprof.t ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->

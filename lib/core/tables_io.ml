@@ -32,19 +32,27 @@ let r_i32 r =
   r.pos <- r.pos + 4;
   v
 
-let r_str r =
+(* A length prefix counts bytes or elements that each take at least one
+   byte, so a negative one, or one larger than what is left, is
+   corruption: caught here, before it sizes an allocation. *)
+let r_len r =
   let n = r_i32 r in
-  if r.pos + n > String.length r.buf then raise (Corrupt "truncated string");
+  if n < 0 || n > String.length r.buf - r.pos then
+    raise (Corrupt (Fmt.str "length %d out of range" n));
+  n
+
+let r_str r =
+  let n = r_len r in
   let s = String.sub r.buf r.pos n in
   r.pos <- r.pos + n;
   s
 
 let r_list r f =
-  let n = r_i32 r in
+  let n = r_len r in
   List.init n (fun _ -> f r)
 
 let r_arr r f =
-  let n = r_i32 r in
+  let n = r_len r in
   Array.init n (fun _ -> f r)
 
 (* -- template encoding ------------------------------------------------------- *)
@@ -308,14 +316,12 @@ let method_code : Compress.method_ -> int = function
   | Compress.Defaults_only -> 1
   | Compress.Comb_only -> 2
   | Compress.Defaults_and_comb -> 3
-  | Compress.Hybrid -> 4
 
 let method_of_code = function
   | 0 -> Compress.No_compression
   | 1 -> Compress.Defaults_only
   | 2 -> Compress.Comb_only
   | 3 -> Compress.Defaults_and_comb
-  | 4 -> Compress.Hybrid
   | k -> raise (Corrupt (Fmt.str "bad compression method %d" k))
 
 let w_int_arr b arr = w_arr b (fun b v -> w_i32 b v) arr
@@ -332,8 +338,6 @@ let w_compress b (c : Compress.t) =
   w_int_arr b c.Compress.offsets;
   w_int_arr b c.Compress.value;
   w_int_arr b c.Compress.check;
-  w_int_arr b c.Compress.hot_index;
-  w_int_arr b c.Compress.hot_value;
   w_i32 b c.Compress.size_bytes
 
 let r_compress r : Compress.t =
@@ -345,33 +349,20 @@ let r_compress r : Compress.t =
   let offsets = r_int_arr r in
   let value = r_int_arr r in
   let check = r_int_arr r in
-  let hot_index = r_int_arr r in
-  let hot_value = r_int_arr r in
   let size_bytes = r_i32 r in
   (* structural sanity so a corrupt entry surfaces as [Corrupt], never as
-     an out-of-bounds probe at dispatch time *)
+     an out-of-bounds probe at dispatch time (the comb probe relies on
+     non-negative offsets and only bounds-checks the top end) *)
   let n_rows = Array.length defaults in
   if
     Array.length row_index <> n_states
     || Array.length offsets <> n_rows
     || Array.length value <> Array.length check
     || Array.exists (fun rid -> rid < 0 || rid >= n_rows) row_index
+    || Array.exists (fun off -> off < 0) offsets
   then raise (Corrupt "inconsistent compressed table");
-  (match method_ with
-  | Compress.Hybrid ->
-      if
-        Array.length hot_index <> n_states
-        || Array.length hot_value mod max 1 n_syms <> 0
-        || Array.exists
-             (fun h ->
-               h <> -1 && (h < 0 || h + n_syms > Array.length hot_value))
-             hot_index
-      then raise (Corrupt "inconsistent hybrid hot rows")
-  | _ ->
-      if Array.length hot_index <> 0 || Array.length hot_value <> 0 then
-        raise (Corrupt "hot rows on a non-hybrid table"));
   { Compress.n_states; n_syms; method_; row_index; defaults; offsets; value;
-    check; hot_index; hot_value; size_bytes }
+    check; size_bytes }
 
 let w_conflict b (c : Parse_table.conflict) =
   w_i32 b c.Parse_table.c_state;
@@ -393,7 +384,7 @@ let r_conflict r : Parse_table.conflict =
   { Parse_table.c_state; c_sym; c_kind; c_chosen; c_dropped = r_action r }
 
 (* v5 appendix: the incremental-rebuild metadata (per-production content
-   hashes, declaration/shape digests, lookahead mode, profile digest)
+   hashes, declaration/shape digests, lookahead mode)
    rides in the bundle behind its own magic, so a cached entry is a
    complete partial build: a later process can diff an edited spec
    against it and splice (Cogg_build.build_incremental) without ever
@@ -409,10 +400,10 @@ let mode_of_code = function
   | 1 -> Lookahead.Lalr
   | k -> raise (Corrupt (Fmt.str "bad lookahead mode %d" k))
 
-(** Serialize a complete table bundle (format v5). *)
+(** Serialize a complete table bundle (format v6). *)
 let write (t : Tables.t) : string =
   let b = Buffer.create (1 lsl 16) in
-  Buffer.add_string b "CGB5";
+  Buffer.add_string b "CGB6";
   (* target; resolved through the registry on read *)
   w_str b t.Tables.target.Machine.Target.name;
   (* grammar *)
@@ -456,8 +447,6 @@ let write (t : Tables.t) : string =
   w_i32 b t.Tables.parse.Parse_table.automaton.Lr0.start;
   w_list b w_conflict t.Tables.parse.Parse_table.conflicts;
   w_compress b t.Tables.compressed;
-  (* the profile-specialized hybrid table, when the bundle carries one *)
-  w_opt b w_compress t.Tables.hybrid;
   (* templates and type info *)
   Buffer.add_string b (template_array_bytes t);
   w_i32 b t.Tables.n_user_prods;
@@ -474,18 +463,17 @@ let write (t : Tables.t) : string =
   w_str b t.Tables.hashes.Spec_hash.decls;
   w_str b t.Tables.hashes.Spec_hash.shape;
   w_arr b w_str t.Tables.hashes.Spec_hash.prods;
-  w_opt b w_str t.Tables.profile_digest;
   Buffer.contents b
 
 (** Reload a bundle written by {!write}.  The embedded LR(0) automaton is
     not stored: a placeholder with only the start state is rebuilt, which
     is all the driver needs (it reads actions, never items). *)
 let read (s : string) : Tables.t =
-  if String.length s < 4 || String.sub s 0 4 <> "CGB5" then
+  if String.length s < 4 || String.sub s 0 4 <> "CGB6" then
     raise
       (Corrupt
          (if String.length s >= 4 && String.sub s 0 3 = "CGB" then
-            Fmt.str "stale bundle format %s (want CGB5)" (String.sub s 0 4)
+            Fmt.str "stale bundle format %s (want CGB6)" (String.sub s 0 4)
           else "bad bundle magic"));
   let r = { buf = s; pos = 4 } in
   let target_name = r_str r in
@@ -562,12 +550,11 @@ let read (s : string) : Tables.t =
       semantics }
   in
   (* parse table *)
-  let n_states = r_i32 r in
+  let n_states = r_len r in
   let actions = Array.init n_states (fun _ -> r_arr r r_action) in
   let start = r_i32 r in
   let conflicts = r_list r r_conflict in
   let compressed = r_compress r in
-  let hybrid = r_opt r r_compress in
   let automaton =
     (* a skeletal automaton: the driver only needs the start state id *)
     {
@@ -595,7 +582,6 @@ let read (s : string) : Tables.t =
   let prod_hashes = r_arr r r_str in
   if Array.length prod_hashes <> n_user_prods then
     raise (Corrupt "production hash count does not match the bundle");
-  let profile_digest = r_opt r r_str in
   let parse = { Parse_table.grammar; automaton; mode; actions; conflicts } in
   {
     Tables.target;
@@ -603,11 +589,9 @@ let read (s : string) : Tables.t =
     symtab;
     parse;
     compressed;
-    hybrid;
     compiled;
     n_user_prods;
     class_of;
     kind_of;
     hashes = { Spec_hash.decls; shape; prods = prod_hashes };
-    profile_digest;
   }

@@ -73,35 +73,28 @@ let exec (tables : Cogg.Tables.t) (source : string) : status =
                 Fail
                   ("mismatch: " ^ String.concat "; " v.Pipeline.mismatches)))
 
-(* -- oracle 2: dispatch equivalence (all pairs) ------------------------------- *)
+(* -- oracle 2: dispatch equivalence ------------------------------------------- *)
 
 let generate dispatch tables toks =
   Cogg.Codegen.generate ~dispatch tables toks
 
-(** The dispatch variants a bundle supports: flat and comb always, plus
-    hybrid whenever the bundle carries a profile-specialized table (under
-    [Driver.Hybrid] a bundle without one falls back to comb, which would
-    silently test comb twice — so it is only listed when real). *)
-let dispatch_variants (tables : Cogg.Tables.t) :
-    (string * Cogg.Driver.dispatch) list =
+(** The dispatch variants every bundle supports: the uncompressed
+    reference and the comb-packed table. *)
+let dispatch_variants : (string * Cogg.Driver.dispatch) list =
   [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ]
-  @
-  match tables.Cogg.Tables.hybrid with
-  | Some _ -> [ ("hybrid", Cogg.Driver.Hybrid) ]
-  | None -> []
 
-(** Every pair of dispatch variants must be observationally identical:
-    same listing and object bytes on acceptance, same error position (an
-    index into the original token stream) on rejection.  Comb and hybrid
-    rows may take default reductions a flat row would not, but that is
-    allowed to change neither the emitted code nor where the error is
+(** Every dispatch variant must be observationally identical to the flat
+    reference: same listing and object bytes on acceptance, same error
+    position (an index into the original token stream) on rejection.
+    Comb rows may take default reductions a flat row would not, but that
+    is allowed to change neither the emitted code nor where the error is
     reported. *)
 let dispatch (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
   protect @@ fun () ->
   let results =
     List.map
       (fun (name, d) -> (name, generate d tables toks))
-      (dispatch_variants tables)
+      dispatch_variants
   in
   let bytes (r : Cogg.Codegen.result_t) =
     Bytes.to_string r.Cogg.Codegen.resolved.Cogg.Loader_gen.code
@@ -140,19 +133,12 @@ let dispatch (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
           (Fmt.str "divergence: %s rejected what %s accepted: %a" na nb
              Cogg.Codegen.pp_error e)
   in
-  let rec all_pairs = function
-    | [] -> Pass
-    | a :: rest -> (
-        let rec against = function
-          | [] -> Pass
-          | b :: tl -> (
-              match compare_pair a b with
-              | Pass -> against tl
-              | st -> st)
-        in
-        match against rest with Pass -> all_pairs rest | st -> st)
-  in
-  all_pairs results
+  match results with
+  | [] -> Pass
+  | reference :: rest ->
+      List.fold_left
+        (fun st r -> if st = Pass then compare_pair reference r else st)
+        Pass rest
 
 (* -- cross-backend differential execution -------------------------------------- *)
 
@@ -271,9 +257,7 @@ let total (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
             match Machine.Runtime.run ~max_steps:200_000 sim ~entry with
             | Ok _ | Error _ -> ()))
   in
-  probe Cogg.Driver.Flat;
-  probe Cogg.Driver.Comb;
-  if tables.Cogg.Tables.hybrid <> None then probe Cogg.Driver.Hybrid;
+  List.iter (fun (_, d) -> probe d) dispatch_variants;
   Pass
 
 (** Same totality contract for the textual reader path. *)

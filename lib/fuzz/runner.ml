@@ -39,11 +39,6 @@ type config = {
   spec : string option;  (** spec path, enables the cache cold/warm check *)
   cache_dir : string option;  (** scratch cache for the cold/warm check *)
   log : string -> unit;  (** per-finding progress line *)
-  collect : Cogg.Cogprof.t option;
-      (** profile collector: every case's (unmutated) input is also
-          compiled once with capture on, accumulating state visits and
-          production fires across the whole run — the corpus half of
-          [pasc fuzz --profile-out] *)
   cross : Cogg.Tables.t option;
       (** second backend: every Pascal case additionally compiles and
           runs under these tables and the two machines' observable
@@ -62,7 +57,6 @@ let default_config =
     spec = None;
     cache_dir = None;
     log = ignore;
-    collect = None;
     cross = None;
   }
 
@@ -240,18 +234,6 @@ let run (tables : Cogg.Tables.t) (cfg : config) : report =
     passes := !passes + p;
     skips := !skips + s;
     findings := !findings @ fs;
-    (* profile capture: replay the case's pre-mutation input once with a
-       collector attached (sequentially — the collector is plain mutable
-       state, never shared with pool domains) *)
-    (match cfg.collect with
-    | None -> ()
-    | Some pr -> (
-        let rng = Rng.derive ~seed:cfg.seed ~index in
-        match gen_input cfg index rng with
-        | Pascal_src p ->
-            ignore (Pipeline.compile ~profile:pr tables (Gen_pascal.render p))
-        | If_stream toks ->
-            ignore (Cogg.Codegen.generate ~profile:pr tables toks)));
     (* remember a slice of the corpus for the batch-level check *)
     if (not cfg.malformed) && List.length !sources < 24 then begin
       let rng = Rng.derive ~seed:cfg.seed ~index in

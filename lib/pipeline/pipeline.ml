@@ -25,8 +25,8 @@ let ( let* ) = Result.bind
     Every phase runs under a {!Cogg.Trace} span (a no-op unless tracing
     or metrics are enabled), so [--trace]/[--stats] report per-phase wall
     times. *)
-let compile ?(cse = true) ?(checks = false) ?strategy ?dispatch ?profile
-    ?explain ?on_reduce (tables : Cogg.Tables.t) (source : string) :
+let compile ?(cse = true) ?(checks = false) ?strategy ?dispatch ?explain
+    ?on_reduce (tables : Cogg.Tables.t) (source : string) :
     (compiled, string) result =
   let span name f = Cogg.Trace.with_span ~cat:"pipeline" name f in
   let* checked = span "front_end" (fun () -> Pascal.Sema.front_end source) in
@@ -46,8 +46,8 @@ let compile ?(cse = true) ?(checks = false) ?strategy ?dispatch ?profile
   in
   match
     span "codegen" (fun () ->
-        Cogg.Codegen.generate ?strategy ?dispatch ?profile ?explain ?on_reduce
-          tables tokens)
+        Cogg.Codegen.generate ?strategy ?dispatch ?explain ?on_reduce tables
+          tokens)
   with
   | Error e -> Error (Fmt.str "%a" Cogg.Codegen.pp_error e)
   | Ok gen ->

@@ -126,7 +126,6 @@ let dispatch_of : Wire.dispatch -> Cogg.Driver.dispatch option = function
   | Wire.Default -> None
   | Wire.Flat -> Some Cogg.Driver.Flat
   | Wire.Comb -> Some Cogg.Driver.Comb
-  | Wire.Hybrid -> Some Cogg.Driver.Hybrid
 
 (** One compilation, options applied, exceptions contained (a crash
     must fail one request, not the pool batch it rode in). *)

@@ -57,7 +57,7 @@ val create :
 (** Bind the socket and prepare the serve state.  [table_key] is the
     table bundle's cache key ({!Cogg.Tables_cache.key}), mixed into
     every result-cache key so results from different specifications (or
-    profiles) can never be confused.  [queue_capacity] bounds the
+    targets) can never be confused.  [queue_capacity] bounds the
     pending-compile queue (default 64); [cache_capacity] the result
     cache (default 256 entries over [cache_shards] shards).
     [self_check] (default true) runs the determinism oracle on a known

@@ -3,7 +3,7 @@
     frame grammar; this module is pure encoding plus the two blocking
     frame I/O helpers the client and the test harness share. *)
 
-type dispatch = Default | Flat | Comb | Hybrid
+type dispatch = Default | Flat | Comb
 
 type options = {
   cse : bool option;
@@ -67,13 +67,11 @@ let dispatch_byte = function
   | Default -> '\000'
   | Flat -> '\001'
   | Comb -> '\002'
-  | Hybrid -> '\003'
 
 let dispatch_of_byte = function
   | '\000' -> Ok Default
   | '\001' -> Ok Flat
   | '\002' -> Ok Comb
-  | '\003' -> Ok Hybrid
   | c -> Error (Printf.sprintf "bad dispatch byte %d" (Char.code c))
 
 (** The cache key's option component: same canonical bytes as the wire

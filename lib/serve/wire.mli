@@ -12,7 +12,7 @@
     results are answered inline while misses wait for the compile
     pool). *)
 
-type dispatch = Default | Flat | Comb | Hybrid
+type dispatch = Default | Flat | Comb
 
 type options = {
   cse : bool option;  (** [None] = server default (the {!Pipeline.compile} default) *)

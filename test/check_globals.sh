@@ -28,13 +28,6 @@
 #   - immutable sentinel records/constructors (Driver.bottom,
 #                          Code_buffer.dummy_item): never mutated, used
 #                          only to pre-fill growable arrays
-#   - Cogprof.t collectors  profile-capture state is plain mutable int
-#                          arrays, but every collector is allocated per
-#                          capture run by the caller (Cogprof.create has
-#                          no toplevel instance) and is documented as
-#                          never shared across domains; capture paths
-#                          (pasc, fuzz runner, bench profile) are
-#                          sequential by construction
 #   - Targets.all          the per-target registry (lib/machine) is a
 #                          plain immutable association list consulted
 #                          from pool domains; adding a backend adds a

@@ -221,7 +221,7 @@ let oracle_tests ~pool () =
         s.name)
     (Lazy.force subjects)
 
-(* -- format gate: v4 bundles are rejected and migrated ------------------------ *)
+(* -- format gate: stale bundles are rejected and migrated -------------------- *)
 
 let fresh_cache_dir () =
   let path = Filename.temp_file "cogg-incr-oracle" "" in
@@ -229,41 +229,51 @@ let fresh_cache_dir () =
   path
 
 let format_gate_tests ~pool () =
-  (* a v4-era bundle prefix must be rejected as corrupt by the reader... *)
-  (match Cogg.Tables_io.read ("CGB4" ^ String.make 64 '\000') with
-  | exception Cogg.Tables_io.Corrupt m ->
-      if not (String.length m > 0) then fail "empty corrupt message"
-  | _ -> fail "a CGB4 bundle was accepted by the v5 reader");
-  (* ...and a cache entry holding one must migrate: clean miss, scratch
-     rebuild, entry rewritten in the current format *)
   let s = List.hd (Lazy.force subjects) in
   let dir = fresh_cache_dir () in
   let path =
     Cogg.Tables_cache.entry_path ~cache_dir:dir ~target:s.target s.text
   in
   Cogg.Tables_cache.(ignore (prune ~cache_dir:dir ()));
-  (match Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text with
+  let build () =
+    Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text
+  in
+  (match build () with
   | Ok (_, Cogg.Tables_cache.Built) -> ()
   | Ok (_, o) ->
       fail "expected a scratch build, got %s"
         (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
   | Error es -> fail "cache build failed: %s" (errors_str es));
-  let oc = open_out_bin path in
-  output_string oc ("CGB4" ^ String.make 64 '\000');
-  close_out oc;
-  (match Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text with
-  | Ok (_, (Cogg.Tables_cache.Built | Cogg.Tables_cache.Built_incremental _))
-    -> ()
-  | Ok (_, Cogg.Tables_cache.Cache_hit) ->
-      fail "a stale-format entry was served as a hit"
-  | Error es -> fail "migration rebuild failed: %s" (errors_str es));
-  (match Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text with
-  | Ok (_, Cogg.Tables_cache.Cache_hit) -> ()
-  | Ok (_, o) ->
-      fail "migrated entry should hit, got %s"
-        (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
-  | Error es -> fail "post-migration build failed: %s" (errors_str es));
-  Printf.printf "incremental oracle: v4->v5 rejection/migration ok\n%!"
+  List.iter
+    (fun magic ->
+      let stale = magic ^ String.make 64 '\000' in
+      (* an older bundle prefix must be rejected as corrupt by the
+         reader... *)
+      (match Cogg.Tables_io.read stale with
+      | exception Cogg.Tables_io.Corrupt m ->
+          if not (String.length m > 0) then fail "empty corrupt message"
+      | _ -> fail "a %s bundle was accepted by the v6 reader" magic);
+      (* ...and a cache entry holding one must migrate: clean miss,
+         rebuild, entry rewritten in the current format *)
+      let oc = open_out_bin path in
+      output_string oc stale;
+      close_out oc;
+      (match build () with
+      | Ok (_, (Cogg.Tables_cache.Built | Cogg.Tables_cache.Built_incremental _))
+        -> ()
+      | Ok (_, Cogg.Tables_cache.Cache_hit) ->
+          fail "a stale %s entry was served as a hit" magic
+      | Error es -> fail "%s migration rebuild failed: %s" magic (errors_str es));
+      (match build () with
+      | Ok (_, Cogg.Tables_cache.Cache_hit) -> ()
+      | Ok (_, o) ->
+          fail "migrated %s entry should hit, got %s" magic
+            (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
+      | Error es ->
+          fail "post-%s-migration build failed: %s" magic (errors_str es));
+      Printf.printf "incremental oracle: %s->CGB6 rejection/migration ok\n%!"
+        magic)
+    [ "CGB4"; "CGB5" ]
 
 (* -- cross-process path: an edited spec splices through the cache ------------- *)
 

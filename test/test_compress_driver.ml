@@ -18,13 +18,12 @@ let all_methods =
 (* Default reductions may soften an Error entry into a Reduce (delayed
    error detection); any other disagreement is a packing bug. *)
 let softening_allowed = function
-  | Cogg.Compress.Defaults_only | Cogg.Compress.Defaults_and_comb
-  | Cogg.Compress.Hybrid ->
-      true
+  | Cogg.Compress.Defaults_only | Cogg.Compress.Defaults_and_comb -> true
   | Cogg.Compress.No_compression | Cogg.Compress.Comb_only -> false
 
-let test_per_entry_equivalence () =
-  let t = amdahl () in
+(* [each_entry t f] packs [t]'s parse table under every method and calls
+   [f name method_ c state sym] on every (state, symbol) entry. *)
+let each_entry (t : Cogg.Tables.t) f =
   let pt = t.Cogg.Tables.parse in
   let n_syms = Cogg.Grammar.n_syms t.Cogg.Tables.grammar in
   List.iter
@@ -32,37 +31,60 @@ let test_per_entry_equivalence () =
       let c = Cogg.Compress.compress ~method_ pt in
       for state = 0 to Cogg.Parse_table.n_states pt - 1 do
         for sym = 0 to n_syms - 1 do
-          let a = Cogg.Parse_table.action pt state sym in
-          let b = Cogg.Compress.action c state sym in
-          if a <> b then
-            match (a, b) with
-            | Cogg.Parse_table.Error, Cogg.Parse_table.Reduce _
-              when softening_allowed method_ ->
-                ()
-            | _ ->
-                Alcotest.failf "%s: action differs at state %d sym %d" name
-                  state sym
+          f name method_ c state sym
         done
       done)
     all_methods
+
+let per_entry_equivalence tables () =
+  let t = Lazy.force tables in
+  each_entry t (fun name method_ c state sym ->
+      let a = Cogg.Parse_table.action t.Cogg.Tables.parse state sym in
+      let b = Cogg.Compress.action c state sym in
+      if a <> b then
+        match (a, b) with
+        | Cogg.Parse_table.Error, Cogg.Parse_table.Reduce _
+          when softening_allowed method_ ->
+            ()
+        | _ ->
+            Alcotest.failf "%s: action differs at state %d sym %d" name state
+              sym)
 
 (* The raw-integer probe the driver runs on and its decoded form must be
    two views of the same entry. *)
 let test_action_code_consistent () =
-  let t = amdahl () in
-  let pt = t.Cogg.Tables.parse in
-  let n_syms = Cogg.Grammar.n_syms t.Cogg.Tables.grammar in
+  each_entry (amdahl ()) (fun name _ c state sym ->
+      let code = Cogg.Compress.action_code c state sym in
+      if Cogg.Compress.decode_action code <> Cogg.Compress.action c state sym
+      then
+        Alcotest.failf "%s: decode mismatch at state %d sym %d" name state sym)
+
+(* The driver's inner loop probes through [dispatcher]'s closure, not
+   [action_code]; the two must agree on every entry. *)
+let test_dispatcher_agrees () =
+  each_entry (amdahl ()) (fun name _ c state sym ->
+      if Cogg.Compress.(dispatcher c state sym <> action_code c state sym) then
+        Alcotest.failf "%s: dispatcher differs at state %d sym %d" name state
+          sym)
+
+(* [verify] is the oracle the other tests lean on, so it must reject a
+   wrong packing, not only accept a right one. *)
+let test_verify_catches_corruption () =
+  let pt = (amdahl ()).Cogg.Tables.parse in
+  let c = Cogg.Compress.compress pt in
+  (* +2 keeps an entry's kind and moves it to the next state or production *)
+  let bump arr i = Array.mapi (fun j v -> if j = i then v + 2 else v) arr in
+  let first_set arr = Option.get (Array.find_index (( <> ) 0) arr) in
   List.iter
-    (fun (name, method_) ->
-      let c = Cogg.Compress.compress ~method_ pt in
-      for state = 0 to Cogg.Parse_table.n_states pt - 1 do
-        for sym = 0 to n_syms - 1 do
-          let code = Cogg.Compress.action_code c state sym in
-          if Cogg.Compress.decode_action code <> Cogg.Compress.action c state sym
-          then Alcotest.failf "%s: decode mismatch at state %d sym %d" name state sym
-        done
-      done)
-    all_methods
+    (fun (what, c') ->
+      if Result.is_ok (Cogg.Compress.verify c' pt) then
+        Alcotest.failf "verify accepted a changed %s" what)
+    Cogg.Compress.
+      [
+        ("packed cell", { c with value = bump c.value (first_set c.check) });
+        ( "row default",
+          { c with defaults = bump c.defaults (first_set c.defaults) } );
+      ]
 
 (* The table carried in Tables.t is the one Cogg_build packed; the driver
    probes it directly, so it must verify against the flat table. *)
@@ -156,15 +178,16 @@ lambda ::= ret
  bcr   fifteen,r.14
 |}
 
+let intro_tables () =
+  match Cogg.Cogg_build.build_string intro_spec with
+  | Ok t -> t
+  | Error es ->
+      Alcotest.failf "spec build failed: %a"
+        (Fmt.list Cogg.Cogg_build.pp_error)
+        es
+
 let test_max_stack_exact () =
-  let t =
-    match Cogg.Cogg_build.build_string intro_spec with
-    | Ok t -> t
-    | Error es ->
-        Alcotest.failf "spec build failed: %a"
-          (Fmt.list Cogg.Cogg_build.pp_error)
-          es
-  in
+  let t = intro_tables () in
   let if_text = "store word d:100 iadd word d:100 word d:104 ret" in
   List.iter
     (fun (name, dispatch) ->
@@ -190,17 +213,48 @@ let test_invalid_if_rejected_both () =
       | Ok _ -> Alcotest.failf "%s: invalid IF accepted" name)
     [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ]
 
+(* The row default is the most frequent reduction and a tie goes to the
+   smaller encoding: a strict order, so the packed bytes never depend on
+   hash-table iteration order. *)
+let test_default_tie_break () =
+  let t = intro_tables () in
+  let row cells =
+    Array.init (Cogg.Grammar.n_syms t.Cogg.Tables.grammar) (fun sym ->
+        Option.value (List.nth_opt cells sym) ~default:Cogg.Parse_table.Error)
+  in
+  let open Cogg.Parse_table in
+  let pt = t.Cogg.Tables.parse in
+  let actions = Array.copy pt.actions in
+  actions.(0) <- row [ Reduce 2; Reduce 1; Reduce 2; Reduce 1; Shift 1 ];
+  actions.(1) <- row [ Reduce 1; Reduce 2; Reduce 2; Reduce 1; Reduce 2 ];
+  List.iter
+    (fun method_ ->
+      let c = Cogg.Compress.compress ~method_ { pt with actions } in
+      let default state =
+        Cogg.Compress.(decode_action c.defaults.(c.row_index.(state)))
+      in
+      if (default 0, default 1) <> (Reduce 1, Reduce 2) then
+        Alcotest.fail "row defaults do not follow (count, -encoding)")
+    Cogg.Compress.[ Defaults_only; Defaults_and_comb ]
+
 let () =
   Alcotest.run "compress_driver"
     [
       ( "equivalence",
         [
           Alcotest.test_case "per-entry, all methods" `Quick
-            test_per_entry_equivalence;
+            (per_entry_equivalence Util.amdahl_tables);
           Alcotest.test_case "action_code consistent" `Quick
             test_action_code_consistent;
           Alcotest.test_case "carried table verifies" `Quick
             test_carried_table_verifies;
+          Alcotest.test_case "risc32 per-entry, all methods" `Quick
+            (per_entry_equivalence Util.risc32_tables);
+          Alcotest.test_case "dispatcher = action_code" `Quick
+            test_dispatcher_agrees;
+          Alcotest.test_case "verify catches corruption" `Quick
+            test_verify_catches_corruption;
+          Alcotest.test_case "default tie-break" `Quick test_default_tie_break;
         ] );
       ( "end-to-end",
         [

@@ -13,10 +13,7 @@ let env_int name default =
 let smoke_seed () = env_int "COGG_FUZZ_SEED" 11
 let smoke_count () = env_int "COGG_FUZZ_COUNT" 64
 
-(* the smoke batch runs against the hybrid-carrying bundle so the
-   dispatch oracle cross-checks all three variants (flat, comb, hybrid)
-   and the totality sweep probes the hybrid path too *)
-let tables () = Lazy.force Util.amdahl_tables_hybrid
+let tables () = Lazy.force Util.amdahl_tables
 
 (* -- the deterministic RNG --------------------------------------------------- *)
 

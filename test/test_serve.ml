@@ -359,6 +359,125 @@ let test_eintr_signal_bomb () =
                 (Lazy.force direct_fingerprint)
                 (Serve.Wire.fingerprint (batch c (sources ()))))))
 
+(* every option set a request can carry: cse and checks each defaulted,
+   on or off, times the three dispatch choices *)
+let all_options =
+  let bools = [ None; Some true; Some false ] in
+  List.concat_map
+    (fun cse ->
+      List.concat_map
+        (fun checks ->
+          List.map
+            (fun dispatch -> { Serve.Wire.cse; checks; dispatch })
+            Serve.Wire.[ Default; Flat; Comb ])
+        bools)
+    bools
+
+let requests =
+  Serve.Wire.(
+    List.mapi
+      (fun id options ->
+        Compile { id; options; source = Pipeline.Programs.gcd })
+      all_options
+    @ [ Compile { id = 0xFFFF_FFFF; options = default_options; source = "" };
+        Stats; Ping; Pause 250; Hello; Shutdown ])
+
+(* a compile frame whose dispatch byte is [b]: 'C', the u32 id, then the
+   options tag (cse, checks, dispatch) *)
+let compile_frame_with_dispatch b =
+  let frame = Bytes.of_string (Serve.Wire.encode_request (List.hd requests)) in
+  Bytes.set frame 7 (Char.chr b);
+  Bytes.to_string frame
+
+(* (j) an undecodable request — a compile frame carrying dispatch byte
+   3, a tag no dispatch answers to — drops that client's connection
+   without a reply, and the daemon keeps serving every other client *)
+let test_undecodable_request_drops_client () =
+  let frame = compile_frame_with_dispatch 3 in
+  (match Serve.Wire.decode_request frame with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "dispatch byte 3 decoded as a request");
+  with_daemon (fun sock ->
+      with_client sock (fun good ->
+          let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () ->
+              try Unix.close raw with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect raw (Unix.ADDR_UNIX sock);
+              Serve.Wire.write_frame raw frame;
+              match Serve.Wire.read_frame raw with
+              | None -> ()
+              | Some _ ->
+                  Alcotest.fail "the daemon answered an undecodable request");
+          Alcotest.(check string)
+            "the other client is still served correctly"
+            (Lazy.force direct_fingerprint)
+            (Serve.Wire.fingerprint (batch good (sources ())))))
+
+(* -- the codec alone, without a daemon ------------------------------------ *)
+
+let replies =
+  Serve.Wire.
+    [ Compiled { id = 3; cached = true; outcome = Ok ("L 1,8(13)\n", "\000") };
+      Compiled { id = 5; cached = false; outcome = Error "syntax error" };
+      Overloaded { id = 0xFFFF_FFFF; retry_after_ms = 1500 };
+      Stats_reply "requests 3\n"; Hello_reply "amdahl470"; Ack; Bye ]
+
+let roundtrip encode decode messages () =
+  List.iter
+    (fun m ->
+      match decode (encode m) with
+      | Ok m' when m' = m -> ()
+      | Ok _ -> Alcotest.fail "a message changed across the codec"
+      | Error e -> Alcotest.failf "an encoded message failed to decode: %s" e)
+    messages
+
+(* the options tag is result-cache key material: distinct option sets
+   must never share a tag *)
+let test_options_tags_distinct () =
+  let tags = List.map Serve.Wire.options_tag all_options in
+  Alcotest.(check int)
+    "one tag per option set" (List.length all_options)
+    (List.length (List.sort_uniq compare tags))
+
+(* dispatch bytes 0-2 decode to Default, Flat and Comb; every other byte
+   names no dispatch and fails to decode *)
+let test_dispatch_byte_range () =
+  for b = 0 to 255 do
+    match Serve.Wire.decode_request (compile_frame_with_dispatch b) with
+    | Ok (Serve.Wire.Compile { options; _ })
+      when List.nth_opt Serve.Wire.[ Default; Flat; Comb ] b
+           = Some options.dispatch ->
+        ()
+    | Error _ when b > 2 -> ()
+    | _ -> Alcotest.failf "dispatch byte %d misdecoded" b
+  done
+
+(* decoding is total: every prefix of a real frame, and arbitrary bytes
+   behind every tag, come back as [Ok] or [Error], never as an exception
+   that would take down a connection handler *)
+let decodes_totally s =
+  ignore (Serve.Wire.decode_request s);
+  ignore (Serve.Wire.decode_reply s)
+
+let test_prefixes_decode_totally () =
+  List.iter
+    (fun frame ->
+      String.iteri (fun n _ -> decodes_totally (String.sub frame 0 n)) frame)
+    (List.map Serve.Wire.encode_request requests
+    @ List.map Serve.Wire.encode_reply replies)
+
+let prop_decoders_total =
+  QCheck.Test.make ~count:2000 ~name:"decoders are total on arbitrary frames"
+    QCheck.(
+      pair
+        (oneofl (List.of_seq (String.to_seq "CSPZHQROThAB\000")))
+        (string_of_size Gen.(0 -- 24)))
+    (fun (tag, rest) ->
+      decodes_totally (String.make 1 tag ^ rest);
+      true)
+
 let () =
   Alcotest.run "serve"
     [
@@ -389,5 +508,22 @@ let () =
             test_hello_target;
           Alcotest.test_case "EINTR bombing never tears a frame" `Quick
             test_eintr_signal_bomb;
+          Alcotest.test_case "undecodable request drops only its client"
+            `Quick test_undecodable_request_drops_client;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "requests round-trip" `Quick
+            (roundtrip Serve.Wire.encode_request Serve.Wire.decode_request
+               requests);
+          Alcotest.test_case "replies round-trip" `Quick
+            (roundtrip Serve.Wire.encode_reply Serve.Wire.decode_reply replies);
+          Alcotest.test_case "options tags are distinct" `Quick
+            test_options_tags_distinct;
+          Alcotest.test_case "dispatch byte range" `Quick
+            test_dispatch_byte_range;
+          Alcotest.test_case "frame prefixes decode totally" `Quick
+            test_prefixes_decode_totally;
+          QCheck_alcotest.to_alcotest prop_decoders_total;
         ] );
     ]

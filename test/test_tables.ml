@@ -101,7 +101,7 @@ let test_compressed_lookup_equivalence () =
   for state = 0 to Cogg.Parse_table.n_states pt - 1 do
     for sym = 0 to n_syms - 1 do
       let a = Cogg.Parse_table.action pt state sym in
-      let b = Cogg.Compress.lookup c ~state ~sym in
+      let b = Cogg.Compress.action c state sym in
       if a <> b then
         match (a, b) with
         | Cogg.Parse_table.Error, Cogg.Parse_table.Reduce _ -> incr softened
@@ -192,16 +192,90 @@ let test_bundle_roundtrip_drives_codegen () =
       ("appendix1", Pipeline.Programs.appendix1_equation);
       ("classify", Pipeline.Programs.classify) ]
 
+(* the reader's message for a bundle it must refuse as corrupt *)
+let rejected what bytes =
+  match Cogg.Tables_io.read bytes with
+  | exception Cogg.Tables_io.Corrupt m -> m
+  | _ -> Alcotest.failf "a bundle with %s was accepted" what
+
 let test_bundle_rejects_garbage () =
-  (match Cogg.Tables_io.read "NOPE" with
-  | exception Cogg.Tables_io.Corrupt _ -> ()
-  | _ -> Alcotest.fail "bad magic accepted");
-  let t = tables () in
-  let bytes = Cogg.Tables_io.write t in
+  ignore (rejected "bad magic" "NOPE");
+  let bytes = Cogg.Tables_io.write (tables ()) in
   let truncated = String.sub bytes 0 (String.length bytes * 2 / 3) in
-  match Cogg.Tables_io.read truncated with
-  | exception Cogg.Tables_io.Corrupt _ -> ()
-  | _ -> Alcotest.fail "truncated bundle accepted"
+  ignore (rejected "a truncated body" truncated)
+
+(* -- bundle format --------------------------------------------------------- *)
+
+let methods =
+  Cogg.Compress.[ No_compression; Defaults_only; Comb_only; Defaults_and_comb ]
+
+(* The writer emits the current format; a well-formed body behind an
+   older magic is refused as a stale format, not misread. *)
+let test_bundle_format_magic () =
+  let bytes = Cogg.Tables_io.write (tables ()) in
+  Alcotest.(check string) "current magic" "CGB6" (String.sub bytes 0 4);
+  let body = String.sub bytes 4 (String.length bytes - 4) in
+  List.iter
+    (fun magic ->
+      Alcotest.(check bool)
+        (magic ^ " named as a stale format")
+        true
+        (Util.contains (rejected magic (magic ^ body)) "stale"))
+    [ "CGB4"; "CGB5" ]
+
+(* Method codes are on-disk format: each packing keeps its number, and
+   one that names no packing is corruption. *)
+let test_method_codes () =
+  Alcotest.(check (list int))
+    "stable method codes" [ 0; 1; 2; 3 ]
+    (List.map Cogg.Tables_io.method_code methods);
+  List.iter
+    (fun code ->
+      match Cogg.Tables_io.method_of_code code with
+      | exception Cogg.Tables_io.Corrupt _ -> ()
+      | _ -> Alcotest.failf "method code %d accepted" code)
+    [ -1; 4 ]
+
+(* The bundle carries whichever packing it is given: every method's
+   arrays come back identical. *)
+let test_every_method_survives_bundle () =
+  let t = tables () in
+  List.iter
+    (fun method_ ->
+      let c = Cogg.Compress.compress ~method_ t.Cogg.Tables.parse in
+      let t' = { t with Cogg.Tables.compressed = c } in
+      if (Cogg.Tables_io.read (Cogg.Tables_io.write t')).Cogg.Tables.compressed
+         <> c
+      then
+        Alcotest.failf "method %d changed across the bundle"
+          (Cogg.Tables_io.method_code method_))
+    methods
+
+(* Out-of-range length prefixes and comb offsets are corruption, not a
+   crash or an allocation sized by garbage (a negative offset would send
+   the comb probe below index 0 at dispatch time). *)
+let test_bundle_rejects_out_of_range () =
+  let t = tables () in
+  let c = t.Cogg.Tables.compressed in
+  let offsets = Array.copy c.Cogg.Compress.offsets in
+  offsets.(0) <- -1;
+  let compressed = { c with Cogg.Compress.offsets } in
+  ignore
+    (rejected "a negative comb offset"
+       (Cogg.Tables_io.write { t with Cogg.Tables.compressed }));
+  let bytes = Cogg.Tables_io.write t in
+  let with_i32 pos v =
+    let b = Bytes.of_string bytes in
+    Bytes.set_int32_be b pos v;
+    Bytes.to_string b
+  in
+  (* the magic is followed by the target name's length, the name, and
+     the symbol-name array's count *)
+  let name = t.Cogg.Tables.target.Machine.Target.name in
+  let names_count = 8 + String.length name in
+  ignore (rejected "a negative string length" (with_i32 4 (-1l)));
+  ignore (rejected "a string length past the end" (with_i32 4 Int32.max_int));
+  ignore (rejected "a negative array count" (with_i32 names_count (-5l)))
 
 let () =
   Alcotest.run "tables"
@@ -223,6 +297,13 @@ let () =
         [
           Alcotest.test_case "roundtrip drives codegen" `Quick test_bundle_roundtrip_drives_codegen;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
+          Alcotest.test_case "current and stale magic" `Quick
+            test_bundle_format_magic;
+          Alcotest.test_case "method codes are stable" `Quick test_method_codes;
+          Alcotest.test_case "every method survives" `Quick
+            test_every_method_survives_bundle;
+          Alcotest.test_case "rejects out-of-range values" `Quick
+            test_bundle_rejects_out_of_range;
         ] );
       ( "subsets",
         [

@@ -175,46 +175,6 @@ let test_concurrent_store_same_entry () =
     "raced entry drives codegen identically" a.Cogg.Codegen.listing
     b.Cogg.Codegen.listing
 
-let test_profile_is_part_of_key () =
-  (* a profile-specialized build is keyed by the profile digest: it
-     neither hits nor clobbers the plain entry, the stored bundle
-     carries the hybrid table, and a hit restores it bit-for-bit *)
-  let dir = fresh_cache_dir () in
-  let plain, _ = build dir in
-  let profile =
-    Cogg.Cogprof.uniform
-      ~n_states:(Cogg.Parse_table.n_states plain.Cogg.Tables.parse)
-      ~n_prods:(Cogg.Grammar.n_prods plain.Cogg.Tables.grammar)
-  in
-  Alcotest.(check bool)
-    "profiled key differs" true
-    (Cogg.Tables_cache.entry_path ~cache_dir:dir intro_spec
-    <> Cogg.Tables_cache.entry_path ~profile ~cache_dir:dir intro_spec);
-  let build_profiled () =
-    match Cogg.Tables_cache.build_text ~profile ~cache_dir:dir intro_spec with
-    | Ok (t, o) -> (t, o)
-    | Error es ->
-        Alcotest.failf "profiled cache build failed: %a"
-          (Fmt.list Cogg.Cogg_build.pp_error)
-          es
-  in
-  let built, o1 = build_profiled () in
-  check_origin "profiled build misses the plain entry" "built" (origin_str o1);
-  Alcotest.(check bool)
-    "bundle carries the hybrid table" true
-    (built.Cogg.Tables.hybrid <> None);
-  let cached, o2 = build_profiled () in
-  check_origin "profiled entry hits" "hit" (origin_str o2);
-  Alcotest.(check bool)
-    "hybrid table survives the disk round-trip" true
-    (cached.Cogg.Tables.hybrid = built.Cogg.Tables.hybrid);
-  let _, o3 = build dir in
-  check_origin "plain entry untouched" "hit" (origin_str o3);
-  let a = generate built and b = generate cached in
-  Alcotest.(check string)
-    "profiled hit drives codegen identically" a.Cogg.Codegen.listing
-    b.Cogg.Codegen.listing
-
 let test_mode_is_part_of_key () =
   let dir = fresh_cache_dir () in
   let _, _ = build dir in
@@ -314,8 +274,6 @@ let () =
             test_concurrent_store_same_entry;
           Alcotest.test_case "mode is part of the key" `Quick
             test_mode_is_part_of_key;
-          Alcotest.test_case "profile is part of the key" `Quick
-            test_profile_is_part_of_key;
         ] );
       ( "eviction",
         [

@@ -20,31 +20,6 @@ let amdahl_tables : Cogg.Tables.t Lazy.t =
           (Fmt.list Cogg.Cogg_build.pp_error)
           es)
 
-(* The same bundle with a hybrid (profile-specialized) table attached.
-   The profile is captured by compiling the example corpus once, so the
-   hot rows reflect real reduction traffic rather than a synthetic
-   uniform weighting. *)
-let amdahl_tables_hybrid : Cogg.Tables.t Lazy.t =
-  lazy
-    (let base = Lazy.force amdahl_tables in
-     let pr =
-       Cogg.Cogprof.create
-         ~n_states:(Cogg.Parse_table.n_states base.Cogg.Tables.parse)
-         ~n_prods:(Cogg.Grammar.n_prods base.Cogg.Tables.grammar)
-     in
-     List.iter
-       (fun (_, src) -> ignore (Pipeline.compile ~profile:pr base src))
-       Pipeline.Programs.all;
-     match
-       Cogg.Cogg_build.build_file ~profile:pr (spec_path "amdahl470.cgg")
-     with
-     | Ok t when t.Cogg.Tables.hybrid <> None -> t
-     | Ok _ -> Alcotest.fail "profiled build produced no hybrid table"
-     | Error es ->
-         Alcotest.failf "amdahl470.cgg failed to build with profile: %a"
-           (Fmt.list Cogg.Cogg_build.pp_error)
-           es)
-
 (* The second backend, built from its own spec against the RISC-32
    substrate.  Frame discipline and PSA layout are shared with the
    Amdahl target, so the same helpers read its results. *)
