@@ -9,24 +9,7 @@ let jobs () =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
   | None -> 4
 
-let programs : (string * string) list Lazy.t =
-  lazy
-    (let dir =
-       match Util.find_up (Sys.getcwd ()) "examples/programs" with
-       | Some d -> d
-       | None ->
-           Alcotest.failf "cannot locate examples/programs from %s"
-             (Sys.getcwd ())
-     in
-     Sys.readdir dir |> Array.to_list
-     |> List.filter (fun f -> Filename.check_suffix f ".pas")
-     |> List.sort compare
-     |> List.map (fun f ->
-            let ic = open_in_bin (Filename.concat dir f) in
-            let len = in_channel_length ic in
-            let text = really_input_string ic len in
-            close_in ic;
-            (Filename.remove_extension f, text)))
+let programs : (string * string) list Lazy.t = lazy (Util.example_programs ())
 
 let check_pass name oracle st =
   match st with

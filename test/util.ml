@@ -11,6 +11,25 @@ let spec_path name =
   | Some p -> p
   | None -> Alcotest.failf "cannot locate specs/%s from %s" name (Sys.getcwd ())
 
+(* The real-program bank, examples/programs/*.pas, as (name, source)
+   pairs in name order. *)
+let example_programs () : (string * string) list =
+  let dir =
+    match find_up (Sys.getcwd ()) "examples/programs" with
+    | Some d -> d
+    | None ->
+        Alcotest.failf "cannot locate examples/programs from %s" (Sys.getcwd ())
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pas")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat dir f) in
+         let len = in_channel_length ic in
+         let text = really_input_string ic len in
+         close_in ic;
+         (Filename.remove_extension f, text))
+
 let amdahl_tables : Cogg.Tables.t Lazy.t =
   lazy
     (match Cogg.Cogg_build.build_file (spec_path "amdahl470.cgg") with
