@@ -1,16 +1,24 @@
 (* Allocation smoke test:
      dune build @perf-smoke
-   meters the minor-heap allocation of two calls on the appendix-1
-   equation and fails if either exceeds its checked-in budget
-   (bench/perf_budget.txt, passed as argv.(1); one number per line):
-     line 1: one warm table-driven compile (Cogg.Codegen.generate, comb
-             dispatch), words per compile;
-     line 2: the IF optimizer alone (Shaper.Cse_opt.optimize), words per
-             call, on a freshly shaped program each time.
-   Each budget is ~1.5x the measured steady-state figure.  Minor words
-   repeat exactly from run to run, so drift — a new per-token allocation,
-   a listing rendered through Format again, CSE keys built as strings —
-   trips the gate long before it shows up as wall-clock noise. *)
+   meters the allocation of three calls and fails if any exceeds its
+   checked-in budget (bench/perf_budget.txt, passed as argv.(1); one
+   number per line):
+     line 1: one warm table-driven compile of the appendix-1 equation
+             (Cogg.Codegen.generate, comb dispatch), minor words per
+             compile;
+     line 2: the IF optimizer alone (Shaper.Cse_opt.optimize) on the
+             same program, minor words per call, on a freshly shaped
+             program each time;
+     line 3: one table-cache hit (Cogg.Tables_cache.build_file on a
+             private warm cache directory), words per hit: minor words
+             plus the words allocated straight to the major heap (the
+             file's bytes and any large array never pass through the
+             minor heap, so minor words alone would miss them).
+   Each budget is ~1.5x the measured steady-state figure.  These counts
+   repeat exactly from run to run, so drift — a new per-token
+   allocation, a listing rendered through Format again, CSE keys built
+   as strings, a bundle section decoded at load again — trips the gate
+   long before it shows up as wall-clock noise. *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -21,15 +29,14 @@ let rec find_up ?(depth = 6) dir rel =
 let runs = 50
 
 (* fails the whole check if [per_call] is over [budget] *)
-let check ~what ~unit ~budget per_call =
-  Fmt.pr "perf-smoke: %s: %.0f minor words/%s (budget %.0f)@." what per_call
+let check ?(words = "minor words") ~what ~unit ~budget per_call =
+  Fmt.pr "perf-smoke: %s: %.0f %s/%s (budget %.0f)@." what per_call words
     unit budget;
   if per_call > budget then begin
     Fmt.epr
-      "perf-smoke FAILED: %s allocates %.0f minor words/%s, over the budget \
-       of %.0f (bench/perf_budget.txt); it is allocating more than it used \
-       to@."
-      what per_call unit budget;
+      "perf-smoke FAILED: %s allocates %.0f %s/%s, over the budget of %.0f \
+       (bench/perf_budget.txt); it is allocating more than it used to@."
+      what per_call words unit budget;
     false
   end
   else true
@@ -65,6 +72,39 @@ let meter_cse ~budget checked =
   done;
   check ~what:"cse_opt" ~unit:"call" ~budget (!words /. float_of_int runs)
 
+(* every word allocated, wherever it went: minor words plus the major
+   words that were not promoted from the minor heap.  The minor count
+   comes from [Gc.minor_words], which includes the words allocated since
+   the last minor collection; OCaml 5.1's [Gc.counters] misses some of
+   them. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Cache hits on a private directory, warmed by one untimed build; the
+   directory is removed afterwards. *)
+let meter_cache_hit ~budget spec_file =
+  let dir = Filename.temp_file "perf-smoke-cache" "" in
+  Sys.remove dir;
+  let hit () =
+    match Cogg.Tables_cache.build_file ~cache_dir:dir spec_file with
+    | Ok (t, _) -> t
+    | Error es ->
+        Fmt.epr "%a@." (Fmt.list Cogg.Cogg_build.pp_error) es;
+        exit 2
+  in
+  for _ = 1 to 3 do
+    ignore (hit ())
+  done;
+  let w0 = allocated_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (hit ()))
+  done;
+  let per_hit = (allocated_words () -. w0) /. float_of_int runs in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  check ~words:"words" ~what:"cache hit" ~unit:"hit" ~budget per_hit
+
 let () =
   let budget_file =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
@@ -73,7 +113,7 @@ let () =
       exit 2
     end
   in
-  let codegen_budget, cse_budget =
+  let codegen_budget, cse_budget, cache_budget =
     let ic = open_in budget_file in
     let text = In_channel.input_all ic in
     close_in ic;
@@ -82,9 +122,9 @@ let () =
         (List.filter (( <> ) "")
            (List.map String.trim (String.split_on_char '\n' text)))
     with
-    | [ Some g; Some c ] -> (g, c)
+    | [ Some g; Some c; Some h ] -> (g, c, h)
     | _ ->
-        Fmt.epr "%s: expected two numbers, one per line: %S@." budget_file
+        Fmt.epr "%s: expected three numbers, one per line: %S@." budget_file
           text;
         exit 2
   in
@@ -113,4 +153,5 @@ let () =
     meter_codegen ~budget:codegen_budget tables compiled.Pipeline.tokens
   in
   let cse_ok = meter_cse ~budget:cse_budget compiled.Pipeline.checked in
-  if not (codegen_ok && cse_ok) then exit 1
+  let cache_ok = meter_cache_hit ~budget:cache_budget spec_file in
+  if not (codegen_ok && cse_ok && cache_ok) then exit 1

@@ -102,7 +102,7 @@ let report_dead_templates (t : Cogg.Tables.t) (baseline : string) =
   let g = t.Cogg.Tables.grammar in
   let dm =
     Cogg.Depmap.build ~compressed:t.Cogg.Tables.compressed
-      ~n_user_prods:t.Cogg.Tables.n_user_prods t.Cogg.Tables.parse
+      ~n_user_prods:t.Cogg.Tables.n_user_prods (Cogg.Tables.parse t)
   in
   let dead = ref [] in
   for p = t.Cogg.Tables.n_user_prods - 1 downto 0 do
@@ -140,7 +140,7 @@ let check_cmd =
     in
     Fmt.pr "%s: OK@." spec_path;
     Fmt.pr "  %d productions, %d states@." t.Cogg.Tables.n_user_prods
-      (Cogg.Parse_table.n_states t.Cogg.Tables.parse);
+      (Cogg.Tables.n_states t);
     Fmt.pr
       "  %d shift/reduce and %d reduce/reduce conflicts resolved (Graham-Glanville policy)@."
       (List.length sr) (List.length rr);

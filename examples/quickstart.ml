@@ -49,7 +49,7 @@ let () =
   in
   Fmt.pr "built: %d productions, %d parser states@.@."
     tables.Cogg.Tables.n_user_prods
-    (Cogg.Parse_table.n_states tables.Cogg.Tables.parse);
+    (Cogg.Tables.n_states tables);
 
   Fmt.pr "=== 2. generate code for  A := A + B  ===@.";
   let r =

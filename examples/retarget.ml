@@ -43,7 +43,7 @@ let () =
           Fmt.pr "================ grammar: %-8s (%d productions, %d states) ================@."
             (Cogg.Spec_subset.level_name lvl)
             tables.Cogg.Tables.n_user_prods
-            (Cogg.Parse_table.n_states tables.Cogg.Tables.parse);
+            (Cogg.Tables.n_states tables);
           match Pipeline.verify ~cse:false tables program with
           | Error m ->
               Fmt.epr "%s@." m;
@@ -76,7 +76,7 @@ let () =
         "================ target: %-9s (%d productions, %d states) \
          ================@."
         name tables.Cogg.Tables.n_user_prods
-        (Cogg.Parse_table.n_states tables.Cogg.Tables.parse);
+        (Cogg.Tables.n_states tables);
       match Pipeline.verify ~cse:false tables program with
       | Error m ->
           Fmt.epr "%s@." m;

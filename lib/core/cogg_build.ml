@@ -112,19 +112,11 @@ let build ?pool ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
   else
     let class_of, kind_of = type_info grammar symtab in
     Ok
-      {
-        Tables.target;
-        grammar;
-        symtab;
-        parse;
-        compressed =
-          Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse;
-        compiled;
-        n_user_prods = n_user;
-        class_of;
-        kind_of;
-        hashes = Spec_hash.of_spec symtab spec;
-      }
+      (Tables.make ~target ~grammar ~symtab ~parse
+         ~compressed:
+           (Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse)
+         ~compiled ~n_user_prods:n_user ~class_of ~kind_of
+         ~hashes:(Spec_hash.of_spec symtab spec))
 
 (* -- incremental rebuilds ---------------------------------------------------- *)
 
@@ -174,7 +166,7 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
   if
     previous.Tables.target.Machine.Target.name
     <> target.Machine.Target.name
-    || previous.Tables.parse.Parse_table.mode <> mode
+    || previous.Tables.mode <> mode
     || Array.length previous.Tables.hashes.Spec_hash.prods
        <> previous.Tables.n_user_prods
   then fallback ()
@@ -249,48 +241,36 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
       if !errs <> [] then Error (List.rev !errs)
       else begin
         let splice = hashes.Spec_hash.shape = prev_h.Spec_hash.shape in
-        let parse =
+        let class_of, kind_of = type_info grammar symtab in
+        let tables =
           if splice then
             (* same shape + same ids: LR construction and conflict
-               resolution read nothing else, so the previous rows are
-               exactly what a fresh build would produce.  The automaton
-               is re-anchored on the new grammar (production line
-               numbers may have moved); its states may be skeletal when
-               [previous] came off disk, which is all the driver needs. *)
+               resolution read nothing else, so the previous rows,
+               conflicts, states and comb are exactly what a fresh build
+               would produce.  They are handed through as they are: rows
+               and conflicts that came off disk and were never decoded
+               stay bytes, and the writer copies them back. *)
             {
-              Parse_table.grammar;
-              automaton =
-                {
-                  Lr0.grammar;
-                  states =
-                    previous.Tables.parse.Parse_table.automaton.Lr0.states;
-                  start =
-                    previous.Tables.parse.Parse_table.automaton.Lr0.start;
-                };
-              mode;
-              actions = previous.Tables.parse.Parse_table.actions;
-              conflicts = previous.Tables.parse.Parse_table.conflicts;
-            }
-          else Parse_table.build ?pool ~mode (Lr0.build grammar)
-        in
-        let compressed =
-          if splice then previous.Tables.compressed
-          else Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse
-        in
-        let class_of, kind_of = type_info grammar symtab in
-        Ok
-          ( {
+              previous with
               Tables.target;
               grammar;
               symtab;
-              parse;
-              compressed;
               compiled;
               n_user_prods = n_user;
               class_of;
               kind_of;
               hashes;
-            },
+            }
+          else
+            let parse = Parse_table.build ?pool ~mode (Lr0.build grammar) in
+            Tables.make ~target ~grammar ~symtab ~parse
+              ~compressed:
+                (Compress.compress ?pool ~method_:Compress.Defaults_and_comb
+                   parse)
+              ~compiled ~n_user_prods:n_user ~class_of ~kind_of ~hashes
+        in
+        Ok
+          ( tables,
             {
               spliced_tables = splice;
               templates_reused = n_reused;

@@ -30,22 +30,32 @@ let decode_action (v : int) : Parse_table.action =
   else if v mod 2 = 0 then Shift ((v - 2) / 2)
   else Reduce ((v - 3) / 2)
 
+(* Each array is a column of cells at the narrowest width that holds its
+   values: for a comb these are exactly the widths [size_bytes] charges
+   (16-bit actions, row ids and offsets, 8-bit checks), so the cells of a
+   loaded bundle are the table Table 2 accounts for, probed in place. *)
 type t = {
   n_states : int;
   n_syms : int;
   method_ : method_;
-  row_index : int array; (* state -> shared row id *)
-  defaults : int array; (* per-row default entry (encoded) *)
-  offsets : int array; (* per-row displacement into value/check *)
-  value : int array;
-  check : int array; (* owning column symbol + 1, 0 = free *)
+  row_index : Cells.t; (* state -> shared row id *)
+  defaults : Cells.t; (* per-row default entry (encoded) *)
+  offsets : Cells.t; (* per-row displacement into value/check *)
+  value : Cells.t;
+  check : Cells.t; (* owning column symbol + 1, 0 = free *)
   size_bytes : int;
 }
 
+(** Bytes the five columns' cells take; equal to [size_bytes] for a
+    comb. *)
+let cell_bytes c =
+  Cells.(
+    byte_size c.row_index + byte_size c.defaults + byte_size c.offsets
+    + byte_size c.value + byte_size c.check)
+
 (** Size in bytes of the uncompressed table: one 16-bit entry per
     (state, symbol) pair. *)
-let uncompressed_bytes (pt : Parse_table.t) =
-  Parse_table.n_states pt * Grammar.n_syms pt.Parse_table.grammar * 2
+let uncompressed_bytes c = c.n_states * c.n_syms * 2
 
 (* Default selection.  The candidates are the reduce actions present in
    the row (shifts and errors are never defaulted: a defaulted shift
@@ -264,79 +274,93 @@ let compress ?pool ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
   let n_states = Parse_table.n_states pt in
   let n_syms = Grammar.n_syms pt.Parse_table.grammar in
   let state_rows = extract_rows ?pool method_ pt in
-  match method_ with
-  | No_compression | Defaults_only ->
-      (* dense layout, one row per state (no sharing: the point of this
-         method is the flat table the paper calls "uncompressed") *)
-      let value = Array.make (n_states * n_syms) 0 in
-      let check = Array.make (n_states * n_syms) 0 in
-      let row_index = Array.init n_states Fun.id in
-      let defaults = Array.map (fun (d, _) -> d) state_rows in
-      Array.iteri
-        (fun s (_, entries) ->
-          List.iter
-            (fun (sym, v) ->
-              value.((s * n_syms) + sym) <- v;
-              check.((s * n_syms) + sym) <- s + 1)
-            entries)
-        state_rows;
-      let offsets = Array.init n_states (fun s -> s * n_syms) in
-      let size_bytes =
-        (* dense layout stores only the value array plus defaults *)
-        (n_states * n_syms * 2)
-        + match method_ with Defaults_only -> n_states * 2 | _ -> 0
-      in
-      { n_states; n_syms; method_; row_index; defaults; offsets; value; check;
-        size_bytes }
-  | Comb_only | Defaults_and_comb ->
-      let row_index, rows = share_rows state_rows in
-      let n_rows = Array.length rows in
-      let defaults = Array.map fst rows in
-      let offsets, value, check = pack_rows ?pool (Array.map snd rows) in
-      let used = Array.length value in
-      let size_bytes =
-        (used * 2) (* value: 16-bit actions *)
-        + used (* check: 8-bit symbol ids *)
-        + (n_rows * 2) (* offsets *)
-        + (n_states * 2) (* state -> row mapping *)
-        + match method_ with Defaults_and_comb -> n_rows * 2 | _ -> 0
-      in
-      { n_states; n_syms; method_; row_index; defaults; offsets; value; check;
-        size_bytes }
+  let row_index, defaults, offsets, value, check, size_bytes =
+    match method_ with
+    | No_compression | Defaults_only ->
+        (* dense layout, one row per state (no sharing: the point of this
+           method is the flat table the paper calls "uncompressed") *)
+        let value = Array.make (n_states * n_syms) 0 in
+        let check = Array.make (n_states * n_syms) 0 in
+        let row_index = Array.init n_states Fun.id in
+        let defaults = Array.map (fun (d, _) -> d) state_rows in
+        Array.iteri
+          (fun s (_, entries) ->
+            List.iter
+              (fun (sym, v) ->
+                value.((s * n_syms) + sym) <- v;
+                check.((s * n_syms) + sym) <- s + 1)
+              entries)
+          state_rows;
+        let offsets = Array.init n_states (fun s -> s * n_syms) in
+        let size_bytes =
+          (* dense layout stores only the value array plus defaults *)
+          (n_states * n_syms * 2)
+          + match method_ with Defaults_only -> n_states * 2 | _ -> 0
+        in
+        (row_index, defaults, offsets, value, check, size_bytes)
+    | Comb_only | Defaults_and_comb ->
+        let row_index, rows = share_rows state_rows in
+        let n_rows = Array.length rows in
+        let defaults = Array.map fst rows in
+        let offsets, value, check = pack_rows ?pool (Array.map snd rows) in
+        let used = Array.length value in
+        let size_bytes =
+          (used * 2) (* value: 16-bit actions *)
+          + used (* check: 8-bit symbol ids *)
+          + (n_rows * 2) (* offsets *)
+          + (n_states * 2) (* state -> row mapping *)
+          + match method_ with Defaults_and_comb -> n_rows * 2 | _ -> 0
+        in
+        (row_index, defaults, offsets, value, check, size_bytes)
+  in
+  {
+    n_states;
+    n_syms;
+    method_;
+    row_index = Cells.of_array row_index;
+    defaults = Cells.of_array defaults;
+    offsets = Cells.of_array offsets;
+    value = Cells.of_array value;
+    check = Cells.of_array check;
+    size_bytes;
+  }
 
 (** O(1) probe returning the raw encoded entry: row_index -> offset ->
     value/check, falling back to the row default on a check miss.  This
     is the runtime dispatch path {!Driver.parse} runs on, so it avoids
     allocating a {!Parse_table.action} per lookup. *)
 let action_code (c : t) (state : int) (sym : int) : int =
-  let rid = c.row_index.(state) in
-  let p = c.offsets.(rid) + sym in
+  let rid = Cells.get c.row_index state in
+  let p = Cells.get c.offsets rid + sym in
   (* packed rows check the column symbol, dense rows their own state *)
   let owner =
     match c.method_ with
     | Comb_only | Defaults_and_comb -> sym + 1
     | No_compression | Defaults_only -> state + 1
   in
-  if p >= 0 && p < Array.length c.check && c.check.(p) = owner then c.value.(p)
-  else c.defaults.(rid)
+  if p >= 0 && p < Cells.length c.check && Cells.get c.check p = owner then
+    Cells.get c.value p
+  else Cells.get c.defaults rid
 
-(** Specialized probe for the driver's inner loop: the table's arrays and
-    the method dispatch are resolved once, outside the per-lookup path.
-    Equivalent to [action_code c]. *)
+(** Specialized probe for the driver's inner loop: the table's columns and
+    the method dispatch are resolved once, outside the per-lookup path,
+    and the cells are read where they lie (in a loaded bundle, the
+    bundle's own bytes).  Equivalent to [action_code c]. *)
 let dispatcher (c : t) : int -> int -> int =
   let row_index = c.row_index
   and offsets = c.offsets
   and value = c.value
   and check = c.check
   and defaults = c.defaults in
-  let ncheck = Array.length check in
+  let ncheck = Cells.length check in
   match c.method_ with
   | Comb_only | Defaults_and_comb ->
       (* p >= 0 always: offsets and symbol ids are non-negative *)
       fun state sym ->
-        let rid = row_index.(state) in
-        let p = offsets.(rid) + sym in
-        if p < ncheck && check.(p) = sym + 1 then value.(p) else defaults.(rid)
+        let rid = Cells.get row_index state in
+        let p = Cells.get offsets rid + sym in
+        if p < ncheck && Cells.get check p = sym + 1 then Cells.get value p
+        else Cells.get defaults rid
   | No_compression | Defaults_only -> fun state sym -> action_code c state sym
 
 (** Decoded variant of {!action_code}: table lookup through the

@@ -27,16 +27,25 @@ type t = {
   n_states : int;
   n_syms : int;
   method_ : method_;
-  row_index : int array;  (** state -> shared row id *)
-  defaults : int array;  (** per-row default entry (encoded) *)
-  offsets : int array;  (** per-row displacement into value/check *)
-  value : int array;
-  check : int array;
+  row_index : Cells.t;  (** state -> shared row id *)
+  defaults : Cells.t;  (** per-row default entry (encoded) *)
+  offsets : Cells.t;  (** per-row displacement into value/check *)
+  value : Cells.t;
+  check : Cells.t;
   size_bytes : int;  (** the Table-2 size accounting *)
 }
+(** Each column holds its cells at the narrowest width that fits them;
+    for a comb those are the widths [size_bytes] charges (16-bit
+    actions, row ids and offsets, 8-bit checks).  The columns of a
+    loaded bundle are views on the bundle's own bytes. *)
 
-val uncompressed_bytes : Parse_table.t -> int
-(** One 16-bit entry per (state, symbol) pair: the flat table. *)
+val cell_bytes : t -> int
+(** Bytes the five columns' cells take: [size_bytes] for the comb of a
+    full-size table. *)
+
+val uncompressed_bytes : t -> int
+(** One 16-bit entry per (state, symbol) pair: the flat table of the
+    same dimensions. *)
 
 val compress : ?pool:Pool.t -> ?method_:method_ -> Parse_table.t -> t
 (** [?pool] parallelizes the per-state row extraction and the per-row
@@ -50,8 +59,9 @@ val action_code : t -> int -> int -> int
     entry (no allocation); this is what {!Driver.parse} dispatches on. *)
 
 val dispatcher : t -> int -> int -> int
-(** [dispatcher c] is [action_code c] with the table's arrays and method
-    dispatch resolved once, for the driver's inner loop. *)
+(** [dispatcher c] is [action_code c] with the table's columns and
+    method dispatch resolved once, for the driver's inner loop; it reads
+    the cells in place. *)
 
 val action : t -> int -> int -> Parse_table.action
 (** [action c state sym] is [action_code] decoded: table lookup through

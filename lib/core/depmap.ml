@@ -76,8 +76,8 @@ let build ?(compressed : Compress.t option) ~(n_user_prods : int)
     | None -> Array.make n_user_prods [||]
     | Some c ->
         let row_of s =
-          if s >= 0 && s < Array.length c.Compress.row_index then
-            Some c.Compress.row_index.(s)
+          if s >= 0 && s < Cells.length c.Compress.row_index then
+            Some (Cells.get c.Compress.row_index s)
           else None
         in
         Array.init n_user_prods (fun p ->

@@ -15,10 +15,11 @@
 
     The driver is generic over its action source: [`Comb] (the default)
     probes the comb-packed table carried in {!Tables.t} via
-    {!Compress.action_code}; [`Flat] indexes the uncompressed
-    [action array array].  Both run the same skeleton; on well-formed IF
-    they take identical actions (default reductions only ever replace
-    error entries, so they can delay — never lose — error detection).
+    {!Compress.dispatcher}; [`Flat] indexes the uncompressed
+    [action array array] ({!Tables.actions}).  Both run the same
+    skeleton; on well-formed IF they take identical actions (default
+    reductions only ever replace error entries, so they can delay —
+    never lose — error detection).
 
     {b Hot path memory discipline.}  The inner loop works on {e prepared}
     tokens ({!ptoken}): the input stream is resolved in one pass at parse
@@ -131,16 +132,17 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
        remap:((ptoken -> ptoken) -> unit) ->
        ptoken list) (input : Ifl.Token.t list) : (outcome, error) result =
   let g = tables.Tables.grammar in
-  let pt = tables.Tables.parse in
   let n_syms = Grammar.n_syms g in
   (* the action source, as encoded entries (Compress encoding); the comb
-     path reads the packed int directly, the flat path encodes the
-     variant (both allocation-free) *)
+     path reads the packed cells in place, the flat path encodes the
+     variant (both allocation-free).  Only flat dispatch and the error
+     report below use the dense rows, so a comb parse of well-formed IF
+     never decodes them. *)
   let lookup : int -> int -> int =
     match dispatch with
     | Comb -> Compress.dispatcher tables.Tables.compressed
     | Flat ->
-        let actions = pt.Parse_table.actions in
+        let actions = Tables.actions tables in
         fun state sym -> Compress.encode_action actions.(state).(sym)
   in
   (* -- stream preparation ------------------------------------------------
@@ -270,7 +272,7 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
     !toks.(!sp) <- tok;
     incr sp
   in
-  push pt.Parse_table.automaton.Lr0.start bottom;
+  push tables.Tables.start bottom;
   let shifts = ref 0 and reductions = ref 0 and max_stack = ref 1 in
   let reduce_run = ref 0 in
   let flush_metrics ~failed =
@@ -301,10 +303,11 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
     (* cap the expected-symbols list during construction: the printer
        shows at most 12, so anything past 13 is never observable *)
     let expected =
+      let row = (Tables.actions tables).(state) in
       let acc = ref [] and count = ref 0 and s = ref 0 in
       while !count < 13 && !s < n_syms do
         if
-          Parse_table.action pt state !s <> Parse_table.Error
+          row.(!s) <> Parse_table.Error
           && g.Grammar.in_if.(!s)
         then begin
           acc := Grammar.name g !s :: !acc;

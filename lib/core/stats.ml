@@ -40,14 +40,14 @@ let table1 (spec : Spec_ast.t) (t : Tables.t) : table1 =
       (fun s -> g.Grammar.in_if.(s))
       (List.init (Grammar.n_syms g) Fun.id)
   in
-  let states = Parse_table.n_states t.Tables.parse in
+  let states = Tables.n_states t in
   {
     symbols_declared = Symtab.n_declared st;
     x_dimension = List.length x_cols;
     states;
     entries = states * List.length x_cols;
     significant =
-      Parse_table.significant_entries ~cols:(Some x_cols) t.Tables.parse;
+      Parse_table.significant_entries ~cols:(Some x_cols) (Tables.parse t);
     productions = t.Tables.n_user_prods;
     templates = Spec_ast.n_templates spec;
     production_operators = List.length st.Symtab.operators;

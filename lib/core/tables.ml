@@ -1,27 +1,88 @@
 (** The complete table bundle produced by CoGG: the driving tables for the
     skeletal parser plus the compiled templates and the type information
-    the runtime needs (paper section 2). *)
+    the runtime needs (paper section 2).
+
+    A comb-dispatched compile reads only the runtime part: grammar,
+    symbols, start state, comb, templates and type info.  The dense
+    action rows, the conflict log and the automaton's states are each a
+    {!section}: a value from a build, or the bytes of a loaded bundle
+    decoded the first time something asks. *)
+
+type 'a section = {
+  value : 'a Once.t;
+  encoded : (string * int * int) option;
+      (** the bundle bytes [value] decodes from (buffer, offset,
+          length), kept so a writer copies them instead of encoding the
+          value again *)
+}
 
 type t = {
   target : Machine.Target.t;
       (** the machine substrate this bundle's templates emit for *)
   grammar : Grammar.t;
   symtab : Symtab.t;
-  parse : Parse_table.t;
+  mode : Lookahead.mode;
+  start : int;  (** the automaton's start state *)
   compressed : Compress.t;
-      (** the comb-packed (defaults + row displacement) form of [parse],
-          built once at table-construction time; the driver's default
-          dispatch path probes this representation *)
+      (** the comb-packed (defaults + row displacement) form of the
+          action table, built once at table-construction time; the
+          driver's default dispatch path probes this representation *)
   compiled : Template.compiled option array;
       (** per production id; [None] for the augmentation productions *)
   n_user_prods : int;
   class_of : Symtab.reg_class option array;  (** by grammar symbol *)
   kind_of : Symtab.value_kind option array;  (** by grammar symbol *)
+  rows : Parse_table.action array array section;
+      (** the dense action table, state x symbol: flat dispatch, the
+          driver's expected-symbol report and table statistics *)
+  conflict_log : Parse_table.conflict list section;
+  states : Lr0.state array section;
+      (** full from a build; skeletal (ids only) from a bundle, which is
+          all the driver needs *)
   hashes : Spec_hash.t;
       (** per-production content hashes of the spec this bundle was
           built from — the partial-build state an incremental rebuild
-          diffs against; persisted in the bundle (format v6) *)
+          diffs against *)
 }
+
+let section v = { value = Once.of_value v; encoded = None }
+let force s = Once.force s.value
+
+(** The tables of a fresh build. *)
+let make ~target ~grammar ~symtab ~(parse : Parse_table.t) ~compressed
+    ~compiled ~n_user_prods ~class_of ~kind_of ~hashes =
+  let automaton = parse.Parse_table.automaton in
+  {
+    target;
+    grammar;
+    symtab;
+    mode = parse.Parse_table.mode;
+    start = automaton.Lr0.start;
+    compressed;
+    compiled;
+    n_user_prods;
+    class_of;
+    kind_of;
+    rows = section parse.Parse_table.actions;
+    conflict_log = section parse.Parse_table.conflicts;
+    states = section automaton.Lr0.states;
+    hashes;
+  }
+
+let n_states t = t.compressed.Compress.n_states
+let actions t = force t.rows
+let conflicts t = force t.conflict_log
+
+(** The full parse table; decodes whatever of it was not used yet. *)
+let parse t : Parse_table.t =
+  {
+    Parse_table.grammar = t.grammar;
+    automaton =
+      { Lr0.grammar = t.grammar; states = force t.states; start = t.start };
+    mode = t.mode;
+    actions = actions t;
+    conflicts = conflicts t;
+  }
 
 let class_of t sym = t.class_of.(sym)
 let kind_of t sym = t.kind_of.(sym)
@@ -34,5 +95,3 @@ let compiled t p =
 (** Register bank a grammar symbol's values live in. *)
 let bank_of t sym : Regalloc.bank option =
   Option.map Regalloc.bank_of_class (class_of t sym)
-
-let conflicts t = t.parse.Parse_table.conflicts

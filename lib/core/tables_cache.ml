@@ -7,8 +7,9 @@
     {!Tables_io} serialization, so a second run on an unchanged spec skips
     {!Cogg_build.build} entirely and a modified spec simply hashes to a
     different entry.  Corrupt or truncated entries are indistinguishable
-    from misses: the tables are rebuilt and the entry rewritten, never
-    surfaced as an error. *)
+    from misses (the bundle's MD5 is checked before anything is decoded):
+    the tables are rebuilt and the entry rewritten, never surfaced as an
+    error. *)
 
 (* Bumping this invalidates every existing entry; it must change whenever
    the Tables_io bundle format does, or when table construction starts
@@ -17,8 +18,9 @@
    and a per-lineage pointer file lets a miss on an edited spec locate
    the previous build and splice instead of rebuilding from scratch;
    v8: the CGB6 bundle drops the profile-specialized table and its
-   profile digest. *)
-let format_version = 8
+   profile digest; v9: the CGB7 bundle, checksummed, with cells at their
+   narrowest widths and a section directory. *)
+let format_version = 9
 
 type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 
@@ -122,12 +124,48 @@ let is_entry name =
   && String.sub name 0 5 = "cogg-"
   && Filename.check_suffix name ".cgt"
 
+(* The pid of the writer behind a temp file [write_atomic] names
+   "cogg-<key>.<cgt|ptr>.<pid>.<domain>.<n>.tmp", or [None] for any
+   other name. *)
+let tmp_writer name =
+  if String.length name < 5 || String.sub name 0 5 <> "cogg-" then None
+  else
+    match List.rev (String.split_on_char '.' name) with
+    | "tmp" :: _n :: _domain :: pid :: ("cgt" | "ptr") :: _ ->
+        int_of_string_opt pid
+    | _ -> None
+
+let process_alive pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* A writer killed between creating its temp file and the rename leaves
+   the file behind; once its process is gone, nothing will ever rename
+   or remove it. *)
+let remove_orphans dir names =
+  Array.fold_left
+    (fun removed name ->
+      match tmp_writer name with
+      | Some pid when not (process_alive pid) -> (
+          let path = Filename.concat dir name in
+          match Sys.remove path with
+          | () ->
+              Log.info (fun f ->
+                  f "removed %s (its writer, pid %d, is gone)" path pid);
+              removed + 1
+          | exception Sys_error _ -> removed)
+      | _ -> removed)
+    0 names
+
 let prune ?cache_dir ?max_entries () : int =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
   let cap = match max_entries with Some n -> max 1 n | None -> max_entries_default () in
   match Sys.readdir dir with
   | exception Sys_error _ -> 0
   | names ->
+      let orphans = remove_orphans dir names in
       let entries =
         Array.to_list names
         |> List.filter_map (fun name ->
@@ -139,7 +177,7 @@ let prune ?cache_dir ?max_entries () : int =
                  | exception Unix.Unix_error _ -> None)
       in
       let n = List.length entries in
-      if n <= cap then 0
+      if n <= cap then orphans
       else begin
         let oldest_first =
           List.sort
@@ -159,7 +197,7 @@ let prune ?cache_dir ?max_entries () : int =
                 Log.info (fun f -> f "evicted %s (cache over %d entries)" path cap);
                 removed + 1
             | exception Sys_error _ -> removed)
-          0 victims
+          orphans victims
       end
 
 let write_atomic path bytes =

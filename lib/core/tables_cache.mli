@@ -3,9 +3,11 @@
 
     A hit loads the {!Tables_io} bundle and skips LR construction
     entirely; a miss builds with {!Cogg_build} and stores the result.
-    Corrupt, truncated or stale entries always fall back to a rebuild,
-    never an error.  Entries live in [$COGG_CACHE_DIR], else
-    [$XDG_CACHE_HOME/cogg], else [_cache/] under the working directory. *)
+    A bundle's MD5 is checked before anything in it is decoded, so
+    corrupt, truncated or stale entries are always a miss and a rebuild,
+    never an error and never a wrong hit.  Entries live in
+    [$COGG_CACHE_DIR], else [$XDG_CACHE_HOME/cogg], else [_cache/] under
+    the working directory. *)
 
 type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 (** [Built_incremental] is a miss answered by splicing the previous
@@ -30,10 +32,13 @@ val prune : ?cache_dir:string -> ?max_entries:int -> unit -> int
     [max_entries] (default [$COGG_CACHE_MAX_ENTRIES], else
     {!default_max_entries}) bundle entries, delete the excess
     oldest-first by modification time (ties by name, so the victim set
-    is deterministic).  Returns the number deleted.  Best effort and
-    race-tolerant — concurrently removed files are skipped, errors are
-    swallowed.  Every successful [store] runs this automatically, so a
-    long-lived daemon's cache directory stays bounded. *)
+    is deterministic).  Also delete the temp files of entries and
+    lineage pointers whose writer's process is gone (a writer killed
+    before its rename); a live writer's temp file stays.  Returns the
+    number of files deleted.  Best effort and race-tolerant —
+    concurrently removed files are skipped, errors are swallowed.
+    Every successful [store] runs this automatically, so a long-lived
+    daemon's cache directory stays bounded. *)
 
 val key : ?target:Machine.Target.t -> mode:Lookahead.mode -> string -> string
 (** Digest a specification text into its cache key.  The [target]'s name

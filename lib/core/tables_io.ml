@@ -4,11 +4,49 @@
     means here: the template array and the parse table have concrete
     binary representations whose sizes the benchmark reports in
     4096-byte pages.  The format round-trips: [read (write t)]
-    reconstructs a bundle that drives code generation identically. *)
+    reconstructs a bundle that drives code generation identically.
+
+    {b Bundle format [CGB7].}  Every multi-byte field is little-endian;
+    scalars, counts and string lengths take 4 bytes.
+
+    {v
+    0   "CGB7"
+    4   u32  length of the whole bundle
+    8   16   MD5 of bytes [24, length)
+    24  u32 x 7  section lengths (the directory); the sections follow
+                 in this order, back to back, and end at [length]
+        meta       target, grammar, symbol table, start state,
+                   lookahead mode, user production count
+        comb       the comb-packed table (Compress.t), which also
+                   carries the state and symbol counts
+        templates  the CGT1 template array
+        types      per-symbol register class and value kind
+        rows       the dense action table, state x symbol
+        conflicts  the resolved-conflict log, one column per field
+        hashes     the incremental-rebuild hashes (Spec_hash.t)
+    v}
+
+    Integer arrays are {!Cells} columns at the narrowest of 1, 2 or 4
+    bytes per cell, so the comb's cells take exactly the bytes
+    [Compress.size_bytes] charges and the dense rows take 16 bits.
+
+    [read] checks the length and the MD5 before it decodes anything, so
+    a corrupt or torn bundle is always [Corrupt] and never a wrong table.
+    It then decodes the runtime part (meta, comb, templates, types) and
+    the small hashes section, and checks the structure of the rest:
+    every length and column fits its section.  The comb's cells are not
+    copied: the dispatcher probes them in the loaded string.  The rows
+    and conflicts, and the skeletal automaton, are decoded on first use
+    ({!Tables.section}), from bytes already checked, so a first use
+    cannot fail. *)
+
+exception Corrupt of string
+
+let corrupt fmt = Fmt.kstr (fun m -> raise (Corrupt m)) fmt
 
 (* -- primitive writers ------------------------------------------------------ *)
 
-let w_i32 b v = Buffer.add_int32_be b (Int32.of_int v)
+let w_i32 b v = Buffer.add_int32_le b (Int32.of_int v)
 
 let w_str b s =
   w_i32 b (String.length s);
@@ -22,13 +60,15 @@ let w_arr b f xs =
   w_i32 b (Array.length xs);
   Array.iter (f b) xs
 
-type reader = { buf : string; mutable pos : int }
+(* a reader over [buf] from [pos] up to (not including) [lim]: one
+   section of a bundle, or a whole template array *)
+type reader = { buf : string; mutable pos : int; lim : int }
 
-exception Corrupt of string
+let reader buf pos lim = { buf; pos; lim }
 
 let r_i32 r =
-  if r.pos + 4 > String.length r.buf then raise (Corrupt "truncated");
-  let v = Int32.to_int (String.get_int32_be r.buf r.pos) in
+  if r.pos + 4 > r.lim then raise (Corrupt "truncated");
+  let v = Int32.to_int (String.get_int32_le r.buf r.pos) in
   r.pos <- r.pos + 4;
   v
 
@@ -37,8 +77,7 @@ let r_i32 r =
    corruption: caught here, before it sizes an allocation. *)
 let r_len r =
   let n = r_i32 r in
-  if n < 0 || n > String.length r.buf - r.pos then
-    raise (Corrupt (Fmt.str "length %d out of range" n));
+  if n < 0 || n > r.lim - r.pos then corrupt "length %d out of range" n;
   n
 
 let r_str r =
@@ -217,10 +256,8 @@ let template_array_bytes (t : Tables.t) : string =
   Buffer.contents b
 
 let r_template_array (r : reader) : Template.compiled option array =
-  if
-    r.pos + 4 > String.length r.buf
-    || String.sub r.buf r.pos 4 <> "CGT1"
-  then raise (Corrupt "bad template array magic");
+  if r.pos + 4 > r.lim || String.sub r.buf r.pos 4 <> "CGT1" then
+    raise (Corrupt "bad template array magic");
   r.pos <- r.pos + 4;
   r_arr r (fun r ->
       match r_i32 r with
@@ -247,28 +284,7 @@ let r_template_array (r : reader) : Template.compiled option array =
           Some { Template.c_prod; c_allocs; c_needs; c_steps; c_push })
 
 let read_template_array (s : string) : Template.compiled option array =
-  r_template_array { buf = s; pos = 0 }
-
-(** Serialize a compressed parse table (Table 2, entries ii/iii). *)
-let parse_table_bytes (c : Compress.t) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "CGP1";
-  w_i32 b c.Compress.n_states;
-  w_i32 b c.Compress.n_syms;
-  (* 16-bit cells, as the size accounting assumes *)
-  let w_u16s arr =
-    w_i32 b (Array.length arr);
-    Array.iter
-      (fun v ->
-        Buffer.add_uint16_be b (v land 0xFFFF))
-      arr
-  in
-  w_u16s c.Compress.defaults;
-  w_i32 b (Array.length c.Compress.offsets);
-  Array.iter (fun v -> w_i32 b v) c.Compress.offsets;
-  w_u16s c.Compress.value;
-  w_u16s c.Compress.check;
-  Buffer.contents b
+  r_template_array (reader s 0 (String.length s))
 
 (** Table 2 size accounting, in bytes. *)
 type sizes = {
@@ -278,12 +294,12 @@ type sizes = {
 }
 
 let sizes (t : Tables.t) : sizes =
-  (* the bundle already carries the comb-packed form; no need to re-pack *)
-  let compressed = t.Tables.compressed in
+  (* the bundle already carries the comb-packed form, and the flat size
+     follows from the dimensions: nothing is re-packed or decoded *)
   {
     template_array = String.length (template_array_bytes t);
-    compressed_table = compressed.Compress.size_bytes;
-    uncompressed_table = Compress.uncompressed_bytes t.Tables.parse;
+    compressed_table = t.Tables.compressed.Compress.size_bytes;
+    uncompressed_table = Compress.uncompressed_bytes t.Tables.compressed;
   }
 
 let pages bytes = Float.of_int bytes /. 4096.0
@@ -294,9 +310,6 @@ let pages bytes = Float.of_int bytes /. 4096.0
    information, parse table and templates.  A bundle written by [write]
    and reloaded with [read] drives code generation identically — this is
    the "tables" product CoGG ships to the compiler (paper section 2). *)
-
-let w_action b (a : Parse_table.action) = w_i32 b (Compress.encode_action a)
-let r_action r : Parse_table.action = Compress.decode_action (r_i32 r)
 
 let kind_code : Symtab.value_kind -> int = function
   | Symtab.Kint -> 0
@@ -309,7 +322,7 @@ let kind_of_kcode = function
   | 1 -> Symtab.Klabel
   | 2 -> Symtab.Kcse
   | 3 -> Symtab.Kcond
-  | k -> raise (Corrupt (Fmt.str "bad kind code %d" k))
+  | k -> corrupt "bad kind code %d" k
 
 let method_code : Compress.method_ -> int = function
   | Compress.No_compression -> 0
@@ -322,74 +335,7 @@ let method_of_code = function
   | 1 -> Compress.Defaults_only
   | 2 -> Compress.Comb_only
   | 3 -> Compress.Defaults_and_comb
-  | k -> raise (Corrupt (Fmt.str "bad compression method %d" k))
-
-let w_int_arr b arr = w_arr b (fun b v -> w_i32 b v) arr
-let r_int_arr r = r_arr r r_i32
-
-(* The comb-packed dispatch table rides in the bundle so a cache hit
-   skips row-displacement packing as well as LR construction. *)
-let w_compress b (c : Compress.t) =
-  w_i32 b c.Compress.n_states;
-  w_i32 b c.Compress.n_syms;
-  w_i32 b (method_code c.Compress.method_);
-  w_int_arr b c.Compress.row_index;
-  w_int_arr b c.Compress.defaults;
-  w_int_arr b c.Compress.offsets;
-  w_int_arr b c.Compress.value;
-  w_int_arr b c.Compress.check;
-  w_i32 b c.Compress.size_bytes
-
-let r_compress r : Compress.t =
-  let n_states = r_i32 r in
-  let n_syms = r_i32 r in
-  let method_ = method_of_code (r_i32 r) in
-  let row_index = r_int_arr r in
-  let defaults = r_int_arr r in
-  let offsets = r_int_arr r in
-  let value = r_int_arr r in
-  let check = r_int_arr r in
-  let size_bytes = r_i32 r in
-  (* structural sanity so a corrupt entry surfaces as [Corrupt], never as
-     an out-of-bounds probe at dispatch time (the comb probe relies on
-     non-negative offsets and only bounds-checks the top end) *)
-  let n_rows = Array.length defaults in
-  if
-    Array.length row_index <> n_states
-    || Array.length offsets <> n_rows
-    || Array.length value <> Array.length check
-    || Array.exists (fun rid -> rid < 0 || rid >= n_rows) row_index
-    || Array.exists (fun off -> off < 0) offsets
-  then raise (Corrupt "inconsistent compressed table");
-  { Compress.n_states; n_syms; method_; row_index; defaults; offsets; value;
-    check; size_bytes }
-
-let w_conflict b (c : Parse_table.conflict) =
-  w_i32 b c.Parse_table.c_state;
-  w_i32 b c.Parse_table.c_sym;
-  w_i32 b (match c.Parse_table.c_kind with `Shift_reduce -> 0 | `Reduce_reduce -> 1);
-  w_action b c.Parse_table.c_chosen;
-  w_action b c.Parse_table.c_dropped
-
-let r_conflict r : Parse_table.conflict =
-  let c_state = r_i32 r in
-  let c_sym = r_i32 r in
-  let c_kind =
-    match r_i32 r with
-    | 0 -> `Shift_reduce
-    | 1 -> `Reduce_reduce
-    | k -> raise (Corrupt (Fmt.str "bad conflict kind %d" k))
-  in
-  let c_chosen = r_action r in
-  { Parse_table.c_state; c_sym; c_kind; c_chosen; c_dropped = r_action r }
-
-(* v5 appendix: the incremental-rebuild metadata (per-production content
-   hashes, declaration/shape digests, lookahead mode)
-   rides in the bundle behind its own magic, so a cached entry is a
-   complete partial build: a later process can diff an edited spec
-   against it and splice (Cogg_build.build_incremental) without ever
-   having seen the original spec text. *)
-let appendix_magic = "CGI5"
+  | k -> corrupt "bad compression method %d" k
 
 let mode_code : Lookahead.mode -> int = function
   | Lookahead.Slr -> 0
@@ -398,138 +344,118 @@ let mode_code : Lookahead.mode -> int = function
 let mode_of_code = function
   | 0 -> Lookahead.Slr
   | 1 -> Lookahead.Lalr
-  | k -> raise (Corrupt (Fmt.str "bad lookahead mode %d" k))
+  | k -> corrupt "bad lookahead mode %d" k
 
-(** Serialize a complete table bundle (format v6). *)
-let write (t : Tables.t) : string =
-  let b = Buffer.create (1 lsl 16) in
-  Buffer.add_string b "CGB6";
-  (* target; resolved through the registry on read *)
+let magic = "CGB7"
+let n_sections = 7
+let header_bytes = 24
+let directory_end = header_bytes + (4 * n_sections)
+
+(* integer columns *)
+
+let w_ints b (a : int array) = Cells.add b (Cells.of_array a)
+
+let r_cells r : Cells.t =
+  match Cells.view r.buf r.pos ~limit:r.lim with
+  | Some (c, next) ->
+      r.pos <- next;
+      c
+  | None -> raise (Corrupt "malformed integer column")
+
+let r_ints r = Cells.to_array (r_cells r)
+
+(* every cell of [c] is below [bound] *)
+let all_below (c : Cells.t) bound =
+  let rec go i = i = Cells.length c || (Cells.get c i < bound && go (i + 1)) in
+  go 0
+
+let r_ints_n r n what =
+  let a = r_ints r in
+  if Array.length a <> n then
+    corrupt "%s: %d entries, want %d" what (Array.length a) n;
+  a
+
+let bool_code b = if b then 1 else 0
+
+(* an optional code as a cell: 0 for [None], [code + 1] for [Some] *)
+let opt_code f = function None -> 0 | Some x -> f x + 1
+let of_opt_code f = function 0 -> None | k -> Some (f (k - 1))
+
+(* -- meta: target, grammar, symbol table, automaton scalars ---------------- *)
+
+let w_meta b (t : Tables.t) =
   w_str b t.Tables.target.Machine.Target.name;
-  (* grammar *)
   let g = t.Tables.grammar in
   w_arr b w_str g.Grammar.names;
-  w_arr b (fun b x -> w_i32 b (if x then 1 else 0)) g.Grammar.is_nonterminal;
-  w_arr b (fun b x -> w_i32 b (if x then 1 else 0)) g.Grammar.in_if;
-  w_arr b
-    (fun b (p : Grammar.prod) ->
-      w_i32 b p.Grammar.lhs;
-      w_arr b (fun b s -> w_i32 b s) p.Grammar.rhs;
-      w_i32 b p.Grammar.line)
-    g.Grammar.prods;
-  w_i32 b g.Grammar.goal;
-  w_i32 b g.Grammar.lambda;
-  w_i32 b g.Grammar.stmts;
-  w_i32 b g.Grammar.eof;
+  w_ints b (Array.map bool_code g.Grammar.is_nonterminal);
+  w_ints b (Array.map bool_code g.Grammar.in_if);
+  let prods = g.Grammar.prods in
+  w_ints b (Array.map (fun (p : Grammar.prod) -> p.Grammar.lhs) prods);
+  let rhs = Array.map (fun (p : Grammar.prod) -> p.Grammar.rhs) prods in
+  w_ints b (Array.map Array.length rhs);
+  w_ints b (Array.concat (Array.to_list rhs));
+  w_ints b (Array.map (fun (p : Grammar.prod) -> p.Grammar.line) prods);
+  List.iter (w_i32 b)
+    [ g.Grammar.goal; g.Grammar.lambda; g.Grammar.stmts; g.Grammar.eof ];
   (* symbol table lists (enough to rebuild Symtab.t) *)
   let st = t.Tables.symtab in
-  w_list b
-    (fun b (n, c) ->
-      w_str b n;
-      w_i32 b (class_code c))
-    st.Symtab.nonterminals;
-  w_list b
-    (fun b (n, k) ->
-      w_str b n;
-      w_i32 b (kind_code k))
-    st.Symtab.terminals;
+  let named f xs =
+    w_list b (fun b (n, _) -> w_str b n) xs;
+    w_ints b (Array.of_list (List.map (fun (_, x) -> f x) xs))
+  in
+  named class_code st.Symtab.nonterminals;
+  named kind_code st.Symtab.terminals;
   w_list b w_str st.Symtab.operators;
   w_list b w_str st.Symtab.opcodes;
-  w_list b
-    (fun b (n, v) ->
-      w_str b n;
-      w_i32 b v)
-    st.Symtab.constants;
+  (* constants may be negative: plain 32-bit values *)
+  w_list b (fun b (n, v) -> w_str b n; w_i32 b v) st.Symtab.constants;
   w_list b w_str st.Symtab.semantics;
-  (* parse table: dense actions *)
-  w_i32 b (Parse_table.n_states t.Tables.parse);
-  Array.iter (fun row -> w_arr b w_action row) t.Tables.parse.Parse_table.actions;
-  w_i32 b t.Tables.parse.Parse_table.automaton.Lr0.start;
-  w_list b w_conflict t.Tables.parse.Parse_table.conflicts;
-  w_compress b t.Tables.compressed;
-  (* templates and type info *)
-  Buffer.add_string b (template_array_bytes t);
-  w_i32 b t.Tables.n_user_prods;
-  w_arr b
-    (fun b c ->
-      w_opt b (fun b c -> w_i32 b (class_code c)) c)
-    t.Tables.class_of;
-  w_arr b
-    (fun b k -> w_opt b (fun b k -> w_i32 b (kind_code k)) k)
-    t.Tables.kind_of;
-  (* incremental appendix *)
-  Buffer.add_string b appendix_magic;
-  w_i32 b (mode_code t.Tables.parse.Parse_table.mode);
-  w_str b t.Tables.hashes.Spec_hash.decls;
-  w_str b t.Tables.hashes.Spec_hash.shape;
-  w_arr b w_str t.Tables.hashes.Spec_hash.prods;
-  Buffer.contents b
+  List.iter (w_i32 b)
+    [ t.Tables.start; mode_code t.Tables.mode; t.Tables.n_user_prods ]
 
-(** Reload a bundle written by {!write}.  The embedded LR(0) automaton is
-    not stored: a placeholder with only the start state is rebuilt, which
-    is all the driver needs (it reads actions, never items). *)
-let read (s : string) : Tables.t =
-  if String.length s < 4 || String.sub s 0 4 <> "CGB6" then
-    raise
-      (Corrupt
-         (if String.length s >= 4 && String.sub s 0 3 = "CGB" then
-            Fmt.str "stale bundle format %s (want CGB6)" (String.sub s 0 4)
-          else "bad bundle magic"));
-  let r = { buf = s; pos = 4 } in
-  let target_name = r_str r in
-  let target =
-    match Machine.Targets.find target_name with
-    | Some t -> t
-    | None -> raise (Corrupt (Fmt.str "unknown target %S" target_name))
-  in
+let r_grammar r : Grammar.t =
   let names = r_arr r r_str in
-  let is_nonterminal = r_arr r (fun r -> r_i32 r <> 0) in
-  let in_if = r_arr r (fun r -> r_i32 r <> 0) in
+  let n = Array.length names in
+  let is_nonterminal =
+    Array.map (( <> ) 0) (r_ints_n r n "nonterminal flags")
+  in
+  let in_if = Array.map (( <> ) 0) (r_ints_n r n "IF flags") in
+  let lhs = r_ints r in
+  let n_prods = Array.length lhs in
+  let rhs_len = r_ints_n r n_prods "rhs lengths" in
+  let rhs_all = r_ints r in
+  let line = r_ints_n r n_prods "production lines" in
+  if Array.fold_left ( + ) 0 rhs_len <> Array.length rhs_all then
+    raise (Corrupt "rhs lengths do not match the rhs cells");
+  if Array.exists (fun s -> s >= n) lhs then raise (Corrupt "lhs out of range");
+  let next = ref 0 in
   let prods =
-    r_arr r (fun r ->
-        let lhs = r_i32 r in
-        let rhs = r_arr r r_i32 in
-        let line = r_i32 r in
-        { Grammar.id = 0; lhs; rhs; line })
-    |> Array.mapi (fun id p -> { p with Grammar.id })
+    Array.init n_prods (fun id ->
+        let rhs = Array.sub rhs_all !next rhs_len.(id) in
+        next := !next + rhs_len.(id);
+        { Grammar.id; lhs = lhs.(id); rhs; line = line.(id) })
   in
   let goal = r_i32 r in
   let lambda = r_i32 r in
   let stmts = r_i32 r in
   let eof = r_i32 r in
-  let index = Hashtbl.create (Array.length names) in
-  Array.iteri (fun i n -> Hashtbl.replace index n i) names;
-  let by_lhs = Array.make (Array.length names) [] in
-  Array.iter
-    (fun (p : Grammar.prod) ->
-      by_lhs.(p.Grammar.lhs) <- p.Grammar.id :: by_lhs.(p.Grammar.lhs))
-    prods;
-  Array.iteri (fun i l -> by_lhs.(i) <- List.rev l) by_lhs;
-  let grammar =
-    {
-      Grammar.names;
-      index;
-      is_nonterminal;
-      in_if;
-      prods;
-      by_lhs;
-      goal;
-      lambda;
-      stmts;
-      eof;
-    }
+  let index = Hashtbl.create n in
+  Array.iteri (fun i nm -> Hashtbl.replace index nm i) names;
+  let by_lhs = Array.make n [] in
+  for id = n_prods - 1 downto 0 do
+    by_lhs.(lhs.(id)) <- id :: by_lhs.(lhs.(id))
+  done;
+  { Grammar.names; index; is_nonterminal; in_if; prods; by_lhs; goal; lambda;
+    stmts; eof }
+
+let r_symtab r : Symtab.t =
+  let named f =
+    let names = r_list r r_str in
+    let codes = r_ints_n r (List.length names) "symbol codes" in
+    List.mapi (fun i n -> (n, f codes.(i))) names
   in
-  (* symbol table *)
-  let nonterminals =
-    r_list r (fun r ->
-        let n = r_str r in
-        (n, class_of_code (r_i32 r)))
-  in
-  let terminals =
-    r_list r (fun r ->
-        let n = r_str r in
-        (n, kind_of_kcode (r_i32 r)))
-  in
+  let nonterminals = named class_of_code in
+  let terminals = named kind_of_kcode in
   let operators = r_list r r_str in
   let opcodes = r_list r r_str in
   let constants =
@@ -545,53 +471,293 @@ let read (s : string) : Tables.t =
   List.iter (fun n -> Hashtbl.replace table n Symtab.Opcode) opcodes;
   List.iter (fun (n, v) -> Hashtbl.replace table n (Symtab.Constant v)) constants;
   List.iter (fun n -> Hashtbl.replace table n Symtab.Semantic) semantics;
-  let symtab =
-    { Symtab.table; nonterminals; terminals; operators; opcodes; constants;
-      semantics }
-  in
-  (* parse table *)
-  let n_states = r_len r in
-  let actions = Array.init n_states (fun _ -> r_arr r r_action) in
-  let start = r_i32 r in
-  let conflicts = r_list r r_conflict in
-  let compressed = r_compress r in
-  let automaton =
-    (* a skeletal automaton: the driver only needs the start state id *)
-    {
-      Lr0.grammar;
-      states =
-        Array.init n_states (fun id ->
-            { Lr0.id; kernel = [||]; closure = [||]; transitions = [] });
-      start;
-    }
-  in
-  (* templates and type info *)
-  let compiled = r_template_array r in
-  let n_user_prods = r_i32 r in
-  let class_of = r_arr r (fun r -> r_opt r (fun r -> class_of_code (r_i32 r))) in
-  let kind_of = r_arr r (fun r -> r_opt r (fun r -> kind_of_kcode (r_i32 r))) in
-  (* incremental appendix *)
+  { Symtab.table; nonterminals; terminals; operators; opcodes; constants;
+    semantics }
+
+(* -- comb ------------------------------------------------------------------ *)
+
+(* The comb-packed dispatch table rides in the bundle so a cache hit
+   skips row-displacement packing as well as LR construction; its columns
+   are copied out as they are and read back as views. *)
+let w_comb b (c : Compress.t) =
+  List.iter (w_i32 b)
+    [ c.Compress.n_states; c.Compress.n_syms; method_code c.Compress.method_;
+      c.Compress.size_bytes ];
+  List.iter (Cells.add b)
+    Compress.[ c.row_index; c.defaults; c.offsets; c.value; c.check ]
+
+let r_comb r ~n_syms : Compress.t =
+  let n_states = r_i32 r in
+  let n_syms' = r_i32 r in
+  let method_ = method_of_code (r_i32 r) in
+  let size_bytes = r_i32 r in
+  let row_index = r_cells r in
+  let defaults = r_cells r in
+  let offsets = r_cells r in
+  let value = r_cells r in
+  let check = r_cells r in
+  (* structural sanity, so a writer bug surfaces as [Corrupt], never as
+     an out-of-bounds probe at dispatch time: cells are unsigned, so
+     these bounds put every row id and offset in range (an empty row's
+     offset is the packed length, where every probe misses) *)
+  let n_rows = Cells.length defaults in
   if
-    r.pos + 4 > String.length r.buf
-    || String.sub r.buf r.pos 4 <> appendix_magic
-  then raise (Corrupt "missing incremental appendix");
-  r.pos <- r.pos + 4;
-  let mode = mode_of_code (r_i32 r) in
+    n_syms' <> n_syms
+    || Cells.length row_index <> n_states
+    || Cells.length offsets <> n_rows
+    || Cells.length value <> Cells.length check
+    || not (all_below row_index n_rows)
+    || not (all_below offsets (Cells.length value + 1))
+  then raise (Corrupt "inconsistent compressed table");
+  { Compress.n_states; n_syms; method_; row_index; defaults; offsets; value;
+    check; size_bytes }
+
+(* -- type info ------------------------------------------------------------- *)
+
+let w_types b (t : Tables.t) =
+  w_ints b (Array.map (opt_code class_code) t.Tables.class_of);
+  w_ints b (Array.map (opt_code kind_code) t.Tables.kind_of)
+
+let r_types r ~n_syms =
+  let decode f what = Array.map (of_opt_code f) (r_ints_n r n_syms what) in
+  let class_of = decode class_of_code "classes" in
+  let kind_of = decode kind_of_kcode "kinds" in
+  (class_of, kind_of)
+
+(* -- dense rows ------------------------------------------------------------ *)
+
+(* One column of n_states x n_syms encoded actions. *)
+let w_rows b (rows : Parse_table.action array array) =
+  let len = Array.fold_left (fun n row -> n + Array.length row) 0 rows in
+  let cells = Array.make len 0 and k = ref 0 in
+  Array.iter
+    (fun (row : Parse_table.action array) ->
+      for y = 0 to Array.length row - 1 do
+        cells.(!k + y) <- Compress.encode_action row.(y)
+      done;
+      k := !k + Array.length row)
+    rows;
+  w_ints b cells
+
+(* One shared value per encoded action, so decoding a table allocates per
+   distinct action, not per cell. *)
+let action_table ~n_states ~n_prods =
+  Array.init ((2 * Int.max n_states n_prods) + 4) Compress.decode_action
+
+let action_of (by_code : Parse_table.action array) v =
+  if v < Array.length by_code then by_code.(v) else Compress.decode_action v
+
+let decode_rows cells ~n_states ~n_syms ~n_prods () =
+  let by_code = action_table ~n_states ~n_prods in
+  Array.init n_states (fun s ->
+      let row = Array.make n_syms Parse_table.Error in
+      for y = 0 to n_syms - 1 do
+        row.(y) <- action_of by_code (Cells.get cells ((s * n_syms) + y))
+      done;
+      row)
+
+(* -- conflict log ---------------------------------------------------------- *)
+
+let w_conflicts b (cs : Parse_table.conflict list) =
+  let n = List.length cs in
+  let col () = Array.make n 0 in
+  let state = col () and sym = col () and kind = col () and chosen = col ()
+  and dropped = col () in
+  List.iteri
+    (fun i (c : Parse_table.conflict) ->
+      state.(i) <- c.Parse_table.c_state;
+      sym.(i) <- c.Parse_table.c_sym;
+      kind.(i) <-
+        (match c.Parse_table.c_kind with
+        | `Shift_reduce -> 0
+        | `Reduce_reduce -> 1);
+      chosen.(i) <- Compress.encode_action c.Parse_table.c_chosen;
+      dropped.(i) <- Compress.encode_action c.Parse_table.c_dropped)
+    cs;
+  List.iter (w_ints b) [ state; sym; kind; chosen; dropped ]
+
+let decode_conflicts (state, sym, kind, chosen, dropped) ~n_states ~n_prods () =
+  let by_code = action_table ~n_states ~n_prods in
+  let acc = ref [] in
+  for i = Cells.length state - 1 downto 0 do
+    acc :=
+      {
+        Parse_table.c_state = Cells.get state i;
+        c_sym = Cells.get sym i;
+        c_kind =
+          (if Cells.get kind i = 0 then `Shift_reduce else `Reduce_reduce);
+        c_chosen = action_of by_code (Cells.get chosen i);
+        c_dropped = action_of by_code (Cells.get dropped i);
+      }
+      :: !acc
+  done;
+  !acc
+
+(* -- incremental-rebuild hashes -------------------------------------------- *)
+
+let w_hashes b (h : Spec_hash.t) =
+  w_str b h.Spec_hash.decls;
+  w_str b h.Spec_hash.shape;
+  w_arr b w_str h.Spec_hash.prods
+
+let r_hashes r ~n_user_prods : Spec_hash.t =
   let decls = r_str r in
   let shape = r_str r in
-  let prod_hashes = r_arr r r_str in
-  if Array.length prod_hashes <> n_user_prods then
+  let prods = r_arr r r_str in
+  if Array.length prods <> n_user_prods then
     raise (Corrupt "production hash count does not match the bundle");
-  let parse = { Parse_table.grammar; automaton; mode; actions; conflicts } in
+  { Spec_hash.decls; shape; prods }
+
+(* -- the bundle ------------------------------------------------------------ *)
+
+(* A section of a built table is encoded; one that came off disk is
+   copied back as it was read, decoded or not. *)
+let w_section encode (s : 'a Tables.section) b =
+  match s.Tables.encoded with
+  | Some (buf, pos, len) -> Buffer.add_substring b buf pos len
+  | None -> encode b (Tables.force s)
+
+(** Serialize a complete table bundle (format [CGB7]). *)
+let write (t : Tables.t) : string =
+  let c = t.Tables.compressed in
+  let b =
+    Buffer.create
+      (directory_end + Compress.cell_bytes c
+      + Compress.uncompressed_bytes c
+      + (1 lsl 17))
+  in
+  Buffer.add_string b magic;
+  (* length, digest and directory are filled in below *)
+  Buffer.add_string b
+    (String.make (directory_end - String.length magic) '\000');
+  let lens =
+    List.map
+      (fun w ->
+        let p0 = Buffer.length b in
+        w b;
+        Buffer.length b - p0)
+      [
+        (fun b -> w_meta b t);
+        (fun b -> w_comb b c);
+        (fun b -> Buffer.add_string b (template_array_bytes t));
+        (fun b -> w_types b t);
+        w_section w_rows t.Tables.rows;
+        w_section w_conflicts t.Tables.conflict_log;
+        (fun b -> w_hashes b t.Tables.hashes);
+      ]
+  in
+  let bytes = Buffer.to_bytes b in
+  let n = Bytes.length bytes in
+  Bytes.set_int32_le bytes 4 (Int32.of_int n);
+  List.iteri
+    (fun i len ->
+      Bytes.set_int32_le bytes (header_bytes + (4 * i)) (Int32.of_int len))
+    lens;
+  Bytes.blit_string
+    (Digest.subbytes bytes header_bytes (n - header_bytes))
+    0 bytes 8 16;
+  Bytes.unsafe_to_string bytes
+
+(** Reload a bundle written by {!write}; [Corrupt] unless the length and
+    the MD5 match and every section is well formed.  The automaton is
+    not stored: a skeletal one with only the state ids is rebuilt on
+    first use, which is all the driver needs (it reads actions, never
+    items). *)
+let read (s : string) : Tables.t =
+  let n = String.length s in
+  if n < 4 || String.sub s 0 4 <> magic then
+    corrupt "%s"
+      (if n >= 4 && String.sub s 0 3 = "CGB" then
+         Fmt.str "stale bundle format %s (want %s)" (String.sub s 0 4) magic
+       else "bad bundle magic");
+  if n < directory_end then raise (Corrupt "truncated header");
+  if Int32.to_int (String.get_int32_le s 4) <> n then
+    raise (Corrupt "length does not match the header (torn or padded)");
+  if Digest.substring s header_bytes (n - header_bytes) <> String.sub s 8 16
+  then
+    raise (Corrupt "checksum mismatch");
+  (* the directory: each section's reader, bounded by its extent *)
+  let sections = Array.make n_sections (reader s 0 0) in
+  let pos = ref directory_end in
+  for i = 0 to n_sections - 1 do
+    let len = Int32.to_int (String.get_int32_le s (header_bytes + (4 * i))) in
+    if len < 0 || len > n - !pos then raise (Corrupt "section out of range");
+    sections.(i) <- reader s !pos (!pos + len);
+    pos := !pos + len
+  done;
+  if !pos <> n then raise (Corrupt "sections do not fill the bundle");
+  let finish r =
+    if r.pos <> r.lim then raise (Corrupt "trailing bytes in a section")
+  in
+  let encoded r = Some (s, r.pos, r.lim - r.pos) in
+  (* meta *)
+  let r = sections.(0) in
+  let target_name = r_str r in
+  let target =
+    match Machine.Targets.find target_name with
+    | Some t -> t
+    | None -> corrupt "unknown target %S" target_name
+  in
+  let grammar = r_grammar r in
+  let symtab = r_symtab r in
+  let start = r_i32 r in
+  let mode = mode_of_code (r_i32 r) in
+  let n_user_prods = r_i32 r in
+  finish r;
+  let n_syms = Grammar.n_syms grammar in
+  let n_prods = Grammar.n_prods grammar in
+  (* comb, templates, types *)
+  let compressed = r_comb sections.(1) ~n_syms in
+  finish sections.(1);
+  let n_states = compressed.Compress.n_states in
+  if start < 0 || start >= n_states || n_user_prods < 0 || n_user_prods > n_prods
+  then raise (Corrupt "automaton scalars out of range");
+  let compiled = r_template_array sections.(2) in
+  finish sections.(2);
+  let class_of, kind_of = r_types sections.(3) ~n_syms in
+  finish sections.(3);
+  (* first-use sections: structure checked now, decoded later *)
+  let r = sections.(4) in
+  let enc_rows = encoded r in
+  let cells = r_cells r in
+  finish r;
+  if Cells.length cells <> n_states * n_syms then
+    raise (Corrupt "dense rows do not match the table dimensions");
+  let r = sections.(5) in
+  let enc_conflicts = encoded r in
+  let state = r_cells r in
+  let sym = r_cells r in
+  let kind = r_cells r in
+  let chosen = r_cells r in
+  let dropped = r_cells r in
+  finish r;
+  let nc = Cells.length state in
+  if
+    List.exists (fun c -> Cells.length c <> nc) [ sym; kind; chosen; dropped ]
+    || not (all_below kind 2)
+  then raise (Corrupt "inconsistent conflict log");
+  let hashes = r_hashes sections.(6) ~n_user_prods in
+  finish sections.(6);
+  let deferred encoded f = { Tables.value = Once.make f; encoded } in
   {
     Tables.target;
     grammar;
     symtab;
-    parse;
+    mode;
+    start;
     compressed;
     compiled;
     n_user_prods;
     class_of;
     kind_of;
-    hashes = { Spec_hash.decls; shape; prods = prod_hashes };
+    rows = deferred enc_rows (decode_rows cells ~n_states ~n_syms ~n_prods);
+    conflict_log =
+      deferred enc_conflicts
+        (decode_conflicts (state, sym, kind, chosen, dropped) ~n_states
+           ~n_prods);
+    states =
+      deferred None (fun () ->
+          Array.init n_states (fun id ->
+              { Lr0.id; kernel = [||]; closure = [||]; transitions = [] }));
+    hashes;
   }

@@ -313,9 +313,12 @@ module Programs = Programs
 
     - [Tables.t] and everything it reaches ([Grammar.t], [Symtab.t],
       [Parse_table.t], [Compress.t], compiled templates) is immutable
-      after [Cogg_build.build].  The only mutable fields in the bundle
-      are [Lr0.state.closure]/[transitions], written exclusively during
-      automaton construction; every post-build access is a read.
+      after [Cogg_build.build] or [Tables_io.read], except the sections
+      a loaded bundle decodes on first use.  Each is a [Once.t]: a
+      racing first use decodes twice and publishes one value with
+      [Atomic.compare_and_set], never raising.  The only other mutable
+      fields are [Lr0.state.closure]/[transitions], written exclusively
+      during automaton construction; every later access is a read.
     - All per-compile state is created inside the compile call: the
       driver's stacks live in [Driver.parse]'s frame; [Emit.create]
       allocates the emitter, register file ([Regalloc.t]), CSE table

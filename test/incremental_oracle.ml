@@ -244,15 +244,18 @@ let format_gate_tests ~pool () =
       fail "expected a scratch build, got %s"
         (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
   | Error es -> fail "cache build failed: %s" (errors_str es));
+  (* a well-formed current body behind each older magic *)
+  let current = read_file path in
+  let body = String.sub current 4 (String.length current - 4) in
   List.iter
     (fun magic ->
-      let stale = magic ^ String.make 64 '\000' in
-      (* an older bundle prefix must be rejected as corrupt by the
-         reader... *)
+      let stale = magic ^ body in
+      (* an older bundle must be refused by the reader, as stale... *)
       (match Cogg.Tables_io.read stale with
       | exception Cogg.Tables_io.Corrupt m ->
-          if not (String.length m > 0) then fail "empty corrupt message"
-      | _ -> fail "a %s bundle was accepted by the v6 reader" magic);
+          if not (String.length m >= 5 && String.sub m 0 5 = "stale") then
+            fail "a %s bundle was refused, but not as stale: %s" magic m
+      | _ -> fail "a %s bundle was accepted by the CGB7 reader" magic);
       (* ...and a cache entry holding one must migrate: clean miss,
          rebuild, entry rewritten in the current format *)
       let oc = open_out_bin path in
@@ -271,9 +274,9 @@ let format_gate_tests ~pool () =
             (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
       | Error es ->
           fail "post-%s-migration build failed: %s" magic (errors_str es));
-      Printf.printf "incremental oracle: %s->CGB6 rejection/migration ok\n%!"
+      Printf.printf "incremental oracle: %s->CGB7 rejection/migration ok\n%!"
         magic)
-    [ "CGB4"; "CGB5" ]
+    [ "CGB4"; "CGB5"; "CGB6" ]
 
 (* -- cross-process path: an edited spec splices through the cache ------------- *)
 

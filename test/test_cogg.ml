@@ -54,7 +54,7 @@ let test_tables_build () =
   check_int "user productions" 4 t.Cogg.Tables.n_user_prods;
   Alcotest.(check bool)
     "has states" true
-    (Cogg.Parse_table.n_states t.Cogg.Tables.parse > 3)
+    (Cogg.Tables.n_states t > 3)
 
 (* A := A + B as in the paper; expect the four-instruction sequence. *)
 let intro_if = "store word d:100 iadd word d:100 word d:104 ret"
@@ -260,7 +260,7 @@ r.1 ::= w
 
 let test_compression_roundtrip () =
   let t = build_intro () in
-  let pt = t.Cogg.Tables.parse in
+  let pt = Cogg.Tables.parse t in
   List.iter
     (fun m ->
       let c = Cogg.Compress.compress ~method_:m pt in
@@ -272,9 +272,9 @@ let test_compression_roundtrip () =
 
 let test_compression_shrinks () =
   let t = build_intro () in
-  let pt = t.Cogg.Tables.parse in
-  let unc = Cogg.Compress.uncompressed_bytes pt in
+  let pt = Cogg.Tables.parse t in
   let c = Cogg.Compress.compress ~method_:Cogg.Compress.Defaults_and_comb pt in
+  let unc = Cogg.Compress.uncompressed_bytes c in
   Alcotest.(check bool)
     "compressed is smaller" true
     (c.Cogg.Compress.size_bytes < unc)

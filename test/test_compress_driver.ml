@@ -24,7 +24,7 @@ let softening_allowed = function
 (* [each_entry t f] packs [t]'s parse table under every method and calls
    [f name method_ c state sym] on every (state, symbol) entry. *)
 let each_entry (t : Cogg.Tables.t) f =
-  let pt = t.Cogg.Tables.parse in
+  let pt = Cogg.Tables.parse t in
   let n_syms = Cogg.Grammar.n_syms t.Cogg.Tables.grammar in
   List.iter
     (fun (name, method_) ->
@@ -38,8 +38,9 @@ let each_entry (t : Cogg.Tables.t) f =
 
 let per_entry_equivalence tables () =
   let t = Lazy.force tables in
+  let pt = Cogg.Tables.parse t in
   each_entry t (fun name method_ c state sym ->
-      let a = Cogg.Parse_table.action t.Cogg.Tables.parse state sym in
+      let a = Cogg.Parse_table.action pt state sym in
       let b = Cogg.Compress.action c state sym in
       if a <> b then
         match (a, b) with
@@ -70,11 +71,17 @@ let test_dispatcher_agrees () =
 (* [verify] is the oracle the other tests lean on, so it must reject a
    wrong packing, not only accept a right one. *)
 let test_verify_catches_corruption () =
-  let pt = (amdahl ()).Cogg.Tables.parse in
+  let pt = Cogg.Tables.parse (amdahl ()) in
   let c = Cogg.Compress.compress pt in
   (* +2 keeps an entry's kind and moves it to the next state or production *)
-  let bump arr i = Array.mapi (fun j v -> if j = i then v + 2 else v) arr in
-  let first_set arr = Option.get (Array.find_index (( <> ) 0) arr) in
+  let bump col i =
+    Cogg.Cells.to_array col
+    |> Array.mapi (fun j v -> if j = i then v + 2 else v)
+    |> Cogg.Cells.of_array
+  in
+  let first_set col =
+    Option.get (Array.find_index (( <> ) 0) (Cogg.Cells.to_array col))
+  in
   List.iter
     (fun (what, c') ->
       if Result.is_ok (Cogg.Compress.verify c' pt) then
@@ -90,7 +97,7 @@ let test_verify_catches_corruption () =
    probes it directly, so it must verify against the flat table. *)
 let test_carried_table_verifies () =
   let t = amdahl () in
-  match Cogg.Compress.verify t.Cogg.Tables.compressed t.Cogg.Tables.parse with
+  match Cogg.Compress.verify t.Cogg.Tables.compressed (Cogg.Tables.parse t) with
   | Ok softened ->
       Alcotest.(check bool) "defaults soften some errors" true (softened > 0)
   | Error m -> Alcotest.fail m
@@ -223,7 +230,7 @@ let test_default_tie_break () =
         Option.value (List.nth_opt cells sym) ~default:Cogg.Parse_table.Error)
   in
   let open Cogg.Parse_table in
-  let pt = t.Cogg.Tables.parse in
+  let pt = Cogg.Tables.parse t in
   let actions = Array.copy pt.actions in
   actions.(0) <- row [ Reduce 2; Reduce 1; Reduce 2; Reduce 1; Shift 1 ];
   actions.(1) <- row [ Reduce 1; Reduce 2; Reduce 2; Reduce 1; Reduce 2 ];
@@ -231,7 +238,8 @@ let test_default_tie_break () =
     (fun method_ ->
       let c = Cogg.Compress.compress ~method_ { pt with actions } in
       let default state =
-        Cogg.Compress.(decode_action c.defaults.(c.row_index.(state)))
+        Cogg.Compress.(
+          decode_action Cogg.Cells.(get c.defaults (get c.row_index state)))
       in
       if (default 0, default 1) <> (Reduce 1, Reduce 2) then
         Alcotest.fail "row defaults do not follow (count, -encoding)")

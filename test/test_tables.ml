@@ -80,21 +80,34 @@ let test_sizes_sane () =
   Alcotest.(check bool)
     "template array nonempty" true
     (s.Cogg.Tables_io.template_array > 1000);
-  (* parse table serialization is as large as the accounting claims *)
-  let c =
-    Cogg.Compress.compress ~method_:Cogg.Compress.Defaults_and_comb
-      (tables ()).Cogg.Tables.parse
-  in
-  let serialized = Cogg.Tables_io.parse_table_bytes c in
-  Alcotest.(check bool)
-    "serialized table within 2x of accounting" true
-    (String.length serialized < 2 * c.Cogg.Compress.size_bytes)
+  (* the bundle carries the comb at exactly the widths Table 2 charges,
+     and [sizes] of a loaded bundle decodes none of its first-use
+     sections *)
+  List.iter
+    (fun (name, t, bytes) ->
+      let loaded = Cogg.Tables_io.read (Cogg.Tables_io.write t) in
+      let c = loaded.Cogg.Tables.compressed in
+      check_int (name ^ ": size_bytes") bytes c.Cogg.Compress.size_bytes;
+      check_int (name ^ ": comb cells in the bundle") bytes
+        (Cogg.Compress.cell_bytes c);
+      let s' = Cogg.Tables_io.sizes loaded in
+      check_int (name ^ ": flat size")
+        (Array.fold_left
+           (fun n row -> n + (2 * Array.length row))
+           0 (Cogg.Tables.actions t))
+        s'.Cogg.Tables_io.uncompressed_table;
+      Alcotest.(check bool)
+        (name ^ ": sizes leaves the dense rows encoded")
+        false
+        (Cogg.Once.is_ready loaded.Cogg.Tables.rows.Cogg.Tables.value))
+    [ ("amdahl470", tables (), 63_135);
+      ("risc32", Lazy.force Util.risc32_tables, 63_132) ]
 
 (* -- compressed tables drive the parser identically --------------------------- *)
 
 let test_compressed_lookup_equivalence () =
   let t = tables () in
-  let pt = t.Cogg.Tables.parse in
+  let pt = Cogg.Tables.parse t in
   let c = Cogg.Compress.compress pt in
   let n_syms = Cogg.Grammar.n_syms t.Cogg.Tables.grammar in
   let softened = ref 0 in
@@ -174,6 +187,15 @@ let test_full_beats_core_on_code_size () =
 
 (* -- full bundle roundtrip -------------------------------------------------- *)
 
+(* the sections a comb compile never needs, decoded or not yet *)
+let first_use_ready (t : Cogg.Tables.t) =
+  Cogg.
+    [
+      Once.is_ready t.Tables.rows.Tables.value;
+      Once.is_ready t.Tables.conflict_log.Tables.value;
+      Once.is_ready t.Tables.states.Tables.value;
+    ]
+
 let test_bundle_roundtrip_drives_codegen () =
   let t = tables () in
   let bytes = Cogg.Tables_io.write t in
@@ -190,7 +212,23 @@ let test_bundle_roundtrip_drives_codegen () =
       | Error m, _ | _, Error m -> Alcotest.failf "%s: %s" name m)
     [ ("gcd", Pipeline.Programs.gcd);
       ("appendix1", Pipeline.Programs.appendix1_equation);
-      ("classify", Pipeline.Programs.classify) ]
+      ("classify", Pipeline.Programs.classify) ];
+  (* ...without decoding anything a comb compile does not read *)
+  Alcotest.(check (list bool))
+    "rows, conflicts and states still encoded"
+    [ false; false; false ] (first_use_ready t2);
+  (* and every first-use section decodes to what was written *)
+  let p = Cogg.Tables.parse t and p2 = Cogg.Tables.parse t2 in
+  Alcotest.(check bool) "dense rows" true
+    (p.Cogg.Parse_table.actions = p2.Cogg.Parse_table.actions);
+  Alcotest.(check bool) "conflicts" true
+    (p.Cogg.Parse_table.conflicts = p2.Cogg.Parse_table.conflicts);
+  Alcotest.(check bool) "hashes" true
+    (t.Cogg.Tables.hashes = t2.Cogg.Tables.hashes);
+  check_int "skeletal states" (Cogg.Tables.n_states t)
+    (Array.length p2.Cogg.Parse_table.automaton.Cogg.Lr0.states);
+  (* a decoded section is written back as the bytes it came from *)
+  Alcotest.(check string) "rewritten bundle" bytes (Cogg.Tables_io.write t2)
 
 (* the reader's message for a bundle it must refuse as corrupt *)
 let rejected what bytes =
@@ -204,6 +242,49 @@ let test_bundle_rejects_garbage () =
   let truncated = String.sub bytes 0 (String.length bytes * 2 / 3) in
   ignore (rejected "a truncated body" truncated)
 
+(* -- integrity: the checksum and the structure behind it ------------------- *)
+
+let amdahl_bundle = lazy (Cogg.Tables_io.write (tables ()))
+
+let flip bytes pos bit =
+  let b = Bytes.of_string bytes in
+  Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
+  Bytes.to_string b
+
+(* Each of 1,000 single-bit flips spread evenly over the bundle is
+   refused: the MD5 covers every byte after the header, and the header
+   is the magic, the length and the MD5 itself. *)
+let test_bit_flips_refused () =
+  let bytes = Lazy.force amdahl_bundle in
+  let n = String.length bytes in
+  let flips = 1000 in
+  for k = 0 to flips - 1 do
+    let pos = k * n / flips and bit = k mod 8 in
+    match Cogg.Tables_io.read (flip bytes pos bit) with
+    | exception Cogg.Tables_io.Corrupt _ -> ()
+    | _ -> Alcotest.failf "a flip of bit %d at offset %d was accepted" bit pos
+  done
+
+(* A torn write leaves a proper prefix: every one is refused, at every
+   offset of the header and directory, then every 64 bytes to the end. *)
+let test_prefixes_refused () =
+  let bytes = Lazy.force amdahl_bundle in
+  let n = String.length bytes in
+  let refused len =
+    match Cogg.Tables_io.read (String.sub bytes 0 len) with
+    | exception Cogg.Tables_io.Corrupt _ -> ()
+    | _ -> Alcotest.failf "a %d-byte prefix of %d bytes was accepted" len n
+  in
+  for len = 0 to Cogg.Tables_io.directory_end do
+    refused len
+  done;
+  let len = ref (Cogg.Tables_io.directory_end + 64) in
+  while !len < n do
+    refused !len;
+    len := !len + 64
+  done;
+  refused (n - 1)
+
 (* -- bundle format --------------------------------------------------------- *)
 
 let methods =
@@ -213,7 +294,7 @@ let methods =
    older magic is refused as a stale format, not misread. *)
 let test_bundle_format_magic () =
   let bytes = Cogg.Tables_io.write (tables ()) in
-  Alcotest.(check string) "current magic" "CGB6" (String.sub bytes 0 4);
+  Alcotest.(check string) "current magic" "CGB7" (String.sub bytes 0 4);
   let body = String.sub bytes 4 (String.length bytes - 4) in
   List.iter
     (fun magic ->
@@ -221,7 +302,7 @@ let test_bundle_format_magic () =
         (magic ^ " named as a stale format")
         true
         (Util.contains (rejected magic (magic ^ body)) "stale"))
-    [ "CGB4"; "CGB5" ]
+    [ "CGB4"; "CGB5"; "CGB6" ]
 
 (* Method codes are on-disk format: each packing keeps its number, and
    one that names no packing is corruption. *)
@@ -237,45 +318,189 @@ let test_method_codes () =
     [ -1; 4 ]
 
 (* The bundle carries whichever packing it is given: every method's
-   arrays come back identical. *)
+   columns come back identical (as values: a reloaded column is a view on
+   the bundle's bytes). *)
 let test_every_method_survives_bundle () =
   let t = tables () in
+  let contents (c : Cogg.Compress.t) =
+    ( (c.n_states, c.n_syms, c.method_, c.size_bytes),
+      List.map Cogg.Cells.to_array
+        [ c.row_index; c.defaults; c.offsets; c.value; c.check ] )
+  in
   List.iter
     (fun method_ ->
-      let c = Cogg.Compress.compress ~method_ t.Cogg.Tables.parse in
+      let c = Cogg.Compress.compress ~method_ (Cogg.Tables.parse t) in
       let t' = { t with Cogg.Tables.compressed = c } in
-      if (Cogg.Tables_io.read (Cogg.Tables_io.write t')).Cogg.Tables.compressed
-         <> c
-      then
+      let back = Cogg.Tables_io.read (Cogg.Tables_io.write t') in
+      if contents c <> contents back.Cogg.Tables.compressed then
         Alcotest.failf "method %d changed across the bundle"
           (Cogg.Tables_io.method_code method_))
     methods
 
-(* Out-of-range length prefixes and comb offsets are corruption, not a
-   crash or an allocation sized by garbage (a negative offset would send
-   the comb probe below index 0 at dispatch time). *)
+(* A patched body under a fresh checksum: what refuses it is then the
+   structural check behind the MD5, which also catches writer bugs. *)
+let resealed bytes patch =
+  let b = Bytes.of_string bytes in
+  patch b;
+  let h = Cogg.Tables_io.header_bytes in
+  Bytes.blit_string (Digest.subbytes b h (Bytes.length b - h)) 0 b 8 16;
+  Bytes.to_string b
+
+(* [a] as a column of 4-byte cells, wider than its values need *)
+let wide a =
+  let b = Bytes.create (4 * Array.length a) in
+  Array.iteri (fun i v -> Bytes.set_int32_le b (4 * i) (Int32.of_int v)) a;
+  { Cogg.Cells.buf = Bytes.to_string b; pos = 0; width = 4;
+    len = Array.length a }
+
+(* Out-of-range length prefixes, section lengths, row ids and comb
+   offsets are corruption, not a crash or an allocation sized by garbage.
+   Cells are unsigned at every width, so a 4-byte cell of all ones is a
+   row id or an offset far past the end, never -1. *)
 let test_bundle_rejects_out_of_range () =
   let t = tables () in
   let c = t.Cogg.Tables.compressed in
-  let offsets = Array.copy c.Cogg.Compress.offsets in
-  offsets.(0) <- -1;
-  let compressed = { c with Cogg.Compress.offsets } in
-  ignore
-    (rejected "a negative comb offset"
-       (Cogg.Tables_io.write { t with Cogg.Tables.compressed }));
-  let bytes = Cogg.Tables_io.write t in
-  let with_i32 pos v =
-    let b = Bytes.of_string bytes in
-    Bytes.set_int32_be b pos v;
-    Bytes.to_string b
+  let row_index = Cogg.Cells.to_array c.Cogg.Compress.row_index in
+  row_index.(0) <- Cogg.Cells.length c.Cogg.Compress.defaults;
+  let compressed =
+    { c with Cogg.Compress.row_index = Cogg.Cells.of_array row_index }
   in
-  (* the magic is followed by the target name's length, the name, and
+  ignore
+    (rejected "a row id past the last row"
+       (Cogg.Tables_io.write { t with Cogg.Tables.compressed }));
+  (match Cogg.Cells.of_array [| 3; -1 |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative cell was encoded");
+  (* row ids and offsets at 4 bytes a cell: the bundle is accepted as
+     written, and refused once either column's first cell is all ones *)
+  let widened =
+    Cogg.Compress.
+      {
+        c with
+        row_index = wide (Cogg.Cells.to_array c.row_index);
+        offsets = wide (Cogg.Cells.to_array c.offsets);
+      }
+  in
+  let bytes = Cogg.Tables_io.write { t with Cogg.Tables.compressed = widened } in
+  ignore (Cogg.Tables_io.read bytes);
+  (* the comb section follows meta and opens with four 4-byte scalars,
+     then the row ids, defaults and offsets, each behind a column header *)
+  let h = Cogg.Tables_io.header_bytes and col = Cogg.Cells.header_bytes in
+  let comb =
+    Cogg.Tables_io.directory_end + Int32.to_int (String.get_int32_le bytes h)
+  in
+  let row_ids = comb + 16 + col in
+  let offsets =
+    row_ids
+    + Cogg.Cells.byte_size widened.Cogg.Compress.row_index
+    + col
+    + Cogg.Cells.byte_size c.Cogg.Compress.defaults
+    + col
+  in
+  let all_ones pos = resealed bytes (fun b -> Bytes.set_int32_le b pos (-1l)) in
+  ignore (rejected "a 4-byte row id of all ones" (all_ones row_ids));
+  ignore (rejected "a 4-byte comb offset of all ones" (all_ones offsets));
+  let bytes = Cogg.Tables_io.write t in
+  let with_i32 pos v = resealed bytes (fun b -> Bytes.set_int32_le b pos v) in
+  (* the meta section opens with the target name's length, the name, and
      the symbol-name array's count *)
+  let meta = Cogg.Tables_io.directory_end in
   let name = t.Cogg.Tables.target.Machine.Target.name in
-  let names_count = 8 + String.length name in
-  ignore (rejected "a negative string length" (with_i32 4 (-1l)));
-  ignore (rejected "a string length past the end" (with_i32 4 Int32.max_int));
-  ignore (rejected "a negative array count" (with_i32 names_count (-5l)))
+  let names_count = meta + 4 + String.length name in
+  ignore (rejected "a negative string length" (with_i32 meta (-1l)));
+  ignore (rejected "a string length past the end" (with_i32 meta Int32.max_int));
+  ignore (rejected "a negative array count" (with_i32 names_count (-5l)));
+  ignore
+    (rejected "a section past the end"
+       (resealed bytes (fun b -> Bytes.set_int32_le b h Int32.max_int)));
+  ignore
+    (rejected "a negative section length"
+       (resealed bytes (fun b -> Bytes.set_int32_le b (h + 4) (-1l))))
+
+(* -- concurrent first use -------------------------------------------------- *)
+
+(* One loaded bundle is shared by every domain of a pool, so the first
+   use of a section can happen on several domains at once.  Each of 200
+   rounds loads a fresh bundle and releases four domains on it together;
+   each runs a flat-dispatch compile (which decodes the dense rows) and a
+   parse of truncated IF (whose error report reads them too).  Nothing
+   may raise and every domain must see the sequential result.  The
+   domains live across rounds: spawning four per round would cost more
+   than the rounds themselves. *)
+let test_concurrent_first_use () =
+  let bytes = Lazy.force amdahl_bundle in
+  let tokens =
+    match Pipeline.compile (tables ()) Pipeline.Programs.appendix1_equation with
+    | Ok c -> c.Pipeline.tokens
+    | Error m -> Alcotest.fail m
+  in
+  let truncated = List.filteri (fun i _ -> i < List.length tokens / 2) tokens in
+  let run t =
+    let flat =
+      match Cogg.Codegen.generate ~dispatch:Cogg.Driver.Flat t tokens with
+      | Ok r -> r.Cogg.Codegen.listing
+      | Error e -> Fmt.str "%a" Cogg.Codegen.pp_error e
+    in
+    let malformed =
+      match Cogg.Codegen.generate t truncated with
+      | Ok _ -> "accepted"
+      | Error e -> Fmt.str "%a" Cogg.Codegen.pp_error e
+    in
+    (flat, malformed)
+  in
+  let expected = run (Cogg.Tables_io.read bytes) in
+  Alcotest.(check bool)
+    "truncated IF takes the error path" true
+    (Util.contains (snd expected) "expected one of");
+  let domains = 4 and rounds = 200 in
+  (* round r: the main domain publishes a fresh bundle and wakes the
+     workers together; it waits for all four to finish.  Waiting blocks
+     instead of spinning, so an idle domain holds up neither a core nor
+     the stop-the-world minor collections of the busy ones. *)
+  let m = Mutex.create () and c = Condition.create () in
+  let started = ref 0 and finished = ref 0 in
+  let bundle = ref (Cogg.Tables_io.read bytes) in
+  let failures = ref [] in
+  let await cond =
+    Mutex.lock m;
+    while not (cond ()) do
+      Condition.wait c m
+    done;
+    Mutex.unlock m
+  in
+  let signal f =
+    Mutex.lock m;
+    f ();
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  let worker () =
+    for r = 1 to rounds do
+      await (fun () -> !started >= r);
+      let outcome =
+        match run !bundle with
+        | res when res = expected -> None
+        | _ -> Some (Printf.sprintf "round %d: another result" r)
+        | exception e ->
+            Some (Printf.sprintf "round %d: raised %s" r (Printexc.to_string e))
+      in
+      signal (fun () ->
+          Option.iter (fun f -> failures := f :: !failures) outcome;
+          incr finished)
+    done
+  in
+  let ds = List.init domains (fun _ -> Domain.spawn worker) in
+  for r = 1 to rounds do
+    let t = Cogg.Tables_io.read bytes in
+    signal (fun () ->
+        bundle := t;
+        started := r);
+    await (fun () -> !finished = domains * r)
+  done;
+  List.iter Domain.join ds;
+  match !failures with
+  | [] -> ()
+  | fs -> Alcotest.failf "%d failures, e.g. %s" (List.length fs) (List.hd fs)
 
 let () =
   Alcotest.run "tables"
@@ -304,6 +529,12 @@ let () =
             test_every_method_survives_bundle;
           Alcotest.test_case "rejects out-of-range values" `Quick
             test_bundle_rejects_out_of_range;
+          Alcotest.test_case "1,000 bit flips refused" `Quick
+            test_bit_flips_refused;
+          Alcotest.test_case "torn prefixes refused" `Quick
+            test_prefixes_refused;
+          Alcotest.test_case "concurrent first use" `Quick
+            test_concurrent_first_use;
         ] );
       ( "subsets",
         [

@@ -258,6 +258,145 @@ let test_store_auto_prunes () =
         true
         (entry_count dir <= 2))
 
+(* -- integrity: corrupt entries, orphaned temp files, killed writers ------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* (offset, length) of each section of a bundle, from its directory *)
+let section_extents bytes =
+  let pos = ref Cogg.Tables_io.directory_end in
+  List.init Cogg.Tables_io.n_sections (fun i ->
+      let len =
+        Int32.to_int
+          (String.get_int32_le bytes (Cogg.Tables_io.header_bytes + (4 * i)))
+      in
+      let p = !pos in
+      pos := p + len;
+      (p, len))
+
+(* listing and code bytes of every example program, or the error *)
+let compile_examples tables =
+  List.map
+    (fun (name, src) ->
+      match Pipeline.compile tables src with
+      | Ok c ->
+          ( name,
+            c.Pipeline.gen.Cogg.Codegen.listing
+            ^ Bytes.to_string
+                c.Pipeline.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.code )
+      | Error m -> (name, "error: " ^ m))
+    (Util.example_programs ())
+
+(* One flipped bit in any section (or in the header) of a stored
+   amdahl470 entry is a miss, never a hit; the rewritten entry then hits
+   and compiles the example programs exactly as a fresh build does. *)
+let test_flipped_entry_is_a_miss () =
+  let dir = fresh_cache_dir () in
+  let text = read_file (Util.spec_path "amdahl470.cgg") in
+  let _ = build ~spec:text dir in
+  let path = Cogg.Tables_cache.entry_path ~cache_dir:dir text in
+  let bytes = read_file path in
+  let expected = compile_examples (Lazy.force Util.amdahl_tables) in
+  let targets =
+    (8, "header (checksum)")
+    :: List.mapi
+         (fun i (off, len) -> (off + (len / 2), Printf.sprintf "section %d" i))
+         (section_extents bytes)
+  in
+  List.iter
+    (fun (pos, what) ->
+      let b = Bytes.of_string bytes in
+      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor 0x10);
+      clobber path (Bytes.to_string b);
+      let _, o = build ~spec:text dir in
+      check_origin (what ^ ": a flipped entry is a miss") "built" (origin_str o);
+      let t, o = build ~spec:text dir in
+      check_origin (what ^ ": the rewritten entry hits") "hit" (origin_str o);
+      Alcotest.(check string) (what ^ ": entry restored") bytes (read_file path);
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": examples compile as from a fresh build")
+        expected (compile_examples t))
+    targets
+
+let temp_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+  |> List.sort compare
+
+(* the pid of a child that has exited and been reaped *)
+let dead_pid () =
+  let pid =
+    Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr
+  in
+  ignore (Unix.waitpid [] pid);
+  pid
+
+(* A writer killed between creating its temp file and the rename leaves
+   the file behind.  [prune] removes it once the writer's process is
+   gone, for entries and lineage pointers alike, and keeps a live
+   writer's. *)
+let test_prune_removes_orphans () =
+  let dir = fresh_cache_dir () in
+  let _ = build dir in
+  let entry =
+    Filename.basename (Cogg.Tables_cache.entry_path ~cache_dir:dir intro_spec)
+  and lineage =
+    Filename.basename (Cogg.Tables_cache.lineage_path ~cache_dir:dir ())
+  in
+  let dead = dead_pid () and live = Unix.getpid () in
+  let tmp base pid = Printf.sprintf "%s.%d.0.7.tmp" base pid in
+  List.iter
+    (fun name -> clobber (Filename.concat dir name) "half-written")
+    [ tmp entry dead; tmp lineage dead; tmp entry live ];
+  Alcotest.(check int)
+    "two orphans removed, no entry evicted" 2
+    (Cogg.Tables_cache.prune ~cache_dir:dir ~max_entries:8 ());
+  Alcotest.(check (list string))
+    "the live writer's temp file stays" [ tmp entry live ] (temp_files dir);
+  Sys.remove (Filename.concat dir (tmp entry live));
+  let _, o = build dir in
+  check_origin "the entry still hits" "hit" (origin_str o)
+
+let writer_path () =
+  let p =
+    Filename.concat (Filename.dirname Sys.executable_name) "cache_writer.exe"
+  in
+  if Sys.file_exists p then p
+  else Alcotest.failf "cache_writer.exe not found at %s" p
+
+(* A process storing entries in a loop is killed with SIGKILL, wherever
+   it happens to be.  Afterwards every entry it may have written is a
+   verified hit or a clean miss, and [prune] leaves no temp file. *)
+let test_killed_writer () =
+  let dir = fresh_cache_dir () in
+  Unix.mkdir dir 0o755;
+  let spec_file = Filename.concat dir "intro.cgg" in
+  clobber spec_file intro_spec;
+  let writer = writer_path () in
+  let pid =
+    Unix.create_process writer [| writer; dir; spec_file |] Unix.stdin
+      Unix.stdout Unix.stderr
+  in
+  Unix.sleepf 0.3;
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  let stored =
+    Array.fold_left
+      (fun n f -> if Filename.check_suffix f ".cgt" then n + 1 else n)
+      0 (Sys.readdir dir)
+  in
+  Alcotest.(check bool) "the writer stored entries" true (stored > 0);
+  let fresh = generate (fst (build (fresh_cache_dir ()))) in
+  for i = 0 to stored do
+    let spec = intro_spec ^ Printf.sprintf "* stored variant %d\n" i in
+    let t, _ = build ~spec dir in
+    Alcotest.(check string)
+      (Printf.sprintf "variant %d drives codegen as a fresh build" i)
+      fresh.Cogg.Codegen.listing (generate t).Cogg.Codegen.listing
+  done;
+  ignore (Cogg.Tables_cache.prune ~cache_dir:dir ());
+  Alcotest.(check (list string)) "no temp file survives" [] (temp_files dir)
+
 let () =
   Alcotest.run "tables_cache"
     [
@@ -280,5 +419,14 @@ let () =
           Alcotest.test_case "prune enforces the cap" `Quick
             test_prune_enforces_cap;
           Alcotest.test_case "store auto-prunes" `Quick test_store_auto_prunes;
+          Alcotest.test_case "prune removes orphaned temp files" `Quick
+            test_prune_removes_orphans;
+        ] );
+      ( "integrity",
+        [
+          Alcotest.test_case "a flip in any section is a miss" `Quick
+            test_flipped_entry_is_a_miss;
+          Alcotest.test_case "a killed writer leaves no wrong hit" `Quick
+            test_killed_writer;
         ] );
     ]
