@@ -269,76 +269,62 @@ let rec find_up ?(depth = 6) dir rel =
   else if depth = 0 then None
   else find_up ~depth:(depth - 1) (Filename.dirname dir) rel
 
-(* The real-program bank doubles as a distillation candidate source. *)
+(* The real-program bank (Pascal only) doubles as a distillation
+   candidate source. *)
 let read_program_dir dir : Fuzz.Runner.corpus_entry list =
   Sys.readdir dir |> Array.to_list |> List.sort String.compare
-  |> List.filter_map (fun f ->
-         let kind =
-           if Filename.check_suffix f ".pas" then Some "pascal"
-           else if Filename.check_suffix f ".ifl" then Some "if"
-           else None
-         in
-         Option.map
-           (fun e_kind ->
-             {
-               Fuzz.Runner.e_name = Filename.remove_extension f;
-               e_kind;
-               e_text = read_file (Filename.concat dir f);
-             })
-           kind)
-
-let write_corpus_entry dir index (e : Fuzz.Runner.corpus_entry) : string =
-  let ext = if e.Fuzz.Runner.e_kind = "pascal" then "pas" else "ifl" in
-  let path =
-    Filename.concat dir (Fmt.str "%02d-%s.%s" index e.Fuzz.Runner.e_name ext)
-  in
-  let oc = open_out path in
-  let header = Fmt.str "distilled corpus seed: %s" e.Fuzz.Runner.e_name in
-  output_string oc
-    (if ext = "pas" then "{ " ^ header ^ " }\n" else "* " ^ header ^ "\n");
-  output_string oc e.Fuzz.Runner.e_text;
-  output_string oc "\n";
-  close_out oc;
-  path
+  |> List.filter (fun f -> Filename.check_suffix f ".pas")
+  |> List.map (fun f ->
+         {
+           Fuzz.Runner.e_name = Filename.remove_extension f;
+           e_kind = "pascal";
+           e_text = read_file (Filename.concat dir f);
+         })
 
 let fuzz_cmd =
-  let run target spec_opt seed count start profile minimize malformed jobs
-      corpus cross guided shards minutes replay distill =
+  let run target spec_opt seed count profile minimize malformed jobs corpus
+      cross guided minutes replay distill =
     let spec_path = spec_for target spec_opt in
-    let profile =
-      Option.map (fun s -> or_die (Fuzz.Profile.of_string s)) profile
-    in
     let tables = load_tables ~target ~no_cache:false spec_path in
-    let cross_tables =
-      (* --cross TARGET: every case additionally compiles and runs under
-         the second backend and the two machines' observable outputs are
-         compared (the cross-backend differential oracle) *)
-      Option.map
-        (fun (t : Machine.Target.t) ->
-          load_tables ~target:t ~no_cache:false t.Machine.Target.spec_file)
-        cross
+    let cfg =
+      {
+        Fuzz.Runner.seed;
+        budget = (if minutes = None then count else max_int);
+        schedule = (if guided then Fuzz.Runner.Guided else Fuzz.Runner.Uniform);
+        profile =
+          Option.map (fun s -> or_die (Fuzz.Profile.of_string s)) profile;
+        malformed;
+        oracles = true;
+        minimize;
+        jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
+        cross =
+          Option.map
+            (fun (t : Machine.Target.t) ->
+              load_tables ~target:t ~no_cache:false t.Machine.Target.spec_file)
+            cross;
+        spec = Some spec_path;
+        stop =
+          (match minutes with
+          | None -> fun () -> false
+          | Some m ->
+              let deadline = Unix.gettimeofday () +. (m *. 60.) in
+              fun () -> Unix.gettimeofday () >= deadline);
+        log = (fun m -> Fmt.epr "%s@." m);
+      }
     in
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
     match (replay, distill) with
-    | Some line, _ -> begin
+    | Some line, _ ->
         (* --replay SEED:INDEX[:m1.m2...]: reconstruct the exact input
            from its lineage and re-run the oracles on it *)
-        match Fuzz.Runner.replay tables ?cross:cross_tables line with
-        | Error m -> or_die (Error m)
-        | Ok (input, verdicts) ->
-            Fmt.pr "replay %s (%s input):@.%s@." (String.trim line)
-              (match input with
-              | Fuzz.Runner.Pascal_src _ -> "pascal"
-              | Fuzz.Runner.If_stream _ -> "if")
-              (Fuzz.Runner.render_input input);
-            let bad = ref false in
-            List.iter
-              (fun (name, st) ->
-                Fmt.pr "%s: %a@." name Fuzz.Oracle.pp_status st;
-                if Fuzz.Oracle.is_finding st then bad := true)
-              verdicts;
-            if !bad then exit 1
-      end
+        let input, verdicts = or_die (Fuzz.Runner.replay tables cfg line) in
+        Fmt.pr "replay %s (%s input):@.%s@." (String.trim line)
+          (Fuzz.Runner.kind_of_input input)
+          (Fuzz.Runner.render_input input);
+        List.iter
+          (fun (name, st) -> Fmt.pr "%s: %a@." name Fuzz.Oracle.pp_status st)
+          verdicts;
+        if List.exists (fun (_, st) -> Fuzz.Oracle.is_finding st) verdicts then
+          exit 1
     | None, Some dir ->
         (* --distill DIR: greedy minimal seed set covering every
            production any candidate can reach.  Candidates: the standard
@@ -349,17 +335,15 @@ let fuzz_cmd =
           | Some d -> read_program_dir d
           | None -> []
         in
-        let greport =
-          Fuzz.Runner.run_guided tables
-            {
-              Fuzz.Runner.default_guided with
-              Fuzz.Runner.g_seed = seed;
-              g_budget = max count 512;
-              g_shards = shards;
-              g_jobs = jobs;
-              g_log = (fun m -> Fmt.epr "%s@." m);
-            }
+        let guided =
+          {
+            cfg with
+            schedule = Fuzz.Runner.Guided;
+            budget = max cfg.budget 512;
+            oracles = false;
+          }
         in
+        let r = Fuzz.Runner.run tables guided in
         let cands =
           List.map
             (fun (name, src) ->
@@ -367,112 +351,55 @@ let fuzz_cmd =
             Pipeline.Programs.all
           @ Fuzz.Runner.pinned_entries @ real
           @ Fuzz.Runner.generated_entries ~seed ~pascal_count:72 ~if_count:24
-          @ Fuzz.Runner.kept_entries greport
+          @ Fuzz.Runner.report_entries guided r
         in
         let selected, universe = Fuzz.Runner.distill_corpus tables cands in
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        List.iteri
-          (fun i e ->
-            Fmt.epr "wrote %s@." (write_corpus_entry dir (i + 1) e))
-          selected;
+        Fuzz.Runner.write_corpus ~title:"distilled corpus seed" dir selected
+        |> List.iter (Fmt.epr "wrote %s@.");
         Fmt.pr
           "distilled %d candidates to %d seeds covering all %d reachable \
            productions@."
           (List.length cands) (List.length selected) universe
-    | None, None when guided ->
-        (* --guided: the coverage-guided scheduler; --minutes M keeps
-           draining mutation batches until the wall clock expires *)
-        let stop =
-          Option.map
-            (fun m ->
-              let deadline = Unix.gettimeofday () +. (m *. 60.) in
-              fun () -> Unix.gettimeofday () >= deadline)
-            minutes
-        in
-        let budget = if minutes = None then count else max_int in
-        let r =
-          Fuzz.Runner.run_guided tables
-            {
-              Fuzz.Runner.default_guided with
-              Fuzz.Runner.g_seed = seed;
-              g_budget = budget;
-              g_shards = shards;
-              g_jobs = jobs;
-              g_oracles = true;
-              g_cross = cross_tables;
-              g_stop = stop;
-              g_log = (fun m -> Fmt.epr "%s@." m);
-            }
-        in
-        Fmt.pr
-          "guided fuzz: seed %d, %d cases: %d kept seeds, %d productions, %d \
-           bigrams, %d findings@."
-          seed r.Fuzz.Runner.g_cases
-          (List.length r.Fuzz.Runner.g_kept)
-          (Fuzz.Covmap.prods_covered r.Fuzz.Runner.g_covmap)
-          (Fuzz.Covmap.bigrams_covered r.Fuzz.Runner.g_covmap)
-          (List.length r.Fuzz.Runner.g_findings);
+    | None, None ->
+        let r = Fuzz.Runner.run tables cfg in
+        Fmt.pr "fuzz: seed %d, %a@." seed Fuzz.Runner.pp_report r;
         List.iter
           (fun (k : Fuzz.Runner.kept) ->
             Fmt.pr "kept %s (+%d features)@."
               (Fuzz.Runner.replay_line k.Fuzz.Runner.k_lineage)
               k.Fuzz.Runner.k_gain)
-          r.Fuzz.Runner.g_kept;
+          r.Fuzz.Runner.r_kept;
+        (* the replay line carries every option that changes the input
+           or the oracle set *)
+        let replay_opts =
+          Fmt.str "--target %s --spec %s%s%s" target.Machine.Target.name
+            spec_path
+            (if malformed then " --malformed" else "")
+            (match cross with
+            | Some t -> " --cross " ^ t.Machine.Target.name
+            | None -> "")
+        in
         List.iter
-          (fun (f : Fuzz.Runner.guided_finding) ->
+          (fun (f : Fuzz.Runner.finding) ->
+            let line = Fuzz.Runner.replay_line f.Fuzz.Runner.f_lineage in
             Fmt.pr
-              "finding: %s oracle %s: %a@.  input:@.%s@.  replay: pasc fuzz \
-               --spec %s --replay %s@."
-              (Fuzz.Runner.replay_line f.Fuzz.Runner.gf_lineage)
-              f.Fuzz.Runner.gf_oracle Fuzz.Oracle.pp_status
-              f.Fuzz.Runner.gf_status f.Fuzz.Runner.gf_repro spec_path
-              (Fuzz.Runner.replay_line f.Fuzz.Runner.gf_lineage))
-          r.Fuzz.Runner.g_findings;
-        (match corpus with
-        | None -> ()
-        | Some dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            List.iteri
-              (fun i e ->
-                Fmt.epr "wrote %s@." (write_corpus_entry dir (i + 1) e))
-              (Fuzz.Runner.kept_entries r));
-        if r.Fuzz.Runner.g_findings <> [] then exit 1
-    | None, None ->
-    let cfg =
-      {
-        Fuzz.Runner.seed;
-        count;
-        start;
-        profile;
-        minimize;
-        malformed;
-        jobs;
-        spec = Some spec_path;
-        cache_dir =
-          Some (Filename.concat (Filename.get_temp_dir_name ()) "pasc-fuzz-cache");
-        log = (fun m -> Fmt.epr "%s@." m);
-        cross = cross_tables;
-      }
-    in
-    let report = Fuzz.Runner.run tables cfg in
-    Fmt.pr "%a@." Fuzz.Runner.pp_report report;
-    List.iter
-      (fun (f : Fuzz.Runner.finding) ->
-        Fmt.pr "finding: case %d oracle %s: %a@.  %s:@.%s@.  replay: pasc fuzz --spec %s --seed %d --start %d --count 1%s%s@."
-          f.Fuzz.Runner.f_index f.Fuzz.Runner.f_oracle Fuzz.Oracle.pp_status
-          f.Fuzz.Runner.f_status
-          (if f.Fuzz.Runner.f_minimized then "minimized input" else "input")
-          f.Fuzz.Runner.f_repro spec_path seed f.Fuzz.Runner.f_index
-          (if malformed then " --malformed" else "")
-          (match profile with
-          | Some p -> " --profile " ^ Fuzz.Profile.to_string p
-          | None -> ""))
-      report.Fuzz.Runner.r_findings;
-    (match corpus with
-    | None -> ()
-    | Some dir ->
-        List.iter (Fmt.epr "wrote %s@.") (Fuzz.Runner.write_corpus dir report));
-    if report.Fuzz.Runner.r_findings <> [] then exit 1
+              "finding: %s oracle %s: %a@.  %s:@.%s@.  replay: pasc fuzz %s \
+               --replay %s@."
+              line f.Fuzz.Runner.f_oracle Fuzz.Oracle.pp_status
+              f.Fuzz.Runner.f_status
+              (if minimize then "minimized input" else "input")
+              (Fuzz.Runner.render_input f.Fuzz.Runner.f_input)
+              replay_opts line)
+          r.Fuzz.Runner.r_findings;
+        Option.iter
+          (fun dir ->
+            List.iter (Fmt.epr "wrote %s@.")
+              (Fuzz.Runner.write_corpus ~title:"fuzz corpus seed" dir
+                 (Fuzz.Runner.report_entries cfg r)))
+          corpus;
+        match (r.Fuzz.Runner.r_findings, r.Fuzz.Runner.r_batch) with
+        | [], (None | Some (Ok _)) -> ()
+        | _ -> exit 1
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Master seed")
@@ -480,15 +407,8 @@ let fuzz_cmd =
   let count_arg =
     Arg.(
       value & opt int 64
-      & info [ "count" ] ~docv:"N" ~doc:"Number of cases to run")
-  in
-  let start_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "start" ] ~docv:"I"
-          ~doc:
-            "First case index (a finding replays with $(b,--start) set to \
-             its case index and $(b,--count 1))")
+      & info [ "count" ] ~docv:"N"
+          ~doc:"Number of cases to run: fresh inputs plus mutants")
   in
   let profile_arg =
     Arg.(
@@ -496,15 +416,17 @@ let fuzz_cmd =
       & opt (some string) None
       & info [ "profile" ] ~docv:"P"
           ~doc:
-            "Pin the generation profile (ints|bools|arrays|branches|mixed); \
-             default rotates through all of them")
+            "Generate only profile $(docv)'s inputs \
+             (ints|bools|arrays|branches|mixed); default: all five")
   in
   let corpus_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "corpus" ] ~docv:"DIR"
-          ~doc:"Write a reproducer file per finding into $(docv)")
+          ~doc:
+            "Write every kept seed and every finding's input into $(docv), \
+             one file each")
   in
   let flag names doc = Arg.(value & flag & info names ~doc) in
   Cmd.v
@@ -513,8 +435,7 @@ let fuzz_cmd =
          "Differentially fuzz the pipeline: random programs through the \
           interpreter-vs-machine, comb-vs-flat and determinism oracles")
     Term.(
-      const run $ target_arg $ spec_arg $ seed_arg $ count_arg $ start_arg
-      $ profile_arg
+      const run $ target_arg $ spec_arg $ seed_arg $ count_arg $ profile_arg
       $ flag [ "minimize" ] "Shrink failing inputs before reporting"
       $ flag [ "malformed" ]
           "Mutate IF streams and check that every failure is a structured \
@@ -533,35 +454,30 @@ let fuzz_cmd =
               ~doc:
                 "Cross-backend differential oracle: compile and run every \
                  Pascal case under $(docv)'s backend as well and compare \
-                 the two machines' observable outputs.")
+                 the two machines' observable outputs (with \
+                 $(b,--malformed): every stream must get a structured answer \
+                 from $(docv)'s backend too).")
       $ flag [ "guided" ]
-          "Coverage-guided mode: keep and mutate inputs that discover new \
-           production (bigram) coverage; every kept seed prints its \
-           (seed, index, mutation-path) lineage for $(b,--replay)"
-      $ Arg.(
-          value & opt int 8
-          & info [ "shards" ] ~docv:"S"
-              ~doc:
-                "Logical shards in guided mode: each shard owns an \
-                 independent RNG stream for scheduling decisions, so the \
-                 run is deterministic for a fixed (seed, shard count) at \
-                 any $(b,-j) worker count")
+          "Coverage-guided schedule: keep and mutate inputs that discover \
+           new production (bigram) coverage, and spend fresh inputs on the \
+           classes still finding it; the default schedule takes fresh \
+           inputs round-robin over the classes"
       $ Arg.(
           value
           & opt (some float) None
           & info [ "minutes" ] ~docv:"M"
               ~doc:
-                "Long-run guided mode: keep draining mutation batches \
-                 across the pool until $(docv) minutes of wall clock have \
-                 passed (overrides $(b,--count))")
+                "Keep running rounds across the pool until $(docv) minutes \
+                 of wall clock have passed (overrides $(b,--count))")
       $ Arg.(
           value
           & opt (some string) None
           & info [ "replay" ] ~docv:"LINEAGE"
               ~doc:
-                "Reproduce a guided-mode input from its printed lineage \
+                "Reproduce one input from its printed lineage \
                  ($(b,SEED:INDEX) or $(b,SEED:INDEX:m1.m2...)), print it, \
-                 and re-run the oracles on it")
+                 and re-run the oracles on it; pass $(b,--malformed) and \
+                 $(b,--cross) as the run that printed it did")
       $ Arg.(
           value
           & opt (some string) None

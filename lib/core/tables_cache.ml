@@ -69,11 +69,14 @@ let mode_tag : Lookahead.mode -> string = function
 let key ?(target = Machine.Targets.default) ~(mode : Lookahead.mode)
     (spec_text : string) : string =
   (* the target name is part of the key: the same spec text checked
-     against two machines yields different bundles *)
+     against two machines yields different bundles.  The text is
+     digested on its own and only that digest joins the short prefix,
+     so a lookup never copies the spec *)
   Digest.to_hex
     (Digest.string
        (Printf.sprintf "cogg-tables-v%d:%s:%s:%s" format_version
-          (mode_tag mode) target.Machine.Target.name spec_text))
+          (mode_tag mode) target.Machine.Target.name
+          (Digest.string spec_text)))
 
 (** Cache file an unchanged spec would hit; exposed so tests (and curious
     users) can inspect or corrupt the entry. *)

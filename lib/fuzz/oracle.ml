@@ -242,19 +242,20 @@ let determinism_tokens (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) :
 (* -- totality on malformed input ---------------------------------------------- *)
 
 (** Feed an (arbitrarily mutated) token stream down the whole pipeline —
-    both dispatch paths, and boot + bounded run when it compiles — and
-    demand a structured answer.  Any outcome is acceptable except an
-    escaping exception. *)
+    both dispatch paths, and boot + bounded run on the tables' own
+    target when it compiles — and demand a structured answer.  Any
+    outcome is acceptable except an escaping exception. *)
 let total (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
   protect @@ fun () ->
+  let tgt = tables.Cogg.Tables.target in
   let probe d =
     match Cogg.Codegen.generate ~dispatch:d tables toks with
     | Error _ -> ()
     | Ok r -> (
-        match Machine.Runtime.boot r.Cogg.Codegen.objmod with
+        match tgt.Machine.Target.boot r.Cogg.Codegen.objmod with
         | Error _ -> ()
         | Ok (sim, entry) -> (
-            match Machine.Runtime.run ~max_steps:200_000 sim ~entry with
+            match tgt.Machine.Target.run ~max_steps:200_000 sim ~entry with
             | Ok _ | Error _ -> ()))
   in
   List.iter (fun (_, d) -> probe d) dispatch_variants;

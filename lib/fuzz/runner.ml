@@ -1,295 +1,41 @@
-(** The fuzzing loop: generate, cross-check, shrink, report.
+(** The fuzzing engine: generate, observe coverage, cross-check, shrink,
+    report.
 
-    Every case is named forever by its (seed, index) pair — the RNG
-    stream for case [i] is [Rng.derive ~seed ~index:i], independent of
-    how many cases ran before it — so any finding replays with
-    [--seed S --start I --count 1]. *)
+    One round-based loop serves both schedules.  Each round builds its
+    batch {e sequentially}, evaluates the batch across the pool
+    (observation, oracles and shrinking are pure per-case work), then
+    merges the results {e sequentially in batch order}.  Construction
+    and merge never race, so the report — passes, skips, findings, kept
+    pool, coverage map — is identical at any worker count.
+
+    - {!Uniform}: every slot is a fresh input, and classes are taken
+      round-robin over the allowed classes; over all classes the k-th
+      input has index k.
+    - {!Guided}: a deterministic bandit over measured coverage yield
+      decides fresh vs mutate, which class a fresh input comes from, and
+      which kept seed a mutant descends from.
+
+    Every input is named forever by its {!lineage}, so any case or
+    finding replays from its printed line alone. *)
 
 type input = Pascal_src of Pascal.Ast.program | If_stream of Ifl.Token.t list
-
-type finding = {
-  f_index : int;  (** case index (combine with the seed to replay) *)
-  f_oracle : string;
-  f_status : Oracle.status;
-  f_repro : string;  (** replayable input text, minimized if requested *)
-  f_kind : string;  (** ["pascal"] or ["if"]: how to replay [f_repro] *)
-  f_minimized : bool;
-}
-
-type report = {
-  r_seed : int;
-  r_count : int;
-  r_cases : int;
-  r_passes : int;  (** individual oracle passes *)
-  r_skips : int;
-  r_findings : finding list;
-  r_batch : (string, string) result option;
-      (** fingerprint at [-j 1] vs [-j N] (and cache cold vs warm when a
-          spec was supplied): [Ok fp] or [Error what_diverged] *)
-}
-
-type config = {
-  seed : int;
-  count : int;
-  start : int;
-  profile : Profile.t option;  (** [None]: rotate through all profiles *)
-  minimize : bool;
-  malformed : bool;  (** mutate streams and check totality instead *)
-  jobs : int;  (** domains for the parallel half of the batch check *)
-  spec : string option;  (** spec path, enables the cache cold/warm check *)
-  cache_dir : string option;  (** scratch cache for the cold/warm check *)
-  log : string -> unit;  (** per-finding progress line *)
-  cross : Cogg.Tables.t option;
-      (** second backend: every Pascal case additionally compiles and
-          runs under these tables and the two machines' observable
-          outputs must agree (the cross-backend differential oracle) *)
-}
-
-let default_config =
-  {
-    seed = 1;
-    count = 64;
-    start = 0;
-    profile = None;
-    minimize = false;
-    malformed = false;
-    jobs = 4;
-    spec = None;
-    cache_dir = None;
-    log = ignore;
-    cross = None;
-  }
 
 let render_input = function
   | Pascal_src p -> Gen_pascal.render p
   | If_stream toks -> Gen_if.to_text toks
 
-(* -- one case ----------------------------------------------------------------- *)
+let kind_of_input = function Pascal_src _ -> "pascal" | If_stream _ -> "if"
 
-let gen_input (cfg : config) (index : int) (rng : Rng.t) : input =
-  let profile =
-    match cfg.profile with Some p -> p | None -> Profile.rotate index
-  in
-  (* one case in four exercises the raw IF surface; the rest go through
-     the full Pascal front end *)
-  if Rng.chance rng 1 4 then
-    If_stream
-      (Gen_if.program ~branch_heavy:(profile = Profile.Branches) rng)
-  else Pascal_src (Gen_pascal.program rng profile)
+(* -- lineage ------------------------------------------------------------------- *)
 
-let oracles_for (tables : Cogg.Tables.t) (cfg : config) (input : input) :
-    (string * (input -> Oracle.status)) list =
-  let on_src f = function
-    | Pascal_src p -> f (Gen_pascal.render p)
-    | If_stream _ -> Oracle.Skip "source oracle on IF input"
-  and on_toks f = function
-    | If_stream toks -> f toks
-    | Pascal_src p -> (
-        (* the dispatch/determinism oracles run on the linearized IF the
-           front end produces for this program *)
-        match Pipeline.compile tables (Gen_pascal.render p) with
-        | Error _ -> Oracle.Skip "front end rejected (exec oracle reports it)"
-        | Ok c -> f c.Pipeline.tokens)
-  in
-  if cfg.malformed then
-    [
-      ("total", on_toks (Oracle.total tables));
-      ("total-text", on_toks (fun t -> Oracle.total_text tables (Gen_if.to_text t)));
-      ("dispatch", on_toks (Oracle.dispatch tables));
-    ]
-  else
-    match input with
-    | Pascal_src _ ->
-        [
-          ("exec", on_src (Oracle.exec tables));
-          ("dispatch", on_toks (Oracle.dispatch tables));
-          ("determinism", on_src (Oracle.determinism tables));
-        ]
-        @ (match cfg.cross with
-          | Some other ->
-              [ ("cross", on_src (Oracle.cross_backend tables other)) ]
-          | None -> [])
-    | If_stream _ ->
-        [
-          ("dispatch", on_toks (Oracle.dispatch tables));
-          ("determinism", on_toks (Oracle.determinism_tokens tables));
-        ]
-
-let shrink_budget = 400
-
-let minimize_finding (tables : Cogg.Tables.t) (name : string)
-    (check : input -> Oracle.status) (key : string) (input : input) : input =
-  ignore tables;
-  let same_failure (i : input) =
-    Oracle.failure_key name (check i) = Some key
-  in
-  match input with
-  | Pascal_src p ->
-      Pascal_src
-        (Shrink.minimize ~budget:shrink_budget
-           ~candidates:Shrink.program_candidates
-           ~test:(fun p -> same_failure (Pascal_src p))
-           p)
-  | If_stream toks ->
-      If_stream
-        (Shrink.minimize_tokens ~budget:shrink_budget
-           ~test:(fun t -> same_failure (If_stream t))
-           toks)
-
-let run_case (tables : Cogg.Tables.t) (cfg : config) (index : int) :
-    int * int * finding list =
-  let rng = Rng.derive ~seed:cfg.seed ~index in
-  let input =
-    let base = gen_input cfg index rng in
-    if cfg.malformed then
-      let toks =
-        match base with
-        | If_stream toks -> toks
-        | Pascal_src _ -> Gen_if.program ~size:8 rng
-      in
-      If_stream (Gen_if.mutate rng toks)
-    else base
-  in
-  let passes = ref 0 and skips = ref 0 and findings = ref [] in
-  List.iter
-    (fun (name, check) ->
-      match check input with
-      | Oracle.Pass -> incr passes
-      | Oracle.Skip _ -> incr skips
-      | (Oracle.Fail _ | Oracle.Crash _) as st ->
-          let key = Option.get (Oracle.failure_key name st) in
-          let minimized =
-            if cfg.minimize then minimize_finding tables name check key input
-            else input
-          in
-          let f =
-            {
-              f_index = index;
-              f_oracle = name;
-              f_status = (if cfg.minimize then check minimized else st);
-              f_repro = render_input minimized;
-              f_kind =
-                (match minimized with
-                | Pascal_src _ -> "pascal"
-                | If_stream _ -> "if");
-              f_minimized = cfg.minimize;
-            }
-          in
-          cfg.log
-            (Fmt.str "case %d [%s]: %a" index name Oracle.pp_status f.f_status);
-          findings := f :: !findings)
-    (oracles_for tables cfg input);
-  (!passes, !skips, List.rev !findings)
-
-(* -- batch-level determinism --------------------------------------------------- *)
-
-(** Compile the same corpus sequentially and across [jobs] domains (and,
-    when a spec path is at hand, against freshly-built vs cache-loaded
-    tables) and demand one fingerprint. *)
-let batch_check (tables : Cogg.Tables.t) (cfg : config)
-    (sources : string list) : (string, string) result =
-  let jobs_arr =
-    Array.of_list
-      (List.mapi
-         (fun i s -> { Pipeline.Batch.name = Fmt.str "fuzz%04d" i; source = s })
-         sources)
-  in
-  let fp ?pool tables =
-    Pipeline.Batch.fingerprint (Pipeline.Batch.compile_all ?pool tables jobs_arr)
-  in
-  let seq = fp tables in
-  let par =
-    if cfg.jobs <= 1 then seq
-    else Cogg.Pool.with_pool ~domains:cfg.jobs (fun pool -> fp ~pool tables)
-  in
-  if seq <> par then
-    Error (Fmt.str "fingerprint diverges: -j1 %s vs -j%d %s" seq cfg.jobs par)
-  else
-    match (cfg.spec, cfg.cache_dir) with
-    | Some spec, Some cache_dir -> (
-        let build () = Cogg.Tables_cache.build_file ~cache_dir spec in
-        match (build (), build ()) with
-        | Ok (cold, _), Ok (warm, origin) ->
-            let fc = fp cold and fw = fp warm in
-            if fc <> fw then
-              Error
-                (Fmt.str "fingerprint diverges: cache cold %s vs %s (%a)" fc fw
-                   Cogg.Tables_cache.pp_origin origin)
-            else if fc <> seq then
-              Error
-                (Fmt.str "fingerprint diverges: cached tables %s vs session %s"
-                   fc seq)
-            else Ok seq
-        | Error _, _ | _, Error _ ->
-            Error "cache check: spec failed to build through the cache")
-    | _ -> Ok seq
-
-(* -- the loop ------------------------------------------------------------------ *)
-
-let run (tables : Cogg.Tables.t) (cfg : config) : report =
-  let passes = ref 0 and skips = ref 0 and findings = ref [] in
-  let sources = ref [] in
-  for index = cfg.start to cfg.start + cfg.count - 1 do
-    let p, s, fs = run_case tables cfg index in
-    passes := !passes + p;
-    skips := !skips + s;
-    findings := !findings @ fs;
-    (* remember a slice of the corpus for the batch-level check *)
-    if (not cfg.malformed) && List.length !sources < 24 then begin
-      let rng = Rng.derive ~seed:cfg.seed ~index in
-      match gen_input cfg index rng with
-      | Pascal_src p -> sources := Gen_pascal.render p :: !sources
-      | If_stream _ -> ()
-    end
-  done;
-  let batch =
-    if cfg.malformed || !sources = [] then None
-    else Some (batch_check tables cfg (List.rev !sources))
-  in
-  (match batch with
-  | Some (Error m) -> cfg.log ("batch: " ^ m)
-  | _ -> ());
-  {
-    r_seed = cfg.seed;
-    r_count = cfg.count;
-    r_cases = cfg.count;
-    r_passes = !passes;
-    r_skips = !skips;
-    r_findings =
-      !findings
-      @ (match batch with
-        | Some (Error m) ->
-            [
-              {
-                f_index = -1;
-                f_oracle = "batch";
-                f_status = Oracle.Fail ("batch: " ^ m);
-                f_repro = "";
-                f_kind = "batch";
-                f_minimized = false;
-              };
-            ]
-        | _ -> []);
-    r_batch = batch;
-  }
-
-let pp_report ppf (r : report) =
-  Fmt.pf ppf "fuzz: seed %d, %d cases: %d oracle passes, %d skips, %d findings"
-    r.r_seed r.r_cases r.r_passes r.r_skips
-    (List.length r.r_findings);
-  match r.r_batch with
-  | Some (Ok fp) -> Fmt.pf ppf "; batch fingerprint %s" fp
-  | Some (Error _) -> Fmt.pf ppf "; batch check FAILED"
-  | None -> ()
-
-(* -- coverage-guided mode ------------------------------------------------------ *)
-
-(** Lineage of a guided-mode input: the (seed, index) pair that
-    generated the base input plus the mutation path applied on top.
-    Every mutation step [m] draws from [Rng.derive ~seed:(key of the
-    parent lineage) ~index:m], so the whole chain replays from the
-    lineage alone — printed as [SEED:INDEX] or [SEED:INDEX:m1.m2.m3]
-    and fed back through [pasc fuzz --replay]. *)
+(** Lineage of an input: the (seed, index) pair that generated its
+    fresh ancestor plus the mutation path applied on top.  The fresh
+    input of index [i] draws from [Rng.derive ~seed ~index:i],
+    independent of how many cases ran before it, and every mutation
+    step [m] draws from [Rng.derive ~seed:(key of the parent lineage)
+    ~index:m], so the whole chain replays from the lineage alone —
+    printed as [SEED:INDEX] or [SEED:INDEX:m1.m2.m3] and fed back
+    through [pasc fuzz --replay]. *)
 type lineage = { l_seed : int; l_index : int; l_path : int list }
 
 let lineage_key (l : lineage) : int =
@@ -321,52 +67,167 @@ let parse_replay (s : string) : (lineage, string) result =
       | _ -> fail ())
   | _ -> fail ()
 
-(* The guided generator is the (seed, index) discipline with no config
-   knobs.  The input class — which generator profile, and Pascal source
-   vs a direct IF stream — is encoded in the index itself
-   ([index mod n_classes]), so a sequential index sweep rotates through
-   every class uniformly (the random baseline) while the guided
-   scheduler can allocate fresh samples per class and still replay from
-   nothing but the lineage. *)
+(* -- inputs -------------------------------------------------------------------- *)
+
+(* An input's class — which generator profile, and Pascal source vs a
+   direct IF stream — is encoded in its fresh index
+   ([index mod n_classes]).  Mutation keeps both, so a lineage's class
+   is its index's: a schedule can allocate fresh samples per class and
+   still replay from nothing but the lineage. *)
 let n_classes = 2 * Array.length Profile.all
 
 let class_of_index (index : int) : int = index mod n_classes
+let profile_of_index (index : int) : Profile.t =
+  Profile.all.(class_of_index index / 2)
 
-(** The class of an input that already exists (for attributing a
-    mutant's coverage gain to the class whose space it explores). *)
-let class_of_input (profile : Profile.t) (input : input) : int =
-  let pi = ref 0 in
-  Array.iteri (fun i p -> if p = profile then pi := i) Profile.all;
-  (2 * !pi) + match input with If_stream _ -> 1 | Pascal_src _ -> 0
-
-let guided_gen ~(seed : int) ~(index : int) : input * Profile.t =
+(** The fresh input of [index]: odd classes are IF streams, which
+    [malformed] mode then mutates (usually into malformed input) with
+    {!Gen_if.mutate}. *)
+let fresh ~(malformed : bool) ~(seed : int) ~(index : int) : input =
   let rng = Rng.derive ~seed ~index in
-  let cls = class_of_index index in
-  let profile = Profile.all.(cls / 2) in
-  if cls land 1 = 1 then
-    (If_stream (Gen_if.program ~branch_heavy:(profile = Profile.Branches) rng), profile)
-  else (Pascal_src (Gen_pascal.program rng profile), profile)
+  let profile = profile_of_index index in
+  if class_of_index index land 1 = 1 then
+    let toks = Gen_if.program ~branch_heavy:(profile = Profile.Branches) rng in
+    If_stream (if malformed then Gen_if.mutate rng toks else toks)
+  else Pascal_src (Gen_pascal.program rng profile)
 
-let mutate_input (rng : Rng.t) (profile : Profile.t) : input -> input = function
+let mutate_input ~(malformed : bool) (rng : Rng.t) (profile : Profile.t) :
+    input -> input = function
   | Pascal_src p -> Pascal_src (Gen_pascal.mutate rng profile p)
-  | If_stream toks -> If_stream (Gen_if.mutate_wellformed rng toks)
+  | If_stream toks ->
+      let mutate =
+        if malformed then Gen_if.mutate else Gen_if.mutate_wellformed
+      in
+      If_stream (mutate rng toks)
 
-(** Reconstruct a kept seed's exact input from its lineage. *)
-let input_of_lineage (l : lineage) : input * Profile.t =
-  let base, profile = guided_gen ~seed:l.l_seed ~index:l.l_index in
-  let rec go input prefix = function
-    | [] -> input
-    | m :: rest ->
-        let rng = Rng.derive ~seed:(lineage_key prefix) ~index:m in
-        go (mutate_input rng profile input)
-          { prefix with l_path = prefix.l_path @ [ m ] }
-          rest
+let mutant_rng (parent : lineage) (m : int) : Rng.t =
+  Rng.derive ~seed:(lineage_key parent) ~index:m
+
+let child (parent : lineage) (m : int) : lineage =
+  { parent with l_path = parent.l_path @ [ m ] }
+
+(** Reconstruct an input from its lineage ([malformed] must match the
+    run that printed it). *)
+let input_of_lineage ?(malformed = false) (l : lineage) : input =
+  let profile = profile_of_index l.l_index in
+  let step (input, prefix) m =
+    ( mutate_input ~malformed (mutant_rng prefix m) profile input,
+      child prefix m )
   in
-  (go base { l with l_path = [] } l.l_path, profile)
+  let root = { l with l_path = [] } in
+  fst
+    (List.fold_left step
+       (fresh ~malformed ~seed:l.l_seed ~index:l.l_index, root)
+       l.l_path)
+
+(* -- configuration -------------------------------------------------------------- *)
+
+type schedule = Uniform | Guided
+
+type config = {
+  seed : int;
+  budget : int;  (** total cases: fresh inputs plus mutants *)
+  schedule : schedule;
+  profile : Profile.t option;  (** keep only this profile's classes *)
+  malformed : bool;
+      (** IF classes only, each stream mutated by {!Gen_if.mutate}; the
+          oracles check totality instead *)
+  oracles : bool;  (** off: observe coverage only, no oracles, no batch check *)
+  minimize : bool;  (** shrink each finding's input before reporting *)
+  jobs : int;  (** domains evaluating each round's batch *)
+  cross : Cogg.Tables.t option;
+      (** second backend: every Pascal case additionally compiles and
+          runs under these tables and the two machines' observable
+          outputs must agree (under [malformed], every stream must also
+          get a structured answer from it) *)
+  spec : string option;
+      (** the tables' spec file: enables the batch check's cache leg *)
+  stop : unit -> bool;  (** checked between rounds; true ends the run *)
+  log : string -> unit;  (** one progress line per round *)
+}
+
+let default_config =
+  {
+    seed = 1;
+    budget = 64;
+    schedule = Uniform;
+    profile = None;
+    malformed = false;
+    oracles = true;
+    minimize = false;
+    jobs = 1;
+    cross = None;
+    spec = None;
+    stop = (fun () -> false);
+    log = ignore;
+  }
+
+(* -- oracles ------------------------------------------------------------------- *)
+
+let oracles_for (tables : Cogg.Tables.t) (cfg : config) (input : input) :
+    (string * (input -> Oracle.status)) list =
+  let on_src f = function
+    | Pascal_src p -> f (Gen_pascal.render p)
+    | If_stream _ -> Oracle.Skip "source oracle on IF input"
+  and on_toks f = function
+    | If_stream toks -> f toks
+    | Pascal_src p -> (
+        (* the dispatch/determinism oracles run on the linearized IF the
+           front end produces for this program *)
+        match Pipeline.compile tables (Gen_pascal.render p) with
+        | Error _ -> Oracle.Skip "front end rejected (exec oracle reports it)"
+        | Ok c -> f c.Pipeline.tokens)
+  in
+  let cross name oracle =
+    Option.fold ~none:[] ~some:(fun other -> [ (name, oracle other) ]) cfg.cross
+  in
+  if cfg.malformed then
+    [
+      ("total", on_toks (Oracle.total tables));
+      ("total-text", on_toks (fun t -> Oracle.total_text tables (Gen_if.to_text t)));
+      ("dispatch", on_toks (Oracle.dispatch tables));
+    ]
+    @ cross "total-cross" (fun other -> on_toks (Oracle.total other))
+  else
+    match input with
+    | Pascal_src _ ->
+        [
+          ("exec", on_src (Oracle.exec tables));
+          ("dispatch", on_toks (Oracle.dispatch tables));
+          ("determinism", on_src (Oracle.determinism tables));
+        ]
+        @ cross "cross" (fun other ->
+              on_src (Oracle.cross_backend tables other))
+    | If_stream _ ->
+        [
+          ("dispatch", on_toks (Oracle.dispatch tables));
+          ("determinism", on_toks (Oracle.determinism_tokens tables));
+        ]
+
+let shrink_budget = 400
+
+let minimize_finding (name : string) (check : input -> Oracle.status)
+    (key : string) (input : input) : input =
+  let same_failure (i : input) =
+    Oracle.failure_key name (check i) = Some key
+  in
+  match input with
+  | Pascal_src p ->
+      Pascal_src
+        (Shrink.minimize ~budget:shrink_budget
+           ~candidates:Shrink.program_candidates
+           ~test:(fun p -> same_failure (Pascal_src p))
+           p)
+  | If_stream toks ->
+      If_stream
+        (Shrink.minimize_tokens ~budget:shrink_budget
+           ~test:(fun t -> same_failure (If_stream t))
+           toks)
 
 (** One input's coverage observation: compile it once with the
     [on_reduce] hook recording every user-production fire (in order, so
-    bigrams are meaningful) and fold in the outcome bits. *)
+    bigrams are meaningful) and fold in the outcome bits.  An escaping
+    exception counts as a rejection here; the oracles report it. *)
 let observe (tables : Cogg.Tables.t) (input : input) : Covmap.obs =
   let n = tables.Cogg.Tables.n_user_prods in
   let fired = ref [] in
@@ -374,15 +235,17 @@ let observe (tables : Cogg.Tables.t) (input : input) : Covmap.obs =
     if Cogg.Tables.is_user_prod tables p then fired := p :: !fired
   in
   let outcome =
-    match input with
-    | Pascal_src p -> (
-        match Pipeline.compile ~on_reduce tables (Gen_pascal.render p) with
-        | Ok c -> Some c.Pipeline.gen
-        | Error _ -> None)
-    | If_stream toks -> (
-        match Cogg.Codegen.generate ~on_reduce tables toks with
-        | Ok r -> Some r
-        | Error _ -> None)
+    try
+      match input with
+      | Pascal_src p -> (
+          match Pipeline.compile ~on_reduce tables (Gen_pascal.render p) with
+          | Ok c -> Some c.Pipeline.gen
+          | Error _ -> None)
+      | If_stream toks -> (
+          match Cogg.Codegen.generate ~on_reduce tables toks with
+          | Ok r -> Some r
+          | Error _ -> None)
+    with _ -> None
   in
   let ok = outcome <> None in
   let long =
@@ -392,76 +255,164 @@ let observe (tables : Cogg.Tables.t) (input : input) : Covmap.obs =
   in
   Covmap.features ~n_prods:n ~fired:(List.rev !fired) ~ok ~long
 
-type guided_config = {
-  g_seed : int;
-  g_budget : int;  (** total cases (fresh inputs + mutants) *)
-  g_shards : int;  (** logical shards, independent of the worker count *)
-  g_batch : int;  (** batch items per shard per round *)
-  g_jobs : int;  (** domains evaluating a round's batch in parallel *)
-  g_oracles : bool;  (** also run the differential oracles per case *)
-  g_cross : Cogg.Tables.t option;
-  g_stop : (unit -> bool) option;
-      (** long-run mode: checked between rounds; overrides the budget *)
-  g_log : string -> unit;
-}
+(* -- batch-level determinism --------------------------------------------------- *)
 
-let default_guided =
-  {
-    g_seed = 1;
-    g_budget = 512;
-    g_shards = 8;
-    g_batch = 8;
-    g_jobs = 1;
-    g_oracles = false;
-    g_cross = None;
-    g_stop = None;
-    g_log = ignore;
-  }
+let remove_dir (dir : string) =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(** Compile the same corpus sequentially and across the pool (two
+    domains when the run has none) and demand one fingerprint.  With
+    the tables' [spec] at hand, also build it twice through a fresh
+    private cache — once from the spec, then as a cache hit — and
+    demand the same fingerprint from both. *)
+let batch_check ?pool (tables : Cogg.Tables.t) ~(spec : string option)
+    (sources : string list) : (string, string) result =
+  let jobs_arr =
+    Array.of_list
+      (List.mapi
+         (fun i s -> { Pipeline.Batch.name = Fmt.str "fuzz%04d" i; source = s })
+         sources)
+  in
+  let fp ?pool tables =
+    Pipeline.Batch.fingerprint (Pipeline.Batch.compile_all ?pool tables jobs_arr)
+  in
+  let seq = fp tables in
+  let domains, par =
+    match pool with
+    | Some pool -> (Cogg.Pool.size pool, fp ~pool tables)
+    | None -> (2, Cogg.Pool.with_pool ~domains:2 (fun pool -> fp ~pool tables))
+  in
+  if seq <> par then
+    Error (Fmt.str "fingerprint diverges: -j1 %s vs -j%d %s" seq domains par)
+  else
+    match spec with
+    | None -> Ok seq
+    | Some spec -> (
+        let cache_dir = Filename.temp_dir "cogg-batch-check" "" in
+        let build () =
+          Cogg.Tables_cache.build_file ~target:tables.Cogg.Tables.target
+            ~cache_dir spec
+        in
+        let cold, warm =
+          Fun.protect
+            ~finally:(fun () -> remove_dir cache_dir)
+            (fun () ->
+              let cold = build () in
+              (cold, build ()))
+        in
+        match (cold, warm) with
+        | ( Ok (cold, Cogg.Tables_cache.Built),
+            Ok (warm, Cogg.Tables_cache.Cache_hit) ) ->
+            let fc = fp cold and fw = fp warm in
+            if fc <> fw then
+              Error
+                (Fmt.str "fingerprint diverges: cache cold %s vs warm %s" fc fw)
+            else if fc <> seq then
+              Error
+                (Fmt.str "fingerprint diverges: cached tables %s vs session %s"
+                   fc seq)
+            else Ok seq
+        | Ok (_, o1), Ok (_, o2) ->
+            Error
+              (Fmt.str
+                 "cache check: a fresh cache answered %a then %a, not built \
+                  from spec then cache hit"
+                 Cogg.Tables_cache.pp_origin o1 Cogg.Tables_cache.pp_origin o2)
+        | Error _, _ | _, Error _ ->
+            Error "cache check: spec failed to build through the cache")
+
+(* -- the engine ---------------------------------------------------------------- *)
 
 type kept = {
   k_input : input;
   k_lineage : lineage;
-  k_profile : Profile.t;
   k_gain : int;  (** features newly covered when this seed was kept *)
   mutable k_children : int;  (** next mutation counter *)
   mutable k_yield : int;  (** children of this seed that were themselves kept *)
 }
 
-type guided_finding = {
-  gf_lineage : lineage;
-  gf_oracle : string;
-  gf_status : Oracle.status;
-  gf_repro : string;
-  gf_kind : string;
+type finding = {
+  f_lineage : lineage;
+  f_oracle : string;
+  f_status : Oracle.status;
+  f_input : input;  (** the failing input, minimized under [cfg.minimize] *)
 }
 
-type guided_report = {
-  g_cases : int;
-  g_kept : kept list;  (** in discovery order *)
-  g_covmap : Covmap.t;
-  g_findings : guided_finding list;
+type report = {
+  r_cases : int;
+  r_passes : int;  (** individual oracle passes *)
+  r_skips : int;
+  r_kept : kept list;  (** inputs that added coverage, in discovery order *)
+  r_covmap : Covmap.t;
+  r_findings : finding list;
+  r_batch : (string, string) result option;
+      (** fingerprint at [-j 1] vs across the pool, and cache cold vs
+          warm when a spec was supplied: [Ok fp] or [Error
+          what_diverged]; [None] when no Pascal case ran under the
+          oracles *)
 }
 
-(** The seed-pool scheduler.  Each round builds one batch {e
-    sequentially} — per-shard RNG streams decide fresh-vs-mutate and
-    pick mutation parents, and every fresh input takes the next index
-    of its chosen class — then evaluates the batch's items in parallel
-    across the pool (observation and oracles are pure), then merges the
-    observations into the coverage map {e sequentially in item order}
-    at the round barrier (quiescence).  Construction and merge never
-    race, so the kept pool and the coverage map are identical at any
-    worker count.
+(* A round is [shards * slots_per_shard] cases; slot [j] draws its
+   guided-schedule decisions from shard [j mod shards]'s RNG stream, so
+   the schedule does not depend on the worker count. *)
+let shards = 8
+let slots_per_shard = 8
 
-    Scheduling is a deterministic bandit over measured marginal yield:
-    the fresh-vs-mutate split and the per-class allocation of fresh
-    samples are both weighted by cumulative (new features / cases) for
-    that arm, read at round barriers — budget drains away from
+(** Observe one case and, under [cfg.oracles], run its oracles and shrink
+    its findings: returns (observation, passes, skips, findings). *)
+let evaluate (tables : Cogg.Tables.t) (cfg : config)
+    ((input, lineage) : input * lineage) :
+    Covmap.obs * int * int * finding list =
+  let verdicts =
+    if not cfg.oracles then []
+    else
+      List.map (fun (name, check) -> (name, check, check input))
+        (oracles_for tables cfg input)
+  in
+  let count p = List.length (List.filter (fun (_, _, st) -> p st) verdicts) in
+  let findings =
+    List.filter_map
+      (fun (name, check, st) ->
+        Option.map
+          (fun key ->
+            let f_input =
+              if cfg.minimize then minimize_finding name check key input
+              else input
+            in
+            {
+              f_lineage = lineage;
+              f_oracle = name;
+              f_status = (if cfg.minimize then check f_input else st);
+              f_input;
+            })
+          (Oracle.failure_key name st))
+      verdicts
+  in
+  ( observe tables input,
+    count (fun st -> st = Oracle.Pass),
+    count (function Oracle.Skip _ -> true | _ -> false),
+    findings )
+
+(** Run [cfg.budget] cases (or until [cfg.stop ()]) under [cfg.schedule].
+
+    The guided schedule is a deterministic bandit over measured marginal
+    yield: the fresh-vs-mutate split and the per-class allocation of
+    fresh samples are both weighted by cumulative (new features / cases)
+    for that arm, read at round barriers — budget drains away from
     saturated input classes toward whatever is still paying. *)
-let run_guided (tables : Cogg.Tables.t) (cfg : guided_config) : guided_report =
+let run (tables : Cogg.Tables.t) (cfg : config) : report =
+  let allowed =
+    Array.of_list
+      (List.filter
+         (fun c ->
+           Option.fold ~none:true ~some:(( = ) Profile.all.(c / 2)) cfg.profile
+           && ((not cfg.malformed) || c land 1 = 1))
+         (List.init n_classes Fun.id))
+  in
   let cov = Covmap.create ~n_prods:tables.Cogg.Tables.n_user_prods in
-  let kept_rev = ref [] and n_kept = ref 0 in
-  let findings = ref [] in
-  let cases = ref 0 in
+  let kept_rev = ref [] and findings_rev = ref [] and sources_rev = ref [] in
+  let cases = ref 0 and passes = ref 0 and skips = ref 0 in
   let next_fresh = Array.make n_classes 0 in
   (* bandit statistics: per input class, and per arm (0 fresh, 1 mutate) *)
   let cls_cases = Array.make n_classes 0 in
@@ -469,164 +420,152 @@ let run_guided (tables : Cogg.Tables.t) (cfg : guided_config) : guided_report =
   let arm_cases = Array.make 2 0 in
   let arm_gain = Array.make 2 0 in
   let score c g = if c < 4 then 64 else 1 + (16 * g / c) in
-  let rounds = ref 0 in
   let shard_rngs =
-    Array.init (max 1 cfg.g_shards) (fun s ->
-        Rng.derive ~seed:cfg.g_seed ~index:(0x5EED0 + s))
+    Array.init shards (fun s -> Rng.derive ~seed:cfg.seed ~index:(0x5EED0 + s))
   in
-  let oracle_cfg = { default_config with cross = cfg.g_cross } in
-  let eval (input, lineage, _profile) =
-    let obs = observe tables input in
-    let fnds =
-      if not cfg.g_oracles then []
-      else
-        List.filter_map
-          (fun (name, check) ->
-            match check input with
-            | Oracle.Pass | Oracle.Skip _ -> None
-            | st ->
-                Some
-                  {
-                    gf_lineage = lineage;
-                    gf_oracle = name;
-                    gf_status = st;
-                    gf_repro = render_input input;
-                    gf_kind =
-                      (match input with
-                      | Pascal_src _ -> "pascal"
-                      | If_stream _ -> "if");
-                  })
-          (oracles_for tables oracle_cfg input)
+  let fresh_slot cls =
+    let k = next_fresh.(cls) in
+    next_fresh.(cls) <- k + 1;
+    let index = (k * n_classes) + cls in
+    ( ( fresh ~malformed:cfg.malformed ~seed:cfg.seed ~index,
+        { l_seed = cfg.seed; l_index = index; l_path = [] } ),
+      None )
+  in
+  (* AFL-style energy: a seed's weight grows with the number of its
+     children that were themselves kept (its measured productive
+     yield), with the capped initial gain as the cold-start prior *)
+  let energy k = min 16 k.k_gain + (8 * k.k_yield) in
+  let guided_slot rs pool =
+    let fresh =
+      Array.length pool = 0
+      || Rng.weighted rs
+           [
+             (score arm_cases.(0) arm_gain.(0), true);
+             (score arm_cases.(1) arm_gain.(1), false);
+           ]
     in
-    (obs, fnds)
-  in
-  let continue_ () =
-    !cases < cfg.g_budget
-    && match cfg.g_stop with Some stop -> not (stop ()) | None -> true
+    if fresh then
+      fresh_slot
+        (Rng.weighted rs
+           (List.map
+              (fun c -> (score cls_cases.(c) cls_gain.(c), c))
+              (Array.to_list allowed)))
+    else
+      let parent =
+        Rng.weighted rs
+          (Array.to_list (Array.map (fun k -> (energy k, k)) pool))
+      in
+      let m = parent.k_children in
+      parent.k_children <- m + 1;
+      ( ( mutate_input ~malformed:cfg.malformed (mutant_rng parent.k_lineage m)
+            (profile_of_index parent.k_lineage.l_index)
+            parent.k_input,
+          child parent.k_lineage m ),
+        Some parent )
   in
   let round pool_opt =
-    incr rounds;
     let pool = Array.of_list (List.rev !kept_rev) in
-    let batch_size =
-      min (cfg.g_budget - !cases) (max 1 cfg.g_shards * max 1 cfg.g_batch)
+    let slots =
+      Array.init
+        (min (cfg.budget - !cases) (shards * slots_per_shard))
+        (fun j ->
+          match cfg.schedule with
+          | Uniform ->
+              fresh_slot allowed.((!cases + j) mod Array.length allowed)
+          | Guided -> guided_slot shard_rngs.(j mod shards) pool)
     in
-    (* AFL-style energy: a seed's weight grows with the number of its
-       children that were themselves kept (its measured productive
-       yield), with the capped initial gain as the cold-start prior *)
-    let energy k = min 16 k.k_gain + (8 * k.k_yield) in
-    let parents = Array.make batch_size None in
-    let arms = Array.make batch_size 0 in
-    let items =
-      Array.init batch_size (fun j ->
-          let rs = shard_rngs.(j mod Array.length shard_rngs) in
-          let fresh =
-            Array.length pool = 0
-            || Rng.weighted rs
-                 [
-                   (score arm_cases.(0) arm_gain.(0), true);
-                   (score arm_cases.(1) arm_gain.(1), false);
-                 ]
-          in
-          if fresh then begin
-            let cls =
-              Rng.weighted rs
-                (List.init n_classes (fun c ->
-                     (score cls_cases.(c) cls_gain.(c), c)))
-            in
-            let k = next_fresh.(cls) in
-            next_fresh.(cls) <- k + 1;
-            let index = (k * n_classes) + cls in
-            let input, profile = guided_gen ~seed:cfg.g_seed ~index in
-            (input, { l_seed = cfg.g_seed; l_index = index; l_path = [] }, profile)
-          end
-          else begin
-            arms.(j) <- 1;
-            let parent =
-              Rng.weighted rs
-                (Array.to_list (Array.map (fun k -> (energy k, k)) pool))
-            in
-            parents.(j) <- Some parent;
-            let m = parent.k_children in
-            parent.k_children <- m + 1;
-            let rng = Rng.derive ~seed:(lineage_key parent.k_lineage) ~index:m in
-            ( mutate_input rng parent.k_profile parent.k_input,
-              { parent.k_lineage with
-                l_path = parent.k_lineage.l_path @ [ m ] },
-              parent.k_profile )
-          end)
+    let results =
+      Cogg.Pool.maybe pool_opt (fun (item, _) -> evaluate tables cfg item) slots
     in
-    let results = Cogg.Pool.maybe pool_opt eval items in
     Array.iteri
-      (fun i (obs, fnds) ->
+      (fun i (obs, p, s, fnds) ->
+        let (input, lineage), parent = slots.(i) in
         incr cases;
-        findings := fnds @ !findings;
+        passes := !passes + p;
+        skips := !skips + s;
+        findings_rev := List.rev_append fnds !findings_rev;
+        (* a slice of the corpus for the batch-level check *)
+        (match input with
+        | Pascal_src p when cfg.oracles && List.length !sources_rev < 24 ->
+            sources_rev := Gen_pascal.render p :: !sources_rev
+        | _ -> ());
         let gain = Covmap.add cov obs in
-        let input, lineage, profile = items.(i) in
-        let cls = class_of_input profile input in
+        let cls = class_of_index lineage.l_index in
+        let arm = if parent = None then 0 else 1 in
         cls_cases.(cls) <- cls_cases.(cls) + 1;
         cls_gain.(cls) <- cls_gain.(cls) + gain;
-        arm_cases.(arms.(i)) <- arm_cases.(arms.(i)) + 1;
-        arm_gain.(arms.(i)) <- arm_gain.(arms.(i)) + gain;
+        arm_cases.(arm) <- arm_cases.(arm) + 1;
+        arm_gain.(arm) <- arm_gain.(arm) + gain;
         if gain > 0 then begin
-          (match parents.(i) with
-          | Some p -> p.k_yield <- p.k_yield + 1
-          | None -> ());
+          Option.iter (fun p -> p.k_yield <- p.k_yield + 1) parent;
           kept_rev :=
             {
               k_input = input;
               k_lineage = lineage;
-              k_profile = profile;
               k_gain = gain;
               k_children = 0;
               k_yield = 0;
             }
-            :: !kept_rev;
-          incr n_kept
+            :: !kept_rev
         end)
       results;
-    cfg.g_log
-      (Fmt.str "round %d: %d cases, %d kept, %d prods, %d bigrams" !rounds
-         !cases !n_kept
+    cfg.log
+      (Fmt.str "%d cases: %d kept, %d prods, %d bigrams, %d findings" !cases
+         (List.length !kept_rev)
          (Covmap.prods_covered cov)
-         (Covmap.bigrams_covered cov))
+         (Covmap.bigrams_covered cov)
+         (List.length !findings_rev))
   in
-  let loop pool_opt = while continue_ () do round pool_opt done in
-  if cfg.g_jobs > 1 then
-    Cogg.Pool.with_pool ~domains:cfg.g_jobs (fun p -> loop (Some p))
-  else loop None;
+  let go pool_opt =
+    while !cases < cfg.budget && not (cfg.stop ()) do
+      round pool_opt
+    done;
+    match List.rev !sources_rev with
+    | [] -> None
+    | sources -> Some (batch_check ?pool:pool_opt tables ~spec:cfg.spec sources)
+  in
+  let batch =
+    if cfg.jobs > 1 then
+      Cogg.Pool.with_pool ~domains:cfg.jobs (fun p -> go (Some p))
+    else go None
+  in
   {
-    g_cases = !cases;
-    g_kept = List.rev !kept_rev;
-    g_covmap = cov;
-    g_findings = List.rev !findings;
+    r_cases = !cases;
+    r_passes = !passes;
+    r_skips = !skips;
+    r_kept = List.rev !kept_rev;
+    r_covmap = cov;
+    r_findings = List.rev !findings_rev;
+    r_batch = batch;
   }
 
-(** The random baseline at the same case budget: the plain (seed, index)
-    generator with no feedback, coverage accumulated the same way. *)
-let random_coverage (tables : Cogg.Tables.t) ~(seed : int) ~(count : int) :
-    Covmap.t =
-  let cov = Covmap.create ~n_prods:tables.Cogg.Tables.n_user_prods in
-  for index = 0 to count - 1 do
-    let input, _ = guided_gen ~seed ~index in
-    ignore (Covmap.add cov (observe tables input))
-  done;
-  cov
+let pp_report ppf (r : report) =
+  Fmt.pf ppf
+    "%d cases: %d oracle passes, %d skips, %d kept seeds, %d productions, %d \
+     bigrams, %d findings"
+    r.r_cases r.r_passes r.r_skips (List.length r.r_kept)
+    (Covmap.prods_covered r.r_covmap)
+    (Covmap.bigrams_covered r.r_covmap)
+    (List.length r.r_findings);
+  match r.r_batch with
+  | Some (Ok fp) -> Fmt.pf ppf "; batch fingerprint %s" fp
+  | Some (Error m) -> Fmt.pf ppf "; batch check FAILED: %s" m
+  | None -> ()
 
-(** Replay a kept seed or finding from its printed lineage: reconstruct
-    the exact input and re-run the oracles on it. *)
-let replay (tables : Cogg.Tables.t) ?cross (line : string) :
+(** Replay a case from its printed lineage under [cfg]'s [malformed]
+    and [cross]: reconstruct the exact input and re-run the oracles. *)
+let replay (tables : Cogg.Tables.t) (cfg : config) (line : string) :
     (input * (string * Oracle.status) list, string) result =
-  match parse_replay line with
-  | Error m -> Error m
-  | Ok l ->
-      let input, _profile = input_of_lineage l in
-      let cfg = { default_config with cross } in
-      Ok
-        ( input,
-          List.map (fun (name, check) -> (name, check input))
-            (oracles_for tables cfg input) )
+  Result.map
+    (fun l ->
+      let input = input_of_lineage ~malformed:cfg.malformed l in
+      ( input,
+        List.map
+          (fun (name, check) -> (name, check input))
+          (oracles_for tables cfg input) ))
+    (parse_replay line)
 
-(* -- corpus distillation -------------------------------------------------------- *)
+(* -- corpora -------------------------------------------------------------------- *)
 
 type corpus_entry = {
   e_name : string;
@@ -685,22 +624,25 @@ let generated_entries ~(seed : int) ~(pascal_count : int) ~(if_count : int) :
           e_text = Gen_if.to_text (Gen_if.program ~branch_heavy:(i mod 3 = 0) rng);
         })
 
-(** Kept guided seeds as distillation candidates, named by their replay
-    lines (dots for path separators keep the names filesystem-safe). *)
-let kept_entries (r : guided_report) : corpus_entry list =
-  List.map
-    (fun k ->
-      {
-        e_name =
-          "guided-"
-          ^ String.map
-              (fun c -> if c = ':' then '-' else c)
-              (replay_line k.k_lineage);
-        e_kind =
-          (match k.k_input with Pascal_src _ -> "pascal" | If_stream _ -> "if");
-        e_text = render_input k.k_input;
-      })
-    r.g_kept
+(** A run's kept seeds, named after the schedule, then each finding's
+    (minimized) input, named after its oracle; names end in the replay
+    line with dashes for colons (dots, the path separators, keep the
+    names filesystem-safe). *)
+let report_entries (cfg : config) (r : report) : corpus_entry list =
+  let entry prefix l input =
+    {
+      e_name =
+        prefix ^ "-"
+        ^ String.map (fun c -> if c = ':' then '-' else c) (replay_line l);
+      e_kind = kind_of_input input;
+      e_text = render_input input;
+    }
+  in
+  let schedule =
+    match cfg.schedule with Uniform -> "uniform" | Guided -> "guided"
+  in
+  List.map (fun k -> entry schedule k.k_lineage k.k_input) r.r_kept
+  @ List.map (fun f -> entry f.f_oracle f.f_lineage f.f_input) r.r_findings
 
 (** Greedy-minimal corpus over production coverage: returns the selected
     entries in pick order plus the size of the coverable universe. *)
@@ -713,33 +655,24 @@ let distill_corpus (tables : Cogg.Tables.t) (cands : corpus_entry list) :
   let picked = Covmap.distill sets in
   (List.map (fun i -> arr.(i)) picked, Hashtbl.length universe)
 
-(** Write each finding's reproducer under [dir]; returns the paths. *)
-let write_corpus (dir : string) (r : report) : string list =
-  match
-    List.filter (fun f -> f.f_repro <> "") r.r_findings
-  with
-  | [] -> []
-  | fs ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      List.map
-        (fun f ->
-          let ext = if f.f_kind = "pascal" then "pas" else "ifl" in
-          let path =
-            Filename.concat dir
-              (Fmt.str "seed%d-case%d-%s.%s" r.r_seed f.f_index f.f_oracle ext)
-          in
-          let oc = open_out path in
-          let header =
-            Fmt.str
-              "fuzz reproducer: seed=%d index=%d oracle=%s (%a) — replay: pasc fuzz --seed %d --start %d --count 1"
-              r.r_seed f.f_index f.f_oracle Oracle.pp_status f.f_status
-              r.r_seed f.f_index
-          in
-          output_string oc
-            (if f.f_kind = "pascal" then "{ " ^ header ^ " }\n"
-             else "* " ^ header ^ "\n");
-          output_string oc f.f_repro;
-          output_string oc "\n";
-          close_out oc;
-          path)
-        fs
+(** Write [entries] under [dir] as [NN-NAME.pas] / [NN-NAME.ifl], each
+    headed by a comment ["TITLE: NAME"]; returns the paths. *)
+let write_corpus ~(title : string) (dir : string) (entries : corpus_entry list)
+    : string list =
+  if entries <> [] && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.mapi
+    (fun i e ->
+      let pascal = e.e_kind = "pascal" in
+      let ext = if pascal then "pas" else "ifl" in
+      let path =
+        Filename.concat dir (Fmt.str "%02d-%s.%s" (i + 1) e.e_name ext)
+      in
+      let header = title ^ ": " ^ e.e_name in
+      let oc = open_out path in
+      output_string oc
+        (if pascal then "{ " ^ header ^ " }\n" else "* " ^ header ^ "\n");
+      output_string oc e.e_text;
+      output_string oc "\n";
+      close_out oc;
+      path)
+    entries

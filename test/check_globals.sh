@@ -1,7 +1,8 @@
 #!/bin/sh
-# Guard against hidden toplevel mutable state in the core library.
+# Guard against hidden toplevel mutable state in the libraries whose code
+# runs on pool domains (the directories given as arguments).
 #
-# The parallel engine shares one Cogg library across domains: any
+# The parallel engine shares these libraries across domains: any
 # module-level ref/Hashtbl/Buffer/Bytes/Array binding is shared mutable
 # state that would race under Pool.map and silently break the
 # byte-identical-output guarantee.  Per-compile state belongs in the

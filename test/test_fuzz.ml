@@ -11,7 +11,9 @@ let env_int name default =
   | _ -> default
 
 let smoke_seed () = env_int "COGG_FUZZ_SEED" 11
-let smoke_count () = env_int "COGG_FUZZ_COUNT" 64
+
+(* classes alternate Pascal and IF, so 106 cases hold 53 Pascal programs *)
+let smoke_count () = env_int "COGG_FUZZ_COUNT" 106
 
 let tables () = Lazy.force Util.amdahl_tables
 
@@ -153,27 +155,32 @@ let test_exec_oracle_chr_regression () =
 
 (* -- the smoke batch: N cases x 3 oracles ------------------------------------- *)
 
-let smoke_config () =
+let print_findings (r : Fuzz.Runner.report) =
+  List.iter
+    (fun (f : Fuzz.Runner.finding) ->
+      Fmt.epr "finding: %s oracle %s: %a@.%s@."
+        (Fuzz.Runner.replay_line f.Fuzz.Runner.f_lineage)
+        f.Fuzz.Runner.f_oracle Fuzz.Oracle.pp_status f.Fuzz.Runner.f_status
+        (Fuzz.Runner.render_input f.Fuzz.Runner.f_input))
+    r.Fuzz.Runner.r_findings
+
+let smoke_config ~jobs =
   {
     Fuzz.Runner.default_config with
-    Fuzz.Runner.seed = smoke_seed ();
-    count = smoke_count ();
-    jobs = 4;
+    seed = smoke_seed ();
+    budget = smoke_count ();
+    jobs;
     spec = Some (Util.spec_path "amdahl470.cgg");
-    cache_dir = Some "_fuzz_cache";
     (* every Pascal case also compiles and runs on the second backend;
        the cross-backend oracle demands identical observable output *)
     cross = Some (Lazy.force Util.risc32_tables);
   }
 
+let smoke_report = lazy (Fuzz.Runner.run (tables ()) (smoke_config ~jobs:2))
+
 let test_smoke () =
-  let report = Fuzz.Runner.run (tables ()) (smoke_config ()) in
-  List.iter
-    (fun (f : Fuzz.Runner.finding) ->
-      Fmt.epr "finding: seed %d case %d oracle %s: %a@.%s@."
-        (smoke_seed ()) f.Fuzz.Runner.f_index f.Fuzz.Runner.f_oracle
-        Fuzz.Oracle.pp_status f.Fuzz.Runner.f_status f.Fuzz.Runner.f_repro)
-    report.Fuzz.Runner.r_findings;
+  let report = Lazy.force smoke_report in
+  print_findings report;
   Alcotest.(check int)
     (Fmt.str "zero findings across %d cases (seed %d)" (smoke_count ())
        (smoke_seed ()))
@@ -185,99 +192,209 @@ let test_smoke () =
   | Some (Error m) -> Alcotest.failf "batch check failed: %s" m
   | None -> Alcotest.fail "batch check did not run"
 
+let test_smoke_any_jobs () =
+  (* the engine merges in batch order, so the whole report is the same
+     at any worker count *)
+  let summary (r : Fuzz.Runner.report) =
+    Fmt.str "%a | %s | %s" Fuzz.Runner.pp_report r
+      (Fuzz.Covmap.digest r.Fuzz.Runner.r_covmap)
+      (String.concat ","
+         (List.map
+            (fun (f : Fuzz.Runner.finding) ->
+              Fuzz.Runner.replay_line f.Fuzz.Runner.f_lineage ^ "/"
+              ^ f.Fuzz.Runner.f_oracle)
+            r.Fuzz.Runner.r_findings))
+  in
+  Alcotest.(check string)
+    "uniform report at -j1 = -j2"
+    (summary (Lazy.force smoke_report))
+    (summary (Fuzz.Runner.run (tables ()) (smoke_config ~jobs:1)))
+
+let malformed_report =
+  lazy
+    (Fuzz.Runner.run (tables ())
+       {
+         Fuzz.Runner.default_config with
+         seed = smoke_seed () + 1;
+         budget = max 1000 (smoke_count ());
+         malformed = true;
+         jobs = 2;
+         (* every stream also goes through the second backend, booted and
+            run on its own simulator *)
+         cross = Some (Lazy.force Util.risc32_tables);
+       })
+
 let test_malformed_sweep () =
   (* >= 1000 mutated IF streams: every pipeline answer must be a
      structured Error, never an escaping exception *)
-  let count = max 1000 (smoke_count ()) in
-  let report =
-    Fuzz.Runner.run (tables ())
-      {
-        Fuzz.Runner.default_config with
-        Fuzz.Runner.seed = smoke_seed () + 1;
-        count;
-        malformed = true;
-      }
-  in
-  List.iter
-    (fun (f : Fuzz.Runner.finding) ->
-      Fmt.epr "finding: case %d oracle %s: %a@.%s@." f.Fuzz.Runner.f_index
-        f.Fuzz.Runner.f_oracle Fuzz.Oracle.pp_status f.Fuzz.Runner.f_status
-        f.Fuzz.Runner.f_repro)
-    report.Fuzz.Runner.r_findings;
+  let report = Lazy.force malformed_report in
+  print_findings report;
   Alcotest.(check int)
-    (Fmt.str "only structured errors across %d mutants" count)
+    (Fmt.str "only structured errors across %d mutants"
+       report.Fuzz.Runner.r_cases)
     0
-    (List.length report.Fuzz.Runner.r_findings)
+    (List.length report.Fuzz.Runner.r_findings);
+  Alcotest.(check bool) "at least 1000 mutants" true
+    (report.Fuzz.Runner.r_cases >= 1000)
+
+let test_class_filter () =
+  (* --profile keeps one profile's classes and --malformed keeps the IF
+     ones, under either schedule (two rounds, so the guided schedule
+     mutates too) *)
+  List.iter
+    (fun schedule ->
+      let r =
+        Fuzz.Runner.run (tables ())
+          {
+            Fuzz.Runner.default_config with
+            budget = 80;
+            schedule;
+            profile = Some Fuzz.Profile.Arrays;
+            malformed = true;
+            oracles = false;
+          }
+      in
+      Alcotest.(check bool)
+        "some input kept" true
+        (r.Fuzz.Runner.r_kept <> []);
+      List.iter
+        (fun (k : Fuzz.Runner.kept) ->
+          let l = k.Fuzz.Runner.k_lineage in
+          Alcotest.(check int)
+            (Fuzz.Runner.replay_line l ^ " is an arrays IF stream")
+            5
+            (Fuzz.Runner.class_of_index l.Fuzz.Runner.l_index);
+          match k.Fuzz.Runner.k_input with
+          | Fuzz.Runner.If_stream _ -> ()
+          | Fuzz.Runner.Pascal_src _ -> Alcotest.fail "Pascal input kept")
+        r.Fuzz.Runner.r_kept)
+    [ Fuzz.Runner.Uniform; Fuzz.Runner.Guided ]
+
+(* -- the batch check's cache leg ------------------------------------------------ *)
+
+let test_batch_check_cold () =
+  (* each check builds into a private cache that starts empty, so its
+     first build is a miss at every call, not only the first one in a
+     working directory; the cache is removed afterwards *)
+  let scratch = Filename.temp_dir "test-fuzz-batch" "" in
+  let saved = Filename.get_temp_dir_name () in
+  let sources =
+    List.init 4 (fun i ->
+        Fuzz.Gen_pascal.source
+          (Fuzz.Rng.derive ~seed:5 ~index:i)
+          Fuzz.Profile.Ints)
+  in
+  let check tables spec =
+    let before = Cogg.Tables_cache.stats () in
+    (match
+       Fuzz.Runner.batch_check tables
+         ~spec:(Some (Util.spec_path spec))
+         sources
+     with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "%s: %s" spec m);
+    let after = Cogg.Tables_cache.stats () in
+    Alcotest.(check (pair int int))
+      (spec ^ ": one miss, then one hit")
+      (1, 1)
+      ( after.Cogg.Tables_cache.misses - before.Cogg.Tables_cache.misses,
+        after.Cogg.Tables_cache.hits - before.Cogg.Tables_cache.hits );
+    Alcotest.(check (array string))
+      "private cache removed" [||] (Sys.readdir scratch)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      try Sys.rmdir scratch with Sys_error _ -> ())
+    (fun () ->
+      (* the check's private cache is made under the temp dir *)
+      Filename.set_temp_dir_name scratch;
+      let amdahl = tables () and risc32 = Lazy.force Util.risc32_tables in
+      check amdahl "amdahl470.cgg";
+      check amdahl "amdahl470.cgg";
+      (* the cache leg builds for the tables' own target *)
+      check risc32 "risc32.cgg")
 
 (* -- the guided leg: feedback must not lose to blind sampling ------------------ *)
 
 let guided_budget = 96
 
-let guided_report =
+let guided_run =
   lazy
-    (Fuzz.Runner.run_guided (tables ())
+    (Fuzz.Runner.run (tables ())
        {
-         Fuzz.Runner.default_guided with
-         Fuzz.Runner.g_seed = smoke_seed ();
-         g_budget = guided_budget;
-         g_jobs = 2;
-         g_oracles = true;
-         g_cross = Some (Lazy.force Util.risc32_tables);
+         Fuzz.Runner.default_config with
+         seed = smoke_seed ();
+         budget = guided_budget;
+         schedule = Fuzz.Runner.Guided;
+         jobs = 2;
+         cross = Some (Lazy.force Util.risc32_tables);
        })
 
 let test_guided_smoke () =
-  let g = Lazy.force guided_report in
-  List.iter
-    (fun (f : Fuzz.Runner.guided_finding) ->
-      Fmt.epr "finding: %s oracle %s: %a@.%s@."
-        (Fuzz.Runner.replay_line f.Fuzz.Runner.gf_lineage)
-        f.Fuzz.Runner.gf_oracle Fuzz.Oracle.pp_status f.Fuzz.Runner.gf_status
-        f.Fuzz.Runner.gf_repro)
-    g.Fuzz.Runner.g_findings;
+  let g = Lazy.force guided_run in
+  print_findings g;
   Alcotest.(check int)
     (Fmt.str "zero findings across %d guided cases" guided_budget)
     0
-    (List.length g.Fuzz.Runner.g_findings);
-  Alcotest.(check int) "exact budget" guided_budget g.Fuzz.Runner.g_cases;
-  (* coverage must be at least the random baseline at the same case
+    (List.length g.Fuzz.Runner.r_findings);
+  Alcotest.(check int) "exact budget" guided_budget g.Fuzz.Runner.r_cases;
+  (* coverage must be at least the uniform baseline at the same case
      count (the strict > bar at the full 512 budget lives in @guided) *)
   let rc =
-    Fuzz.Runner.random_coverage (tables ()) ~seed:(smoke_seed ())
-      ~count:guided_budget
+    (Fuzz.Runner.run (tables ())
+       {
+         Fuzz.Runner.default_config with
+         seed = smoke_seed ();
+         budget = guided_budget;
+         oracles = false;
+       })
+      .Fuzz.Runner.r_covmap
   in
-  let gc = g.Fuzz.Runner.g_covmap in
+  let gc = g.Fuzz.Runner.r_covmap in
   Alcotest.(check bool)
-    (Fmt.str "guided productions %d >= random %d"
+    (Fmt.str "guided productions %d >= uniform %d"
        (Fuzz.Covmap.prods_covered gc)
        (Fuzz.Covmap.prods_covered rc))
     true
     (Fuzz.Covmap.prods_covered gc >= Fuzz.Covmap.prods_covered rc);
   Alcotest.(check bool)
-    (Fmt.str "guided bigrams %d >= random %d"
+    (Fmt.str "guided bigrams %d >= uniform %d"
        (Fuzz.Covmap.bigrams_covered gc)
        (Fuzz.Covmap.bigrams_covered rc))
     true
     (Fuzz.Covmap.bigrams_covered gc >= Fuzz.Covmap.bigrams_covered rc)
 
-(* -- replay lineage: the printed line IS the seed ------------------------------ *)
-
-let verdicts t ~cross input =
-  List.map
-    (fun (name, check) -> (name, Fmt.str "%a" Fuzz.Oracle.pp_status (check input)))
-    (Fuzz.Runner.oracles_for t
-       { Fuzz.Runner.default_config with Fuzz.Runner.cross = Some cross }
-       input)
+(* -- replay lineage: the printed line IS the input ------------------------------ *)
 
 let test_replay_lineage_property () =
   let t = tables () in
   let cross = Lazy.force Util.risc32_tables in
-  let g = Lazy.force guided_report in
-  let kept = Array.of_list g.Fuzz.Runner.g_kept in
-  Alcotest.(check bool) "kept pool nonempty" true (Array.length kept > 0);
+  (* kept seeds of a guided run (fresh inputs and mutants), of a uniform
+     run (fresh inputs) and of a malformed sweep (malformed mutants),
+     each with the config that replays it *)
+  let with_cross = { Fuzz.Runner.default_config with cross = Some cross } in
+  let cases =
+    Array.of_list
+      (List.concat_map
+         (fun (cfg, report) ->
+           List.map (fun k -> (cfg, k)) (Lazy.force report).Fuzz.Runner.r_kept)
+         [
+           (with_cross, guided_run);
+           (with_cross, smoke_report);
+           ({ with_cross with malformed = true }, malformed_report);
+         ])
+  in
+  let verdicts cfg input =
+    List.map
+      (fun (name, check) ->
+        (name, Fmt.str "%a" Fuzz.Oracle.pp_status (check input)))
+      (Fuzz.Runner.oracles_for t cfg input)
+  in
   let prop i =
-    let k = kept.(i mod Array.length kept) in
+    let cfg, k = cases.(i) in
     let line = Fuzz.Runner.replay_line k.Fuzz.Runner.k_lineage in
-    match Fuzz.Runner.replay t ~cross line with
+    match Fuzz.Runner.replay t cfg line with
     | Error m -> QCheck.Test.fail_reportf "replay %s failed: %s" line m
     | Ok (input, replayed) ->
         if
@@ -290,7 +407,7 @@ let test_replay_lineage_property () =
             (fun (n, st) -> (n, Fmt.str "%a" Fuzz.Oracle.pp_status st))
             replayed
         in
-        let direct = verdicts t ~cross k.Fuzz.Runner.k_input in
+        let direct = verdicts cfg k.Fuzz.Runner.k_input in
         if replayed <> direct then
           QCheck.Test.fail_reportf
             "replay %s: verdicts diverge (%s vs %s)" line
@@ -299,9 +416,10 @@ let test_replay_lineage_property () =
         true
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:40
+    (QCheck.Test.make ~count:80
        ~name:"kept replay lines reproduce bytes and verdicts"
-       QCheck.small_nat prop)
+       QCheck.(int_bound (Array.length cases - 1))
+       prop)
 
 let () =
   Alcotest.run "fuzz"
@@ -332,8 +450,14 @@ let () =
             test_exec_oracle_chr_regression;
           Alcotest.test_case "fixed-seed batch, both targets" `Quick
             test_smoke;
+          Alcotest.test_case "same report at -j1 and -j2" `Quick
+            test_smoke_any_jobs;
           Alcotest.test_case "malformed sweep is total" `Quick
             test_malformed_sweep;
+          Alcotest.test_case "class filter in both schedules" `Quick
+            test_class_filter;
+          Alcotest.test_case "batch check builds cold every time" `Quick
+            test_batch_check_cold;
           Alcotest.test_case "guided leg, coverage >= random" `Quick
             test_guided_smoke;
           Alcotest.test_case "replay lineage property" `Quick
