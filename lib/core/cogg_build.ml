@@ -16,6 +16,28 @@ let lift_template (e : Template.error) = { line = e.Template.line; msg = e.Templ
 
 let ( let* ) = Result.bind
 
+(* Each stage of a table build is a trace span (and, under --stats, a
+   phase.<name>.us counter); both are off by default and then cost one
+   atomic load per stage. *)
+let span name f = Trace.with_span ~cat:"cogg_build" name f
+
+let parse_spec read =
+  Result.map_error (fun e -> [ lift_parse e ]) (span "spec_parse" read)
+
+(* LR(0), the action table and the comb: what a grammar-shape change
+   rebuilds *)
+let build_tables ?pool ~mode grammar =
+  let automaton = span "cogg_build.lr0" (fun () -> Lr0.build grammar) in
+  let parse =
+    span "cogg_build.parse_table" (fun () ->
+        Parse_table.build ?pool ~mode automaton)
+  in
+  let compressed =
+    span "cogg_build.compress" (fun () ->
+        Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse)
+  in
+  (parse, compressed)
+
 (** Build the grammar from a checked specification. *)
 let grammar_of_spec (symtab : Symtab.t) (spec : Spec_ast.t) :
     (Grammar.t, error list) result =
@@ -88,18 +110,19 @@ let build ?pool ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
     Result.map_error (fun e -> [ lift_symtab e ]) (Symtab.of_spec ~target spec)
   in
   let* grammar = grammar_of_spec symtab spec in
-  let automaton = Lr0.build grammar in
-  let parse = Parse_table.build ?pool ~mode automaton in
+  let parse, compressed = build_tables ?pool ~mode grammar in
   (* compile templates; production ids follow declaration order.  Each
      template compiles independently, so the list fans out over the pool;
      results and errors are merged back in declaration order. *)
   let n_user = List.length spec.Spec_ast.productions in
   let compiled = Array.make (Grammar.n_prods grammar) None in
   let template_results =
-    Pool.maybe pool
-      (fun (i, (p : Spec_ast.production)) ->
-        Template.compile ~target ~grammar ~symtab ~prod_id:i p)
-      (Array.of_list (List.mapi (fun i p -> (i, p)) spec.Spec_ast.productions))
+    span "cogg_build.templates" (fun () ->
+        Pool.maybe pool
+          (fun (i, (p : Spec_ast.production)) ->
+            Template.compile ~target ~grammar ~symtab ~prod_id:i p)
+          (Array.of_list
+             (List.mapi (fun i p -> (i, p)) spec.Spec_ast.productions)))
   in
   let errs = ref [] in
   Array.iteri
@@ -111,12 +134,12 @@ let build ?pool ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
   if !errs <> [] then Error (List.rev !errs)
   else
     let class_of, kind_of = type_info grammar symtab in
+    let hashes =
+      span "cogg_build.spec_hash" (fun () -> Spec_hash.of_spec symtab spec)
+    in
     Ok
-      (Tables.make ~target ~grammar ~symtab ~parse
-         ~compressed:
-           (Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse)
-         ~compiled ~n_user_prods:n_user ~class_of ~kind_of
-         ~hashes:(Spec_hash.of_spec symtab spec))
+      (Tables.make ~target ~grammar ~symtab ~parse ~compressed ~compiled
+         ~n_user_prods:n_user ~class_of ~kind_of ~hashes)
 
 (* -- incremental rebuilds ---------------------------------------------------- *)
 
@@ -177,7 +200,9 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
         (Symtab.of_spec ~target spec)
     in
     let* grammar = grammar_of_spec symtab spec in
-    let hashes = Spec_hash.of_spec symtab spec in
+    let hashes =
+      span "cogg_build.spec_hash" (fun () -> Spec_hash.of_spec symtab spec)
+    in
     let prev_h = previous.Tables.hashes in
     if
       hashes.Spec_hash.decls <> prev_h.Spec_hash.decls
@@ -221,14 +246,16 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
         List.length (List.filter (fun (_, _, r) -> r <> None) plan)
       in
       let template_results =
-        Pool.maybe pool
-          (fun (i, (p : Spec_ast.production), reuse) ->
-            match reuse with
-            | Some j ->
-                let c = Option.get previous.Tables.compiled.(j) in
-                Ok { c with Template.c_prod = i }
-            | None -> Template.compile ~target ~grammar ~symtab ~prod_id:i p)
-          (Array.of_list plan)
+        span "cogg_build.templates" (fun () ->
+            Pool.maybe pool
+              (fun (i, (p : Spec_ast.production), reuse) ->
+                match reuse with
+                | Some j ->
+                    let c = Option.get previous.Tables.compiled.(j) in
+                    Ok { c with Template.c_prod = i }
+                | None ->
+                    Template.compile ~target ~grammar ~symtab ~prod_id:i p)
+              (Array.of_list plan))
       in
       let compiled = Array.make (Grammar.n_prods grammar) None in
       let errs = ref [] in
@@ -262,12 +289,9 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
               hashes;
             }
           else
-            let parse = Parse_table.build ?pool ~mode (Lr0.build grammar) in
-            Tables.make ~target ~grammar ~symtab ~parse
-              ~compressed:
-                (Compress.compress ?pool ~method_:Compress.Defaults_and_comb
-                   parse)
-              ~compiled ~n_user_prods:n_user ~class_of ~kind_of ~hashes
+            let parse, compressed = build_tables ?pool ~mode grammar in
+            Tables.make ~target ~grammar ~symtab ~parse ~compressed ~compiled
+              ~n_user_prods:n_user ~class_of ~kind_of ~hashes
         in
         Ok
           ( tables,
@@ -281,21 +305,15 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
 
 let build_incremental_string ?pool ?mode ?target ~previous (text : string) :
     (Tables.t * incr_stats, error list) result =
-  let* spec =
-    Result.map_error (fun e -> [ lift_parse e ]) (Spec_parse.of_string text)
-  in
+  let* spec = parse_spec (fun () -> Spec_parse.of_string text) in
   build_incremental ?pool ?mode ?target ~previous spec
 
 let build_string ?pool ?mode ?target (text : string) :
     (Tables.t, error list) result =
-  let* spec =
-    Result.map_error (fun e -> [ lift_parse e ]) (Spec_parse.of_string text)
-  in
+  let* spec = parse_spec (fun () -> Spec_parse.of_string text) in
   build ?pool ?mode ?target spec
 
 let build_file ?pool ?mode ?target (path : string) :
     (Tables.t, error list) result =
-  let* spec =
-    Result.map_error (fun e -> [ lift_parse e ]) (Spec_parse.of_file path)
-  in
+  let* spec = parse_spec (fun () -> Spec_parse.of_file path) in
   build ?pool ?mode ?target spec

@@ -21,12 +21,16 @@ val build :
   (Tables.t, error list) result
 (** Build the complete table bundle.  [mode] selects SLR(1) (the
     default, as in the paper) or LALR(1) lookaheads.  [pool] parallelizes
-    lookahead computation, the per-state action-table fill, table
-    compression prep and template compilation; the resulting bundle is
-    byte-identical at any worker count.  [target] selects the machine
-    substrate the spec's opcodes and template shapes are checked against
-    (default: the Amdahl 470); it is recorded in [Tables.target] and
-    drives emission, loading and simulation. *)
+    lookahead computation, the per-state action-table fill, the
+    per-state row extraction of compression and template compilation;
+    the resulting bundle is byte-identical at any worker count.
+    [target] selects the machine substrate the spec's opcodes and
+    template shapes are checked against (default: the Amdahl 470); it is
+    recorded in [Tables.target] and drives emission, loading and
+    simulation.  Each stage runs in a {!Trace} span:
+    [cogg_build.lr0], [cogg_build.parse_table], [cogg_build.compress],
+    [cogg_build.templates] and [cogg_build.spec_hash], plus [spec_parse]
+    in the [_string] and [_file] entry points. *)
 
 type incr_stats = {
   spliced_tables : bool;

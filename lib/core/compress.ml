@@ -127,6 +127,34 @@ let share_rows (state_rows : (int * (int * int) list) array) :
     state_rows;
   (row_index, Array.of_list (List.rev !distinct))
 
+(* Bitsets of [word]-bit words in native ints ([word] = 62 keeps every
+   word non-negative, so a word with every bit set is [full]); bits past
+   the end of the array read as clear. *)
+let word = 62
+let full = (1 lsl word) - 1
+
+let bit_set (b : int array ref) p =
+  let i = p / word in
+  if i >= Array.length !b then begin
+    let nb = Array.make (max (i + 1) (2 * Array.length !b)) 0 in
+    Array.blit !b 0 nb 0 (Array.length !b);
+    b := nb
+  end;
+  !b.(i) <- !b.(i) lor (1 lsl (p mod word))
+
+(* the [word] bits of [b] from bit (i * word + r), 0 <= r < word, as one
+   word: bit k is bit (i * word + r + k) *)
+let[@inline] window (b : int array) i r =
+  let n = Array.length b in
+  let lo = if i < n then b.(i) else 0 in
+  if r = 0 then lo
+  else
+    let hi = if i + 1 < n then b.(i + 1) else 0 in
+    (lo lsr r) lor ((hi lsl (word - r)) land full)
+
+let rec lowest_clear w k =
+  if (w lsr k) land 1 = 0 then k else lowest_clear w (k + 1)
+
 (* First-fit row displacement, densest row first (ties broken by row id
    for a strict total order, so the packing sequence is fully determined
    by the input).  The check array stores the *column symbol* (one byte),
@@ -134,19 +162,21 @@ let share_rows (state_rows : (int * (int * int) list) array) :
    position p can only satisfy check[p] = sym with p = offset + sym for
    the single row that owns it.
 
-   The scan is kept near-linear in the packed size: a monotone
-   [min_free] cursor (slots only ever fill, never free) lets each row
-   start probing at the first offset that could possibly place its
-   lowest column on a free slot, and both the taken-offset set and the
-   candidate probe run over plain arrays with no per-probe allocation.
-
-   Per-row packing prep — the entry array and the column bitmask the
-   first-fit probe walks — is pure per row and maps over the pool
-   (chunks of rows, merged by row id).  The placement loop itself stays
-   sequential: each row's offset depends on the occupancy left by every
-   earlier row, and byte-identical tables at any worker count are a
-   hard requirement. *)
-let pack_rows ?pool (entries_of : (int * int) list array) :
+   Each row takes the lowest offset that no row has taken and that puts
+   every one of its columns on a free cell.  The search tests [word]
+   candidate offsets at once: over the block of offsets from [base],
+     taken[base ..] lor (lor over the row's columns s of occ[base + s ..])
+   has bit i clear exactly when offset base + i fits, so the block's
+   lowest clear bit is the offset a probe of one offset at a time would
+   stop at, and a full word (every offset blocked) moves on to the next
+   block.  Successive blocks advance every window by one whole word, so
+   a column's word index and shift are computed once per row.  The first
+   block starts at the [min_free] cursor: slots only ever fill, so no
+   lower offset can put the row's lowest column on a free cell.
+   Placement is sequential — each row's offset depends on the occupancy
+   every earlier row left — so the comb is the same at any worker
+   count. *)
+let pack_rows (entries_of : (int * int) list array) :
     int array * int array * int array =
   let n_rows = Array.length entries_of in
   let row_len = Array.map List.length entries_of in
@@ -156,31 +186,10 @@ let pack_rows ?pool (entries_of : (int * int) list array) :
       if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
       else Int.compare a b)
     order;
-  let prepped =
-    Pool.maybe pool
-      (fun entry_list ->
-        match entry_list with
-        | [] -> None
-        | l ->
-            let entries = Array.of_list l in
-            let ne = Array.length entries in
-            let s0 = fst entries.(0) in
-            (* the row's columns as a bit mask over [0, s_max] *)
-            let s_max = fst entries.(ne - 1) in
-            let mwords = (s_max lsr 5) + 1 in
-            let mask = Array.make mwords 0 in
-            Array.iter
-              (fun (s, _) ->
-                mask.(s lsr 5) <- mask.(s lsr 5) lor (1 lsl (s land 31)))
-              entries;
-            Some (entries, s0, mwords, mask))
-      entries_of
-  in
   let cap = ref (max 64 (n_rows * 4)) in
   let value = ref (Array.make !cap 0) in
   let check = ref (Array.make !cap 0) in
   let used = ref 0 in
-  let taken = ref (Bytes.make !cap '\000') in
   let ensure n =
     if n > !cap then begin
       let ncap = max n (!cap * 2) in
@@ -192,77 +201,48 @@ let pack_rows ?pool (entries_of : (int * int) list array) :
       cap := ncap
     end
   in
+  (* occupancy mirrors the check array; taken marks row offsets *)
+  let occ = ref [||] and taken = ref [||] in
   let offsets = Array.make n_rows (-1) in
   let min_free = ref 0 in
-  (* occupancy bitset mirroring the check array: candidate probing
-     walks a few KB of bits (L1-resident) instead of re-reading the
-     much larger check array for every candidate offset.  32-bit
-     words inside native ints keep every index computation a shift
-     or mask and leave headroom for the cross-word window splice. *)
-  let bbits = 32 in
-  let bmask = (1 lsl bbits) - 1 in
-  let occ = ref (Array.make ((!cap lsr 5) + 2) 0) in
-  let occ_set p =
-    let i = p lsr 5 in
-    if i >= Array.length !occ then begin
-      let narr = Array.make (max (i + 1) (2 * Array.length !occ)) 0 in
-      Array.blit !occ 0 narr 0 (Array.length !occ);
-      occ := narr
-    end;
-    !occ.(i) <- !occ.(i) lor (1 lsl (p land 31))
-  in
   Array.iter
     (fun rid ->
-      match prepped.(rid) with
-      | None -> ()
-      | Some (entries, s0, mwords, mask) ->
-          (* advance past the filled prefix: every slot below
-             [min_free] is occupied, so no offset can place the first
-             (lowest) column there *)
+      match entries_of.(rid) with
+      | [] -> ()
+      | (s0, _) :: _ as entries ->
           while !min_free < !cap && !check.(!min_free) <> 0 do
             incr min_free
           done;
-          let occw = !occ in
-          let nocc = Array.length occw in
-          let fits off =
-            (off >= Bytes.length !taken || Bytes.get !taken off = '\000')
-            &&
-            let ok = ref true and w = ref 0 in
-            while !ok && !w < mwords do
-              let g = off + (!w lsl 5) in
-              let i = g lsr 5 and r = g land 31 in
-              let w0 = if i < nocc then occw.(i) else 0 in
-              let window =
-                if r = 0 then w0
-                else
-                  let w1 = if i + 1 < nocc then occw.(i + 1) else 0 in
-                  (w0 lsr r) lor ((w1 lsl (bbits - r)) land bmask)
-              in
-              if window land mask.(!w) <> 0 then ok := false;
-              incr w
-            done;
-            !ok
+          let base = max 0 (!min_free - s0) in
+          (* each column's cell at offset [base] *)
+          let cells =
+            Array.of_list (List.map (fun (s, _) -> base + s) entries)
           in
-          let off = ref (max 0 (!min_free - s0)) in
-          while not (fits !off) do
-            incr off
-          done;
-          if !off >= Bytes.length !taken then begin
-            let nb =
-              Bytes.make (max (!off + 1) (2 * Bytes.length !taken)) '\000'
+          let idx = Array.map (fun p -> p / word) cells
+          and shift = Array.map (fun p -> p mod word) cells in
+          let occw = !occ and takenw = !taken in
+          let rec fit blk =
+            let blocked =
+              ref (window takenw ((base / word) + blk) (base mod word))
             in
-            Bytes.blit !taken 0 nb 0 (Bytes.length !taken);
-            taken := nb
-          end;
-          Bytes.set !taken !off '\001';
-          offsets.(rid) <- !off;
-          Array.iter
+            let k = ref 0 in
+            while !blocked <> full && !k < Array.length cells do
+              blocked := !blocked lor window occw (idx.(!k) + blk) shift.(!k);
+              incr k
+            done;
+            if !blocked = full then fit (blk + 1)
+            else base + (blk * word) + lowest_clear !blocked 0
+          in
+          let off = fit 0 in
+          bit_set taken off;
+          offsets.(rid) <- off;
+          List.iter
             (fun (sym, v) ->
-              let p = !off + sym in
+              let p = off + sym in
               ensure (p + 1);
               !value.(p) <- v;
               !check.(p) <- sym + 1;
-              occ_set p;
+              bit_set occ p;
               if p + 1 > !used then used := p + 1)
             entries)
     order;
@@ -302,7 +282,7 @@ let compress ?pool ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
         let row_index, rows = share_rows state_rows in
         let n_rows = Array.length rows in
         let defaults = Array.map fst rows in
-        let offsets, value, check = pack_rows ?pool (Array.map snd rows) in
+        let offsets, value, check = pack_rows (Array.map snd rows) in
         let used = Array.length value in
         let size_bytes =
           (used * 2) (* value: 16-bit actions *)

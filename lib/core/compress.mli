@@ -48,9 +48,21 @@ val uncompressed_bytes : t -> int
     same dimensions. *)
 
 val compress : ?pool:Pool.t -> ?method_:method_ -> Parse_table.t -> t
-(** [?pool] parallelizes the per-state row extraction and the per-row
-    packing prep; the first-fit placement itself is sequential, so the
-    packed table is byte-identical at any worker count. *)
+(** [?pool] parallelizes the per-state row extraction (the default
+    choice and the significant entries of each state); row sharing and
+    the comb placement are sequential, so the packed table is
+    byte-identical at any worker count. *)
+
+val pack_rows : (int * int) list array -> int array * int array * int array
+(** [pack_rows rows] is the comb: row [r] of [rows] lists its
+    [(column, value)] entries, columns distinct and ascending, and the
+    result is [(offsets, value, check)] with, for every entry [(s, v)]
+    of row [r], [value.(offsets.(r) + s) = v] and
+    [check.(offsets.(r) + s) = s + 1]; a cell no row owns has check 0.
+    Rows are placed densest first (ties by row index), each at the
+    lowest offset no earlier row took where all its columns fall on
+    free cells; an empty row gets the offset one past the last cell.
+    [value] and [check] end at the last cell any row owns. *)
 
 val action_code : t -> int -> int -> int
 (** [action_code c state sym] is the O(1) runtime probe: row_index ->

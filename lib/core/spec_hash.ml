@@ -37,13 +37,16 @@ let feed_ssym buf (s : Spec_ast.ssym) =
   Buffer.add_string buf s.Spec_ast.base;
   (match s.Spec_ast.idx with
   | None -> ()
-  | Some i -> Buffer.add_string buf (Printf.sprintf ".%d" i));
+  | Some i ->
+      Buffer.add_char buf '.';
+      Buffer.add_string buf (string_of_int i));
   feed_sep buf
 
 let feed_atom buf = function
   | Spec_ast.Asym s -> feed_ssym buf s
   | Spec_ast.Anum n ->
-      Buffer.add_string buf (Printf.sprintf "#%d" n);
+      Buffer.add_char buf '#';
+      Buffer.add_string buf (string_of_int n);
       feed_sep buf
 
 let feed_operand buf (o : Spec_ast.operand) =
@@ -60,8 +63,7 @@ let feed_template buf (tm : Spec_ast.template) =
 
 let feed_info buf = function
   | None -> Buffer.add_char buf '?'
-  | Some info ->
-      Buffer.add_string buf (Fmt.str "%a" Symtab.pp_info info)
+  | Some info -> Symtab.add_info buf info
 
 let production_hash (symtab : Symtab.t) (p : Spec_ast.production) : string =
   let buf = Buffer.create 256 in

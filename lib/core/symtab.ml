@@ -15,15 +15,15 @@ let reg_class_of_string = function
   | "none" -> Some Noclass
   | _ -> None
 
-let pp_reg_class ppf c =
-  Fmt.string ppf
-    (match c with
-    | Gpr -> "gpr"
-    | Pair -> "pair"
-    | Fpr -> "fpr"
-    | Fpair -> "fpair"
-    | Cc -> "cc"
-    | Noclass -> "none")
+let reg_class_name = function
+  | Gpr -> "gpr"
+  | Pair -> "pair"
+  | Fpr -> "fpr"
+  | Fpair -> "fpair"
+  | Cc -> "cc"
+  | Noclass -> "none"
+
+let pp_reg_class ppf c = Fmt.string ppf (reg_class_name c)
 
 (** Value kind a terminal's token must carry (checked by the driver). *)
 type value_kind = Kint | Klabel | Kcse | Kcond
@@ -37,13 +37,13 @@ let value_kind_of_string = function
   | "condition" -> Some Kcond
   | _ -> None
 
-let pp_value_kind ppf k =
-  Fmt.string ppf
-    (match k with
-    | Kint -> "int"
-    | Klabel -> "label"
-    | Kcse -> "cse"
-    | Kcond -> "condition")
+let value_kind_name = function
+  | Kint -> "int"
+  | Klabel -> "label"
+  | Kcse -> "cse"
+  | Kcond -> "condition"
+
+let pp_value_kind ppf k = Fmt.string ppf (value_kind_name k)
 
 type info =
   | Nonterminal of reg_class
@@ -53,13 +53,32 @@ type info =
   | Constant of int
   | Semantic
 
-let pp_info ppf = function
-  | Nonterminal c -> Fmt.pf ppf "non-terminal (%a)" pp_reg_class c
-  | Terminal k -> Fmt.pf ppf "terminal (%a)" pp_value_kind k
-  | Operator -> Fmt.string ppf "operator"
-  | Opcode -> Fmt.string ppf "opcode"
-  | Constant v -> Fmt.pf ppf "constant (= %d)" v
-  | Semantic -> Fmt.string ppf "semantic operator"
+(** [add_info b info] appends the text [pp_info] prints, written straight
+    into [b]: the spec hashes feed it for every symbol a production
+    reads. *)
+let add_info b info =
+  let add = Buffer.add_string b in
+  match info with
+  | Nonterminal c ->
+      add "non-terminal (";
+      add (reg_class_name c);
+      add ")"
+  | Terminal k ->
+      add "terminal (";
+      add (value_kind_name k);
+      add ")"
+  | Operator -> add "operator"
+  | Opcode -> add "opcode"
+  | Constant v ->
+      add "constant (= ";
+      add (string_of_int v);
+      add ")"
+  | Semantic -> add "semantic operator"
+
+let pp_info ppf info =
+  let b = Buffer.create 32 in
+  add_info b info;
+  Fmt.string ppf (Buffer.contents b)
 
 type t = {
   table : (string, info) Hashtbl.t;

@@ -617,8 +617,7 @@ let w_section encode (s : 'a Tables.section) b =
   | Some (buf, pos, len) -> Buffer.add_substring b buf pos len
   | None -> encode b (Tables.force s)
 
-(** Serialize a complete table bundle (format [CGB7]). *)
-let write (t : Tables.t) : string =
+let encode_bundle (t : Tables.t) : string =
   let c = t.Tables.compressed in
   let b =
     Buffer.create
@@ -658,12 +657,13 @@ let write (t : Tables.t) : string =
     0 bytes 8 16;
   Bytes.unsafe_to_string bytes
 
-(** Reload a bundle written by {!write}; [Corrupt] unless the length and
-    the MD5 match and every section is well formed.  The automaton is
-    not stored: a skeletal one with only the state ids is rebuilt on
-    first use, which is all the driver needs (it reads actions, never
-    items). *)
-let read (s : string) : Tables.t =
+(** Serialize a complete table bundle (format [CGB7]), in a
+    [tables_io.write] {!Trace} span. *)
+let write (t : Tables.t) : string =
+  Trace.with_span ~cat:"tables_io" "tables_io.write" (fun () ->
+      encode_bundle t)
+
+let decode_bundle (s : string) : Tables.t =
   let n = String.length s in
   if n < 4 || String.sub s 0 4 <> magic then
     corrupt "%s"
@@ -761,3 +761,12 @@ let read (s : string) : Tables.t =
               { Lr0.id; kernel = [||]; closure = [||]; transitions = [] }));
     hashes;
   }
+
+(** Reload a bundle written by {!write}, in a [tables_io.read] {!Trace}
+    span; [Corrupt] unless the length and the MD5 match and every
+    section is well formed.  The automaton is not stored: a skeletal one
+    with only the state ids is rebuilt on first use, which is all the
+    driver needs (it reads actions, never items). *)
+let read (s : string) : Tables.t =
+  Trace.with_span ~cat:"tables_io" "tables_io.read" (fun () ->
+      decode_bundle s)

@@ -80,6 +80,13 @@ let class_of_index (index : int) : int = index mod n_classes
 let profile_of_index (index : int) : Profile.t =
   Profile.all.(class_of_index index / 2)
 
+(* Statements in a branch-heavy stream that [malformed] mode mutates.
+   Well-formed ones run 150-400 statements so that branches span more
+   than 4096 bytes of code; a mutant of one is judged by how the
+   pipeline refuses it, which a short stream shows as well, while a
+   full-length one costs several times as much to compile and run. *)
+let malformed_branch_statements = 24
+
 (** The fresh input of [index]: odd classes are IF streams, which
     [malformed] mode then mutates (usually into malformed input) with
     {!Gen_if.mutate}. *)
@@ -87,7 +94,12 @@ let fresh ~(malformed : bool) ~(seed : int) ~(index : int) : input =
   let rng = Rng.derive ~seed ~index in
   let profile = profile_of_index index in
   if class_of_index index land 1 = 1 then
-    let toks = Gen_if.program ~branch_heavy:(profile = Profile.Branches) rng in
+    let branch_heavy = profile = Profile.Branches in
+    let size =
+      if malformed && branch_heavy then Some malformed_branch_statements
+      else None
+    in
+    let toks = Gen_if.program ~branch_heavy ?size rng in
     If_stream (if malformed then Gen_if.mutate rng toks else toks)
   else Pascal_src (Gen_pascal.program rng profile)
 

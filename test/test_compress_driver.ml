@@ -245,6 +245,228 @@ let test_default_tie_break () =
         Alcotest.fail "row defaults do not follow (count, -encoding)")
     Cogg.Compress.[ Defaults_only; Defaults_and_comb ]
 
+(* -- the comb packer against its reference ------------------------------------ *)
+
+(* The first fit Compress.pack_rows used before its word-parallel
+   search, kept as the reference (without its pool fan-out): rows
+   densest first (ties by row id), each probed one candidate offset at
+   a time from the [min_free] cursor, over a 32-bit occupancy bitset
+   and the row's column mask.  The word-parallel packer must place
+   every row where this one does. *)
+module Reference = struct
+  let pack_rows (entries_of : (int * int) list array) :
+      int array * int array * int array =
+    let n_rows = Array.length entries_of in
+    let row_len = Array.map List.length entries_of in
+    let order = Array.init n_rows Fun.id in
+    Array.sort
+      (fun (a : int) b ->
+        if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
+        else Int.compare a b)
+      order;
+    let prepped =
+      Array.map
+        (fun entry_list ->
+          match entry_list with
+          | [] -> None
+          | l ->
+              let entries = Array.of_list l in
+              let ne = Array.length entries in
+              let s0 = fst entries.(0) in
+              let s_max = fst entries.(ne - 1) in
+              let mwords = (s_max lsr 5) + 1 in
+              let mask = Array.make mwords 0 in
+              Array.iter
+                (fun (s, _) ->
+                  mask.(s lsr 5) <- mask.(s lsr 5) lor (1 lsl (s land 31)))
+                entries;
+              Some (entries, s0, mwords, mask))
+        entries_of
+    in
+    let cap = ref (max 64 (n_rows * 4)) in
+    let value = ref (Array.make !cap 0) in
+    let check = ref (Array.make !cap 0) in
+    let used = ref 0 in
+    let taken = ref (Bytes.make !cap '\000') in
+    let ensure n =
+      if n > !cap then begin
+        let ncap = max n (!cap * 2) in
+        let nv = Array.make ncap 0 and nc = Array.make ncap 0 in
+        Array.blit !value 0 nv 0 !cap;
+        Array.blit !check 0 nc 0 !cap;
+        value := nv;
+        check := nc;
+        cap := ncap
+      end
+    in
+    let offsets = Array.make n_rows (-1) in
+    let min_free = ref 0 in
+    let bbits = 32 in
+    let bmask = (1 lsl bbits) - 1 in
+    let occ = ref (Array.make ((!cap lsr 5) + 2) 0) in
+    let occ_set p =
+      let i = p lsr 5 in
+      if i >= Array.length !occ then begin
+        let narr = Array.make (max (i + 1) (2 * Array.length !occ)) 0 in
+        Array.blit !occ 0 narr 0 (Array.length !occ);
+        occ := narr
+      end;
+      !occ.(i) <- !occ.(i) lor (1 lsl (p land 31))
+    in
+    Array.iter
+      (fun rid ->
+        match prepped.(rid) with
+        | None -> ()
+        | Some (entries, s0, mwords, mask) ->
+            while !min_free < !cap && !check.(!min_free) <> 0 do
+              incr min_free
+            done;
+            let occw = !occ in
+            let nocc = Array.length occw in
+            let fits off =
+              (off >= Bytes.length !taken || Bytes.get !taken off = '\000')
+              &&
+              let ok = ref true and w = ref 0 in
+              while !ok && !w < mwords do
+                let g = off + (!w lsl 5) in
+                let i = g lsr 5 and r = g land 31 in
+                let w0 = if i < nocc then occw.(i) else 0 in
+                let window =
+                  if r = 0 then w0
+                  else
+                    let w1 = if i + 1 < nocc then occw.(i + 1) else 0 in
+                    (w0 lsr r) lor ((w1 lsl (bbits - r)) land bmask)
+                in
+                if window land mask.(!w) <> 0 then ok := false;
+                incr w
+              done;
+              !ok
+            in
+            let off = ref (max 0 (!min_free - s0)) in
+            while not (fits !off) do
+              incr off
+            done;
+            if !off >= Bytes.length !taken then begin
+              let nb =
+                Bytes.make (max (!off + 1) (2 * Bytes.length !taken)) '\000'
+              in
+              Bytes.blit !taken 0 nb 0 (Bytes.length !taken);
+              taken := nb
+            end;
+            Bytes.set !taken !off '\001';
+            offsets.(rid) <- !off;
+            Array.iter
+              (fun (sym, v) ->
+                let p = !off + sym in
+                ensure (p + 1);
+                !value.(p) <- v;
+                !check.(p) <- sym + 1;
+                occ_set p;
+                if p + 1 > !used then used := p + 1)
+              entries)
+      order;
+    Array.iteri (fun rid off -> if off < 0 then offsets.(rid) <- !used) offsets;
+    (offsets, Array.sub !value 0 !used, Array.sub !check 0 !used)
+end
+
+let show_rows rows =
+  String.concat "\n"
+    (Array.to_list
+       (Array.mapi
+          (fun r es ->
+            Fmt.str "row %d: %s" r
+              (String.concat " "
+                 (List.map (fun (s, v) -> Fmt.str "%d=%d" s v) es)))
+          rows))
+
+(* The first index at which two packings differ, as a message. *)
+let packing_diff (o, v, c) (o', v', c') =
+  let first name a b =
+    if Array.length a <> Array.length b then
+      Some
+        (Fmt.str "%s: length %d vs %d" name (Array.length a) (Array.length b))
+    else
+      Option.map
+        (fun i -> Fmt.str "%s.(%d): %d vs %d" name i a.(i) b.(i))
+        (Array.find_index Fun.id (Array.map2 ( <> ) a b))
+  in
+  List.find_map Fun.id
+    [ first "offsets" o o'; first "value" v v'; first "check" c c' ]
+
+(* The rows Compress fed the packer for a built table: for each shared
+   row, the (column, encoded action) entries of the flat table that are
+   neither errors nor the row default, in column order. *)
+let comb_rows (t : Cogg.Tables.t) : (int * int) list array =
+  let c = t.Cogg.Tables.compressed in
+  let rows = Array.make (Cogg.Cells.length c.Cogg.Compress.offsets) [] in
+  Array.iteri
+    (fun state actions ->
+      let rid = Cogg.Cells.get c.Cogg.Compress.row_index state in
+      let d = Cogg.Cells.get c.Cogg.Compress.defaults rid in
+      rows.(rid) <-
+        List.filter_map Fun.id
+          (Array.to_list
+             (Array.mapi
+                (fun sym a ->
+                  let v = Cogg.Compress.encode_action a in
+                  if v <> d && v <> 0 then Some (sym, v) else None)
+                actions)))
+    (Cogg.Tables.parse t).Cogg.Parse_table.actions;
+  rows
+
+let test_packer_matches_reference tables () =
+  let t = Lazy.force tables in
+  let rows = comb_rows t in
+  let packed = Cogg.Compress.pack_rows rows in
+  (match packing_diff (Reference.pack_rows rows) packed with
+  | None -> ()
+  | Some d -> Alcotest.failf "packer differs from the reference at %s" d);
+  (* and it is the comb the build carries *)
+  let c = t.Cogg.Tables.compressed in
+  let carried =
+    Cogg.Cells.(
+      to_array c.Cogg.Compress.offsets,
+      to_array c.Cogg.Compress.value,
+      to_array c.Cogg.Compress.check)
+  in
+  match packing_diff carried packed with
+  | None -> ()
+  | Some d -> Alcotest.failf "packer differs from the carried comb at %s" d
+
+(* Random row sets.  A row is empty, a single column 0, wide and sparse
+   (columns up to 300, so windows straddle several 62-bit words), or
+   narrow and dense; lengths repeat often, so densest-first order leans
+   on its row-id tie-break, and 40 rows of up to 20 entries overrun the
+   packer's initial capacity (4 cells per row). *)
+let gen_rows : (int * int) list array QCheck.Gen.t =
+  let open QCheck.Gen in
+  let row ~max_len ~span =
+    map
+      (fun cols -> List.map (fun s -> (s, 2 + (s * 7 mod 97))) cols)
+      (map
+         (List.sort_uniq Int.compare)
+         (list_size (int_range 1 max_len) (int_bound (span - 1))))
+  in
+  map Array.of_list
+    (list_size (int_range 0 40)
+       (frequency
+          [
+            (1, return []);
+            (1, return [ (0, 5) ]);
+            (3, row ~max_len:12 ~span:300);
+            (3, row ~max_len:20 ~span:24);
+          ]))
+
+let prop_packer_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"random rows: packer = reference"
+    (QCheck.make gen_rows ~print:show_rows)
+    (fun rows ->
+      match
+        packing_diff (Reference.pack_rows rows) (Cogg.Compress.pack_rows rows)
+      with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "differs at %s" d)
+
 let () =
   Alcotest.run "compress_driver"
     [
@@ -271,6 +493,14 @@ let () =
           Alcotest.test_case "outcomes agree" `Quick test_outcomes_agree;
           Alcotest.test_case "invalid IF rejected" `Quick
             test_invalid_if_rejected_both;
+        ] );
+      ( "packer",
+        [
+          Alcotest.test_case "amdahl470 rows = reference" `Quick
+            (test_packer_matches_reference Util.amdahl_tables);
+          Alcotest.test_case "risc32 rows = reference" `Quick
+            (test_packer_matches_reference Util.risc32_tables);
+          QCheck_alcotest.to_alcotest prop_packer_matches_reference;
         ] );
       ( "stack accounting",
         [ Alcotest.test_case "exact max_stack" `Quick test_max_stack_exact ] );

@@ -111,6 +111,37 @@ let test_branch_heavy_reaches_long_branches () =
   done;
   Alcotest.(check bool) "some branch-heavy stream forces long form" true !hit
 
+let test_malformed_branch_streams_short () =
+  (* under --malformed the branches class mutates short streams; the
+     well-formed class keeps its full 150-400 statements *)
+  let statements = function
+    | Fuzz.Runner.If_stream toks ->
+        List.length
+          (List.filter
+             (fun (t : Ifl.Token.t) -> t.Ifl.Token.sym = "statement")
+             toks)
+    | Fuzz.Runner.Pascal_src _ -> Alcotest.fail "an IF class drew Pascal"
+  in
+  let branches_if =
+    List.filter
+      (fun i ->
+        Fuzz.Runner.profile_of_index i = Fuzz.Profile.Branches
+        && Fuzz.Runner.class_of_index i land 1 = 1)
+      (List.init 100 Fun.id)
+  in
+  List.iter
+    (fun index ->
+      let n malformed =
+        statements (Fuzz.Runner.fresh ~malformed ~seed:3 ~index)
+      in
+      Alcotest.(check bool) "well-formed stream keeps its length" true
+        (n false >= 150);
+      (* each of at most three mutation steps adds at most one
+         statement marker *)
+      Alcotest.(check bool) "malformed stream is capped" true
+        (n true <= Fuzz.Runner.malformed_branch_statements + 3))
+    branches_if
+
 (* -- the shrinker ------------------------------------------------------------- *)
 
 let test_shrinker_greedy_minimum () =
@@ -437,6 +468,8 @@ let () =
           Alcotest.test_case "IF text round-trips" `Quick test_if_text_roundtrip;
           Alcotest.test_case "branch-heavy forces long branches" `Quick
             test_branch_heavy_reaches_long_branches;
+          Alcotest.test_case "malformed branch streams are short" `Quick
+            test_malformed_branch_streams_short;
         ] );
       ( "shrinker",
         [

@@ -230,6 +230,45 @@ let test_bundle_roundtrip_drives_codegen () =
   (* a decoded section is written back as the bytes it came from *)
   Alcotest.(check string) "rewritten bundle" bytes (Cogg.Tables_io.write t2)
 
+(* The bytes a table build produces are a contract: a from-scratch build
+   of either shipped spec, sequential or on a 2-domain pool, writes the
+   bundle these digests and lengths pin.  A change to LR construction,
+   compression, template compilation, the spec hashes or the bundle
+   layout that moves a byte fails here, not only in a digest computed
+   by hand. *)
+let pinned_bundles =
+  [
+    ("amdahl470", "amdahl470.cgg", "e569137acc1c3c06ec9842f23d3b186c", 260_192);
+    ("risc32", "risc32.cgg", "2c3acc0d297e2f8c660893acac8f02e8", 263_762);
+  ]
+
+let test_bundle_bytes_pinned () =
+  let build ?pool (target, file, _, _) =
+    match
+      Cogg.Cogg_build.build_file ?pool
+        ~target:(Machine.Targets.find_exn target)
+        (Util.spec_path file)
+    with
+    | Ok t -> Cogg.Tables_io.write t
+    | Error es ->
+        Alcotest.failf "%s failed to build: %a" file
+          (Fmt.list Cogg.Cogg_build.pp_error)
+          es
+  in
+  let check how (target, _, md5, len) bytes =
+    check_int (Fmt.str "%s %s: bundle length" target how) len
+      (String.length bytes);
+    Alcotest.(check string)
+      (Fmt.str "%s %s: bundle MD5" target how)
+      md5
+      (Digest.to_hex (Digest.string bytes))
+  in
+  List.iter (fun pin -> check "sequential" pin (build pin)) pinned_bundles;
+  Cogg.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun pin -> check "on 2 domains" pin (build ~pool pin))
+        pinned_bundles)
+
 (* the reader's message for a bundle it must refuse as corrupt *)
 let rejected what bytes =
   match Cogg.Tables_io.read bytes with
@@ -520,6 +559,8 @@ let () =
         [ Alcotest.test_case "lookup equivalence" `Quick test_compressed_lookup_equivalence ] );
       ( "bundle",
         [
+          Alcotest.test_case "pinned bytes, -j1 and -j2" `Quick
+            test_bundle_bytes_pinned;
           Alcotest.test_case "roundtrip drives codegen" `Quick test_bundle_roundtrip_drives_codegen;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
           Alcotest.test_case "current and stale magic" `Quick

@@ -132,6 +132,98 @@ let test_spans_balanced_and_nested () =
       Alcotest.(check bool) "spans feed phase.*.us counters" true
         (List.mem_assoc "phase.codegen.us" (Cogg.Metrics.snapshot ())))
 
+(* -- table-build spans -------------------------------------------------------- *)
+
+(* What a cold cache miss builds, stage by stage, and writes. *)
+let build_phases =
+  [
+    "spec_parse";
+    "cogg_build.lr0";
+    "cogg_build.parse_table";
+    "cogg_build.compress";
+    "cogg_build.templates";
+    "cogg_build.spec_hash";
+    "tables_io.write";
+  ]
+
+let span_names () =
+  List.filter_map
+    (fun (e : Cogg.Trace.event) ->
+      if e.Cogg.Trace.ev_ph = 'X' then Some e.Cogg.Trace.ev_name else None)
+    (Cogg.Trace.events ())
+
+let phase_rows () =
+  List.filter
+    (fun (name, v) -> v <> 0 && String.starts_with ~prefix:"phase." name)
+    (Cogg.Metrics.snapshot ())
+
+(* [with_cache f] runs [f build] on a private cache that starts empty
+   and is removed afterwards; [build ()] builds amdahl470 through it (on
+   a pool when COGG_JOBS asks for one) and returns the origin. *)
+let with_cache f =
+  let text =
+    In_channel.with_open_bin (Util.spec_path "amdahl470.cgg")
+      In_channel.input_all
+  in
+  let dir = Filename.temp_file "test-trace-cache" "" in
+  Sys.remove dir;
+  let build ?pool () =
+    match Cogg.Tables_cache.build_text ?pool ~cache_dir:dir text with
+    | Ok (_, origin) -> origin
+    | Error _ -> Alcotest.fail "amdahl470.cgg failed to build"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun n -> Sys.remove (Filename.concat dir n))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () ->
+      if jobs () > 1 then
+        Cogg.Pool.with_pool ~domains:(jobs ()) (fun pool ->
+            f (build ~pool))
+      else f (fun () -> build ()))
+
+let is_origin what expected got =
+  Alcotest.(check bool) what true (got = expected)
+
+let test_table_build_spans () =
+  with_cache (fun build ->
+      with_observability ~metrics:true ~trace:true (fun () ->
+          is_origin "first build is a miss" Cogg.Tables_cache.Built (build ());
+          let names = span_names () in
+          List.iter
+            (fun phase ->
+              Alcotest.(check bool) (phase ^ " span on a miss") true
+                (List.mem phase names);
+              Alcotest.(check bool) (phase ^ " phase counter on a miss") true
+                (List.mem_assoc ("phase." ^ phase ^ ".us")
+                   (Cogg.Metrics.snapshot ())))
+            build_phases;
+          Cogg.Trace.clear ();
+          is_origin "second build is a hit" Cogg.Tables_cache.Cache_hit
+            (build ());
+          let names = span_names () in
+          Alcotest.(check bool) "tables_io.read span on a hit" true
+            (List.mem "tables_io.read" names);
+          List.iter
+            (fun n ->
+              if n = "spec_parse" || String.starts_with ~prefix:"cogg_build." n
+              then Alcotest.failf "a hit recorded the build phase %s" n)
+            names))
+
+let test_table_build_untraced () =
+  with_cache (fun build ->
+      with_observability (fun () ->
+          is_origin "a miss" Cogg.Tables_cache.Built (build ());
+          is_origin "a hit" Cogg.Tables_cache.Cache_hit (build ());
+          Alcotest.(check int) "no events recorded" 0
+            (Cogg.Trace.event_count ());
+          Alcotest.(check (list (pair string int)))
+            "no phase time accumulated" [] (phase_rows ())))
+
 (* A miniature JSON reader, enough to validate what Trace.to_json_string
    writes (objects, arrays, strings with escapes, numbers, literals).
    Raises [Exit] on the first malformed byte. *)
@@ -290,6 +382,10 @@ let () =
           Alcotest.test_case "spans balanced and nested" `Quick
             test_spans_balanced_and_nested;
           Alcotest.test_case "JSON well-formed" `Quick test_json_well_formed;
+          Alcotest.test_case "table build: a span per stage" `Quick
+            test_table_build_spans;
+          Alcotest.test_case "table build: silent when disabled" `Quick
+            test_table_build_untraced;
         ] );
       ( "explain",
         [
