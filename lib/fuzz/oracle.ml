@@ -261,9 +261,13 @@ let total (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
   List.iter (fun (_, d) -> probe d) dispatch_variants;
   Pass
 
-(** Same totality contract for the textual reader path. *)
-let total_text (tables : Cogg.Tables.t) (text : string) : status =
+(** Same totality contract for the textual reader path.  [text] is the
+    rendering of [judged], a stream {!total} has already judged, so
+    [total] runs again only when the reader gives back another stream. *)
+let total_text (tables : Cogg.Tables.t) ~(judged : Ifl.Token.t list)
+    (text : string) : status =
   protect @@ fun () ->
   match Ifl.Reader.program_of_string text with
   | Error _ -> Pass
+  | Ok toks when List.equal Ifl.Token.equal toks judged -> Pass
   | Ok toks -> total tables toks

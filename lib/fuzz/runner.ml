@@ -196,7 +196,9 @@ let oracles_for (tables : Cogg.Tables.t) (cfg : config) (input : input) :
   if cfg.malformed then
     [
       ("total", on_toks (Oracle.total tables));
-      ("total-text", on_toks (fun t -> Oracle.total_text tables (Gen_if.to_text t)));
+      ( "total-text",
+        on_toks (fun t -> Oracle.total_text tables ~judged:t (Gen_if.to_text t))
+      );
       ("dispatch", on_toks (Oracle.dispatch tables));
     ]
     @ cross "total-cross" (fun other -> on_toks (Oracle.total other))

@@ -63,15 +63,14 @@ type executed = {
   written_reals : float list;
 }
 
-(** Load and run a compiled program. *)
-let execute ?(layout = Machine.Runtime.default_layout) ?(max_steps = 5_000_000)
-    (c : compiled) : (executed, string) result =
-  let tgt = c.target in
-  let* sim, entry =
-    tgt.Machine.Target.boot ~layout c.gen.Cogg.Codegen.objmod
-  in
-  (* resolve the procedure address table: the role of a linking loader *)
-  let labels = c.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.labels in
+(* Boot [objmod] on [target], fill the procedure address table (the
+   role of a linking loader), run it bounded and read back the written
+   output.  The one loading protocol of both code generators. *)
+let load_and_run ~layout ~max_steps (target : Machine.Target.t) objmod
+    (resolved : Cogg.Loader_gen.resolved) (sh : Shaper.Irgen.shaped) :
+    (executed, string) result =
+  let* sim, entry = target.Machine.Target.boot ~layout objmod in
+  let labels = resolved.Cogg.Loader_gen.labels in
   let* () =
     List.fold_left
       (fun acc (_, slot, lbl) ->
@@ -84,11 +83,10 @@ let execute ?(layout = Machine.Runtime.default_layout) ?(max_steps = 5_000_000)
               (layout.Machine.Runtime.code_addr + off);
             Ok ()
         | None -> Error (Fmt.str "procedure label L%d unresolved" lbl))
-      (Ok ()) c.shaped.Shaper.Irgen.proc_slots
+      (Ok ()) sh.Shaper.Irgen.proc_slots
   in
-  let* outcome = tgt.Machine.Target.run ~max_steps ~layout sim ~entry in
+  let* outcome = target.Machine.Target.run ~max_steps ~layout sim ~entry in
   let frame = outcome.Machine.Runtime.final_frame in
-  let sh = c.shaped in
   let n_ints = Machine.Sim.load_w sim (frame + sh.Shaper.Irgen.wcount_i_disp) in
   let n_reals = Machine.Sim.load_w sim (frame + sh.Shaper.Irgen.wcount_r_disp) in
   let clamp n lim = max 0 (min n lim) in
@@ -102,6 +100,12 @@ let execute ?(layout = Machine.Runtime.default_layout) ?(max_steps = 5_000_000)
           (frame + sh.Shaper.Irgen.out_real_disp + (8 * i)))
   in
   Ok { sim; frame; outcome; written_ints; written_reals }
+
+(** Load and run a compiled program. *)
+let execute ?(layout = Machine.Runtime.default_layout) ?(max_steps = 5_000_000)
+    (c : compiled) : (executed, string) result =
+  load_and_run ~layout ~max_steps c.target c.gen.Cogg.Codegen.objmod
+    c.gen.Cogg.Codegen.resolved c.shaped
 
 (* -- reading final variable state ------------------------------------------- *)
 
@@ -258,42 +262,13 @@ let compile_baseline ?(checks = false) (source : string) :
   let* gen = Baseline.generate shaped.Shaper.Irgen.trees in
   Ok { b_source = source; b_checked = checked; b_shaped = shaped; b_gen = gen }
 
-(** Run a baseline-compiled program (same loading protocol). *)
+(** Run a baseline-compiled program (same loading protocol, on the
+    default target: the baseline generates 370 code). *)
 let execute_baseline ?(layout = Machine.Runtime.default_layout)
     ?(max_steps = 5_000_000) (c : baseline_compiled) : (executed, string) result
     =
-  let* sim, entry = Machine.Runtime.boot ~layout c.b_gen.Baseline.objmod in
-  let labels = c.b_gen.Baseline.resolved.Cogg.Loader_gen.labels in
-  let* () =
-    List.fold_left
-      (fun acc (_, slot, lbl) ->
-        let* () = acc in
-        match List.assoc_opt (Cogg.Code_buffer.User lbl) labels with
-        | Some off ->
-            Machine.Sim.store_w sim
-              (layout.Machine.Runtime.psa_addr + Machine.Runtime.psa_proctab
-             + (4 * slot))
-              (layout.Machine.Runtime.code_addr + off);
-            Ok ()
-        | None -> Error (Fmt.str "procedure label L%d unresolved" lbl))
-      (Ok ()) c.b_shaped.Shaper.Irgen.proc_slots
-  in
-  let* outcome = Machine.Runtime.run ~max_steps ~layout sim ~entry in
-  let frame = outcome.Machine.Runtime.final_frame in
-  let sh = c.b_shaped in
-  let n_ints = Machine.Sim.load_w sim (frame + sh.Shaper.Irgen.wcount_i_disp) in
-  let n_reals = Machine.Sim.load_w sim (frame + sh.Shaper.Irgen.wcount_r_disp) in
-  let clamp n lim = max 0 (min n lim) in
-  let written_ints =
-    List.init (clamp n_ints 64) (fun i ->
-        Machine.Sim.load_w sim (frame + sh.Shaper.Irgen.out_int_disp + (4 * i)))
-  in
-  let written_reals =
-    List.init (clamp n_reals 32) (fun i ->
-        Machine.Sim.load_f64 sim
-          (frame + sh.Shaper.Irgen.out_real_disp + (8 * i)))
-  in
-  Ok { sim; frame; outcome; written_ints; written_reals }
+  load_and_run ~layout ~max_steps Machine.Targets.default
+    c.b_gen.Baseline.objmod c.b_gen.Baseline.resolved c.b_shaped
 
 (** Standard workloads (paper Appendix 1 and friends). *)
 module Programs = Programs

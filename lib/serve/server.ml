@@ -23,17 +23,6 @@
 
 type verify_mode = Verify_never | Verify_once | Verify_always
 
-type stats = {
-  requests : int;
-  compiles : int;
-  inline_hits : int;
-  verified_hits : int;
-  overloaded : int;
-  gate_failures : int;
-  oversized : int;
-  cache : Cogg.Result_cache.stats;
-}
-
 let src = Logs.Src.create "cogg.serve" ~doc:"pascd compile service"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -85,33 +74,21 @@ type t = {
   mutable n_oversized : int;
 }
 
-let stats (t : t) : stats =
-  {
-    requests = t.n_requests;
-    compiles = t.n_compiles;
-    inline_hits = t.n_inline_hits;
-    verified_hits = t.n_verified_hits;
-    overloaded = t.n_overloaded;
-    gate_failures = t.n_gate_failures;
-    oversized = t.n_oversized;
-    cache = Cogg.Result_cache.stats t.cache;
-  }
-
 let stats_text (t : t) : string =
-  let s = stats t in
+  let cache = Cogg.Result_cache.stats t.cache in
   let b = Buffer.create 256 in
   let line k v = Buffer.add_string b (Printf.sprintf "%s %d\n" k v) in
-  line "requests" s.requests;
-  line "compiles" s.compiles;
-  line "inline_hits" s.inline_hits;
-  line "verified_hits" s.verified_hits;
-  line "overloaded" s.overloaded;
-  line "gate_failures" s.gate_failures;
-  line "oversized" s.oversized;
-  line "cache_hits" s.cache.Cogg.Result_cache.hits;
-  line "cache_misses" s.cache.Cogg.Result_cache.misses;
-  line "cache_evictions" s.cache.Cogg.Result_cache.evictions;
-  line "cache_entries" s.cache.Cogg.Result_cache.entries;
+  line "requests" t.n_requests;
+  line "compiles" t.n_compiles;
+  line "inline_hits" t.n_inline_hits;
+  line "verified_hits" t.n_verified_hits;
+  line "overloaded" t.n_overloaded;
+  line "gate_failures" t.n_gate_failures;
+  line "oversized" t.n_oversized;
+  line "cache_hits" cache.Cogg.Result_cache.hits;
+  line "cache_misses" cache.Cogg.Result_cache.misses;
+  line "cache_evictions" cache.Cogg.Result_cache.evictions;
+  line "cache_entries" cache.Cogg.Result_cache.entries;
   line "queue_capacity" t.queue_capacity;
   line "pool_size"
     (match t.pool with Some p -> Cogg.Pool.size p | None -> 1);
@@ -336,7 +313,7 @@ let on_readable (t : t) (c : conn) =
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ?cache_shards
+let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256)
     ?(verify = Verify_once) ?(self_check = true) ~table_key ~socket_path
     (tables : Cogg.Tables.t) : (t, string) result =
   let gate =
@@ -369,8 +346,7 @@ let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ?cache_shards
             queue_capacity = max 1 queue_capacity;
             verify;
             cache =
-              Cogg.Result_cache.create ?shards:cache_shards
-                ~capacity:(max 1 cache_capacity) ();
+              Cogg.Result_cache.create ~capacity:(max 1 cache_capacity) ();
             pending = Queue.create ();
             conns = [];
             pause_until = 0.;

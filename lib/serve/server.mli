@@ -28,26 +28,12 @@ type verify_mode =
           served inline (the default) *)
   | Verify_always  (** every hit recompiles and compares (test mode) *)
 
-type stats = {
-  requests : int;  (** frames decoded, any kind *)
-  compiles : int;  (** compilations actually run on the pool *)
-  inline_hits : int;  (** hits answered without compiling *)
-  verified_hits : int;  (** hits that recompiled, compared equal *)
-  overloaded : int;  (** requests refused by admission control *)
-  gate_failures : int;  (** cached bytes differed from a fresh compile *)
-  oversized : int;
-      (** replies too large for the wire, answered by a structured
-          error instead *)
-  cache : Cogg.Result_cache.stats;
-}
-
 type t
 
 val create :
   ?pool:Cogg.Pool.t ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?cache_shards:int ->
   ?verify:verify_mode ->
   ?self_check:bool ->
   table_key:string ->
@@ -59,10 +45,10 @@ val create :
     every result-cache key so results from different specifications (or
     targets) can never be confused.  [queue_capacity] bounds the
     pending-compile queue (default 64); [cache_capacity] the result
-    cache (default 256 entries over [cache_shards] shards).
-    [self_check] (default true) runs the determinism oracle on a known
-    program before binding and refuses to serve if it fails.  A stale
-    socket file at [socket_path] is replaced. *)
+    cache (default 256 entries).  [self_check] (default true) runs the
+    determinism oracle on a known program before binding and refuses to
+    serve if it fails.  A stale socket file at [socket_path] is
+    replaced. *)
 
 val run : t -> unit
 (** Serve until a [Shutdown] request arrives: accept connections, parse
@@ -70,6 +56,14 @@ val run : t -> unit
     pool.  Pending compiles are drained (and answered) before the
     socket is closed and unlinked. *)
 
-val stats : t -> stats
 val stats_text : t -> string
-(** The [Stats_reply] rendering: one [key value] per line. *)
+(** The [Stats_reply] rendering: one [key value] per line, in this
+    order: [requests] (frames decoded, any kind), [compiles]
+    (compilations run on the pool), [inline_hits] (hits answered without
+    compiling), [verified_hits] (hits that recompiled and compared
+    equal), [overloaded] (requests refused by admission control),
+    [gate_failures] (cached bytes that differed from a fresh compile),
+    [oversized] (replies too large for the wire, answered by a
+    structured error), the result cache's [cache_hits], [cache_misses],
+    [cache_evictions] and [cache_entries], [queue_capacity],
+    [pool_size], and last the served [target]'s name. *)

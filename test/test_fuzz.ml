@@ -94,6 +94,28 @@ let test_if_text_roundtrip () =
           (List.equal Ifl.Token.equal toks back)
   done
 
+(* the textual totality leg re-judges a stream only when the reader
+   changed it: on the rendering of a well-formed stream it compiles
+   nothing, on a different judged stream it runs [total]'s two compiles *)
+let test_total_text_judges_once () =
+  let t = tables () in
+  let toks = Fuzz.Gen_if.program (Fuzz.Rng.derive ~seed:31 ~index:0) in
+  let compiles judged =
+    Cogg.Metrics.reset ();
+    Cogg.Metrics.set_enabled true;
+    let st =
+      Fun.protect
+        ~finally:(fun () -> Cogg.Metrics.set_enabled false)
+        (fun () -> Fuzz.Oracle.total_text t ~judged (Fuzz.Gen_if.to_text toks))
+    in
+    Alcotest.(check string)
+      "total" "pass"
+      (Fmt.str "%a" Fuzz.Oracle.pp_status st);
+    List.assoc "codegen.compiles" (Cogg.Metrics.snapshot ())
+  in
+  Alcotest.(check int) "same stream: no compile" 0 (compiles toks);
+  Alcotest.(check int) "another stream: both dispatch paths" 2 (compiles [])
+
 let test_branch_heavy_reaches_long_branches () =
   (* the Branches size class must actually cross the 4096-byte page so
      span-dependent sizing and the literal pool are on the fuzzed path *)
@@ -466,6 +488,8 @@ let () =
             test_pascal_generator_wellformed;
           Alcotest.test_case "IF streams parse" `Quick test_if_generator_parses;
           Alcotest.test_case "IF text round-trips" `Quick test_if_text_roundtrip;
+          Alcotest.test_case "total-text judges a stream once" `Quick
+            test_total_text_judges_once;
           Alcotest.test_case "branch-heavy forces long branches" `Quick
             test_branch_heavy_reaches_long_branches;
           Alcotest.test_case "malformed branch streams are short" `Quick

@@ -1,6 +1,8 @@
-(* Unit and property tests for the IBM 370 substrate: instruction
-   encoding/decoding, the simulator's semantics, and the object-module
-   format. *)
+(* Unit and property tests for the machine substrates: the IBM 370's
+   instruction encoding/decoding, simulator semantics and object-module
+   format, and the RISC-32's encoding and the semantics it does not share
+   with the 370 (r0 hardwired to zero, cc set only by compares, load
+   widths, ftoi truncation). *)
 
 open Machine
 
@@ -1528,6 +1530,120 @@ let test_branch_over_page () =
   check_int "entry skips the pool" 4 r.Cogg.Loader_gen.entry;
   check_int "long branch lands" 1 r3
 
+(* -- the RISC-32 substrate ---------------------------------------------- *)
+
+(* one of each format; every instruction must survive encode/decode *)
+let r32_samples : Insn.t list =
+  [
+    R3 { op = "add"; rd = 1; rs1 = 2; rs2 = 3 };
+    R3 { op = "fmul"; rd = 4; rs1 = 5; rs2 = 6 };
+    R2 { op = "mov"; rd = 7; rs = 8 };
+    R2 { op = "cmp"; rd = 1; rs = 2 };
+    Ri { op = "addi"; rd = 3; rs = 4; imm = 1234 };
+    Ri { op = "srai"; rd = 5; rs = 5; imm = 31 };
+    Li { op = "li"; rd = 6; imm = 4095 };
+    Li { op = "cmpi"; rd = 2; imm = 0 };
+    Mem { op = "lw"; rd = 9; dsp = 104; rb = 13 };
+    Mem { op = "jl"; rd = 14; dsp = 292; rb = 10 };
+    Bcc { mask = 8; rel = -16 };
+  ]
+
+let test_r32_roundtrip () =
+  List.iter
+    (fun i ->
+      let b = Encode.encode i in
+      check_int "every RISC-32 instruction is 4 bytes" 4 (Bytes.length b);
+      let back, sz = Encode.decode_r32 b 0 in
+      check_int "decoded size" 4 sz;
+      Alcotest.(check string)
+        "roundtrip" (Insn.to_string i) (Insn.to_string back))
+    r32_samples
+
+let test_r32_stream () =
+  (* a whole stream decodes back instruction by instruction *)
+  let buf = Encode.encode_all r32_samples in
+  let pos = ref 0 in
+  List.iter
+    (fun i ->
+      let back, sz = Encode.decode_r32 buf !pos in
+      pos := !pos + sz;
+      Alcotest.(check string)
+        "stream round-trip" (Insn.to_string i) (Insn.to_string back))
+    r32_samples;
+  check_int "stream length" (4 * List.length r32_samples) !pos
+
+let test_r32_bounds () =
+  (* a displacement outside the signed 16-bit immediate must be refused
+     by the encoder, never silently truncated *)
+  match Encode.encode (Mem { op = "lw"; rd = 1; dsp = 40000; rb = 13 }) with
+  | exception Encode.Encode_error _ -> ()
+  | _ -> Alcotest.fail "out-of-range displacement encoded"
+
+(* hand-load instructions at 0x100 and step them [n] at a time *)
+let r32_sim (insns : Insn.t list) : Sim.t =
+  let code = Encode.encode_all insns in
+  let sim = Sim.create ~mem_size:(1 lsl 16) ~halt_addr:0 () in
+  Bytes.blit code 0 sim.Sim.mem 0x100 (Bytes.length code);
+  sim.Sim.pc <- 0x100;
+  sim
+
+let r32_steps sim n =
+  for _ = 1 to n do
+    Risc32.step sim
+  done
+
+let test_r32_r0_zero () =
+  let sim =
+    r32_sim
+      [
+        Li { op = "li"; rd = 0; imm = 55 };
+        R3 { op = "add"; rd = 1; rs1 = 0; rs2 = 0 };
+      ]
+  in
+  Sim.set_reg sim 1 99;
+  r32_steps sim 2;
+  check_int "write to r0 discarded, reads yield 0" 0 (Sim.reg sim 1)
+
+let test_r32_cc_only_from_compares () =
+  (* the boolean-store templates interleave li/skip with a live cc: li,
+     mov and the ALU ops must leave the condition code alone *)
+  let sim =
+    r32_sim
+      [
+        Li { op = "cmpi"; rd = 1; imm = 10 };
+        Li { op = "li"; rd = 2; imm = 7 };
+        R3 { op = "add"; rd = 3; rs1 = 2; rs2 = 2 };
+        R2 { op = "mov"; rd = 4; rs = 2 };
+      ]
+  in
+  Sim.set_reg sim 1 3;
+  r32_steps sim 1;
+  let cc_after_compare = sim.Sim.cc in
+  r32_steps sim 3;
+  check_int "li/add/mov preserve cc" cc_after_compare sim.Sim.cc;
+  check_int "the compare set cc (3 < 10)" 1 cc_after_compare
+
+let test_r32_load_widths () =
+  (* lb zero-extends, lh sign-extends: the byte 0x80 is 128, the
+     halfword 0x8000 is -32768 *)
+  let sim =
+    r32_sim
+      [
+        Mem { op = "lb"; rd = 1; dsp = 0x200; rb = 0 };
+        Mem { op = "lh"; rd = 2; dsp = 0x200; rb = 0 };
+      ]
+  in
+  Sim.store_h sim 0x200 0x8000;
+  r32_steps sim 2;
+  check_int "lb zero-extends" 0x80 (Sim.reg sim 1);
+  check_int "lh sign-extends" (-32768) (Sim.reg sim 2)
+
+let test_r32_ftoi_truncates () =
+  let sim = r32_sim [ R2 { op = "ftoi"; rd = 1; rs = 2 } ] in
+  sim.Sim.fregs.(2) <- -2.75;
+  r32_steps sim 1;
+  check_int "truncation toward zero" (-2) (Sim.reg sim 1)
+
 (* -- suite ----------------------------------------------------------------- *)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_add; prop_mr_dr ]
@@ -1583,6 +1699,20 @@ let () =
             test_branch_under_page;
           Alcotest.test_case "branch over the page goes long" `Quick
             test_branch_over_page;
+        ] );
+      ( "risc32 encode",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_r32_roundtrip;
+          Alcotest.test_case "stream" `Quick test_r32_stream;
+          Alcotest.test_case "bounds" `Quick test_r32_bounds;
+        ] );
+      ( "risc32 sim",
+        [
+          Alcotest.test_case "r0 hardwired zero" `Quick test_r32_r0_zero;
+          Alcotest.test_case "cc only from compares" `Quick
+            test_r32_cc_only_from_compares;
+          Alcotest.test_case "load widths" `Quick test_r32_load_widths;
+          Alcotest.test_case "ftoi truncates" `Quick test_r32_ftoi_truncates;
         ] );
       ("properties", qsuite);
     ]

@@ -1,31 +1,19 @@
 (* End-to-end compiler tests: Pascal source through the CoGG-generated
    code generator, executed on the 370 simulator and checked against the
    reference interpreter.  Includes a property test over randomly
-   generated programs. *)
+   generated programs.  The whole canonical corpus runs on every target
+   in test_targets.ml. *)
 
 let tables () = Lazy.force Util.amdahl_tables
 
-let verify_ok ?cse ?checks ?strategy name src =
-  match Pipeline.verify ?cse ?checks ?strategy (tables ()) src with
+let verify_ok name src =
+  match Pipeline.verify (tables ()) src with
   | Error m -> Alcotest.failf "%s: %s" name m
   | Ok v ->
       if not v.Pipeline.agreed then
         Alcotest.failf "%s: machine and interpreter disagree: %s" name
           (String.concat "; " v.Pipeline.mismatches);
       v
-
-let test_named_programs () =
-  List.iter (fun (name, src) -> ignore (verify_ok name src)) Pipeline.Programs.all
-
-let test_named_programs_no_cse () =
-  List.iter
-    (fun (name, src) -> ignore (verify_ok ~cse:false name src))
-    Pipeline.Programs.all
-
-let test_named_programs_with_checks () =
-  List.iter
-    (fun (name, src) -> ignore (verify_ok ~checks:true name src))
-    Pipeline.Programs.all
 
 let test_appendix1_equation_value () =
   let v = verify_ok "appendix1a" Pipeline.Programs.appendix1_equation in
@@ -250,12 +238,6 @@ let prop_random_programs_no_cse =
 let () =
   Alcotest.run "pipeline"
     [
-      ( "programs",
-        [
-          Alcotest.test_case "all named programs agree" `Quick test_named_programs;
-          Alcotest.test_case "without CSE" `Quick test_named_programs_no_cse;
-          Alcotest.test_case "with runtime checks" `Quick test_named_programs_with_checks;
-        ] );
       ( "values",
         [
           Alcotest.test_case "appendix 1 equation" `Quick test_appendix1_equation_value;

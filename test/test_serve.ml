@@ -322,6 +322,27 @@ let test_hello_target () =
           | Ok _ -> Alcotest.fail "risc32 daemon refused a known program"
           | Error m -> Alcotest.failf "compile failed: %s" m))
 
+(* the stats reply's keys, in order; perfbench's serve workload parses
+   six of them (requests, inline_hits, compiles, verified_hits,
+   overloaded, cache_evictions) by name *)
+let test_stats_keys () =
+  with_daemon (fun sock ->
+      with_client sock (fun c ->
+          match Serve.Client.stats c with
+          | Error m -> Alcotest.failf "stats failed: %s" m
+          | Ok text ->
+              Alcotest.(check (list string))
+                "keys"
+                [
+                  "requests"; "compiles"; "inline_hits"; "verified_hits";
+                  "overloaded"; "gate_failures"; "oversized"; "cache_hits";
+                  "cache_misses"; "cache_evictions"; "cache_entries";
+                  "queue_capacity"; "pool_size"; "target";
+                ]
+                (String.split_on_char '\n' text
+                |> List.filter (( <> ) "")
+                |> List.map (fun l -> List.hd (String.split_on_char ' ' l)))))
+
 (* (i) EINTR immunity: a 1ms interval timer signal-bombs the client for
    the whole of a large batch; every read/write/select in the framing
    path must retry rather than tear a frame.  Pre-fix, Unix.write in
@@ -497,6 +518,8 @@ let () =
             test_restart_cold_warm;
           Alcotest.test_case "concurrent clients agree" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "stats reply keys in order" `Quick
+            test_stats_keys;
         ] );
       ( "wire robustness",
         [
