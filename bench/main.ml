@@ -754,7 +754,7 @@ let serve_daemon ~spec_file ~sock () : 'never =
       in
       match
         Serve.Server.create ~pool ~queue_capacity:256 ~cache_capacity:8192
-          ~verify:Serve.Server.Verify_once ~table_key ~socket_path:sock t
+          ~table_key ~socket_path:sock t
       with
       | Error m -> exit_err m
       | Ok server ->
@@ -822,7 +822,7 @@ let serve_bench ?(json = false) () =
       (* miss pass: every source unseen, full compile path *)
       let miss_ns = timed_pass false in
       (* verification pass: first hit per entry recompiles and compares
-         (the Verify_once gate); untimed, it exists to mark entries
+         (the determinism gate); untimed, it exists to mark entries
          verified so the next pass measures the inline fast path *)
       Array.iteri
         (fun i _ -> ignore (request_compile c (miss_source i)))
@@ -838,7 +838,7 @@ let serve_bench ?(json = false) () =
       Fmt.pr "%-34s %14.2f x@." "serve.hit_speedup" (miss_p50 /. hit_p50);
       (* byte-identity gate: a cached daemon reply must equal a direct
          in-process compile, bit for bit (the acceptance criterion; the
-         daemon's own Verify_once gate already recompiled each of these
+         daemon's own determinism gate already recompiled each of these
          once, this checks from the outside against separate tables) *)
       let t = Lazy.force tables in
       for i = 0 to 31 do

@@ -497,8 +497,7 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path")
 
 let serve_cmd =
-  let run target spec_opt socket jobs queue_capacity cache_capacity verify
-      no_self_check =
+  let run target spec_opt socket jobs queue_capacity cache_capacity =
     let spec_path = spec_for target spec_opt in
     let domains =
       if jobs = 0 then Domain.recommended_domain_count () else jobs
@@ -518,8 +517,7 @@ let serve_cmd =
     in
     let server =
       or_die
-        (Serve.Server.create ?pool ~queue_capacity
-           ~cache_capacity ~verify ~self_check:(not no_self_check) ~table_key
+        (Serve.Server.create ?pool ~queue_capacity ~cache_capacity ~table_key
            ~socket_path:socket tables)
     in
     Fmt.epr "pascd: serving %s [%s] on %s (%d domain%s)@." spec_path
@@ -548,28 +546,7 @@ let serve_cmd =
       $ Arg.(
           value & opt int 256
           & info [ "cache" ] ~docv:"N"
-              ~doc:"Result cache capacity (entries, FIFO-evicted per shard)")
-      $ Arg.(
-          value
-          & opt
-              (enum
-                 [
-                   ("once", Serve.Server.Verify_once);
-                   ("never", Serve.Server.Verify_never);
-                   ("always", Serve.Server.Verify_always);
-                 ])
-              Serve.Server.Verify_once
-          & info [ "verify" ] ~docv:"MODE"
-              ~doc:
-                "Determinism gate on cache hits: $(b,once) (first hit per \
-                 entry recompiles and compares; the default), $(b,always), \
-                 or $(b,never)")
-      $ Arg.(
-          value & flag
-          & info [ "no-self-check" ]
-              ~doc:
-                "Skip the startup determinism self-check (the oracle run \
-                 that gates the cache's correctness premise)"))
+              ~doc:"Result cache capacity (entries, oldest evicted first)"))
 
 let client_cmd =
   let run socket srcs show_listing do_stats do_ping do_shutdown pause_ms =

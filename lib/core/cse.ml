@@ -47,12 +47,3 @@ let consume t id =
   match find t id with
   | Some e -> e.remaining <- max 0 (e.remaining - 1)
   | None -> ()
-
-(** The CSE currently bound to register [r], if any. *)
-let bound_to t r =
-  Hashtbl.fold
-    (fun _ e acc ->
-      match e.residence with
-      | In_reg r' when r' = r -> Some e
-      | _ -> acc)
-    t.entries None

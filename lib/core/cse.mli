@@ -39,6 +39,3 @@ val to_memory : t -> int -> unit
 
 val consume : t -> int -> unit
 (** Record one use consumed. *)
-
-val bound_to : t -> int -> entry option
-(** The CSE currently residing in register [r], if any. *)

@@ -88,22 +88,6 @@ let build ?(compressed : Compress.t option) ~(n_user_prods : int)
   in
   { n_user_prods; states_of_prod; reduce_states_of_prod; rows_of_prod }
 
-(** The union footprint of a set of changed productions: how many
-    distinct states and comb rows their edits can reach. *)
-let affected (t : t) (prods : int list) : int array * int array =
-  let states = ref [] and rows = ref [] in
-  List.iter
-    (fun p ->
-      if p >= 0 && p < t.n_user_prods then begin
-        states :=
-          Array.to_list t.states_of_prod.(p)
-          @ Array.to_list t.reduce_states_of_prod.(p)
-          @ !states;
-        rows := Array.to_list t.rows_of_prod.(p) @ !rows
-      end)
-    prods;
-  (sorted_dedup !states, sorted_dedup !rows)
-
 let pp_prod ppf (t : t) (p : int) =
   if p >= 0 && p < t.n_user_prods then
     Fmt.pf ppf "%d state%s, %d reduce site%s, %d comb row%s"

@@ -16,9 +16,5 @@ val build : ?compressed:Compress.t -> n_user_prods:int -> Parse_table.t -> t
     is transparently replaced by a fresh {!Lr0.build} over the same
     grammar.  Without [?compressed], [rows_of_prod] is all-empty. *)
 
-val affected : t -> int list -> int array * int array
-(** [(states, rows)] reached by any production in the list, each sorted
-    and deduplicated. *)
-
 val pp_prod : Format.formatter -> t -> int -> unit
 (** One-line footprint summary for a production. *)

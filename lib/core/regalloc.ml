@@ -387,17 +387,5 @@ let bind_cse ?(shares = 0) t bank r cse =
     (regs t bank).(r).cse_shares <- shares
   end
 
-(** Clear a CSE binding without touching liveness (e.g. after eviction). *)
-let unbind_cse t bank r =
-  if in_any_pool t bank r then (regs t bank).(r).cse <- None
-
 let is_busy t bank r = (regs t bank).(r).busy
 let use_count t bank r = (regs t bank).(r).use_count
-
-(** All currently busy pool registers (diagnostics / invariant tests). *)
-let busy_list t bank =
-  let out = ref [] in
-  Array.iteri
-    (fun i st -> if st.busy && in_any_pool t bank i then out := i :: !out)
-    (regs t bank);
-  List.rev !out

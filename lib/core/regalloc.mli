@@ -113,9 +113,5 @@ val touch : t -> bank -> int -> int option
     binding so the caller can save it. *)
 
 val bind_cse : ?shares:int -> t -> bank -> int -> int -> unit
-val unbind_cse : t -> bank -> int -> unit
 val is_busy : t -> bank -> int -> bool
 val use_count : t -> bank -> int -> int
-
-val busy_list : t -> bank -> int list
-(** All currently busy pool registers (diagnostics / invariant tests). *)

@@ -30,22 +30,6 @@ let pp_origin ppf = function
   | Built_incremental st ->
       Fmt.pf ppf "incrementally rebuilt (%a)" Cogg_build.pp_incr_stats st
 
-type stats = { hits : int; misses : int; evictions : int }
-
-(* domain-safe observability counters; the process-lifetime Atomics feed
-   [stats] unconditionally, and the same increments are folded into the
-   Metrics aggregate when that subsystem is enabled *)
-let hit_count = Atomic.make 0
-let miss_count = Atomic.make 0
-let eviction_count = Atomic.make 0
-
-let stats () =
-  {
-    hits = Atomic.get hit_count;
-    misses = Atomic.get miss_count;
-    evictions = Atomic.get eviction_count;
-  }
-
 let m_hits = Metrics.sum "tables_cache.hits"
 let m_misses = Metrics.sum "tables_cache.misses"
 let m_evictions = Metrics.sum "tables_cache.evictions"
@@ -195,7 +179,6 @@ let prune ?cache_dir ?max_entries () : int =
           (fun removed (_, _, path) ->
             match Sys.remove path with
             | () ->
-                Atomic.incr eviction_count;
                 Metrics.add m_evictions 1;
                 Log.info (fun f -> f "evicted %s (cache over %d entries)" path cap);
                 removed + 1
@@ -260,11 +243,6 @@ let store_lineage (lpath : string) (entry_name : string) =
       with Sys_error m ->
         Log.warn (fun f -> f "cannot store lineage pointer: %s" m))
 
-let incremental_enabled () =
-  match Sys.getenv_opt "COGG_NO_INCREMENTAL" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
-
 let load path : Tables.t option =
   if not (Sys.file_exists path) then None
   else
@@ -290,7 +268,6 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
   let lpath = lineage_path ~mode ?target ?cache_dir () in
   match load path with
   | Some t ->
-      Atomic.incr hit_count;
       Metrics.add m_hits 1;
       (* keep the lineage pointing at the newest build, so the *next*
          edit diffs against this revision *)
@@ -298,15 +275,12 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
       Log.info (fun f -> f "hit %s" path);
       Ok (t, Cache_hit)
   | None -> (
-      Atomic.incr miss_count;
       Metrics.add m_misses 1;
       let previous =
-        if not (incremental_enabled ()) then None
-        else
-          match read_lineage lpath with
-          | Some name when name <> Filename.basename path ->
-              load (Filename.concat (Filename.dirname path) name)
-          | _ -> None
+        match read_lineage lpath with
+        | Some name when name <> Filename.basename path ->
+            load (Filename.concat (Filename.dirname path) name)
+        | _ -> None
       in
       let built =
         match previous with

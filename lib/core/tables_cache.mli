@@ -16,13 +16,6 @@ type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 
 val pp_origin : Format.formatter -> origin -> unit
 
-type stats = { hits : int; misses : int; evictions : int }
-
-val stats : unit -> stats
-(** A snapshot of the process-wide hit/miss/eviction counters
-    (observability for tests and CLIs); the counters themselves are
-    atomics, safe to bump from any domain. *)
-
 val default_max_entries : int
 (** The entry-count cap {!prune} enforces when neither [?max_entries]
     nor [$COGG_CACHE_MAX_ENTRIES] overrides it. *)
@@ -63,8 +56,7 @@ val lineage_path :
 (** The pointer file naming the newest entry of a (mode, target)
     lineage — everything in the key except the spec text.  A
     miss follows it to the previous partial build and rebuilds
-    incrementally; it is refreshed on every hit and store.  Setting
-    [COGG_NO_INCREMENTAL=1] makes misses ignore it (scratch builds). *)
+    incrementally; it is refreshed on every hit and store. *)
 
 val build_text :
   ?pool:Pool.t ->

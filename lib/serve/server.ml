@@ -3,7 +3,8 @@
     Single-threaded event loop (select over the listen socket and every
     connection) plus a {!Cogg.Pool} for the compiles themselves:
 
-    - frames are parsed incrementally per connection;
+    - frames are parsed incrementally per connection, out of one
+      growable receive buffer that [Unix.read] fills in place;
     - a compile request first probes the result cache — a verified hit
       is answered inline, right in the event loop, with no pool
       round-trip (the fast path the benchmark measures);
@@ -15,30 +16,29 @@
     - [Pause n] suspends draining for [n] ms without suspending
       admission, which lets a test fill the queue deterministically.
 
+    The loop thread owns every mutable structure here, the result cache
+    included; the pool's domains run [run_compile] and nothing else.
+
     Replies are written synchronously; a client that floods requests
     without reading replies can stall the loop on a full socket buffer
     (documented in DESIGN.md — acceptable for a trusted local service,
     where clients are our own [Client] module, which interleaves reads
     with writes). *)
 
-type verify_mode = Verify_never | Verify_once | Verify_always
-
 let src = Logs.Src.create "cogg.serve" ~doc:"pascd compile service"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let m_overloaded = Cogg.Metrics.sum "serve.overloaded"
-let m_gate_failures = Cogg.Metrics.sum "serve.gate_failures"
-
 (* a cache entry: the reply body plus whether the determinism gate has
-   confirmed it against a fresh compile (an Atomic only because entries
-   are shared with pool-side comparison code; all writes happen on the
-   loop thread) *)
-type entry = { body : Wire.outcome; verified : bool Atomic.t }
+   confirmed it against a fresh compile *)
+type entry = { body : Wire.outcome; mutable verified : bool }
 
 type conn = {
   fd : Unix.file_descr;
-  mutable inbuf : string;  (** bytes received, no complete frame yet *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+      (** [buf] holds received bytes not yet framed in [\[start, stop)] *)
   mutable alive : bool;
 }
 
@@ -59,8 +59,7 @@ type t = {
   sock : Unix.file_descr;
   socket_path : string;
   queue_capacity : int;
-  verify : verify_mode;
-  cache : entry Cogg.Result_cache.t;
+  cache : entry Result_cache.t;
   pending : job Queue.t;
   mutable conns : conn list;
   mutable pause_until : float;
@@ -75,7 +74,7 @@ type t = {
 }
 
 let stats_text (t : t) : string =
-  let cache = Cogg.Result_cache.stats t.cache in
+  let cache = Result_cache.stats t.cache in
   let b = Buffer.create 256 in
   let line k v = Buffer.add_string b (Printf.sprintf "%s %d\n" k v) in
   line "requests" t.n_requests;
@@ -85,10 +84,10 @@ let stats_text (t : t) : string =
   line "overloaded" t.n_overloaded;
   line "gate_failures" t.n_gate_failures;
   line "oversized" t.n_oversized;
-  line "cache_hits" cache.Cogg.Result_cache.hits;
-  line "cache_misses" cache.Cogg.Result_cache.misses;
-  line "cache_evictions" cache.Cogg.Result_cache.evictions;
-  line "cache_entries" cache.Cogg.Result_cache.entries;
+  line "cache_hits" cache.Result_cache.hits;
+  line "cache_misses" cache.Result_cache.misses;
+  line "cache_evictions" cache.Result_cache.evictions;
+  line "cache_entries" cache.Result_cache.entries;
   line "queue_capacity" t.queue_capacity;
   line "pool_size"
     (match t.pool with Some p -> Cogg.Pool.size p | None -> 1);
@@ -122,7 +121,7 @@ let run_compile (tables : Cogg.Tables.t) (o : Wire.options) (source : string) :
 let cache_key (t : t) (o : Wire.options) (source : string) : string =
   Digest.to_hex
     (Digest.string
-       (t.table_key ^ "\x00" ^ Wire.options_tag o ^ "\x00" ^ source))
+       (String.concat "\x00" [ t.table_key; Wire.options_tag o; source ]))
 
 (* -- connection plumbing ------------------------------------------------------ *)
 
@@ -172,7 +171,6 @@ let retry_after_ms (t : t) : int =
 let enqueue (t : t) (job : job) =
   if Queue.length t.pending >= t.queue_capacity then begin
     t.n_overloaded <- t.n_overloaded + 1;
-    Cogg.Metrics.add m_overloaded 1;
     send t job.j_conn
       (Wire.Overloaded { id = job.j_id; retry_after_ms = retry_after_ms t })
   end
@@ -191,10 +189,10 @@ let handle_compile (t : t) (c : conn) ~id (options : Wire.options)
       j_expect = expect;
     }
   in
-  match Cogg.Result_cache.find t.cache key with
-  | Some e when Atomic.get e.verified || t.verify = Verify_never ->
-      (* the fast path: a verified (or trusted) hit never touches the
-         pool — answered right here in the event loop *)
+  match Result_cache.find t.cache key with
+  | Some e when e.verified ->
+      (* the fast path: a verified hit never touches the pool — answered
+         right here in the event loop *)
       t.n_inline_hits <- t.n_inline_hits + 1;
       send t c (Wire.Compiled { id; cached = true; outcome = e.body })
   | Some e -> enqueue t (job (Some e))
@@ -239,29 +237,27 @@ let drain (t : t) =
             if e.body = fresh then begin
               (* determinism gate passed: the cached bytes are what a
                  fresh compile produces *)
-              if t.verify = Verify_once then Atomic.set e.verified true;
+              e.verified <- true;
               t.n_verified_hits <- t.n_verified_hits + 1;
               send t j.j_conn
                 (Wire.Compiled { id = j.j_id; cached = true; outcome = fresh })
             end
             else begin
-              (* gate failure: expel the lying entry, serve (and cache)
-                 the fresh bytes, and count it loudly — this should
+              (* gate failure: cache the fresh bytes over the lying
+                 entry, serve them, and count it loudly — this should
                  never happen while the determinism oracle holds *)
               t.n_gate_failures <- t.n_gate_failures + 1;
-              Cogg.Metrics.add m_gate_failures 1;
               Log.err (fun f ->
-                  f "determinism gate failure for key %s (entry expelled)"
+                  f "determinism gate failure for key %s (entry replaced)"
                     j.j_key);
-              Cogg.Result_cache.remove t.cache j.j_key;
-              Cogg.Result_cache.store t.cache j.j_key
-                { body = fresh; verified = Atomic.make false };
+              Result_cache.store t.cache j.j_key
+                { body = fresh; verified = false };
               send t j.j_conn
                 (Wire.Compiled { id = j.j_id; cached = false; outcome = fresh })
             end
         | None ->
-            Cogg.Result_cache.store t.cache j.j_key
-              { body = fresh; verified = Atomic.make (t.verify = Verify_never) };
+            Result_cache.store t.cache j.j_key
+              { body = fresh; verified = false };
             send t j.j_conn
               (Wire.Compiled { id = j.j_id; cached = false; outcome = fresh }))
       jobs
@@ -269,28 +265,28 @@ let drain (t : t) =
 
 (* -- frame extraction --------------------------------------------------------- *)
 
-let frame_len (s : string) : int option =
-  if String.length s < 4 then None
-  else
-    Some
-      ((Char.code s.[0] lsl 24)
-      lor (Char.code s.[1] lsl 16)
-      lor (Char.code s.[2] lsl 8)
-      lor Char.code s.[3])
+(* a connection's receive buffer starts at this size, and returns to it
+   whenever it drains *)
+let buffer_size = 65536
+
+(* the length prefix of the next frame, once its 4 bytes are in *)
+let frame_len (c : conn) : int option =
+  if c.stop - c.start < 4 then None
+  else Some (Int32.to_int (Bytes.get_int32_be c.buf c.start) land 0xFFFF_FFFF)
 
 (** Consume every complete frame buffered on the connection; a protocol
     violation (oversized frame, undecodable request) drops the
     connection — there is no way to resynchronize a framed stream. *)
 let rec process_frames (t : t) (c : conn) =
-  match frame_len c.inbuf with
+  match frame_len c with
   | None -> ()
   | Some n when n > Wire.max_frame ->
       Log.warn (fun f -> f "dropping client: oversized frame (%d bytes)" n);
       close_conn t c
-  | Some n when String.length c.inbuf < 4 + n -> ()
+  | Some n when c.stop - c.start < 4 + n -> ()
   | Some n -> (
-      let payload = String.sub c.inbuf 4 n in
-      c.inbuf <- String.sub c.inbuf (4 + n) (String.length c.inbuf - 4 - n);
+      let payload = Bytes.sub_string c.buf (c.start + 4) n in
+      c.start <- c.start + 4 + n;
       match Wire.decode_request payload with
       | Error m ->
           Log.warn (fun f -> f "dropping client: %s" m);
@@ -299,38 +295,44 @@ let rec process_frames (t : t) (c : conn) =
           handle_request t c req;
           if c.alive && not t.stop then process_frames t c)
 
-let read_chunk_size = 65536
-
+(* Read straight into the buffer after [stop].  A full buffer first
+   slides its unframed bytes to the front, or doubles when none can be
+   dropped, so a frame's bytes are copied a bounded number of times
+   however they arrive. *)
 let on_readable (t : t) (c : conn) =
-  let buf = Bytes.create read_chunk_size in
-  match Unix.read c.fd buf 0 read_chunk_size with
+  let size = Bytes.length c.buf in
+  if c.stop = size then begin
+    let buf = if c.start > 0 then c.buf else Bytes.create (2 * size) in
+    Bytes.blit c.buf c.start buf 0 (c.stop - c.start);
+    c.buf <- buf;
+    c.stop <- c.stop - c.start;
+    c.start <- 0
+  end;
+  match Unix.read c.fd c.buf c.stop (Bytes.length c.buf - c.stop) with
   | 0 -> close_conn t c
   | n ->
-      c.inbuf <- c.inbuf ^ Bytes.sub_string buf 0 n;
-      process_frames t c
+      c.stop <- c.stop + n;
+      process_frames t c;
+      if c.start = c.stop then begin
+        c.start <- 0;
+        c.stop <- 0;
+        if Bytes.length c.buf > buffer_size then
+          c.buf <- Bytes.create buffer_size
+      end
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       close_conn t c
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256)
-    ?(verify = Verify_once) ?(self_check = true) ~table_key ~socket_path
-    (tables : Cogg.Tables.t) : (t, string) result =
-  let gate =
-    if not self_check then Ok ()
-    else
-      (* the cache's correctness premise, checked before we serve a
-         single byte: recompiling a known program is byte-identical *)
-      match Fuzz.Oracle.determinism tables Pipeline.Programs.gcd with
-      | Fuzz.Oracle.Pass -> Ok ()
-      | st ->
-          Error
-            (Fmt.str "determinism self-check failed: %a" Fuzz.Oracle.pp_status
-               st)
-  in
-  match gate with
-  | Error _ as e -> e
-  | Ok () -> (
+let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ~table_key
+    ~socket_path (tables : Cogg.Tables.t) : (t, string) result =
+  (* the cache's correctness premise, checked before we serve a single
+     byte: recompiling a known program is byte-identical *)
+  match Fuzz.Oracle.determinism tables Pipeline.Programs.gcd with
+  | (Fuzz.Oracle.Fail _ | Fuzz.Oracle.Crash _ | Fuzz.Oracle.Skip _) as st ->
+      Error
+        (Fmt.str "determinism self-check failed: %a" Fuzz.Oracle.pp_status st)
+  | Fuzz.Oracle.Pass -> (
       try
         if Sys.file_exists socket_path then Sys.remove socket_path;
         let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -344,9 +346,7 @@ let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256)
             sock;
             socket_path;
             queue_capacity = max 1 queue_capacity;
-            verify;
-            cache =
-              Cogg.Result_cache.create ~capacity:(max 1 cache_capacity) ();
+            cache = Result_cache.create ~capacity:cache_capacity;
             pending = Queue.create ();
             conns = [];
             pause_until = 0.;
@@ -386,7 +386,15 @@ let run (t : t) : unit =
             if fd = t.sock then begin
               match Unix.accept t.sock with
               | cfd, _ ->
-                  t.conns <- { fd = cfd; inbuf = ""; alive = true } :: t.conns
+                  t.conns <-
+                    {
+                      fd = cfd;
+                      buf = Bytes.create buffer_size;
+                      start = 0;
+                      stop = 0;
+                      alive = true;
+                    }
+                    :: t.conns
               | exception Unix.Unix_error _ -> ()
             end
             else

@@ -4,29 +4,26 @@
     One process loads the driving tables once (through
     {!Cogg.Tables_cache}), then serves {!Wire} compile requests from
     many clients, scheduling misses onto a {!Cogg.Pool} and answering
-    repeated compilations from a sharded {!Cogg.Result_cache} keyed by
-    (table digest, option fingerprint, source digest).
+    repeated compilations from a {!Result_cache} keyed by (table
+    digest, option fingerprint, source digest).
 
     Correctness gate: every compile is deterministic (the fuzz
     subsystem's oracle), so a cached response must be byte-identical to
     a fresh compile.  The daemon enforces this twice — once at startup
     (the determinism oracle must pass on a known program before the
-    socket opens) and, under the default [Verify_once] policy, once per
-    cache entry (the first hit recompiles and compares; a mismatch
-    expels the entry, bumps [gate_failures] and serves the fresh
-    bytes).
+    socket opens) and once per cache entry (its first hit recompiles
+    and compares; a mismatch caches the fresh bytes over the entry,
+    bumps [gate_failures] and serves them).
+
+    Single owner: while {!run} runs, its thread alone touches the [t] —
+    connections, queue, counters and result cache; the pool's domains
+    run the compiles themselves and nothing else.  Call {!stats_text}
+    before or after {!run}, not beside it.
 
     Admission control: compile requests wait in a bounded queue; when
     it is full the request is answered [Overloaded] immediately and
     nothing is compiled — a loaded daemon degrades by refusing work,
     never by growing without bound. *)
-
-type verify_mode =
-  | Verify_never  (** trust the cache (benchmark fast path) *)
-  | Verify_once
-      (** first hit per entry recompiles and compares; later hits are
-          served inline (the default) *)
-  | Verify_always  (** every hit recompiles and compares (test mode) *)
 
 type t
 
@@ -34,8 +31,6 @@ val create :
   ?pool:Cogg.Pool.t ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?verify:verify_mode ->
-  ?self_check:bool ->
   table_key:string ->
   socket_path:string ->
   Cogg.Tables.t ->
@@ -45,10 +40,9 @@ val create :
     every result-cache key so results from different specifications (or
     targets) can never be confused.  [queue_capacity] bounds the
     pending-compile queue (default 64); [cache_capacity] the result
-    cache (default 256 entries).  [self_check] (default true) runs the
-    determinism oracle on a known program before binding and refuses to
-    serve if it fails.  A stale socket file at [socket_path] is
-    replaced. *)
+    cache (default 256 entries).  The determinism oracle runs on a known
+    program before binding; if it fails, nothing is served.  A stale
+    socket file at [socket_path] is replaced. *)
 
 val run : t -> unit
 (** Serve until a [Shutdown] request arrives: accept connections, parse

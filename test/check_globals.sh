@@ -15,8 +15,8 @@
 #
 # Sanctioned domain-safe toplevel state (NOT matched by the forbidden
 # pattern, listed here so the whitelist is explicit):
-#   - Atomic.make          lock-free counters/flags (tables_cache hits,
-#                          Metrics/Trace enabled flags)
+#   - Atomic.make          lock-free counters/flags (the tables_cache
+#                          temp-file counter, Metrics/Trace enabled flags)
 #   - Mutex.create         guards for registry mutation (Metrics/Trace
 #                          per-domain buffer registries)
 #   - Domain.DLS.new_key   per-domain buffers; never shared between

@@ -101,17 +101,14 @@ let test_total_text_judges_once () =
   let t = tables () in
   let toks = Fuzz.Gen_if.program (Fuzz.Rng.derive ~seed:31 ~index:0) in
   let compiles judged =
-    Cogg.Metrics.reset ();
-    Cogg.Metrics.set_enabled true;
-    let st =
-      Fun.protect
-        ~finally:(fun () -> Cogg.Metrics.set_enabled false)
-        (fun () -> Fuzz.Oracle.total_text t ~judged (Fuzz.Gen_if.to_text toks))
+    let st, rows =
+      Util.with_metrics (fun () ->
+          Fuzz.Oracle.total_text t ~judged (Fuzz.Gen_if.to_text toks))
     in
     Alcotest.(check string)
       "total" "pass"
       (Fmt.str "%a" Fuzz.Oracle.pp_status st);
-    List.assoc "codegen.compiles" (Cogg.Metrics.snapshot ())
+    List.assoc "codegen.compiles" rows
   in
   Alcotest.(check int) "same stream: no compile" 0 (compiles toks);
   Alcotest.(check int) "another stream: both dispatch paths" 2 (compiles [])
@@ -338,20 +335,18 @@ let test_batch_check_cold () =
           Fuzz.Profile.Ints)
   in
   let check tables spec =
-    let before = Cogg.Tables_cache.stats () in
-    (match
-       Fuzz.Runner.batch_check tables
-         ~spec:(Some (Util.spec_path spec))
-         sources
-     with
-    | Ok _ -> ()
-    | Error m -> Alcotest.failf "%s: %s" spec m);
-    let after = Cogg.Tables_cache.stats () in
+    let r, rows =
+      Util.with_metrics (fun () ->
+          Fuzz.Runner.batch_check tables
+            ~spec:(Some (Util.spec_path spec))
+            sources)
+    in
+    (match r with Ok _ -> () | Error m -> Alcotest.failf "%s: %s" spec m);
     Alcotest.(check (pair int int))
       (spec ^ ": one miss, then one hit")
       (1, 1)
-      ( after.Cogg.Tables_cache.misses - before.Cogg.Tables_cache.misses,
-        after.Cogg.Tables_cache.hits - before.Cogg.Tables_cache.hits );
+      ( List.assoc "tables_cache.misses" rows,
+        List.assoc "tables_cache.hits" rows );
     Alcotest.(check (array string))
       "private cache removed" [||] (Sys.readdir scratch)
   in

@@ -1,102 +1,66 @@
-(* The sharded in-memory result cache: lookup/insert/remove semantics,
-   FIFO eviction under the per-shard capacity, instance counters, and
-   safety under concurrent access from a domain pool. *)
+(* The in-memory result cache: lookup/insert semantics, exact capacity
+   with oldest-first eviction, and the instance counters. *)
+
+module Rc = Serve.Result_cache
 
 let test_find_store () =
-  let c = Cogg.Result_cache.create ~capacity:8 () in
-  Alcotest.(check (option string)) "empty cache misses" None
-    (Cogg.Result_cache.find c "k1");
-  Cogg.Result_cache.store c "k1" "v1";
+  let c = Rc.create ~capacity:8 in
+  Alcotest.(check (option string)) "empty cache misses" None (Rc.find c "k1");
+  Rc.store c "k1" "v1";
   Alcotest.(check (option string)) "stored value found" (Some "v1")
-    (Cogg.Result_cache.find c "k1");
-  Cogg.Result_cache.store c "k1" "v2";
+    (Rc.find c "k1");
+  Rc.store c "k1" "v2";
   Alcotest.(check (option string)) "replacement wins" (Some "v2")
-    (Cogg.Result_cache.find c "k1");
-  Alcotest.(check int) "one entry" 1 (Cogg.Result_cache.length c);
-  let s = Cogg.Result_cache.stats c in
-  Alcotest.(check int) "hits counted" 2 s.Cogg.Result_cache.hits;
-  Alcotest.(check int) "misses counted" 1 s.Cogg.Result_cache.misses
-
-let test_remove () =
-  let c = Cogg.Result_cache.create ~capacity:8 () in
-  Cogg.Result_cache.store c "k" "v";
-  Cogg.Result_cache.remove c "k";
-  Alcotest.(check (option string)) "removed" None (Cogg.Result_cache.find c "k");
-  Alcotest.(check int) "empty again" 0 (Cogg.Result_cache.length c);
-  (* removing an absent key is a no-op *)
-  Cogg.Result_cache.remove c "k"
+    (Rc.find c "k1");
+  Alcotest.(check int) "one entry" 1 (Rc.length c);
+  let s = Rc.stats c in
+  Alcotest.(check int) "hits counted" 2 s.Rc.hits;
+  Alcotest.(check int) "misses counted" 1 s.Rc.misses
 
 let test_fifo_eviction () =
-  (* one shard makes the FIFO order directly observable *)
-  let c = Cogg.Result_cache.create ~shards:1 ~capacity:3 () in
-  Cogg.Result_cache.store c "a" "1";
-  Cogg.Result_cache.store c "b" "2";
-  Cogg.Result_cache.store c "c" "3";
-  Alcotest.(check int) "at capacity" 3 (Cogg.Result_cache.length c);
-  Cogg.Result_cache.store c "d" "4";
-  Alcotest.(check int) "still at capacity" 3 (Cogg.Result_cache.length c);
-  Alcotest.(check (option string)) "oldest evicted" None
-    (Cogg.Result_cache.find c "a");
+  let c = Rc.create ~capacity:3 in
+  Rc.store c "a" "1";
+  Rc.store c "b" "2";
+  Rc.store c "c" "3";
+  Alcotest.(check int) "at capacity" 3 (Rc.length c);
+  Rc.store c "d" "4";
+  Alcotest.(check int) "still at capacity" 3 (Rc.length c);
+  Alcotest.(check (option string)) "oldest evicted" None (Rc.find c "a");
   Alcotest.(check (option string)) "second oldest kept" (Some "2")
-    (Cogg.Result_cache.find c "b");
-  Alcotest.(check (option string)) "newest kept" (Some "4")
-    (Cogg.Result_cache.find c "d");
-  let s = Cogg.Result_cache.stats c in
-  Alcotest.(check int) "eviction counted" 1 s.Cogg.Result_cache.evictions
+    (Rc.find c "b");
+  Alcotest.(check (option string)) "newest kept" (Some "4") (Rc.find c "d");
+  Alcotest.(check int) "eviction counted" 1 (Rc.stats c).Rc.evictions
 
 let test_replace_keeps_age () =
-  let c = Cogg.Result_cache.create ~shards:1 ~capacity:2 () in
-  Cogg.Result_cache.store c "a" "1";
-  Cogg.Result_cache.store c "b" "2";
+  let c = Rc.create ~capacity:2 in
+  Rc.store c "a" "1";
+  Rc.store c "b" "2";
   (* refreshing [a] must not make it younger than [b] *)
-  Cogg.Result_cache.store c "a" "1'";
-  Cogg.Result_cache.store c "c" "3";
+  Rc.store c "a" "1'";
+  Rc.store c "c" "3";
   Alcotest.(check (option string)) "a still the eviction victim" None
-    (Cogg.Result_cache.find c "a");
-  Alcotest.(check (option string)) "b survives" (Some "2")
-    (Cogg.Result_cache.find c "b")
+    (Rc.find c "a");
+  Alcotest.(check (option string)) "b survives" (Some "2") (Rc.find c "b")
 
-let test_capacity_spread () =
-  (* capacity is per shard (rounded up), so the cache never exceeds
-     shards * ceil(capacity / shards) entries however keys distribute *)
-  let shards = 4 in
-  let capacity = 16 in
-  let c = Cogg.Result_cache.create ~shards ~capacity () in
-  for i = 0 to 199 do
-    Cogg.Result_cache.store c (Printf.sprintf "key-%d" i) (string_of_int i)
+(* the service's default capacity holds as many distinct result keys
+   (hex digests, as the service makes them) as it says: all 256 stay,
+   and the 257th evicts exactly the first one stored *)
+let test_exact_capacity () =
+  let key i = Digest.to_hex (Digest.string (Printf.sprintf "source %d" i)) in
+  let c = Rc.create ~capacity:256 in
+  for i = 0 to 255 do
+    Rc.store c (key i) i
   done;
-  Alcotest.(check bool)
-    "bounded by the rounded capacity" true
-    (Cogg.Result_cache.length c <= capacity);
-  Alcotest.(check bool)
-    "evictions happened" true
-    ((Cogg.Result_cache.stats c).Cogg.Result_cache.evictions > 0)
-
-let test_concurrent_hammer () =
-  (* several domains hammer one cache with overlapping key ranges; the
-     invariants: no crash, size stays bounded, and every key that is
-     found maps to the value its writers store (all writers agree) *)
-  let c = Cogg.Result_cache.create ~shards:8 ~capacity:64 () in
-  let racers = 4 in
-  Cogg.Pool.with_pool ~domains:racers (fun pool ->
-      Cogg.Pool.run_parallel pool
-        (Array.init racers (fun _ _slot ->
-             for round = 0 to 499 do
-               let key = Printf.sprintf "key-%d" (round mod 100) in
-               (match Cogg.Result_cache.find c key with
-               | Some v ->
-                   if v <> key then
-                     Alcotest.failf "key %s held foreign value %s" key v
-               | None -> Cogg.Result_cache.store c key key);
-               if round mod 97 = 0 then Cogg.Result_cache.remove c key
-             done)));
-  Alcotest.(check bool)
-    "size bounded after the race" true
-    (Cogg.Result_cache.length c <= 64);
-  let s = Cogg.Result_cache.stats c in
-  Alcotest.(check bool)
-    "counters advanced" true
-    (s.Cogg.Result_cache.hits + s.Cogg.Result_cache.misses > 0)
+  let kept =
+    List.filter (fun i -> Rc.find c (key i) = Some i) (List.init 256 Fun.id)
+  in
+  Alcotest.(check int) "all 256 keys found" 256 (List.length kept);
+  Alcotest.(check int) "nothing evicted" 0 (Rc.stats c).Rc.evictions;
+  Rc.store c (key 256) 256;
+  let gone =
+    List.filter (fun i -> Rc.find c (key i) = None) (List.init 257 Fun.id)
+  in
+  Alcotest.(check (list int)) "the 257th evicts the first" [ 0 ] gone
 
 let () =
   Alcotest.run "result_cache"
@@ -104,11 +68,8 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "find and store" `Quick test_find_store;
-          Alcotest.test_case "remove" `Quick test_remove;
           Alcotest.test_case "FIFO eviction" `Quick test_fifo_eviction;
           Alcotest.test_case "replace keeps age" `Quick test_replace_keeps_age;
-          Alcotest.test_case "capacity bounds the spread" `Quick
-            test_capacity_spread;
-          Alcotest.test_case "concurrent hammer" `Quick test_concurrent_hammer;
+          Alcotest.test_case "exact capacity" `Quick test_exact_capacity;
         ] );
     ]

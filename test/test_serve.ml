@@ -1,24 +1,41 @@
-(* The compile service end to end: a real serve_helper daemon process
-   on a throwaway socket, driven through Serve.Client.  The properties:
+(* The compile service end to end: the shipped `pasc serve` on a
+   throwaway socket, driven through Serve.Client.  The properties:
    served batches are byte-identical to direct Pipeline compiles, cache
    hits are byte-identical to misses, admission control answers
-   Overloaded deterministically, restarts are cold/warm equivalent, and
-   concurrent clients all see the same bytes. *)
+   Overloaded deterministically, restarts are cold/warm equivalent,
+   concurrent clients all see the same bytes, and however a frame's
+   bytes arrive it costs linear work. *)
 
-let helper_path () =
-  let p =
-    Filename.concat (Filename.dirname Sys.executable_name) "serve_helper.exe"
-  in
-  if Sys.file_exists p then p
-  else Alcotest.failf "serve_helper.exe not found at %s" p
+let pasc =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/pasc.exe"
 
-let with_daemon ?(args = []) (f : string -> 'a) : 'a =
+(* every daemon this process starts shares one private table cache: the
+   first builds and stores the tables, the rest load them *)
+let cache_dir =
+  lazy
+    (let d = Filename.temp_dir "pascd-test-cache" "" in
+     at_exit (fun () ->
+         Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+         Sys.rmdir d);
+     d)
+
+let with_daemon ?(spec = "amdahl470.cgg") ?(args = []) (f : string -> 'a) :
+    'a =
   let sock = Filename.temp_file "pascd-test" ".sock" in
   Sys.remove sock;
-  let helper = helper_path () in
-  let argv = Array.of_list (helper :: "--socket" :: sock :: args) in
+  let argv =
+    Array.of_list
+      ([ pasc; "serve"; "--socket"; sock; "--spec"; Util.spec_path spec ]
+      @ args)
+  in
+  (* the first definition of a variable is the one getenv finds *)
+  let env =
+    Array.append
+      [| "COGG_CACHE_DIR=" ^ Lazy.force cache_dir |]
+      (Unix.environment ())
+  in
   let pid =
-    Unix.create_process helper argv Unix.stdin Unix.stdout Unix.stderr
+    Unix.create_process_env pasc argv env Unix.stdin Unix.stdout Unix.stderr
   in
   Fun.protect
     ~finally:(fun () ->
@@ -31,7 +48,7 @@ let with_daemon ?(args = []) (f : string -> 'a) : 'a =
       if Sys.file_exists sock then Sys.remove sock)
     (fun () -> f sock)
 
-(* the daemon builds its tables before binding, so give it a while *)
+(* the daemon loads its tables before binding, so give it a while *)
 let connect_retry sock =
   let deadline = Unix.gettimeofday () +. 60.0 in
   let rec go () =
@@ -91,11 +108,11 @@ let test_batch_matches_direct () =
             (Lazy.force direct_fingerprint)
             (Serve.Wire.fingerprint replies)))
 
-(* (b) a cache hit serves exactly the bytes the miss produced — under
-   Verify_always every hit recompiles and compares, so a single gate
-   failure would surface in the stats *)
+(* (b) a cache hit serves exactly the bytes the miss produced — the
+   first hit of an entry recompiles and compares, so a gate failure
+   would surface in the stats *)
 let test_hit_equals_miss () =
-  with_daemon ~args:[ "--verify"; "always" ] (fun sock ->
+  with_daemon (fun sock ->
       with_client sock (fun c ->
           let src = snd (List.hd Pipeline.Programs.all) in
           let miss =
@@ -117,15 +134,16 @@ let test_hit_equals_miss () =
           match Serve.Client.stats c with
           | Error m -> Alcotest.failf "stats failed: %s" m
           | Ok text ->
-              Alcotest.(check bool)
-                "determinism gate never failed" true
-                (Util.contains text "gate_failures 0")))
+              let has line = List.mem line (String.split_on_char '\n' text) in
+              Alcotest.(check (pair bool bool))
+                "the hit was verified, and the gate never failed" (true, true)
+                (has "verified_hits 1", has "gate_failures 0")))
 
 (* (c) admission control: with the drain paused and a queue of two,
    exactly the first two of eight unique compiles are admitted and the
    other six are refused *)
 let test_overloaded_backpressure () =
-  with_daemon ~args:[ "--queue"; "2"; "--verify"; "never" ] (fun sock ->
+  with_daemon ~args:[ "--queue"; "2" ] (fun sock ->
       with_client sock (fun c ->
           (match Serve.Client.pause c 800 with
           | Ok () -> ()
@@ -159,7 +177,7 @@ let test_overloaded_backpressure () =
    every rejection carries a positive retry_after_ms (pause remainder
    plus queue depth) *)
 let test_retry_after_hint () =
-  with_daemon ~args:[ "--queue"; "1"; "--verify"; "never" ] (fun sock ->
+  with_daemon ~args:[ "--queue"; "1" ] (fun sock ->
       with_client sock (fun c ->
           (match Serve.Client.pause c 600 with
           | Ok () -> ()
@@ -185,7 +203,7 @@ let test_retry_after_hint () =
    slots are resubmitted once, after the daemon's suggested backoff,
    by which time the pause has lapsed and the queue has drained *)
 let test_retry_recovers () =
-  with_daemon ~args:[ "--queue"; "4"; "--verify"; "never" ] (fun sock ->
+  with_daemon ~args:[ "--queue"; "4" ] (fun sock ->
       with_client sock (fun c ->
           (match Serve.Client.pause c 400 with
           | Ok () -> ()
@@ -235,7 +253,7 @@ let test_restart_cold_warm () =
     (Lazy.force direct_fingerprint) second_cold
 
 (* (e) concurrent clients on their own connections all read identical
-   bytes — the sharded cache and the pool never cross results *)
+   bytes — the cache and the pool never cross results *)
 let test_concurrent_clients () =
   with_daemon ~args:[ "--jobs"; "2" ] (fun sock ->
       (* one pass to warm the cache so the racers mix hits and misses *)
@@ -307,7 +325,7 @@ let test_hello_target () =
           match Serve.Client.hello c with
           | Ok t -> Alcotest.(check string) "default daemon" "amdahl470" t
           | Error m -> Alcotest.failf "hello failed: %s" m));
-  with_daemon ~args:[ "--target"; "risc32" ] (fun sock ->
+  with_daemon ~spec:"risc32.cgg" ~args:[ "--target"; "risc32" ] (fun sock ->
       with_client sock (fun c ->
           (match Serve.Client.hello c with
           | Ok t -> Alcotest.(check string) "risc32 daemon" "risc32" t
@@ -436,6 +454,91 @@ let test_undecodable_request_drops_client () =
             (Lazy.force direct_fingerprint)
             (Serve.Wire.fingerprint (batch good (sources ())))))
 
+(* a length-prefixed frame, as Wire.write_frame puts it on the socket *)
+let framed payload =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
+  Bytes.to_string b ^ payload
+
+(* (k) however a client splits or joins its frames, the reply bytes are
+   the ones Client.compile gets: one compile frame written a byte at a
+   time, then two frames in one write (each a fresh miss, like the
+   reference, so every reply is the same bytes) *)
+let test_split_and_joined_frames () =
+  let source i = Printf.sprintf "{ split %d }\n%s" i Pipeline.Programs.gcd in
+  let frame i =
+    framed
+      (Serve.Wire.encode_request
+         (Serve.Wire.Compile
+            {
+              id = 0;
+              options = Serve.Wire.default_options;
+              source = source i;
+            }))
+  in
+  with_daemon (fun sock ->
+      with_client sock (fun c ->
+          let want =
+            match Serve.Client.compile c (source 0) with
+            | Ok r -> Serve.Wire.encode_reply r
+            | Error m -> Alcotest.failf "reference compile failed: %s" m
+          in
+          let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close raw)
+            (fun () ->
+              Unix.connect raw (Unix.ADDR_UNIX sock);
+              let write s =
+                ignore (Unix.write_substring raw s 0 (String.length s))
+              in
+              let reply what =
+                match Serve.Wire.read_frame raw with
+                | Some r -> Alcotest.(check string) what want r
+                | None -> Alcotest.failf "%s: connection closed" what
+              in
+              String.iter (fun ch -> write (String.make 1 ch)) (frame 1);
+              reply "frame written a byte at a time";
+              write (frame 2 ^ frame 3);
+              reply "first of two frames in one write";
+              reply "second of two frames in one write")))
+
+(* (l) a frame near the cap is read in linear time: a 15 MiB compile
+   request through an in-process daemon allocates under 24x its source
+   (a reader that appends every 64 KiB read to a string allocates over
+   100x) *)
+let test_big_frame_allocation () =
+  let sock = Filename.temp_file "pascd-big" ".sock" in
+  Sys.remove sock;
+  let server =
+    match
+      Serve.Server.create ~table_key:"big-frame" ~socket_path:sock
+        (Lazy.force Util.amdahl_tables)
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.failf "create failed: %s" m
+  in
+  let loop = Thread.create Serve.Server.run server in
+  Fun.protect
+    ~finally:(fun () ->
+      with_client sock (fun c -> ignore (Serve.Client.shutdown c));
+      Thread.join loop)
+    (fun () ->
+      let source =
+        "{" ^ String.make (15 lsl 20) 'x' ^ "}\n" ^ Pipeline.Programs.gcd
+      in
+      with_client sock (fun c ->
+          let before = Gc.allocated_bytes () in
+          let r = Serve.Client.compile c source in
+          let ratio =
+            (Gc.allocated_bytes () -. before)
+            /. float_of_int (String.length source)
+          in
+          (match r with
+          | Ok (Serve.Wire.Compiled { outcome = Ok _; _ }) -> ()
+          | _ -> Alcotest.fail "the 15 MiB request did not compile");
+          if ratio >= 24. then
+            Alcotest.failf "allocated %.1fx the source (bound 24x)" ratio))
+
 (* -- the codec alone, without a daemon ------------------------------------ *)
 
 let replies =
@@ -533,6 +636,10 @@ let () =
             test_eintr_signal_bomb;
           Alcotest.test_case "undecodable request drops only its client"
             `Quick test_undecodable_request_drops_client;
+          Alcotest.test_case "split and joined frames get the same reply"
+            `Quick test_split_and_joined_frames;
+          Alcotest.test_case "a 15 MiB frame allocates linearly" `Quick
+            test_big_frame_allocation;
         ] );
       ( "codec",
         [

@@ -62,12 +62,11 @@ let test_miss_then_hit () =
   check_origin "second build is a hit" "hit" (origin_str o2);
   (* a hit never enters LR construction: the origin is decided before
      Cogg_build would run, which is what makes repeat invocations fast *)
-  let hits_before = (Cogg.Tables_cache.stats ()).Cogg.Tables_cache.hits in
-  let _, o3 = build dir in
+  let (_, o3), rows = Util.with_metrics (fun () -> build dir) in
   check_origin "still a hit" "hit" (origin_str o3);
-  Alcotest.(check int)
-    "hit counter advanced" (hits_before + 1)
-    (Cogg.Tables_cache.stats ()).Cogg.Tables_cache.hits
+  Alcotest.(check (pair int int))
+    "one hit counted, no miss" (1, 0)
+    (List.assoc "tables_cache.hits" rows, List.assoc "tables_cache.misses" rows)
 
 let generate t =
   match Cogg.Codegen.generate_string t intro_if with
@@ -212,16 +211,15 @@ let test_prune_enforces_cap () =
   Alcotest.(check int)
     "roomy cap is a no-op" 0
     (Cogg.Tables_cache.prune ~cache_dir:dir ~max_entries:8 ());
-  let evictions_before =
-    (Cogg.Tables_cache.stats ()).Cogg.Tables_cache.evictions
+  let pruned, rows =
+    Util.with_metrics (fun () ->
+        Cogg.Tables_cache.prune ~cache_dir:dir ~max_entries:3 ())
   in
-  Alcotest.(check int)
-    "pruning to three deletes two" 2
-    (Cogg.Tables_cache.prune ~cache_dir:dir ~max_entries:3 ());
+  Alcotest.(check int) "pruning to three deletes two" 2 pruned;
   Alcotest.(check int) "three entries remain" 3 (entry_count dir);
   Alcotest.(check int)
-    "eviction counter advanced" (evictions_before + 2)
-    (Cogg.Tables_cache.stats ()).Cogg.Tables_cache.evictions;
+    "evictions counted" 2
+    (List.assoc "tables_cache.evictions" rows);
   (* idempotent at the cap *)
   Alcotest.(check int)
     "already at the cap" 0

@@ -54,6 +54,16 @@ let risc32_tables : Cogg.Tables.t Lazy.t =
           (Fmt.list Cogg.Cogg_build.pp_error)
           es)
 
+(* [f]'s result and the Metrics rows it recorded, with the counters
+   reset and enabled around the call (as `pasc compile --stats` runs) *)
+let with_metrics f =
+  Cogg.Metrics.reset ();
+  Cogg.Metrics.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Cogg.Metrics.set_enabled false) f in
+  let rows = Cogg.Metrics.snapshot () in
+  Cogg.Metrics.reset ();
+  (r, rows)
+
 let contains (haystack : string) (needle : string) : bool =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
