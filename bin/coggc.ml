@@ -275,6 +275,9 @@ let gen_cmd =
     Term.(const run $ mode_arg $ target_arg $ spec_arg $ if_arg $ run_flag)
 
 let () =
+  (* library warnings (a table-cache entry that cannot be stored) go to
+     stderr; info lines stay silent at Logs' default level *)
+  Logs.set_reporter (Logs_fmt.reporter ());
   let info =
     Cmd.info "coggc" ~version:"1.0"
       ~doc:"CoGG: a code generator generator for table driven code generators"

@@ -80,21 +80,15 @@ let spec_for target spec_opt =
 (* Built tables are cached on disk keyed by the spec's content digest
    (plus the target name), so repeat runs skip LR construction entirely;
    on a miss, the pool (if any) parallelizes the build itself. *)
-let load_tables ?pool ?target ~no_cache spec_path =
-  if no_cache then
-    match Cogg.Cogg_build.build_file ?pool ?target spec_path with
-    | Ok t -> t
-    | Error es ->
-        or_die (Error (Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es))
-  else
-    match Cogg.Tables_cache.build_file ?pool ?target spec_path with
-    | Ok (t, origin) ->
-        if Sys.getenv_opt "COGG_CACHE_VERBOSE" <> None then
-          Fmt.epr "[tables-cache] %s: %a@." spec_path Cogg.Tables_cache.pp_origin
-            origin;
-        t
-    | Error es ->
-        or_die (Error (Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es))
+let load_tables ?pool ?target spec_path =
+  match Cogg.Tables_cache.build_file ?pool ?target spec_path with
+  | Ok (t, origin) ->
+      if Sys.getenv_opt "COGG_CACHE_VERBOSE" <> None then
+        Fmt.epr "[tables-cache] %s: %a@." spec_path Cogg.Tables_cache.pp_origin
+          origin;
+      t
+  | Error es ->
+      or_die (Error (Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es))
 
 let pp_value ppf = function
   | Pascal.Interp.Vint n -> Fmt.int ppf n
@@ -111,7 +105,7 @@ let run_executed (x : Pipeline.executed) =
   | None -> ()
 
 let compile_cmd =
-  let run target spec_opt src_paths jobs no_cse no_cache checks baseline
+  let run target spec_opt src_paths jobs no_cse checks baseline
       show_if show_listing run_it verify stats trace explain dispatch =
     let spec_path = spec_for target spec_opt in
     if baseline && target.Machine.Target.name <> Machine.Targets.default.Machine.Target.name
@@ -167,7 +161,7 @@ let compile_cmd =
         else Cogg.Pool.with_pool ~domains (fun p -> f (Some p))
       in
       with_pool @@ fun pool ->
-      let tables = load_tables ?pool ~target ~no_cache spec_path in
+      let tables = load_tables ?pool ~target spec_path in
       let batch =
         Array.of_list
           (List.map
@@ -238,7 +232,6 @@ let compile_cmd =
     Term.(
       const run $ target_arg $ spec_arg $ srcs_arg $ jobs_arg
       $ flag [ "no-cse" ] "Disable the common-subexpression optimizer"
-      $ flag [ "no-cache" ] "Rebuild the driving tables instead of using the on-disk cache"
       $ flag [ "checks" ] "Emit subscript checking code"
       $ flag [ "baseline" ] "Use the hand-written code generator"
       $ flag [ "dump-if" ] "Print the linearized intermediate form"
@@ -285,7 +278,7 @@ let fuzz_cmd =
   let run target spec_opt seed count profile minimize malformed jobs corpus
       cross guided minutes replay distill =
     let spec_path = spec_for target spec_opt in
-    let tables = load_tables ~target ~no_cache:false spec_path in
+    let tables = load_tables ~target spec_path in
     let cfg =
       {
         Fuzz.Runner.seed;
@@ -300,7 +293,7 @@ let fuzz_cmd =
         cross =
           Option.map
             (fun (t : Machine.Target.t) ->
-              load_tables ~target:t ~no_cache:false t.Machine.Target.spec_file)
+              load_tables ~target:t t.Machine.Target.spec_file)
             cross;
         spec = Some spec_path;
         stop =
@@ -507,7 +500,7 @@ let serve_cmd =
       else Cogg.Pool.with_pool ~domains (fun p -> f (Some p))
     in
     with_pool @@ fun pool ->
-    let tables = load_tables ?pool ~target ~no_cache:false spec_path in
+    let tables = load_tables ?pool ~target spec_path in
     (* the table bundle's own cache key doubles as its identity in every
        result-cache key, so results can never outlive the spec (or the
        target) they were compiled under *)
@@ -627,6 +620,10 @@ let interp_cmd =
     Term.(const run $ src_arg)
 
 let () =
+  (* warnings and errors from the libraries (a table-cache entry that
+     cannot be stored, a daemon dropping a client) go to stderr; info
+     lines stay silent at Logs' default level *)
+  Logs.set_reporter (Logs_fmt.reporter ());
   let info =
     Cmd.info "pasc" ~version:"1.0"
       ~doc:"mini-Pascal compiler over the CoGG table-driven code generator"

@@ -110,34 +110,41 @@ let test_batch_matches_direct () =
 
 (* (b) a cache hit serves exactly the bytes the miss produced — the
    first hit of an entry recompiles and compares, so a gate failure
-   would surface in the stats *)
+   would surface in the stats, and later hits run no compile *)
 let test_hit_equals_miss () =
   with_daemon (fun sock ->
       with_client sock (fun c ->
           let src = snd (List.hd Pipeline.Programs.all) in
-          let miss =
+          let compile what =
             match Serve.Client.compile c src with
             | Ok r -> r
-            | Error m -> Alcotest.failf "miss failed: %s" m
+            | Error m -> Alcotest.failf "%s failed: %s" what m
           in
-          let hit =
-            match Serve.Client.compile c src with
-            | Ok r -> r
-            | Error m -> Alcotest.failf "hit failed: %s" m
-          in
-          (match (miss, hit) with
+          let miss = compile "miss" in
+          let hit = compile "hit" in
+          let inline = compile "inline hit" in
+          (match (miss, hit, inline) with
           | ( Serve.Wire.Compiled { cached = false; outcome = o1; _ },
-              Serve.Wire.Compiled { cached = true; outcome = o2; _ } ) ->
+              Serve.Wire.Compiled { cached = true; outcome = o2; _ },
+              Serve.Wire.Compiled { cached = true; outcome = o3; _ } ) ->
               Alcotest.(check bool)
-                "hit outcome byte-identical to miss" true (o1 = o2)
-          | _ -> Alcotest.fail "expected a miss then a hit");
+                "hit outcomes byte-identical to miss" true (o1 = o2 && o1 = o3)
+          | _ -> Alcotest.fail "expected a miss then two hits");
           match Serve.Client.stats c with
           | Error m -> Alcotest.failf "stats failed: %s" m
           | Ok text ->
-              let has line = List.mem line (String.split_on_char '\n' text) in
-              Alcotest.(check (pair bool bool))
-                "the hit was verified, and the gate never failed" (true, true)
-                (has "verified_hits 1", has "gate_failures 0")))
+              let keys =
+                [ "compiles"; "inline_hits"; "verified_hits"; "gate_failures" ]
+              in
+              Alcotest.(check (list string))
+                "the first hit was verified, the second compiled nothing, \
+                 and the gate never failed"
+                [ "compiles 2"; "inline_hits 1"; "verified_hits 1";
+                  "gate_failures 0" ]
+                (List.filter
+                   (fun l ->
+                     List.mem (List.hd (String.split_on_char ' ' l)) keys)
+                   (String.split_on_char '\n' text))))
 
 (* (c) admission control: with the drain paused and a queue of two,
    exactly the first two of eight unique compiles are admitted and the

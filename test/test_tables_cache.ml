@@ -395,6 +395,59 @@ let test_killed_writer () =
   ignore (Cogg.Tables_cache.prune ~cache_dir:dir ());
   Alcotest.(check (list string)) "no temp file survives" [] (temp_files dir)
 
+(* exit code, stdout and stderr of the built `pasc ARGS` over a given
+   table-cache directory *)
+let run_pasc ~cache_dir args =
+  let pasc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/pasc.exe"
+  in
+  let out = Filename.temp_file "pasc" ".out"
+  and err = Filename.temp_file "pasc" ".err" in
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let o = fd out and e = fd err in
+  (* the first definition of a variable is the one getenv finds *)
+  let env =
+    Array.append [| "COGG_CACHE_DIR=" ^ cache_dir |] (Unix.environment ())
+  in
+  let pid =
+    Unix.create_process_env pasc (Array.of_list (pasc :: args)) env Unix.stdin o
+      e
+  in
+  Unix.close o;
+  Unix.close e;
+  let status =
+    match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1
+  in
+  let r = (status, read_file out, read_file err) in
+  Sys.remove out;
+  Sys.remove err;
+  r
+
+(* A cache directory that cannot be created (its parent is a regular
+   file) costs a rebuild on every run: `pasc compile` still compiles
+   exactly as over a working cache, and says on stderr that it could
+   not store the entry. *)
+let test_unwritable_cache_warns () =
+  let src = Filename.temp_file "gcd" ".pas" in
+  clobber src Pipeline.Programs.gcd;
+  let args =
+    [ "compile"; src; "--run"; "--spec"; Util.spec_path "amdahl470.cgg" ]
+  in
+  let dir = fresh_cache_dir () in
+  let _, want, _ = run_pasc ~cache_dir:dir args in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  let blocker = Filename.temp_file "cogg-cache-parent" "" in
+  let status, out, err =
+    run_pasc ~cache_dir:(Filename.concat blocker "cache") args
+  in
+  Sys.remove blocker;
+  Sys.remove src;
+  Alcotest.(check int) "exit code" 0 status;
+  Alcotest.(check string) "stdout as over a working cache" want out;
+  if not (Util.contains err "cannot store cache entry") then
+    Alcotest.failf "no store warning on stderr:\n%s" err
+
 let () =
   Alcotest.run "tables_cache"
     [
@@ -411,6 +464,8 @@ let () =
             test_concurrent_store_same_entry;
           Alcotest.test_case "mode is part of the key" `Quick
             test_mode_is_part_of_key;
+          Alcotest.test_case "an unwritable cache warns on stderr" `Quick
+            test_unwritable_cache_warns;
         ] );
       ( "eviction",
         [
