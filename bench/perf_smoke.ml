@@ -1,6 +1,6 @@
 (* Allocation smoke test:
      dune build @perf-smoke
-   meters the allocation of three calls and fails if any exceeds its
+   meters the allocation of four calls and fails if any exceeds its
    checked-in budget (bench/perf_budget.txt, passed as argv.(1); one
    number per line):
      line 1: one warm table-driven compile of the appendix-1 equation
@@ -13,12 +13,17 @@
              private warm cache directory), words per hit: minor words
              plus the words allocated straight to the major heap (the
              file's bytes and any large array never pass through the
-             minor heap, so minor words alone would miss them).
+             minor heap, so minor words alone would miss them);
+     line 4: one from-scratch SLR table build of specs/amdahl470.cgg
+             (Cogg.Cogg_build.build of the parsed spec, no pool: LR(0),
+             lookaheads, the action fill, the comb, the templates),
+             words per build, counted as line 3 counts them.
    Each budget is ~1.5x the measured steady-state figure.  These counts
    repeat exactly from run to run, so drift — a new per-token
    allocation, a listing rendered through Format again, CSE keys built
-   as strings, a bundle section decoded at load again — trips the gate
-   long before it shows up as wall-clock noise. *)
+   as strings, a bundle section decoded at load again, LR sets back on
+   [Set.Make] — trips the gate long before it shows up as wall-clock
+   noise. *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -105,6 +110,25 @@ let meter_cache_hit ~budget spec_file =
   Sys.rmdir dir;
   check ~words:"words" ~what:"cache hit" ~unit:"hit" ~budget per_hit
 
+(* from-scratch builds of the parsed spec, after three untimed ones *)
+let meter_build ~budget spec =
+  let build () =
+    match Cogg.Cogg_build.build spec with
+    | Ok t -> t
+    | Error es ->
+        Fmt.epr "%a@." (Fmt.list Cogg.Cogg_build.pp_error) es;
+        exit 2
+  in
+  for _ = 1 to 3 do
+    ignore (build ())
+  done;
+  let w0 = allocated_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (build ()))
+  done;
+  check ~words:"words" ~what:"table build" ~unit:"build" ~budget
+    ((allocated_words () -. w0) /. float_of_int runs)
+
 let () =
   let budget_file =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
@@ -113,7 +137,7 @@ let () =
       exit 2
     end
   in
-  let codegen_budget, cse_budget, cache_budget =
+  let codegen_budget, cse_budget, cache_budget, build_budget =
     let ic = open_in budget_file in
     let text = In_channel.input_all ic in
     close_in ic;
@@ -122,9 +146,9 @@ let () =
         (List.filter (( <> ) "")
            (List.map String.trim (String.split_on_char '\n' text)))
     with
-    | [ Some g; Some c; Some h ] -> (g, c, h)
+    | [ Some g; Some c; Some h; Some b ] -> (g, c, h, b)
     | _ ->
-        Fmt.epr "%s: expected three numbers, one per line: %S@." budget_file
+        Fmt.epr "%s: expected four numbers, one per line: %S@." budget_file
           text;
         exit 2
   in
@@ -154,4 +178,11 @@ let () =
   in
   let cse_ok = meter_cse ~budget:cse_budget compiled.Pipeline.checked in
   let cache_ok = meter_cache_hit ~budget:cache_budget spec_file in
-  if not (codegen_ok && cse_ok && cache_ok) then exit 1
+  let build_ok =
+    match Cogg.Spec_parse.of_file spec_file with
+    | Ok spec -> meter_build ~budget:build_budget spec
+    | Error e ->
+        Fmt.epr "%a@." Cogg.Spec_parse.pp_error e;
+        exit 2
+  in
+  if not (codegen_ok && cse_ok && cache_ok && build_ok) then exit 1

@@ -34,7 +34,7 @@ let build_tables ?pool ~mode grammar =
   in
   let compressed =
     span "cogg_build.compress" (fun () ->
-        Compress.compress ?pool ~method_:Compress.Defaults_and_comb parse)
+        Compress.compress ~method_:Compress.Defaults_and_comb parse)
   in
   (parse, compressed)
 
@@ -74,6 +74,12 @@ let grammar_of_spec (symtab : Symtab.t) (spec : Spec_ast.t) :
   in
   List.iter
     (fun (p : Spec_ast.production) ->
+      (* an LR item packs its dot into Lr0.dot_bits bits *)
+      let n = List.length p.p_rhs in
+      if n > Lr0.max_rhs then
+        err p.p_line
+          "production has %d right-hand-side symbols; at most %d are allowed" n
+          Lr0.max_rhs;
       let lhs = sym_of p.p_line p.p_lhs ~lhs:true in
       let rhs = List.map (sym_of p.p_line ~lhs:false) p.p_rhs in
       match (lhs, List.for_all Option.is_some rhs) with

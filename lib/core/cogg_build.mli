@@ -21,9 +21,9 @@ val build :
   (Tables.t, error list) result
 (** Build the complete table bundle.  [mode] selects SLR(1) (the
     default, as in the paper) or LALR(1) lookaheads.  [pool] parallelizes
-    lookahead computation, the per-state action-table fill, the
-    per-state row extraction of compression and template compilation;
-    the resulting bundle is byte-identical at any worker count.
+    the lookahead computation (SLR's per-state reductions, LALR's
+    per-state discovery) and template compilation; the resulting bundle
+    is byte-identical at any worker count.
     [target] selects the machine substrate the spec's opcodes and
     template shapes are checked against (default: the Amdahl 470); it is
     recorded in [Tables.target] and drives emission, loading and

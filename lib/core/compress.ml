@@ -57,75 +57,99 @@ let cell_bytes c =
     (state, symbol) pair. *)
 let uncompressed_bytes c = c.n_states * c.n_syms * 2
 
-(* Default selection.  The candidates are the reduce actions present in
-   the row (shifts and errors are never defaulted: a defaulted shift
-   would consume input wrongly).  Candidates rank by cell count, then
-   by the smaller encoding: a strict total order, so the choice is
-   independent of hash iteration order. *)
-let row_default method_ (row : Parse_table.action array) : int =
-  match method_ with
-  | No_compression | Comb_only -> 0
-  | Defaults_only | Defaults_and_comb ->
-      let counts = Hashtbl.create 8 in
-      Array.iter
-        (fun a ->
-          match a with
-          | Parse_table.Reduce _ ->
-              let v = encode_action a in
-              Hashtbl.replace counts v
-                (1 + Option.value (Hashtbl.find_opt counts v) ~default:0)
-          | _ -> ())
-        row;
-      let best = ref 0 and best_key = ref (min_int, min_int) in
-      Hashtbl.iter
-        (fun v c ->
-          let key = (c, -v) in
-          if key > !best_key then begin
-            best_key := key;
-            best := v
-          end)
-        counts;
-      !best
-
-(* Per-state (default, significant entries) extraction — the
-   n_states x n_syms sweep, each state independent, mapped over the
-   pool; results land by state index, so the outcome is worker-count
-   invariant. *)
-let extract_rows ?pool method_ (pt : Parse_table.t) :
-    (int * (int * int) list) array =
-  Pool.maybe pool
-    (fun row ->
-      let d = row_default method_ row in
+(* Per-state rows: each state's default entry and its other non-error
+   (column, entry) pairs in column order.  The default is the most
+   common reduce action of the row (shifts and errors are never
+   defaulted: a defaulted shift would consume input wrongly), ties to
+   the smaller encoding (the smaller production): a strict total order.
+   One pass over a row counts each production's reduce cells in
+   [counts] (zero between rows) and keeps the leader so far, which is
+   the leader at the end because counts only grow, while it copies the
+   non-error cells out; the short second pass over those cells builds
+   the entry list and clears the counts. *)
+let extract_rows method_ (pt : Parse_table.t) : (int * (int * int) list) array
+    =
+  let g = pt.Parse_table.grammar in
+  let defaults =
+    match method_ with
+    | Defaults_only | Defaults_and_comb -> true
+    | No_compression | Comb_only -> false
+  in
+  let counts = Array.make (Grammar.n_prods g) 0 in
+  let cols = Array.make (Grammar.n_syms g) 0 in
+  let codes = Array.make (Grammar.n_syms g) 0 in
+  Array.map
+    (fun (row : Parse_table.action array) ->
+      let n = ref 0 and best = ref (-1) and best_n = ref 0 in
+      for sym = 0 to Array.length row - 1 do
+        match row.(sym) with
+        | Error -> ()
+        | a ->
+            cols.(!n) <- sym;
+            codes.(!n) <- encode_action a;
+            incr n;
+            begin
+              match a with
+              | Reduce p when defaults ->
+                  let c = counts.(p) + 1 in
+                  counts.(p) <- c;
+                  if c > !best_n || (c = !best_n && p < !best) then begin
+                    best := p;
+                    best_n := c
+                  end
+              | _ -> ()
+            end
+      done;
+      let d = if !best < 0 then 0 else encode_action (Reduce !best) in
       let entries = ref [] in
-      Array.iteri
-        (fun sym a ->
-          let v = encode_action a in
-          if v <> d && v <> 0 then entries := (sym, v) :: !entries)
-        row;
-      (d, List.rev !entries))
+      for k = !n - 1 downto 0 do
+        let v = codes.(k) in
+        (* reduce codes are the odd ones from 3 *)
+        if v >= 3 && v land 1 = 1 then counts.((v - 3) / 2) <- 0;
+        if v <> d then entries := (cols.(k), v) :: !entries
+      done;
+      (d, !entries))
     pt.Parse_table.actions
+
+module Row_tbl = Hashtbl.Make (struct
+  type t = int * (int * int) list
+
+  let equal ((d, e) : t) ((d', e') : t) =
+    d = d'
+    && List.equal
+         (fun ((s, v) : int * int) (s', v') -> s = s' && v = v')
+         e e'
+
+  let hash ((d, e) : t) =
+    List.fold_left
+      (fun h ((s, v) : int * int) -> (((h * 31) + s) * 31) + v)
+      d e
+    land 0x3fffffff
+end)
 
 (* Row sharing: map distinct (default, entries) values to row ids;
    returns the state->row map and the distinct rows in first-seen
    order. *)
 let share_rows (state_rows : (int * (int * int) list) array) :
     int array * (int * (int * int) list) array =
-  let row_ids : (int * (int * int) list, int) Hashtbl.t = Hashtbl.create 64 in
+  let row_ids = Row_tbl.create 64 in
   let row_index = Array.make (Array.length state_rows) 0 in
   let distinct = ref [] in
   let n_rows = ref 0 in
   Array.iteri
     (fun s row ->
-      match Hashtbl.find_opt row_ids row with
+      match Row_tbl.find_opt row_ids row with
       | Some id -> row_index.(s) <- id
       | None ->
           let id = !n_rows in
           incr n_rows;
-          Hashtbl.replace row_ids row id;
+          Row_tbl.replace row_ids row id;
           distinct := row :: !distinct;
           row_index.(s) <- id)
     state_rows;
   (row_index, Array.of_list (List.rev !distinct))
+
+let rows method_ pt = share_rows (extract_rows method_ pt)
 
 (* Bitsets of [word]-bit words in native ints ([word] = 62 keeps every
    word non-negative, so a word with every bit set is [full]); bits past
@@ -250,10 +274,10 @@ let pack_rows (entries_of : (int * int) list array) :
   Array.iteri (fun rid off -> if off < 0 then offsets.(rid) <- !used) offsets;
   (offsets, Array.sub !value 0 !used, Array.sub !check 0 !used)
 
-let compress ?pool ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
+let compress ?(method_ = Defaults_and_comb) (pt : Parse_table.t) : t =
   let n_states = Parse_table.n_states pt in
   let n_syms = Grammar.n_syms pt.Parse_table.grammar in
-  let state_rows = extract_rows ?pool method_ pt in
+  let state_rows = extract_rows method_ pt in
   let row_index, defaults, offsets, value, check, size_bytes =
     match method_ with
     | No_compression | Defaults_only ->

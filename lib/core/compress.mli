@@ -47,11 +47,13 @@ val uncompressed_bytes : t -> int
 (** One 16-bit entry per (state, symbol) pair: the flat table of the
     same dimensions. *)
 
-val compress : ?pool:Pool.t -> ?method_:method_ -> Parse_table.t -> t
-(** [?pool] parallelizes the per-state row extraction (the default
-    choice and the significant entries of each state); row sharing and
-    the comb placement are sequential, so the packed table is
-    byte-identical at any worker count. *)
+val compress : ?method_:method_ -> Parse_table.t -> t
+
+val rows : method_ -> Parse_table.t -> int array * (int * (int * int) list) array
+(** [rows method_ pt] is what [compress] packs: each state's row as its
+    default entry and its other non-error [(column, entry)] pairs in
+    column order, with identical rows shared.  The result is the
+    state -> row map and the distinct rows in the order first met. *)
 
 val pack_rows : (int * int) list array -> int array * int array * int array
 (** [pack_rows rows] is the comb: row [r] of [rows] lists its

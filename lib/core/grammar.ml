@@ -154,9 +154,81 @@ let finish b =
     eof;
   }
 
-(* -- FIRST sets ----------------------------------------------------------- *)
+(* -- symbol sets ----------------------------------------------------------- *)
 
-module Symset = Set.Make (Int)
+(** Sets of symbol ids as fixed-width bitsets: bit [s mod int_size] of
+    word [s / int_size] holds symbol [s].  A set is made for a universe
+    of [n] symbols ([create n]) and never grows; a union reads the
+    words of its source only, so a set over a smaller universe can be
+    merged into a larger one (the LALR sets carry one sentinel symbol
+    past the grammar's).  Sets are mutable: [union_into] and [add]
+    update in place, and a set handed out by {!analyze} must not be
+    changed by its reader. *)
+module Symset : sig
+  type t
+
+  val create : int -> t
+  val singleton : int -> int -> t
+  val copy : t -> t
+  val mem : int -> t -> bool
+  val add : t -> int -> unit
+  val remove : t -> int -> unit
+  val clear : t -> unit
+
+  val union_into : into:t -> t -> bool
+  (** [union_into ~into s] adds every member of [s] to [into]; true if
+      [into] grew *)
+
+  val is_empty : t -> bool
+  val iter : (int -> unit) -> t -> unit
+  (** members in ascending order *)
+
+  val elements : t -> int list
+end = struct
+  type t = int array
+
+  let bits = Sys.int_size
+  let create n = Array.make ((n + bits - 1) / bits) 0
+  let copy = Array.copy
+  let mem s t = t.(s / bits) land (1 lsl (s mod bits)) <> 0
+  let add t s = t.(s / bits) <- t.(s / bits) lor (1 lsl (s mod bits))
+  let remove t s = t.(s / bits) <- t.(s / bits) land lnot (1 lsl (s mod bits))
+
+  let clear t = Array.fill t 0 (Array.length t) 0
+
+  let singleton n s =
+    let t = create n in
+    add t s;
+    t
+
+  let union_into ~into s =
+    let grew = ref false in
+    for i = 0 to Array.length s - 1 do
+      let w = into.(i) lor s.(i) in
+      if w <> into.(i) then begin
+        into.(i) <- w;
+        grew := true
+      end
+    done;
+    !grew
+
+  let is_empty t = Array.for_all (fun w -> w = 0) t
+
+  let iter f t =
+    for i = 0 to Array.length t - 1 do
+      let w = ref t.(i) and s = ref (i * bits) in
+      while !w <> 0 do
+        if !w land 1 <> 0 then f !s;
+        w := !w lsr 1;
+        incr s
+      done
+    done
+
+  let elements t =
+    let acc = ref [] in
+    iter (fun s -> acc := s :: !acc) t;
+    List.rev !acc
+end
 
 type analysis = {
   first : Symset.t array;  (** FIRST(X), including X itself (see above) *)
@@ -164,71 +236,56 @@ type analysis = {
   follow : Symset.t array;  (** FOLLOW over non-terminals *)
 }
 
-let first_of_seq (an : analysis) (seq : sym array) ~from : Symset.t * bool =
-  (* FIRST of seq.[from..], and whether the suffix is nullable *)
-  let rec go i acc =
-    if i >= Array.length seq then (acc, true)
-    else
-      let s = seq.(i) in
-      let acc = Symset.union acc an.first.(s) in
-      if an.nullable.(s) then go (i + 1) acc else (acc, false)
-  in
-  go from Symset.empty
-
+(* Both fixpoints sweep the productions until nothing grows; a sweep
+   unions bitset words in place, so it allocates nothing. *)
 let analyze (g : t) : analysis =
   let n = n_syms g in
-  let first = Array.init n (fun s -> Symset.singleton s) in
   (* Every symbol can appear literally in the input, hence the self-
      inclusion; non-terminals additionally derive their productions'
      first symbols. *)
+  let first = Array.init n (fun s -> Symset.singleton n s) in
   let nullable = Array.make n false in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun p ->
-        (* nullable *)
-        let all_null = Array.for_all (fun s -> nullable.(s)) p.rhs in
-        if all_null && not nullable.(p.lhs) then begin
-          nullable.(p.lhs) <- true;
-          changed := true
-        end;
-        (* first *)
         let rec add i =
-          if i < Array.length p.rhs then begin
-            let s = p.rhs.(i) in
-            let before = first.(p.lhs) in
-            first.(p.lhs) <- Symset.union before first.(s);
-            if not (Symset.equal before first.(p.lhs)) then changed := true;
-            if nullable.(s) then add (i + 1)
+          if i = Array.length p.rhs then begin
+            if not nullable.(p.lhs) then begin
+              nullable.(p.lhs) <- true;
+              changed := true
+            end
           end
+          else
+            let s = p.rhs.(i) in
+            if Symset.union_into ~into:first.(p.lhs) first.(s) then
+              changed := true;
+            if nullable.(s) then add (i + 1)
         in
         add 0)
       g.prods
   done;
-  (* FOLLOW *)
-  let follow = Array.make n Symset.empty in
-  follow.(g.goal) <- Symset.singleton g.eof;
-  let an0 = { first; nullable; follow } in
+  let follow = Array.init n (fun _ -> Symset.create n) in
+  Symset.add follow.(g.goal) g.eof;
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun p ->
-        let m = Array.length p.rhs in
-        for i = 0 to m - 1 do
+        for i = 0 to Array.length p.rhs - 1 do
           let s = p.rhs.(i) in
           if g.is_nonterminal.(s) then begin
-            let fst_rest, rest_nullable = first_of_seq an0 p.rhs ~from:(i + 1) in
-            let before = follow.(s) in
-            let acc = Symset.union before fst_rest in
-            let acc =
-              if rest_nullable then Symset.union acc follow.(p.lhs) else acc
+            let into = follow.(s) in
+            let rec rest j =
+              j = Array.length p.rhs
+              ||
+              let t = p.rhs.(j) in
+              if Symset.union_into ~into first.(t) then changed := true;
+              nullable.(t) && rest (j + 1)
             in
-            if not (Symset.equal before acc) then begin
-              follow.(s) <- acc;
+            if rest (i + 1) && Symset.union_into ~into follow.(p.lhs) then
               changed := true
-            end
           end
         done)
       g.prods

@@ -4,172 +4,261 @@
     spontaneous-generation / propagation algorithm (Dragon book 4.63)
     over the LR(0) automaton, using a sentinel lookahead [#].
 
-    Both modes are per-state data-parallel in their expensive phase (the
-    SLR map over states; the LALR discovery of spontaneous lookaheads and
-    propagation links), so [reductions] accepts an optional {!Pool}.  Each
-    state's computation is the same sequential code at any worker count
-    and the merge walks states in index order, so the result is
-    independent of the pool size.  Hash tables are specialized to packed
-    integer keys (items, and (state, item) pairs) — the polymorphic
-    hash/equality on tuples otherwise shows up in the LALR profile. *)
+    The LR(1) closure of a kernel needs no set per item: every dot-0
+    item of a non-terminal B gets the same lookaheads, LA(B), so the
+    closure is a fixpoint over non-terminals.  An item that holds
+    lookaheads L adds to LA(C), C the non-terminal after its dot, the
+    FIRST set of the rest of its right-hand side, and L too when that
+    rest is nullable; both facts are precomputed per item.  Only the
+    items the closure reaches add anything: a non-terminal is expanded
+    once its LA has grown.  Every set is a {!Grammar.Symset} bitset over
+    the grammar's symbols plus [#], merged in place.
+
+    LALR's discovery of spontaneous lookaheads and propagation links is
+    per state, so it maps over an optional {!Pool}; the per-state
+    results are merged in state order, and propagation is a fixpoint,
+    so the lookaheads do not depend on the worker count. *)
 
 module Symset = Grammar.Symset
 
 type mode = Slr | Lalr
 
-let sentinel = -1
-
-(* Fibonacci-style multiplicative hash: items and packed (state, item)
-   keys are small dense ints, which the identity hash would cluster. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) (b : int) = a = b
-  let hash x = x * 0x9e3779b1 land 0x3fffffff
-end)
-
-(* LR(1) closure over (item -> lookahead set), as a fixpoint. *)
-let closure1 (g : Grammar.t) (an : Grammar.analysis)
-    (init : (Lr0.item * Symset.t) list) : Symset.t Int_tbl.t =
-  let sets : Symset.t Int_tbl.t = Int_tbl.create 32 in
-  let work = Queue.create () in
-  let add item la =
-    let cur = Option.value (Int_tbl.find_opt sets item) ~default:Symset.empty in
-    let merged = Symset.union cur la in
-    if not (Symset.equal cur merged) then begin
-      Int_tbl.replace sets item merged;
-      Queue.add item work
-    end
-  in
-  List.iter (fun (i, la) -> add i la) init;
-  while not (Queue.is_empty work) do
-    let i = Queue.pop work in
-    let la = Int_tbl.find sets i in
-    let p = Grammar.prod g (Lr0.item_prod i) in
-    let dot = Lr0.item_dot i in
-    if dot < Array.length p.rhs then begin
-      let b = p.rhs.(dot) in
-      if g.Grammar.is_nonterminal.(b) then begin
-        let fst, nullable = Grammar.first_of_seq an p.rhs ~from:(dot + 1) in
-        let new_la = if nullable then Symset.union fst la else fst in
-        List.iter
-          (fun pid -> add (Lr0.item ~prod:pid ~dot:0) new_la)
-          g.Grammar.by_lhs.(b)
-      end
-    end
-  done;
-  sets
-
-(** LALR kernel lookaheads, keyed by [state * item_bound + item]. *)
-let lalr_kernel_lookaheads ?pool (a : Lr0.t) (an : Grammar.analysis) :
-    int * Symset.t Int_tbl.t =
+(* every final item of each closure, with FOLLOW of its left-hand side
+   (the analysis' own set) *)
+let slr ?pool (a : Lr0.t) (an : Grammar.analysis) : (int * Symset.t) list array
+    =
   let g = a.Lr0.grammar in
-  let item_bound = Grammar.n_prods g lsl Lr0.dot_bits in
-  let key state item = (state * item_bound) + item in
-  (* per-state discovery: for each kernel item, the spontaneous
-     lookaheads it generates and the kernel items it propagates to.
-     Pure per state, so it maps over the pool; the merge below walks the
-     per-state results in state order, making the link-table layout (and
-     hence everything downstream) independent of the worker count. *)
-  let discover (st : Lr0.state) =
-    let spont = ref [] and links = ref [] in
-    Array.iter
-      (fun k ->
-        let cl = closure1 g an [ (k, Symset.singleton sentinel) ] in
-        let my_links = ref [] in
-        Int_tbl.iter
-          (fun i iset ->
-            let p = Grammar.prod g (Lr0.item_prod i) in
-            let dot = Lr0.item_dot i in
-            if dot < Array.length p.rhs then begin
-              let x = p.rhs.(dot) in
-              match Lr0.goto st x with
-              | None -> ()
-              | Some s' ->
-                  let adv = Lr0.item ~prod:(Lr0.item_prod i) ~dot:(dot + 1) in
-                  let s = Symset.remove sentinel iset in
-                  if not (Symset.is_empty s) then
-                    spont := (key s' adv, s) :: !spont;
-                  if Symset.mem sentinel iset then
-                    my_links := key s' adv :: !my_links
-            end)
-          cl;
-        if !my_links <> [] then links := (key st.Lr0.id k, !my_links) :: !links)
-      st.Lr0.kernel;
-    (List.rev !spont, List.rev !links)
-  in
-  let discovered = Pool.maybe pool discover a.Lr0.states in
-  let la : Symset.t Int_tbl.t = Int_tbl.create 256 in
-  let links : int list Int_tbl.t = Int_tbl.create 256 in
-  let get k = Option.value (Int_tbl.find_opt la k) ~default:Symset.empty in
-  (* initial: goal item gets eof *)
-  let goal_item = a.Lr0.states.(a.Lr0.start).Lr0.kernel.(0) in
-  Int_tbl.replace la (key a.Lr0.start goal_item) (Symset.singleton g.Grammar.eof);
+  let next = Lr0.next_syms g in
+  Pool.maybe pool
+    (fun (st : Lr0.state) ->
+      Array.fold_right
+        (fun i acc ->
+          if next.(i) >= 0 then acc
+          else
+            let p = Lr0.item_prod i in
+            (p, an.Grammar.follow.((Grammar.prod g p).lhs)) :: acc)
+        st.Lr0.closure [])
+    a.Lr0.states
+
+(* The grammar's items with what the LR(1) closure reads of them: the
+   symbol after the dot, and FIRST and nullability of the right-hand
+   side from the dot on. *)
+type items = {
+  g : Grammar.t;
+  next : int array;
+  suffix_first : Symset.t array;
+  suffix_nullable : bool array;
+  width : int;  (** set universe: the grammar's symbols, then [#] *)
+}
+
+let sentinel (it : items) = it.width - 1
+
+let items (g : Grammar.t) (an : Grammar.analysis) : items =
+  let width = Grammar.n_syms g + 1 in
+  let next = Lr0.next_syms g in
+  let n_items = Array.length next in
+  let suffix_first = Array.make n_items (Symset.create width) in
+  let suffix_nullable = Array.make n_items true in
   Array.iter
-    (fun (spont, lks) ->
-      List.iter (fun (k, s) -> Int_tbl.replace la k (Symset.union (get k) s)) spont;
+    (fun (p : Grammar.prod) ->
+      for dot = Array.length p.rhs - 1 downto 0 do
+        let i = Lr0.item ~prod:p.id ~dot in
+        let s = p.rhs.(dot) in
+        let set = Symset.create width in
+        ignore (Symset.union_into ~into:set an.Grammar.first.(s));
+        if an.Grammar.nullable.(s) then
+          ignore (Symset.union_into ~into:set suffix_first.(i + 1));
+        suffix_first.(i) <- set;
+        suffix_nullable.(i) <-
+          an.Grammar.nullable.(s) && suffix_nullable.(i + 1)
+      done)
+    g.Grammar.prods;
+  { g; next; suffix_first; suffix_nullable; width }
+
+(* One LR(1) closure's LA per non-terminal, and its worklist; reused
+   from closure to closure by [reset]. *)
+type lr1 = {
+  la : Symset.t array;
+  queued : bool array;
+  mutable work : int list;
+}
+
+let lr1 (it : items) : lr1 =
+  let n = Grammar.n_syms it.g in
+  {
+    la = Array.init n (fun _ -> Symset.create it.width);
+    queued = Array.make n false;
+    work = [];
+  }
+
+let reset (c : lr1) = Array.iter Symset.clear c.la
+
+(* Item [i] holds lookaheads [la]: add its share to the non-terminal
+   after its dot. *)
+let contribute (it : items) (c : lr1) i la =
+  let b = it.next.(i) in
+  if b >= 0 && it.g.Grammar.is_nonterminal.(b) then begin
+    let into = c.la.(b) in
+    let grew = Symset.union_into ~into it.suffix_first.(i + 1) in
+    let grew =
+      (it.suffix_nullable.(i + 1) && Symset.union_into ~into la) || grew
+    in
+    if grew && not c.queued.(b) then begin
+      c.queued.(b) <- true;
+      c.work <- b :: c.work
+    end
+  end
+
+(* LA to a fixpoint from the contributions made so far *)
+let rec saturate (it : items) (c : lr1) =
+  match c.work with
+  | [] -> ()
+  | b :: rest ->
+      c.work <- rest;
+      c.queued.(b) <- false;
       List.iter
-        (fun (src, dsts) ->
-          Int_tbl.replace links src
-            (dsts @ Option.value (Int_tbl.find_opt links src) ~default:[]))
-        lks)
+        (fun q -> contribute it c (Lr0.item ~prod:q ~dot:0) c.la.(b))
+        it.g.Grammar.by_lhs.(b);
+      saturate it c
+
+(* The lookaheads closure item [i] holds when, as a kernel item, it
+   started with [own] (empty if it is not one): [own] itself, or for a
+   dot-0 item a fresh set of [own] and LA of its left-hand side. *)
+let item_la (it : items) (c : lr1) ~own i =
+  if Lr0.item_dot i > 0 then own
+  else
+    let s = Symset.copy own in
+    ignore
+      (Symset.union_into ~into:s
+         c.la.((Grammar.prod it.g (Lr0.item_prod i)).lhs));
+    s
+
+(* Kernel items are numbered state by state: [slot.(st) + j] is item j
+   of state st's (sorted) kernel. *)
+let kernel_slots (a : Lr0.t) : int array =
+  let slot = Array.make (Lr0.n_states a + 1) 0 in
+  Array.iteri
+    (fun s (st : Lr0.state) ->
+      slot.(s + 1) <- slot.(s) + Array.length st.Lr0.kernel)
+    a.Lr0.states;
+  slot
+
+let slot_of (a : Lr0.t) slot st i =
+  let k = a.Lr0.states.(st).Lr0.kernel in
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    if k.(mid) = i then slot.(st) + mid
+    else if k.(mid) < i then search (mid + 1) hi
+    else search lo mid
+  in
+  search 0 (Array.length k)
+
+(* One state's spontaneous lookaheads (slot, set without [#]) and
+   propagation links (from slot, to slot): the closure of each kernel
+   item alone, holding [#], read at every item that can advance. *)
+let discover (it : items) (a : Lr0.t) slot (st : Lr0.state) =
+  let c = lr1 it in
+  let sharp = Symset.create it.width in
+  Symset.add sharp (sentinel it);
+  let goto = Array.make (Grammar.n_syms it.g) (-1) in
+  List.iter (fun (s, t) -> goto.(s) <- t) st.Lr0.transitions;
+  let advanced =
+    Array.map
+      (fun i ->
+        let s = it.next.(i) in
+        if s < 0 then -1 else slot_of a slot goto.(s) (i + 1))
+      st.Lr0.closure
+  in
+  let spont = ref [] and links = ref [] in
+  let empty = Symset.create it.width in
+  Array.iteri
+    (fun j k ->
+      let from = slot.(st.Lr0.id) + j in
+      contribute it c k sharp;
+      saturate it c;
+      Array.iteri
+        (fun n i ->
+          let own = if i = k then sharp else empty in
+          let la = item_la it c ~own i in
+          if advanced.(n) >= 0 && not (Symset.is_empty la) then begin
+            if Symset.mem (sentinel it) la then
+              links := (from, advanced.(n)) :: !links;
+            let s = Symset.copy la in
+            Symset.remove s (sentinel it);
+            if not (Symset.is_empty s) then
+              spont := (advanced.(n), s) :: !spont
+          end)
+        st.Lr0.closure;
+      reset c)
+    st.Lr0.kernel;
+  (!spont, !links)
+
+(* LALR kernel lookaheads by slot *)
+let kernel_lookaheads ?pool (it : items) (a : Lr0.t) slot : Symset.t array =
+  let n_slots = slot.(Lr0.n_states a) in
+  let la = Array.init n_slots (fun _ -> Symset.create it.width) in
+  let succ = Array.make n_slots [] in
+  let discovered = Pool.maybe pool (discover it a slot) a.Lr0.states in
+  (* the goal item gets eof *)
+  Symset.add la.(slot.(a.Lr0.start)) it.g.Grammar.eof;
+  Array.iter
+    (fun (spont, links) ->
+      List.iter (fun (k, s) -> ignore (Symset.union_into ~into:la.(k) s)) spont;
+      List.iter (fun (src, dst) -> succ.(src) <- dst :: succ.(src)) links)
     discovered;
-  (* propagate to fixpoint *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Int_tbl.iter
-      (fun src dsts ->
-        let s = get src in
-        if not (Symset.is_empty s) then
-          List.iter
-            (fun dst ->
-              let cur = get dst in
-              let merged = Symset.union cur s in
-              if not (Symset.equal cur merged) then begin
-                Int_tbl.replace la dst merged;
-                changed := true
-              end)
-            dsts)
-      links
+  (* propagate to a fixpoint *)
+  let queued = Array.make n_slots true in
+  let work = ref (List.init n_slots Fun.id) in
+  while !work <> [] do
+    let src = List.hd !work in
+    work := List.tl !work;
+    queued.(src) <- false;
+    List.iter
+      (fun dst ->
+        if Symset.union_into ~into:la.(dst) la.(src) && not queued.(dst)
+        then begin
+          queued.(dst) <- true;
+          work := dst :: !work
+        end)
+      succ.(src)
   done;
-  (item_bound, la)
+  la
+
+(* each state's LR(1) closure from its kernel lookaheads, read at its
+   final items.  Every kernel item holds some lookahead (eof reaches the
+   start item, each goto passes an item's lookaheads on, and FIRST sets
+   are never empty), so every final item is a reduction. *)
+let lalr ?pool (a : Lr0.t) (an : Grammar.analysis) :
+    (int * Symset.t) list array =
+  let it = items a.Lr0.grammar an in
+  let slot = kernel_slots a in
+  let kla = kernel_lookaheads ?pool it a slot in
+  let c = lr1 it in
+  let empty = Symset.create it.width in
+  Array.map
+    (fun (st : Lr0.state) ->
+      let own i =
+        if Lr0.item_dot i = 0 && not (Array.mem i st.Lr0.kernel) then empty
+        else kla.(slot_of a slot st.Lr0.id i)
+      in
+      Array.iter (fun k -> contribute it c k (own k)) st.Lr0.kernel;
+      saturate it c;
+      let reds =
+        Array.fold_right
+          (fun i acc ->
+            if it.next.(i) >= 0 then acc
+            else (Lr0.item_prod i, item_la it c ~own:(own i) i) :: acc)
+          st.Lr0.closure []
+      in
+      reset c;
+      reds)
+    a.Lr0.states
 
 (** [reductions ?pool a an mode] returns, per state, the reducible
-    productions with their lookahead sets. *)
+    productions with their lookahead sets, in production order.  SLR
+    lists every final item of the state's closure, with FOLLOW of its
+    left-hand side (the set is [an]'s own); LALR lists them with their
+    LALR(1) lookaheads. *)
 let reductions ?pool (a : Lr0.t) (an : Grammar.analysis) (mode : mode) :
     (int * Symset.t) list array =
-  let g = a.Lr0.grammar in
-  match mode with
-  | Slr ->
-      Pool.maybe pool
-        (fun st ->
-          Lr0.reducible g st
-          |> List.map (fun i ->
-                 let p = Lr0.item_prod i in
-                 (p, an.Grammar.follow.((Grammar.prod g p).lhs)))
-          |> List.sort_uniq compare)
-        a.Lr0.states
-  | Lalr ->
-      let item_bound, kla = lalr_kernel_lookaheads ?pool a an in
-      Pool.maybe pool
-        (fun (st : Lr0.state) ->
-          (* run the lookahead closure over the kernel with its final
-             lookahead sets, then read off the final items *)
-          let init =
-            Array.to_list st.Lr0.kernel
-            |> List.map (fun k ->
-                   ( k,
-                     Option.value
-                       (Int_tbl.find_opt kla ((st.Lr0.id * item_bound) + k))
-                       ~default:Symset.empty ))
-          in
-          let cl = closure1 g an init in
-          Int_tbl.fold
-            (fun i iset acc ->
-              let p = Grammar.prod g (Lr0.item_prod i) in
-              if Lr0.item_dot i = Array.length p.rhs then (p.id, iset) :: acc
-              else acc)
-            cl []
-          |> List.sort_uniq compare)
-        a.Lr0.states
+  match mode with Slr -> slr ?pool a an | Lalr -> lalr ?pool a an

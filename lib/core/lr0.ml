@@ -1,16 +1,26 @@
 (** LR(0) automaton construction.
 
-    States are canonical sets of kernel items; closures are computed on
-    demand.  Items are packed into ints: [(prod lsl DOT_BITS) lor dot].
+    States are canonical sets of kernel items.  Items are packed into
+    ints: [(prod lsl dot_bits) lor dot], so item order is production
+    order, then dot order.
 
     The frontier search is sequential (each new state can seed further
-    states), so construction speed lives and dies on its constant
-    factors: the kernel index is a hash table specialized to item arrays
-    (FNV-1a over the packed ints, monomorphic equality — no polymorphic
-    [compare]/[Hashtbl.hash] walks), the closure's visited set is a byte
-    table indexed by packed item, and the per-state grouping structures
-    are hoisted out of the work loop and reset between states instead of
-    reallocated. *)
+    states), so construction speed lives in its constant factors, and
+    the work per state is a few passes over int arrays:
+
+    - a closure is its kernel plus the dot-0 items of every production
+      reachable from a non-terminal after a kernel dot.  Which
+      productions those are depends on the non-terminal alone, so each
+      non-terminal's set is computed once, as a bitset over productions;
+      a state ORs the sets its kernel names and merges the kernel with
+      the set's members in item order, and no closure is sorted;
+    - the goto kernels are the closure's advanceable items grouped by
+      the symbol after the dot with a counting sort.  The closure is in
+      item order and advancing an item keeps that order, so every group
+      comes out sorted, and groups are visited in symbol order;
+    - a goto kernel is looked up in an open-addressing index while it
+      still sits in the scratch buffer (FNV-1a over the packed ints,
+      monomorphic comparison), and copied out only when it is new. *)
 
 let dot_bits = 5
 let max_rhs = (1 lsl dot_bits) - 1
@@ -24,8 +34,8 @@ let item_dot (i : item) = i land max_rhs
 type state = {
   id : int;
   kernel : item array; (* sorted *)
-  mutable closure : item array; (* kernel + nonkernel, sorted *)
-  mutable transitions : (Grammar.sym * int) list; (* symbol -> state id *)
+  closure : item array; (* kernel + nonkernel, sorted *)
+  transitions : (Grammar.sym * int) list; (* symbol -> state id, by symbol *)
 }
 
 type t = {
@@ -47,66 +57,52 @@ let pp_item g ppf (i : item) =
     p.rhs;
   if dot = Array.length p.rhs then Fmt.pf ppf " ."
 
-(* Kernels are small sorted int arrays; hash and compare them directly
-   rather than through the polymorphic primitives (which dominate the
-   frontier loop's profile on grammars with hundreds of states). *)
-module Kernel_tbl = Hashtbl.Make (struct
-  type t = item array
+(** [next_syms g] maps each item to the symbol after its dot, or -1 for
+    a final item (and for the unused codes past a production's end). *)
+let next_syms (g : Grammar.t) : int array =
+  let next = Array.make (Grammar.n_prods g lsl dot_bits) (-1) in
+  Array.iter
+    (fun (p : Grammar.prod) ->
+      Array.iteri (fun dot s -> next.(item ~prod:p.id ~dot) <- s) p.rhs)
+    g.Grammar.prods;
+  next
 
-  let equal (a : item array) (b : item array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
+(* Bitsets over production ids, [word] ids per int. *)
+let word = Sys.int_size
 
-  let hash (a : item array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x01000193 land 0x3fffffff
-    done;
-    !h
-end)
+(* For each non-terminal N, the productions whose dot-0 items the
+   closure of an item with the dot before N contains: those of every
+   non-terminal reachable from N through leading non-terminals, N
+   included. *)
+let nonterminal_closures (g : Grammar.t) : int array array =
+  let n_syms = Grammar.n_syms g in
+  let words = (Grammar.n_prods g + word - 1) / word in
+  Array.init n_syms (fun n ->
+      let set = Array.make words 0 in
+      if g.Grammar.is_nonterminal.(n) then begin
+        let seen = Array.make n_syms false in
+        let rec visit m =
+          if not seen.(m) then begin
+            seen.(m) <- true;
+            List.iter
+              (fun pid ->
+                set.(pid / word) <- set.(pid / word) lor (1 lsl (pid mod word));
+                let rhs = (Grammar.prod g pid).rhs in
+                if Array.length rhs > 0 && g.Grammar.is_nonterminal.(rhs.(0))
+                then visit rhs.(0))
+              g.Grammar.by_lhs.(m)
+          end
+        in
+        visit n
+      end;
+      set)
 
-let sort_items (a : item array) =
-  Array.sort (fun (x : int) y -> Int.compare x y) a
-
-(** Closure of an item set: a dot before non-terminal N adds N's
-    productions with the dot at the start.  [seen] is a caller-provided
-    byte table of size [n_prods lsl dot_bits]; it is used and wiped
-    within the call. *)
-let closure_into (g : Grammar.t) ~(seen : Bytes.t) (kernel : item array) :
-    item array =
-  let acc = ref [] in
-  let count = ref 0 in
-  let rec add i =
-    if Bytes.unsafe_get seen i = '\000' then begin
-      Bytes.unsafe_set seen i '\001';
-      acc := i :: !acc;
-      incr count;
-      let p = Grammar.prod g (item_prod i) in
-      let dot = item_dot i in
-      if dot < Array.length p.rhs then
-        let s = p.rhs.(dot) in
-        if g.Grammar.is_nonterminal.(s) then
-          List.iter
-            (fun pid -> add (item ~prod:pid ~dot:0))
-            g.Grammar.by_lhs.(s)
-    end
-  in
-  Array.iter add kernel;
-  let a = Array.make !count 0 in
-  List.iteri
-    (fun k i ->
-      a.(!count - 1 - k) <- i;
-      Bytes.unsafe_set seen i '\000')
-    !acc;
-  sort_items a;
-  a
-
-(** Standalone closure (tests, diagnostics): allocates its own table. *)
-let closure (g : Grammar.t) (kernel : item array) : item array =
-  closure_into g ~seen:(Bytes.make (Grammar.n_prods g lsl dot_bits) '\000') kernel
+let hash_slice (a : item array) off len =
+  let h = ref 0x811c9dc5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor a.(i)) * 0x01000193 land 0x3fffffff
+  done;
+  !h
 
 let build (g : Grammar.t) : t =
   if
@@ -119,70 +115,138 @@ let build (g : Grammar.t) : t =
     | [ p ] -> p
     | _ -> invalid_arg "Lr0.build: goal must have exactly one production"
   in
-  let states = ref [] in
-  let n = ref 0 in
-  let index : int Kernel_tbl.t = Kernel_tbl.create 256 in
-  let worklist = Queue.create () in
-  let get_state kernel =
-    match Kernel_tbl.find_opt index kernel with
-    | Some id -> id
-    | None ->
-        let id = !n in
-        incr n;
-        let st = { id; kernel; closure = [||]; transitions = [] } in
-        Kernel_tbl.replace index kernel id;
-        states := st :: !states;
-        Queue.add st worklist;
-        id
-  in
-  let start = get_state [| item ~prod:goal_prod ~dot:0 |] in
-  (* hoisted per-state scratch: the closure's visited bytes, and the
-     grouping of advanceable items by the symbol after the dot (an array
-     indexed by symbol plus the list of symbols actually touched) *)
-  let seen = Bytes.make (Grammar.n_prods g lsl dot_bits) '\000' in
   let n_syms = Grammar.n_syms g in
-  let by_sym : item list array = Array.make n_syms [] in
-  let touched = ref [] in
-  while not (Queue.is_empty worklist) do
-    let st = Queue.pop worklist in
-    let cl = closure_into g ~seen st.kernel in
-    st.closure <- cl;
-    Array.iter
-      (fun i ->
-        let p = Grammar.prod g (item_prod i) in
-        let dot = item_dot i in
-        if dot < Array.length p.rhs then begin
-          let s = p.rhs.(dot) in
-          if by_sym.(s) = [] then touched := s :: !touched;
-          by_sym.(s) <- item ~prod:(item_prod i) ~dot:(dot + 1) :: by_sym.(s)
-        end)
-      cl;
-    let syms = Array.of_list !touched in
-    Array.sort (fun (a : int) b -> Int.compare a b) syms;
-    let trans =
-      Array.to_list
-        (Array.map
-           (fun s ->
-             let kernel = Array.of_list by_sym.(s) in
-             by_sym.(s) <- [];
-             sort_items kernel;
-             (s, get_state kernel))
-           syms)
-    in
-    touched := [];
-    (* transitions are already in symbol order: deterministic tables *)
-    st.transitions <- trans
+  let next = next_syms g in
+  let nt_closure = nonterminal_closures g in
+  (* kernels by state id; states are processed in id order, which is the
+     order they are found in *)
+  let kernels = ref (Array.make 256 [||]) in
+  let n = ref 0 in
+  (* the kernel index: state ids by hash, linear probing, -1 = empty,
+     at most half full *)
+  let slots = ref (Array.make 1024 (-1)) in
+  let same_kernel id buf off len =
+    let k = !kernels.(id) in
+    Array.length k = len
+    &&
+    let i = ref 0 in
+    while !i < len && k.(!i) = buf.(off + !i) do
+      incr i
+    done;
+    !i = len
+  in
+  (* the slot that holds the kernel buf.(off .. off + len - 1), or the
+     empty slot where it belongs *)
+  let slot buf off len =
+    let mask = Array.length !slots - 1 in
+    let h = ref (hash_slice buf off len land mask) in
+    while !slots.(!h) >= 0 && not (same_kernel !slots.(!h) buf off len) do
+      h := (!h + 1) land mask
+    done;
+    !h
+  in
+  let find_or_add buf off len =
+    let h = slot buf off len in
+    if !slots.(h) >= 0 then !slots.(h)
+    else begin
+      let id = !n in
+      incr n;
+      if id = Array.length !kernels then begin
+        let nk = Array.make (2 * id) [||] in
+        Array.blit !kernels 0 nk 0 id;
+        kernels := nk
+      end;
+      !kernels.(id) <- Array.sub buf off len;
+      !slots.(h) <- id;
+      if 2 * !n > Array.length !slots then begin
+        slots := Array.make (2 * Array.length !slots) (-1);
+        for id = 0 to !n - 1 do
+          let k = !kernels.(id) in
+          !slots.(slot k 0 (Array.length k)) <- id
+        done
+      end;
+      id
+    end
+  in
+  let start = find_or_add [| item ~prod:goal_prod ~dot:0 |] 0 1 in
+  (* per-state scratch, reused: the union of the kernel's non-terminal
+     closures, the closure being formed, and the counting sort's
+     per-symbol counts, cursors and goto kernels *)
+  let prods = Array.make (Array.length nt_closure.(0)) 0 in
+  let cl_buf = Array.make (Array.length next) 0 in
+  let count = Array.make n_syms 0 and cursor = Array.make n_syms 0 in
+  let goto_buf = Array.make (Array.length next) 0 in
+  let target = Array.make n_syms 0 in
+  let states = ref [] in
+  let next_state = ref 0 in
+  while !next_state < !n do
+    let id = !next_state in
+    incr next_state;
+    let kernel = !kernels.(id) in
+    (* closure: kernel merged with the dot-0 items of [prods] *)
+    Array.fill prods 0 (Array.length prods) 0;
+    for j = 0 to Array.length kernel - 1 do
+      let s = next.(kernel.(j)) in
+      if s >= 0 && g.Grammar.is_nonterminal.(s) then begin
+        let c = nt_closure.(s) in
+        for w = 0 to Array.length prods - 1 do
+          prods.(w) <- prods.(w) lor c.(w)
+        done
+      end
+    done;
+    let len = ref 0 and k = ref 0 in
+    for w = 0 to Array.length prods - 1 do
+      let bits = ref prods.(w) and p = ref (w * word) in
+      while !bits <> 0 do
+        if !bits land 1 <> 0 then begin
+          let i = item ~prod:!p ~dot:0 in
+          while !k < Array.length kernel && kernel.(!k) < i do
+            cl_buf.(!len) <- kernel.(!k);
+            incr len;
+            incr k
+          done;
+          if !k < Array.length kernel && kernel.(!k) = i then incr k;
+          cl_buf.(!len) <- i;
+          incr len
+        end;
+        bits := !bits lsr 1;
+        incr p
+      done
+    done;
+    let rest = Array.length kernel - !k in
+    Array.blit kernel !k cl_buf !len rest;
+    let closure = Array.sub cl_buf 0 (!len + rest) in
+    (* goto kernels: counting sort of the advanced items by symbol *)
+    for j = 0 to Array.length closure - 1 do
+      let s = next.(closure.(j)) in
+      if s >= 0 then count.(s) <- count.(s) + 1
+    done;
+    let total = ref 0 in
+    for s = 0 to n_syms - 1 do
+      cursor.(s) <- !total;
+      total := !total + count.(s)
+    done;
+    for j = 0 to Array.length closure - 1 do
+      let i = closure.(j) in
+      let s = next.(i) in
+      if s >= 0 then begin
+        goto_buf.(cursor.(s)) <- i + 1;
+        cursor.(s) <- cursor.(s) + 1
+      end
+    done;
+    (* cursor.(s) now ends group s; new states are numbered in symbol
+       order *)
+    for s = 0 to n_syms - 1 do
+      if count.(s) > 0 then
+        target.(s) <- find_or_add goto_buf (cursor.(s) - count.(s)) count.(s)
+    done;
+    let transitions = ref [] in
+    for s = n_syms - 1 downto 0 do
+      if count.(s) > 0 then begin
+        transitions := (s, target.(s)) :: !transitions;
+        count.(s) <- 0
+      end
+    done;
+    states := { id; kernel; closure; transitions = !transitions } :: !states
   done;
-  let arr = Array.make !n (List.hd !states) in
-  List.iter (fun st -> arr.(st.id) <- st) !states;
-  { grammar = g; states = arr; start }
-
-(** Final (reducible) items of a state's closure. *)
-let reducible (g : Grammar.t) (st : state) : item list =
-  Array.to_list st.closure
-  |> List.filter (fun i ->
-         let p = Grammar.prod g (item_prod i) in
-         item_dot i = Array.length p.rhs)
-
-let goto (st : state) (s : Grammar.sym) : int option =
-  List.assoc_opt s st.transitions
+  { grammar = g; states = Array.of_list (List.rev !states); start }

@@ -47,98 +47,74 @@ let pp_conflict g ppf c =
     | `Reduce_reduce -> "reduce/reduce")
     (pp_action g) c.c_chosen (pp_action g) c.c_dropped
 
-(** Resolve two competing actions; returns (winner, conflict record). *)
-let resolve g state sym a b : action * conflict option =
-  if a = b then (a, None)
-  else
-    match (a, b) with
-    | Error, x | x, Error -> (x, None)
-    | Accept, x | x, Accept ->
-        (* accept only competes on %eof; keep accept *)
-        ( Accept,
-          Some
-            {
-              c_state = state;
-              c_sym = sym;
-              c_kind = `Shift_reduce;
-              c_chosen = Accept;
-              c_dropped = x;
-            } )
-    | Shift s, Reduce r | Reduce r, Shift s ->
-        ( Shift s,
-          Some
-            {
-              c_state = state;
-              c_sym = sym;
-              c_kind = `Shift_reduce;
-              c_chosen = Shift s;
-              c_dropped = Reduce r;
-            } )
-    | Reduce p, Reduce q ->
-        let len i = Array.length (Grammar.prod g i).rhs in
-        let winner, loser =
-          if len p > len q then (p, q)
-          else if len q > len p then (q, p)
-          else if p < q then (p, q)
-          else (q, p)
-        in
-        ( Reduce winner,
-          Some
-            {
-              c_state = state;
-              c_sym = sym;
-              c_kind = `Reduce_reduce;
-              c_chosen = Reduce winner;
-              c_dropped = Reduce loser;
-            } )
-    | Shift s1, Shift s2 ->
-        (* impossible in a deterministic LR(0) automaton *)
-        invalid_arg
-          (Fmt.str "Parse_table.resolve: shift/shift %d/%d in state %d" s1 s2
-             state)
-
+(* The fill, state by state: the state's shifts (including non-terminal
+   "gotos") in symbol order, then its reductions in production order,
+   each over its lookaheads in symbol order.  A cell already set is
+   resolved by [resolve], which matches on the two actions' constructors
+   (no polymorphic comparison) and logs each conflict in the order it
+   arises, which is the conflict log's order.  The action values are
+   shared, one per state and per production, so a cell write allocates
+   nothing.  [?pool] reaches the lookahead computation only: the fill
+   takes about a millisecond on amdahl470, and a pool did not make it
+   faster. *)
 let build ?pool ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
   let g = a.Lr0.grammar in
   let an = Grammar.analyze g in
   let n_syms = Grammar.n_syms g in
   let reds = Lookahead.reductions ?pool a an mode in
-  (* Each state's row depends only on that state's transitions and
-     reductions, so the fill maps over the pool one state at a time.
-     Conflicts are collected per state and concatenated in state order
-     below, which makes both the table and the conflict report identical
-     at any worker count (and to the sequential build: within a state,
-     shifts apply before reductions, exactly as before). *)
-  let fill (st : Lr0.state) =
-    let row = Array.make n_syms Error in
-    let conflicts = ref [] in
-    let set sym act =
-      let cur = row.(sym) in
-      let winner, c = resolve g st.Lr0.id sym cur act in
-      row.(sym) <- winner;
-      match c with Some c -> conflicts := c :: !conflicts | None -> ()
+  let shift = Array.init (Lr0.n_states a) (fun s -> Shift s) in
+  let reduce = Array.init (Grammar.n_prods g) (fun p -> Reduce p) in
+  let len p = Array.length (Grammar.prod g p).rhs in
+  let conflicts = ref [] in
+  let resolve state sym cur act =
+    let record c_kind c_chosen c_dropped =
+      conflicts :=
+        { c_state = state; c_sym = sym; c_kind; c_chosen; c_dropped }
+        :: !conflicts;
+      c_chosen
     in
-    (* shifts (including non-terminal "gotos") *)
-    List.iter
-      (fun (sym, dst) ->
-        if sym = g.Grammar.eof then
-          (* the goal item shifts eof; that is acceptance *)
-          set sym Accept
-        else set sym (Shift dst))
-      st.Lr0.transitions;
-    (* reductions *)
-    List.iter
-      (fun (p, las) ->
-        Grammar.Symset.iter
-          (fun sym ->
-            if sym >= 0 && sym <> g.Grammar.goal then set sym (Reduce p))
-          las)
-      reds.(st.Lr0.id);
-    (row, List.rev !conflicts)
+    match (cur, act) with
+    | Error, x | x, Error -> x
+    | Accept, Accept -> Accept
+    | Accept, x | x, Accept ->
+        (* accept only competes on %eof; keep accept *)
+        record `Shift_reduce Accept x
+    | Shift s1, Shift s2 ->
+        if s1 = s2 then cur
+        else
+          (* impossible in a deterministic LR(0) automaton *)
+          invalid_arg
+            (Fmt.str "Parse_table.resolve: shift/shift %d/%d in state %d" s1 s2
+               state)
+    | Shift _, Reduce _ -> record `Shift_reduce cur act
+    | Reduce _, Shift _ -> record `Shift_reduce act cur
+    | Reduce p, Reduce q ->
+        if p = q then cur
+        else if len p > len q || (len p = len q && p < q) then
+          record `Reduce_reduce cur act
+        else record `Reduce_reduce act cur
   in
-  let filled = Pool.maybe pool fill a.Lr0.states in
-  let actions = Array.map fst filled in
-  let conflicts = List.concat_map snd (Array.to_list filled) in
-  { grammar = g; automaton = a; mode; actions; conflicts }
+  let actions =
+    Array.map
+      (fun (st : Lr0.state) ->
+        let id = st.Lr0.id in
+        let row = Array.make n_syms Error in
+        let set sym act = row.(sym) <- resolve id sym row.(sym) act in
+        List.iter
+          (fun (sym, dst) ->
+            (* the goal item shifts eof; that is acceptance *)
+            set sym (if sym = g.Grammar.eof then Accept else shift.(dst)))
+          st.Lr0.transitions;
+        List.iter
+          (fun (p, las) ->
+            Grammar.Symset.iter
+              (fun sym -> if sym <> g.Grammar.goal then set sym reduce.(p))
+              las)
+          reds.(id);
+        row)
+      a.Lr0.states
+  in
+  { grammar = g; automaton = a; mode; actions; conflicts = List.rev !conflicts }
 
 (** Number of non-error entries (the paper's "significant entries"),
     counted over the given symbol columns. *)

@@ -24,7 +24,9 @@ let close (t : t) =
 
 let request (t : t) (req : Wire.request) : (Wire.reply, string) result =
   try
-    Wire.write_frame t.fd (Wire.encode_request req);
+    let o = Wire.out () in
+    Wire.add_request o req;
+    Wire.write_out t.fd o;
     match Wire.read_frame t.fd with
     | None -> Error "daemon closed the connection"
     | Some payload -> Wire.decode_reply payload
@@ -101,22 +103,13 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
     let exchange (ids : int array) : unit =
       let outstanding = Array.make n false in
       Array.iter (fun id -> outstanding.(id) <- true) ids;
-      let out = Buffer.create 4096 in
+      let frames = Wire.out () in
       Array.iter
         (fun id ->
-          let payload =
-            Wire.encode_request
-              (Wire.Compile { id; options; source = sources.(id) })
-          in
-          let len = String.length payload in
-          Buffer.add_char out (Char.chr ((len lsr 24) land 0xff));
-          Buffer.add_char out (Char.chr ((len lsr 16) land 0xff));
-          Buffer.add_char out (Char.chr ((len lsr 8) land 0xff));
-          Buffer.add_char out (Char.chr (len land 0xff));
-          Buffer.add_string out payload)
+          Wire.add_request frames
+            (Wire.Compile { id; options; source = sources.(id) }))
         ids;
-      let out = Bytes.unsafe_of_string (Buffer.contents out) in
-      let out_len = Bytes.length out in
+      let out = Wire.out_bytes frames and out_len = Wire.out_length frames in
       let sent = ref 0 in
       let received = ref 0 in
       let want = Array.length ids in
@@ -196,4 +189,8 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
     with
     | Failure m -> Error m
     | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    | Wire.Frame_too_large sz ->
+        Error
+          (Fmt.str "request too large for the wire (%d bytes > %d frame cap)"
+             sz Wire.max_frame)
   end

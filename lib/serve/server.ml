@@ -134,21 +134,18 @@ let close_conn (t : t) (c : conn) =
 
 let send (t : t) (c : conn) (r : Wire.reply) =
   if c.alive then begin
-    (* encode once; a reply too big for the wire (a pathological listing
-       or object image) is replaced by a structured error the client can
-       actually receive, instead of an un-receivable frame that would get
-       the connection dropped at the peer's length check *)
-    let payload = Wire.encode_reply r in
-    let payload =
-      let n = String.length payload in
-      if n <= Wire.max_frame then payload
-      else begin
-        t.n_oversized <- t.n_oversized + 1;
-        Log.warn (fun f -> f "reply of %d bytes exceeds the frame cap" n);
-        Wire.encode_reply (Wire.oversized_substitute r ~size:n)
-      end
-    in
-    try Wire.write_frame c.fd payload
+    (* encode once, straight into the frame; a reply too big for the
+       wire (a pathological listing or object image) is replaced by a
+       structured error the client can actually receive, instead of an
+       un-receivable frame that would get the connection dropped at the
+       peer's length check *)
+    let o = Wire.out () in
+    (try Wire.add_reply o r
+     with Wire.Frame_too_large n ->
+       t.n_oversized <- t.n_oversized + 1;
+       Log.warn (fun f -> f "reply of %d bytes exceeds the frame cap" n);
+       Wire.add_reply o (Wire.oversized_substitute r ~size:n));
+    try Wire.write_out c.fd o
     with Unix.Unix_error _ | Sys_error _ ->
       Log.info (fun f -> f "client went away mid-reply");
       close_conn t c

@@ -37,13 +37,72 @@ let max_frame = 1 lsl 24
 
 exception Frame_too_large of int
 
-(* -- primitive encoders ------------------------------------------------------ *)
+(* -- outgoing frames -------------------------------------------------------- *)
 
-let put_u32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (n land 0xff))
+(* Frames are encoded in place: [frame] reserves a frame's 4-byte length
+   at the end of the buffer, the payload's encoder writes straight after
+   it, and the length is patched in when the payload is done.  A buffer
+   can hold several frames back to back.  Each frame first reserves room
+   for its whole payload (a compile request's source, a reply's listing
+   and code), so a payload's strings are copied once, into the bytes
+   that go to the socket. *)
+type out = { mutable buf : Bytes.t; mutable len : int }
+
+let out () = { buf = Bytes.create 256; len = 0 }
+let out_bytes o = o.buf
+let out_length o = o.len
+
+let reserve o n =
+  if o.len + n > Bytes.length o.buf then begin
+    let nb = Bytes.create (max (o.len + n) (2 * Bytes.length o.buf)) in
+    Bytes.blit o.buf 0 nb 0 o.len;
+    o.buf <- nb
+  end
+
+let add_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.buf o.len c;
+  o.len <- o.len + 1
+
+let add_string o s =
+  let n = String.length s in
+  reserve o n;
+  Bytes.blit_string s 0 o.buf o.len n;
+  o.len <- o.len + n
+
+let set_u32 b pos n =
+  Bytes.set b pos (Char.chr ((n lsr 24) land 0xff));
+  Bytes.set b (pos + 1) (Char.chr ((n lsr 16) land 0xff));
+  Bytes.set b (pos + 2) (Char.chr ((n lsr 8) land 0xff));
+  Bytes.set b (pos + 3) (Char.chr (n land 0xff))
+
+let put_u32 o n =
+  reserve o 4;
+  set_u32 o.buf o.len n;
+  o.len <- o.len + 4
+
+(* One frame of the payload [encode] writes, [size] bytes or about.  The
+   cap holds on the send side too: the receiver would reject the length
+   prefix anyway, so a payload over [max_frame] is taken back out and
+   refused before any byte of it can go out, which leaves the stream
+   clean for a recovery reply. *)
+let frame o ~size encode =
+  let start = o.len in
+  reserve o (4 + size);
+  o.len <- start + 4;
+  encode o;
+  let n = o.len - start - 4 in
+  if n > max_frame then begin
+    o.len <- start;
+    raise (Frame_too_large n)
+  end;
+  set_u32 o.buf start n
+
+(* the payload [encode] writes, as a string, without the cap *)
+let payload encode =
+  let o = out () in
+  encode o;
+  Bytes.sub_string o.buf 0 o.len
 
 let get_u32 s pos =
   (Char.code s.[pos] lsl 24)
@@ -52,10 +111,10 @@ let get_u32 s pos =
   lor Char.code s.[pos + 3]
 
 (* tri-state option byte: 0 = server default, 1 = false, 2 = true *)
-let put_opt_bool b = function
-  | None -> Buffer.add_char b '\000'
-  | Some false -> Buffer.add_char b '\001'
-  | Some true -> Buffer.add_char b '\002'
+let opt_bool_byte = function
+  | None -> '\000'
+  | Some false -> '\001'
+  | Some true -> '\002'
 
 let get_opt_bool = function
   | '\000' -> Ok None
@@ -77,30 +136,36 @@ let dispatch_of_byte = function
 (** The cache key's option component: same canonical bytes as the wire
     encoding, so distinct option sets are distinct key material. *)
 let options_tag (o : options) : string =
-  let b = Buffer.create 3 in
-  put_opt_bool b o.cse;
-  put_opt_bool b o.checks;
-  Buffer.add_char b (dispatch_byte o.dispatch);
-  Buffer.contents b
+  String.init 3 (function
+    | 0 -> opt_bool_byte o.cse
+    | 1 -> opt_bool_byte o.checks
+    | _ -> dispatch_byte o.dispatch)
 
 (* -- requests ----------------------------------------------------------------- *)
 
-let encode_request (r : request) : string =
-  let b = Buffer.create 64 in
-  (match r with
+let request_size = function
+  | Compile { source; _ } -> 8 + String.length source
+  | Stats | Ping | Pause _ | Hello | Shutdown -> 5
+
+let encode_request_into o (r : request) =
+  match r with
   | Compile { id; options; source } ->
-      Buffer.add_char b 'C';
-      put_u32 b id;
-      Buffer.add_string b (options_tag options);
-      Buffer.add_string b source
-  | Stats -> Buffer.add_char b 'S'
-  | Ping -> Buffer.add_char b 'P'
+      add_char o 'C';
+      put_u32 o id;
+      add_string o (options_tag options);
+      add_string o source
+  | Stats -> add_char o 'S'
+  | Ping -> add_char o 'P'
   | Pause ms ->
-      Buffer.add_char b 'Z';
-      put_u32 b ms
-  | Hello -> Buffer.add_char b 'H'
-  | Shutdown -> Buffer.add_char b 'Q');
-  Buffer.contents b
+      add_char o 'Z';
+      put_u32 o ms
+  | Hello -> add_char o 'H'
+  | Shutdown -> add_char o 'Q'
+
+let add_request o r =
+  frame o ~size:(request_size r) (fun o -> encode_request_into o r)
+
+let encode_request r = payload (fun o -> encode_request_into o r)
 
 let decode_request (s : string) : (request, string) result =
   let ( let* ) = Result.bind in
@@ -132,35 +197,46 @@ let decode_request (s : string) : (request, string) result =
 
 (* -- replies ------------------------------------------------------------------ *)
 
-let encode_reply (r : reply) : string =
-  let b = Buffer.create 256 in
-  (match r with
+let reply_size = function
+  | Compiled { outcome = Ok (listing, code); _ } ->
+      11 + String.length listing + String.length code
+  | Compiled { outcome = Error msg; _ } -> 7 + String.length msg
+  | Overloaded _ -> 9
+  | Stats_reply text | Hello_reply text -> 1 + String.length text
+  | Ack | Bye -> 1
+
+let encode_reply_into o (r : reply) =
+  match r with
   | Compiled { id; cached; outcome } -> (
-      Buffer.add_char b 'R';
-      put_u32 b id;
-      Buffer.add_char b (if cached then '\001' else '\000');
+      add_char o 'R';
+      put_u32 o id;
+      add_char o (if cached then '\001' else '\000');
       match outcome with
       | Ok (listing, code) ->
-          Buffer.add_char b 'K';
-          put_u32 b (String.length listing);
-          Buffer.add_string b listing;
-          Buffer.add_string b code
+          add_char o 'K';
+          put_u32 o (String.length listing);
+          add_string o listing;
+          add_string o code
       | Error msg ->
-          Buffer.add_char b 'E';
-          Buffer.add_string b msg)
+          add_char o 'E';
+          add_string o msg)
   | Overloaded { id; retry_after_ms } ->
-      Buffer.add_char b 'O';
-      put_u32 b id;
-      put_u32 b retry_after_ms
+      add_char o 'O';
+      put_u32 o id;
+      put_u32 o retry_after_ms
   | Stats_reply text ->
-      Buffer.add_char b 'T';
-      Buffer.add_string b text
+      add_char o 'T';
+      add_string o text
   | Hello_reply target ->
-      Buffer.add_char b 'h';
-      Buffer.add_string b target
-  | Ack -> Buffer.add_char b 'A'
-  | Bye -> Buffer.add_char b 'B');
-  Buffer.contents b
+      add_char o 'h';
+      add_string o target
+  | Ack -> add_char o 'A'
+  | Bye -> add_char o 'B'
+
+let add_reply o r =
+  frame o ~size:(reply_size r) (fun o -> encode_reply_into o r)
+
+let encode_reply r = payload (fun o -> encode_reply_into o r)
 
 let decode_reply (s : string) : (reply, string) result =
   let n = String.length s in
@@ -223,23 +299,11 @@ let oversized_substitute (r : reply) ~(size : int) : reply =
   | Compiled { id; cached; _ } -> Compiled { id; cached; outcome = Error msg }
   | Overloaded _ | Stats_reply _ | Hello_reply _ | Ack | Bye -> Stats_reply msg
 
-let write_frame (fd : Unix.file_descr) (payload : string) : unit =
-  let n = String.length payload in
-  (* enforce the cap on the send side too: the receiver would reject the
-     length prefix anyway, so raise before a single byte goes out and
-     leave the stream clean for a recovery reply *)
-  if n > max_frame then raise (Frame_too_large n);
-  let framed = Bytes.create (4 + n) in
-  Bytes.set framed 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set framed 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set framed 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set framed 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 framed 4 n;
-  let total = 4 + n in
+let write_out (fd : Unix.file_descr) (o : out) : unit =
   let sent = ref 0 in
-  while !sent < total do
+  while !sent < o.len do
     sent :=
-      !sent + retry_eintr (fun () -> Unix.write fd framed !sent (total - !sent))
+      !sent + retry_eintr (fun () -> Unix.write fd o.buf !sent (o.len - !sent))
   done
 
 let read_exact fd n ~what : string =

@@ -62,12 +62,15 @@ type reply =
 val max_frame : int
 (** Upper bound on payload sizes in both directions (defence against
     garbage on the socket, not a protocol limit).  The read side rejects
-    larger length prefixes; {!write_frame} refuses to emit them. *)
+    larger length prefixes; {!add_request} and {!add_reply} refuse to
+    frame them. *)
 
 exception Frame_too_large of int
-(** Raised by {!write_frame} before any byte is written when the payload
-    exceeds {!max_frame} — an oversized frame could never be received,
-    so sending it would only desynchronize the stream. *)
+(** Raised by {!add_request} and {!add_reply}, with the payload's size,
+    when a payload exceeds {!max_frame}; the frame is taken back out of
+    the buffer first, so no byte of it is ever sent.  An oversized frame
+    could never be received, so sending it would only desynchronize the
+    stream. *)
 
 val retry_eintr : (unit -> 'a) -> 'a
 (** Run [f], retrying on [EINTR] — the wrapper every blocking
@@ -84,14 +87,39 @@ val options_tag : options -> string
     key, so the same source compiled under different options never
     collides. *)
 
+type out
+(** Outgoing frames, encoded in place: each frame's 4-byte length is
+    reserved, its payload written straight after it, and the length
+    patched in; one buffer can hold several frames back to back, and a
+    payload's strings are copied once, into these bytes. *)
+
+val out : unit -> out
+(** An empty buffer. *)
+
+val add_request : out -> request -> unit
+(** Append one length-prefixed request frame.  Raises
+    {!Frame_too_large}, leaving the buffer as it was. *)
+
+val add_reply : out -> reply -> unit
+(** Append one length-prefixed reply frame.  Raises
+    {!Frame_too_large}, leaving the buffer as it was. *)
+
+val out_bytes : out -> Bytes.t
+val out_length : out -> int
+(** The frames are [Bytes.sub (out_bytes o) 0 (out_length o)]. *)
+
+val write_out : Unix.file_descr -> out -> unit
+(** Write every frame in the buffer, looping until all bytes are out.
+    Raises [Unix.Unix_error] on a dead peer. *)
+
 val encode_request : request -> string
 val decode_request : string -> (request, string) result
-val encode_reply : reply -> string
-val decode_reply : string -> (reply, string) result
 
-val write_frame : Unix.file_descr -> string -> unit
-(** Write one length-prefixed frame, looping until all bytes are out.
-    Raises [Unix.Unix_error] on a dead peer. *)
+val encode_reply : reply -> string
+(** A payload without its length prefix, exactly the bytes a frame
+    carries after it; no size cap. *)
+
+val decode_reply : string -> (reply, string) result
 
 val read_frame : Unix.file_descr -> string option
 (** Read one frame, blocking; [None] on clean EOF before a length

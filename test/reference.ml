@@ -1,0 +1,636 @@
+(* The table construction CoGG used before its current one, kept as the
+   oracle the current code must match: test_lr's "reference" cases hold
+   LR(0), FIRST/nullable/FOLLOW, the reductions, the action fill and the
+   row extraction in lib/core equal to these, and test_compress_driver's
+   "packer" cases hold Compress.pack_rows equal to the packer at the
+   end.  LR(0) closures are found item by item and sorted; FIRST/FOLLOW
+   and lookahead sets are [Set.Make (Int)] fixpoints; LALR runs the
+   Dragon book's closure per kernel item and propagation passes over
+   the whole link table; the fill resolves through a polymorphic
+   [resolve]; row defaults are counted in a [Hashtbl] per row; the
+   packer probes one offset at a time.  Each is the sequential form of
+   the code it replaced (no pool fan-out), otherwise unchanged, and
+   slow: LALR on amdahl470 takes about half a second. *)
+
+module Grammar = Cogg.Grammar
+module Parse_table = Cogg.Parse_table
+
+module IntSet = Set.Make (Int)
+
+(* -- FIRST, nullable and FOLLOW ------------------------------------------------- *)
+
+type analysis = {
+  first : IntSet.t array;
+  nullable : bool array;
+  follow : IntSet.t array;
+}
+
+let first_of_seq (an : analysis) (seq : int array) ~from : IntSet.t * bool =
+  let rec go i acc =
+    if i >= Array.length seq then (acc, true)
+    else
+      let s = seq.(i) in
+      let acc = IntSet.union acc an.first.(s) in
+      if an.nullable.(s) then go (i + 1) acc else (acc, false)
+  in
+  go from IntSet.empty
+
+let analyze (g : Grammar.t) : analysis =
+  let n = Grammar.n_syms g in
+  let first = Array.init n (fun s -> IntSet.singleton s) in
+  let nullable = Array.make n false in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (p : Grammar.prod) ->
+        let all_null = Array.for_all (fun s -> nullable.(s)) p.rhs in
+        if all_null && not nullable.(p.lhs) then begin
+          nullable.(p.lhs) <- true;
+          changed := true
+        end;
+        let rec add i =
+          if i < Array.length p.rhs then begin
+            let s = p.rhs.(i) in
+            let before = first.(p.lhs) in
+            first.(p.lhs) <- IntSet.union before first.(s);
+            if not (IntSet.equal before first.(p.lhs)) then changed := true;
+            if nullable.(s) then add (i + 1)
+          end
+        in
+        add 0)
+      g.Grammar.prods
+  done;
+  let follow = Array.make n IntSet.empty in
+  follow.(g.Grammar.goal) <- IntSet.singleton g.Grammar.eof;
+  let an0 = { first; nullable; follow } in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (p : Grammar.prod) ->
+        let m = Array.length p.rhs in
+        for i = 0 to m - 1 do
+          let s = p.rhs.(i) in
+          if g.Grammar.is_nonterminal.(s) then begin
+            let fst_rest, rest_nullable = first_of_seq an0 p.rhs ~from:(i + 1) in
+            let before = follow.(s) in
+            let acc = IntSet.union before fst_rest in
+            let acc =
+              if rest_nullable then IntSet.union acc follow.(p.lhs) else acc
+            in
+            if not (IntSet.equal before acc) then begin
+              follow.(s) <- acc;
+              changed := true
+            end
+          end
+        done)
+      g.Grammar.prods
+  done;
+  { first; nullable; follow }
+
+(* -- LR(0) --------------------------------------------------------------------- *)
+
+let item = Cogg.Lr0.item
+let item_prod = Cogg.Lr0.item_prod
+let item_dot = Cogg.Lr0.item_dot
+let dot_bits = Cogg.Lr0.dot_bits
+let sort_items (a : int array) = Array.sort Int.compare a
+
+module Kernel_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : int array) =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x01000193 land 0x3fffffff
+    done;
+    !h
+end)
+
+(* [seen] is a byte per item, used and wiped within the call *)
+let closure_into (g : Grammar.t) ~(seen : Bytes.t) (kernel : int array) :
+    int array =
+  let acc = ref [] in
+  let count = ref 0 in
+  let rec add i =
+    if Bytes.get seen i = '\000' then begin
+      Bytes.set seen i '\001';
+      acc := i :: !acc;
+      incr count;
+      let p = Grammar.prod g (item_prod i) in
+      let dot = item_dot i in
+      if dot < Array.length p.rhs then
+        let s = p.rhs.(dot) in
+        if g.Grammar.is_nonterminal.(s) then
+          List.iter
+            (fun pid -> add (item ~prod:pid ~dot:0))
+            g.Grammar.by_lhs.(s)
+    end
+  in
+  Array.iter add kernel;
+  let a = Array.make !count 0 in
+  List.iteri
+    (fun k i ->
+      a.(!count - 1 - k) <- i;
+      Bytes.set seen i '\000')
+    !acc;
+  sort_items a;
+  a
+
+type rstate = {
+  id : int;
+  kernel : int array;
+  mutable closure : int array;
+  mutable transitions : (int * int) list;
+}
+
+let lr0 (g : Grammar.t) : Cogg.Lr0.t =
+  let goal_prod =
+    match g.Grammar.by_lhs.(g.Grammar.goal) with
+    | [ p ] -> p
+    | _ -> invalid_arg "Reference.lr0: goal must have exactly one production"
+  in
+  let states = ref [] in
+  let n = ref 0 in
+  let index : int Kernel_tbl.t = Kernel_tbl.create 256 in
+  let worklist = Queue.create () in
+  let get_state kernel =
+    match Kernel_tbl.find_opt index kernel with
+    | Some id -> id
+    | None ->
+        let id = !n in
+        incr n;
+        let st = { id; kernel; closure = [||]; transitions = [] } in
+        Kernel_tbl.replace index kernel id;
+        states := st :: !states;
+        Queue.add st worklist;
+        id
+  in
+  let start = get_state [| item ~prod:goal_prod ~dot:0 |] in
+  let seen = Bytes.make (Grammar.n_prods g lsl dot_bits) '\000' in
+  let by_sym = Array.make (Grammar.n_syms g) [] in
+  let touched = ref [] in
+  while not (Queue.is_empty worklist) do
+    let st = Queue.pop worklist in
+    let cl = closure_into g ~seen st.kernel in
+    st.closure <- cl;
+    Array.iter
+      (fun i ->
+        let p = Grammar.prod g (item_prod i) in
+        let dot = item_dot i in
+        if dot < Array.length p.rhs then begin
+          let s = p.rhs.(dot) in
+          if by_sym.(s) = [] then touched := s :: !touched;
+          by_sym.(s) <- item ~prod:(item_prod i) ~dot:(dot + 1) :: by_sym.(s)
+        end)
+      cl;
+    let syms = Array.of_list !touched in
+    Array.sort Int.compare syms;
+    st.transitions <-
+      Array.to_list
+        (Array.map
+           (fun s ->
+             let kernel = Array.of_list by_sym.(s) in
+             by_sym.(s) <- [];
+             sort_items kernel;
+             (s, get_state kernel))
+           syms);
+    touched := []
+  done;
+  let states =
+    List.rev_map
+      (fun (st : rstate) ->
+        {
+          Cogg.Lr0.id = st.id;
+          kernel = st.kernel;
+          closure = st.closure;
+          transitions = st.transitions;
+        })
+      !states
+  in
+  { Cogg.Lr0.grammar = g; states = Array.of_list states; start }
+
+let reducible (g : Grammar.t) (st : Cogg.Lr0.state) : int list =
+  Array.to_list st.Cogg.Lr0.closure
+  |> List.filter (fun i ->
+         item_dot i = Array.length (Grammar.prod g (item_prod i)).rhs)
+
+let goto (st : Cogg.Lr0.state) s = List.assoc_opt s st.Cogg.Lr0.transitions
+
+(* -- SLR and LALR lookaheads ------------------------------------------------------ *)
+
+let sentinel = -1
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) (b : int) = a = b
+  let hash x = x * 0x9e3779b1 land 0x3fffffff
+end)
+
+let closure1 (g : Grammar.t) (an : analysis) (init : (int * IntSet.t) list) :
+    IntSet.t Int_tbl.t =
+  let sets = Int_tbl.create 32 in
+  let work = Queue.create () in
+  let add item la =
+    let cur = Option.value (Int_tbl.find_opt sets item) ~default:IntSet.empty in
+    let merged = IntSet.union cur la in
+    if not (IntSet.equal cur merged) then begin
+      Int_tbl.replace sets item merged;
+      Queue.add item work
+    end
+  in
+  List.iter (fun (i, la) -> add i la) init;
+  while not (Queue.is_empty work) do
+    let i = Queue.pop work in
+    let la = Int_tbl.find sets i in
+    let p = Grammar.prod g (item_prod i) in
+    let dot = item_dot i in
+    if dot < Array.length p.rhs then begin
+      let b = p.rhs.(dot) in
+      if g.Grammar.is_nonterminal.(b) then begin
+        let fst, nullable = first_of_seq an p.rhs ~from:(dot + 1) in
+        let new_la = if nullable then IntSet.union fst la else fst in
+        List.iter
+          (fun pid -> add (item ~prod:pid ~dot:0) new_la)
+          g.Grammar.by_lhs.(b)
+      end
+    end
+  done;
+  sets
+
+let lalr_kernel_lookaheads (a : Cogg.Lr0.t) (an : analysis) =
+  let g = a.Cogg.Lr0.grammar in
+  let item_bound = Grammar.n_prods g lsl dot_bits in
+  let key state item = (state * item_bound) + item in
+  let discover (st : Cogg.Lr0.state) =
+    let spont = ref [] and links = ref [] in
+    Array.iter
+      (fun k ->
+        let cl = closure1 g an [ (k, IntSet.singleton sentinel) ] in
+        let my_links = ref [] in
+        Int_tbl.iter
+          (fun i iset ->
+            let p = Grammar.prod g (item_prod i) in
+            let dot = item_dot i in
+            if dot < Array.length p.rhs then
+              match goto st p.rhs.(dot) with
+              | None -> ()
+              | Some s' ->
+                  let adv = item ~prod:(item_prod i) ~dot:(dot + 1) in
+                  let s = IntSet.remove sentinel iset in
+                  if not (IntSet.is_empty s) then
+                    spont := (key s' adv, s) :: !spont;
+                  if IntSet.mem sentinel iset then
+                    my_links := key s' adv :: !my_links)
+          cl;
+        if !my_links <> [] then
+          links := (key st.Cogg.Lr0.id k, !my_links) :: !links)
+      st.Cogg.Lr0.kernel;
+    (List.rev !spont, List.rev !links)
+  in
+  let discovered = Array.map discover a.Cogg.Lr0.states in
+  let la = Int_tbl.create 256 in
+  let links = Int_tbl.create 256 in
+  let get k = Option.value (Int_tbl.find_opt la k) ~default:IntSet.empty in
+  let goal_item = a.Cogg.Lr0.states.(a.Cogg.Lr0.start).Cogg.Lr0.kernel.(0) in
+  Int_tbl.replace la (key a.Cogg.Lr0.start goal_item)
+    (IntSet.singleton g.Grammar.eof);
+  Array.iter
+    (fun (spont, lks) ->
+      List.iter (fun (k, s) -> Int_tbl.replace la k (IntSet.union (get k) s)) spont;
+      List.iter
+        (fun (src, dsts) ->
+          Int_tbl.replace links src
+            (dsts @ Option.value (Int_tbl.find_opt links src) ~default:[]))
+        lks)
+    discovered;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Int_tbl.iter
+      (fun src dsts ->
+        let s = get src in
+        if not (IntSet.is_empty s) then
+          List.iter
+            (fun dst ->
+              let cur = get dst in
+              let merged = IntSet.union cur s in
+              if not (IntSet.equal cur merged) then begin
+                Int_tbl.replace la dst merged;
+                changed := true
+              end)
+            dsts)
+      links
+  done;
+  (item_bound, la)
+
+let reductions (a : Cogg.Lr0.t) (an : analysis) (mode : Cogg.Lookahead.mode) :
+    (int * IntSet.t) list array =
+  let g = a.Cogg.Lr0.grammar in
+  match mode with
+  | Slr ->
+      Array.map
+        (fun st ->
+          reducible g st
+          |> List.map (fun i ->
+                 let p = item_prod i in
+                 (p, an.follow.((Grammar.prod g p).lhs)))
+          |> List.sort_uniq compare)
+        a.Cogg.Lr0.states
+  | Lalr ->
+      let item_bound, kla = lalr_kernel_lookaheads a an in
+      Array.map
+        (fun (st : Cogg.Lr0.state) ->
+          let init =
+            Array.to_list st.Cogg.Lr0.kernel
+            |> List.map (fun k ->
+                   ( k,
+                     Option.value
+                       (Int_tbl.find_opt kla ((st.Cogg.Lr0.id * item_bound) + k))
+                       ~default:IntSet.empty ))
+          in
+          let cl = closure1 g an init in
+          Int_tbl.fold
+            (fun i iset acc ->
+              let p = Grammar.prod g (item_prod i) in
+              if item_dot i = Array.length p.rhs then (p.id, iset) :: acc
+              else acc)
+            cl []
+          |> List.sort_uniq compare)
+        a.Cogg.Lr0.states
+
+(* -- the action fill ----------------------------------------------------------- *)
+
+let resolve g state sym (a : Parse_table.action) b :
+    Parse_table.action * Parse_table.conflict option =
+  let open Parse_table in
+  if a = b then (a, None)
+  else
+    match (a, b) with
+    | Error, x | x, Error -> (x, None)
+    | Accept, x | x, Accept ->
+        ( Accept,
+          Some
+            {
+              c_state = state;
+              c_sym = sym;
+              c_kind = `Shift_reduce;
+              c_chosen = Accept;
+              c_dropped = x;
+            } )
+    | Shift s, Reduce r | Reduce r, Shift s ->
+        ( Shift s,
+          Some
+            {
+              c_state = state;
+              c_sym = sym;
+              c_kind = `Shift_reduce;
+              c_chosen = Shift s;
+              c_dropped = Reduce r;
+            } )
+    | Reduce p, Reduce q ->
+        let len i = Array.length (Grammar.prod g i).rhs in
+        let winner, loser =
+          if len p > len q then (p, q)
+          else if len q > len p then (q, p)
+          else if p < q then (p, q)
+          else (q, p)
+        in
+        ( Reduce winner,
+          Some
+            {
+              c_state = state;
+              c_sym = sym;
+              c_kind = `Reduce_reduce;
+              c_chosen = Reduce winner;
+              c_dropped = Reduce loser;
+            } )
+    | Shift s1, Shift s2 ->
+        invalid_arg
+          (Fmt.str "Reference.resolve: shift/shift %d/%d in state %d" s1 s2
+             state)
+
+(* the action rows and the conflict log [Parse_table.build] yields *)
+let parse_table ?(mode = Cogg.Lookahead.Slr) (a : Cogg.Lr0.t) :
+    Parse_table.action array array * Parse_table.conflict list =
+  let g = a.Cogg.Lr0.grammar in
+  let an = analyze g in
+  let n_syms = Grammar.n_syms g in
+  let reds = reductions a an mode in
+  let fill (st : Cogg.Lr0.state) =
+    let row = Array.make n_syms Parse_table.Error in
+    let conflicts = ref [] in
+    let set sym act =
+      let winner, c = resolve g st.Cogg.Lr0.id sym row.(sym) act in
+      row.(sym) <- winner;
+      match c with Some c -> conflicts := c :: !conflicts | None -> ()
+    in
+    List.iter
+      (fun (sym, dst) ->
+        if sym = g.Grammar.eof then set sym Parse_table.Accept
+        else set sym (Parse_table.Shift dst))
+      st.Cogg.Lr0.transitions;
+    List.iter
+      (fun (p, las) ->
+        IntSet.iter
+          (fun sym ->
+            if sym >= 0 && sym <> g.Grammar.goal then
+              set sym (Parse_table.Reduce p))
+          las)
+      reds.(st.Cogg.Lr0.id);
+    (row, List.rev !conflicts)
+  in
+  let filled = Array.map fill a.Cogg.Lr0.states in
+  (Array.map fst filled, List.concat_map snd (Array.to_list filled))
+
+(* -- row defaults and row sharing ----------------------------------------------- *)
+
+let row_default (method_ : Cogg.Compress.method_) (row : Parse_table.action array)
+    : int =
+  match method_ with
+  | No_compression | Comb_only -> 0
+  | Defaults_only | Defaults_and_comb ->
+      let counts = Hashtbl.create 8 in
+      Array.iter
+        (fun a ->
+          match a with
+          | Parse_table.Reduce _ ->
+              let v = Cogg.Compress.encode_action a in
+              Hashtbl.replace counts v
+                (1 + Option.value (Hashtbl.find_opt counts v) ~default:0)
+          | _ -> ())
+        row;
+      let best = ref 0 and best_key = ref (min_int, min_int) in
+      Hashtbl.iter
+        (fun v c ->
+          let key = (c, -v) in
+          if key > !best_key then begin
+            best_key := key;
+            best := v
+          end)
+        counts;
+      !best
+
+let extract_rows method_ (actions : Parse_table.action array array) :
+    (int * (int * int) list) array =
+  Array.map
+    (fun row ->
+      let d = row_default method_ row in
+      let entries = ref [] in
+      Array.iteri
+        (fun sym a ->
+          let v = Cogg.Compress.encode_action a in
+          if v <> d && v <> 0 then entries := (sym, v) :: !entries)
+        row;
+      (d, List.rev !entries))
+    actions
+
+let share_rows (state_rows : (int * (int * int) list) array) :
+    int array * (int * (int * int) list) array =
+  let row_ids = Hashtbl.create 64 in
+  let row_index = Array.make (Array.length state_rows) 0 in
+  let distinct = ref [] in
+  let n_rows = ref 0 in
+  Array.iteri
+    (fun s row ->
+      match Hashtbl.find_opt row_ids row with
+      | Some id -> row_index.(s) <- id
+      | None ->
+          let id = !n_rows in
+          incr n_rows;
+          Hashtbl.replace row_ids row id;
+          distinct := row :: !distinct;
+          row_index.(s) <- id)
+    state_rows;
+  (row_index, Array.of_list (List.rev !distinct))
+
+(* -- the comb packer ------------------------------------------------------------ *)
+
+(* The first fit Compress.pack_rows used before its word-parallel
+   search, kept as the reference (without its pool fan-out): rows
+   densest first (ties by row id), each probed one candidate offset at
+   a time from the [min_free] cursor, over a 32-bit occupancy bitset
+   and the row's column mask.  The word-parallel packer must place
+   every row where this one does. *)
+let pack_rows (entries_of : (int * int) list array) :
+    int array * int array * int array =
+  let n_rows = Array.length entries_of in
+  let row_len = Array.map List.length entries_of in
+  let order = Array.init n_rows Fun.id in
+  Array.sort
+    (fun (a : int) b ->
+      if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
+      else Int.compare a b)
+    order;
+  let prepped =
+    Array.map
+      (fun entry_list ->
+        match entry_list with
+        | [] -> None
+        | l ->
+            let entries = Array.of_list l in
+            let ne = Array.length entries in
+            let s0 = fst entries.(0) in
+            let s_max = fst entries.(ne - 1) in
+            let mwords = (s_max lsr 5) + 1 in
+            let mask = Array.make mwords 0 in
+            Array.iter
+              (fun (s, _) ->
+                mask.(s lsr 5) <- mask.(s lsr 5) lor (1 lsl (s land 31)))
+              entries;
+            Some (entries, s0, mwords, mask))
+      entries_of
+  in
+  let cap = ref (max 64 (n_rows * 4)) in
+  let value = ref (Array.make !cap 0) in
+  let check = ref (Array.make !cap 0) in
+  let used = ref 0 in
+  let taken = ref (Bytes.make !cap '\000') in
+  let ensure n =
+    if n > !cap then begin
+      let ncap = max n (!cap * 2) in
+      let nv = Array.make ncap 0 and nc = Array.make ncap 0 in
+      Array.blit !value 0 nv 0 !cap;
+      Array.blit !check 0 nc 0 !cap;
+      value := nv;
+      check := nc;
+      cap := ncap
+    end
+  in
+  let offsets = Array.make n_rows (-1) in
+  let min_free = ref 0 in
+  let bbits = 32 in
+  let bmask = (1 lsl bbits) - 1 in
+  let occ = ref (Array.make ((!cap lsr 5) + 2) 0) in
+  let occ_set p =
+    let i = p lsr 5 in
+    if i >= Array.length !occ then begin
+      let narr = Array.make (max (i + 1) (2 * Array.length !occ)) 0 in
+      Array.blit !occ 0 narr 0 (Array.length !occ);
+      occ := narr
+    end;
+    !occ.(i) <- !occ.(i) lor (1 lsl (p land 31))
+  in
+  Array.iter
+    (fun rid ->
+      match prepped.(rid) with
+      | None -> ()
+      | Some (entries, s0, mwords, mask) ->
+          while !min_free < !cap && !check.(!min_free) <> 0 do
+            incr min_free
+          done;
+          let occw = !occ in
+          let nocc = Array.length occw in
+          let fits off =
+            (off >= Bytes.length !taken || Bytes.get !taken off = '\000')
+            &&
+            let ok = ref true and w = ref 0 in
+            while !ok && !w < mwords do
+              let g = off + (!w lsl 5) in
+              let i = g lsr 5 and r = g land 31 in
+              let w0 = if i < nocc then occw.(i) else 0 in
+              let window =
+                if r = 0 then w0
+                else
+                  let w1 = if i + 1 < nocc then occw.(i + 1) else 0 in
+                  (w0 lsr r) lor ((w1 lsl (bbits - r)) land bmask)
+              in
+              if window land mask.(!w) <> 0 then ok := false;
+              incr w
+            done;
+            !ok
+          in
+          let off = ref (max 0 (!min_free - s0)) in
+          while not (fits !off) do
+            incr off
+          done;
+          if !off >= Bytes.length !taken then begin
+            let nb =
+              Bytes.make (max (!off + 1) (2 * Bytes.length !taken)) '\000'
+            in
+            Bytes.blit !taken 0 nb 0 (Bytes.length !taken);
+            taken := nb
+          end;
+          Bytes.set !taken !off '\001';
+          offsets.(rid) <- !off;
+          Array.iter
+            (fun (sym, v) ->
+              let p = !off + sym in
+              ensure (p + 1);
+              !value.(p) <- v;
+              !check.(p) <- sym + 1;
+              occ_set p;
+              if p + 1 > !used then used := p + 1)
+            entries)
+    order;
+  Array.iteri (fun rid off -> if off < 0 then offsets.(rid) <- !used) offsets;
+  (offsets, Array.sub !value 0 !used, Array.sub !check 0 !used)

@@ -256,6 +256,56 @@ r.1 ::= w
  lr r.1,r.1
 |}
 
+(* An LR item packs its dot into Lr0.dot_bits bits, so a right-hand side
+   is at most Lr0.max_rhs symbols long; a longer one is a spec error on
+   its own line, from the library and from `coggc check` (exit 1), not
+   an uncaught exception (exit 125). *)
+let long_production_spec n_rhs =
+  intro_spec ^ "r.1 ::= iadd r.1"
+  ^ String.concat "" (List.init (n_rhs - 2) (fun k -> Fmt.str " r.%d" (k + 2)))
+  ^ "\n modifies r.1\n ar    r.1,r.2\n"
+
+(* intro_spec ends with a newline, so its last split piece is the
+   appended production's line *)
+let long_production_line = List.length (String.split_on_char '\n' intro_spec)
+
+let test_long_production_refused () =
+  let max = Cogg.Lr0.max_rhs in
+  (match Cogg.Cogg_build.build_string (long_production_spec max) with
+  | Ok t -> check_int "user productions" 5 t.Cogg.Tables.n_user_prods
+  | Error es ->
+      Alcotest.failf "a %d-symbol right-hand side was refused: %a" max
+        (Fmt.list Cogg.Cogg_build.pp_error)
+        es);
+  let spec = long_production_spec (max + 1) in
+  let want =
+    Fmt.str "spec:%d: production has %d right-hand-side symbols; at most %d are allowed"
+      long_production_line (max + 1) max
+  in
+  (match Cogg.Cogg_build.build_string spec with
+  | Ok _ -> Alcotest.failf "a %d-symbol right-hand side was accepted" (max + 1)
+  | Error es ->
+      check_str "library error" want
+        (Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es));
+  let file = Filename.temp_file "long" ".cgg" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc spec);
+  let coggc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/coggc.exe"
+  in
+  let out = Filename.temp_file "coggc" ".out" in
+  let status =
+    Sys.command
+      (Filename.quote_command coggc [ "check"; file ] ~stdout:out ~stderr:out)
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove file;
+  Sys.remove out;
+  check_int "coggc check exit code" 1 status;
+  Alcotest.(check bool)
+    (Fmt.str "coggc check names the line: %s" text)
+    true
+    (Util.contains text want)
+
 (* -- parse table and compression ------------------------------------------- *)
 
 let test_compression_roundtrip () =
@@ -301,6 +351,8 @@ let () =
           Alcotest.test_case "parses" `Quick test_spec_parses;
           Alcotest.test_case "tables build" `Quick test_tables_build;
           Alcotest.test_case "type errors rejected" `Quick test_spec_type_errors;
+          Alcotest.test_case "over-long production refused" `Quick
+            test_long_production_refused;
         ] );
       ( "codegen",
         [

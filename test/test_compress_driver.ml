@@ -247,127 +247,10 @@ let test_default_tie_break () =
 
 (* -- the comb packer against its reference ------------------------------------ *)
 
-(* The first fit Compress.pack_rows used before its word-parallel
-   search, kept as the reference (without its pool fan-out): rows
-   densest first (ties by row id), each probed one candidate offset at
-   a time from the [min_free] cursor, over a 32-bit occupancy bitset
-   and the row's column mask.  The word-parallel packer must place
-   every row where this one does. *)
-module Reference = struct
-  let pack_rows (entries_of : (int * int) list array) :
-      int array * int array * int array =
-    let n_rows = Array.length entries_of in
-    let row_len = Array.map List.length entries_of in
-    let order = Array.init n_rows Fun.id in
-    Array.sort
-      (fun (a : int) b ->
-        if row_len.(a) <> row_len.(b) then Int.compare row_len.(b) row_len.(a)
-        else Int.compare a b)
-      order;
-    let prepped =
-      Array.map
-        (fun entry_list ->
-          match entry_list with
-          | [] -> None
-          | l ->
-              let entries = Array.of_list l in
-              let ne = Array.length entries in
-              let s0 = fst entries.(0) in
-              let s_max = fst entries.(ne - 1) in
-              let mwords = (s_max lsr 5) + 1 in
-              let mask = Array.make mwords 0 in
-              Array.iter
-                (fun (s, _) ->
-                  mask.(s lsr 5) <- mask.(s lsr 5) lor (1 lsl (s land 31)))
-                entries;
-              Some (entries, s0, mwords, mask))
-        entries_of
-    in
-    let cap = ref (max 64 (n_rows * 4)) in
-    let value = ref (Array.make !cap 0) in
-    let check = ref (Array.make !cap 0) in
-    let used = ref 0 in
-    let taken = ref (Bytes.make !cap '\000') in
-    let ensure n =
-      if n > !cap then begin
-        let ncap = max n (!cap * 2) in
-        let nv = Array.make ncap 0 and nc = Array.make ncap 0 in
-        Array.blit !value 0 nv 0 !cap;
-        Array.blit !check 0 nc 0 !cap;
-        value := nv;
-        check := nc;
-        cap := ncap
-      end
-    in
-    let offsets = Array.make n_rows (-1) in
-    let min_free = ref 0 in
-    let bbits = 32 in
-    let bmask = (1 lsl bbits) - 1 in
-    let occ = ref (Array.make ((!cap lsr 5) + 2) 0) in
-    let occ_set p =
-      let i = p lsr 5 in
-      if i >= Array.length !occ then begin
-        let narr = Array.make (max (i + 1) (2 * Array.length !occ)) 0 in
-        Array.blit !occ 0 narr 0 (Array.length !occ);
-        occ := narr
-      end;
-      !occ.(i) <- !occ.(i) lor (1 lsl (p land 31))
-    in
-    Array.iter
-      (fun rid ->
-        match prepped.(rid) with
-        | None -> ()
-        | Some (entries, s0, mwords, mask) ->
-            while !min_free < !cap && !check.(!min_free) <> 0 do
-              incr min_free
-            done;
-            let occw = !occ in
-            let nocc = Array.length occw in
-            let fits off =
-              (off >= Bytes.length !taken || Bytes.get !taken off = '\000')
-              &&
-              let ok = ref true and w = ref 0 in
-              while !ok && !w < mwords do
-                let g = off + (!w lsl 5) in
-                let i = g lsr 5 and r = g land 31 in
-                let w0 = if i < nocc then occw.(i) else 0 in
-                let window =
-                  if r = 0 then w0
-                  else
-                    let w1 = if i + 1 < nocc then occw.(i + 1) else 0 in
-                    (w0 lsr r) lor ((w1 lsl (bbits - r)) land bmask)
-                in
-                if window land mask.(!w) <> 0 then ok := false;
-                incr w
-              done;
-              !ok
-            in
-            let off = ref (max 0 (!min_free - s0)) in
-            while not (fits !off) do
-              incr off
-            done;
-            if !off >= Bytes.length !taken then begin
-              let nb =
-                Bytes.make (max (!off + 1) (2 * Bytes.length !taken)) '\000'
-              in
-              Bytes.blit !taken 0 nb 0 (Bytes.length !taken);
-              taken := nb
-            end;
-            Bytes.set !taken !off '\001';
-            offsets.(rid) <- !off;
-            Array.iter
-              (fun (sym, v) ->
-                let p = !off + sym in
-                ensure (p + 1);
-                !value.(p) <- v;
-                !check.(p) <- sym + 1;
-                occ_set p;
-                if p + 1 > !used then used := p + 1)
-              entries)
-      order;
-    Array.iteri (fun rid off -> if off < 0 then offsets.(rid) <- !used) offsets;
-    (offsets, Array.sub !value 0 !used, Array.sub !check 0 !used)
-end
+(* Reference.pack_rows is the first fit Compress.pack_rows used before
+   its word-parallel search: rows densest first (ties by row id), each
+   probed one candidate offset at a time from the [min_free] cursor.
+   The word-parallel packer must place every row where it does. *)
 
 let show_rows rows =
   String.concat "\n"

@@ -292,6 +292,154 @@ let prop_compression_on_random_grammars =
         Cogg.Compress.
           [ No_compression; Defaults_only; Comb_only; Defaults_and_comb ])
 
+(* -- the construction against its reference ------------------------------------ *)
+
+(* The first difference between what the current stages and Reference
+   (reference.ml) build from [g] in [mode], as a message: the automaton
+   (kernels, closures, transitions, start), FIRST, nullable and FOLLOW,
+   each state's reductions, the action rows, the conflict log in order,
+   and the shared rows and defaults compression packs. *)
+let reference_diff mode (g : Cogg.Grammar.t) : string option =
+  let module G = Cogg.Grammar in
+  let module L = Cogg.Lr0 in
+  let elements = G.Symset.elements and ref_elements = Reference.IntSet.elements in
+  let first_diff what n f =
+    Option.map (Fmt.str "%s %d" what) (List.find_opt f (List.init n Fun.id))
+  in
+  let a = L.build g and ra = Reference.lr0 g in
+  let an = G.analyze g and ran = Reference.analyze g in
+  let n_syms = G.n_syms g in
+  let automaton () =
+    if a.L.start <> ra.L.start then Some "start state"
+    else if L.n_states a <> L.n_states ra then
+      Some (Fmt.str "%d states, reference %d" (L.n_states a) (L.n_states ra))
+    else
+      first_diff "state" (L.n_states a) (fun s ->
+          let x = a.L.states.(s) and y = ra.L.states.(s) in
+          x.L.id <> y.L.id || x.L.kernel <> y.L.kernel
+          || x.L.closure <> y.L.closure
+          || x.L.transitions <> y.L.transitions)
+  in
+  let analysis () =
+    List.find_map Fun.id
+      [
+        first_diff "FIRST of symbol" n_syms (fun s ->
+            elements an.G.first.(s) <> ref_elements ran.Reference.first.(s));
+        first_diff "nullable of symbol" n_syms (fun s ->
+            an.G.nullable.(s) <> ran.Reference.nullable.(s));
+        first_diff "FOLLOW of symbol" n_syms (fun s ->
+            elements an.G.follow.(s) <> ref_elements ran.Reference.follow.(s));
+      ]
+  in
+  let reductions () =
+    let reds = Cogg.Lookahead.reductions a an mode
+    and rreds = Reference.reductions a ran mode in
+    first_diff "reductions of state" (L.n_states a) (fun s ->
+        List.map (fun (p, la) -> (p, elements la)) reds.(s)
+        <> List.map (fun (p, la) -> (p, ref_elements la)) rreds.(s))
+  in
+  let table () =
+    let pt = Cogg.Parse_table.build ~mode a in
+    let actions, conflicts = Reference.parse_table ~mode ra in
+    match
+      first_diff "action row of state" (L.n_states a) (fun s ->
+          pt.Cogg.Parse_table.actions.(s) <> actions.(s))
+    with
+    | Some d -> Some d
+    | None when pt.Cogg.Parse_table.conflicts <> conflicts ->
+        Some
+          (Fmt.str "conflict log (%d entries, reference %d)"
+             (List.length pt.Cogg.Parse_table.conflicts)
+             (List.length conflicts))
+    | None ->
+        List.find_map
+          (fun m ->
+            if
+              Cogg.Compress.rows m pt
+              <> Reference.share_rows (Reference.extract_rows m actions)
+            then Some "shared rows and defaults"
+            else None)
+          Cogg.Compress.
+            [ No_compression; Defaults_only; Comb_only; Defaults_and_comb ]
+  in
+  List.find_map (fun f -> f ()) [ automaton; analysis; reductions; table ]
+
+let mode_name = function
+  | Cogg.Lookahead.Slr -> "SLR"
+  | Cogg.Lookahead.Lalr -> "LALR"
+
+let test_specs_match_reference () =
+  List.iter
+    (fun (name, tables) ->
+      let g = (Lazy.force tables).Cogg.Tables.grammar in
+      List.iter
+        (fun mode ->
+          match reference_diff mode g with
+          | None -> ()
+          | Some d ->
+              Alcotest.failf "%s %s differs from the reference at %s" name
+                (mode_name mode) d)
+        [ Cogg.Lookahead.Slr; Cogg.Lookahead.Lalr ])
+    [ ("amdahl470", Util.amdahl_tables); ("risc32", Util.risc32_tables) ]
+
+(* Random grammars over nonterminals n0.. and terminals t0..: empty
+   right-hand sides and nullable chains, left and right recursion,
+   nonterminals nothing reaches, productions declared twice, and
+   right-hand sides of every length up to Lr0.max_rhs. *)
+let gen_any_grammar : (string * string list) list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* n_nts = int_range 1 6 and* n_ts = int_range 1 5 in
+  let nts = List.init n_nts (Printf.sprintf "n%d") in
+  let ts = List.init n_ts (Printf.sprintf "t%d") in
+  let sym = frequency [ (2, oneofl nts); (3, oneofl ts) ] in
+  let prod =
+    let* lhs = oneofl nts in
+    let* len =
+      frequency
+        [
+          (2, return 0);
+          (8, int_range 1 4);
+          (1, int_range 5 Cogg.Lr0.max_rhs);
+        ]
+    in
+    let* rhs = list_size (return len) sym in
+    (* recursion on the left or the right, now and then *)
+    let* shape = int_bound 5 in
+    return
+      ( lhs,
+        match (shape, rhs) with
+        | 0, _ :: rest -> lhs :: rest
+        | 1, _ :: _ -> List.rev (lhs :: List.tl (List.rev rhs))
+        | _ -> rhs )
+  in
+  let* prods = list_size (int_range 1 14) prod in
+  let* dups = list_size (int_bound 2) (oneofl prods) in
+  let* stmt = list_size (int_range 1 2) (oneofl nts) in
+  (* now and then a nullable chain n0 ::= n1, n1 ::= n2, ..., nk ::= *)
+  let* k = int_bound (n_nts - 1) in
+  let chain =
+    if k = 0 then []
+    else
+      List.init k (fun i -> (List.nth nts i, [ List.nth nts (i + 1) ]))
+      @ [ (List.nth nts k, []) ]
+  in
+  return (("lambda", stmt) :: (prods @ dups @ chain))
+
+let prop_random_grammars_match_reference =
+  QCheck.Test.make ~count:300 ~name:"random grammars: construction = reference"
+    (QCheck.make gen_any_grammar ~print:(fun prods ->
+         String.concat "; "
+           (List.map (fun (l, r) -> l ^ " ::= " ^ String.concat " " r) prods)))
+    (fun prods ->
+      let g = grammar prods in
+      List.for_all
+        (fun mode ->
+          match reference_diff mode g with
+          | None -> true
+          | Some d ->
+              QCheck.Test.fail_reportf "%s differs at %s" (mode_name mode) d)
+        [ Cogg.Lookahead.Slr; Cogg.Lookahead.Lalr ])
+
 let () =
   Alcotest.run "lr"
     [
@@ -319,4 +467,9 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_grammars; prop_compression_on_random_grammars ] );
+      ( "reference",
+        Alcotest.test_case "both specs, SLR and LALR" `Quick
+          test_specs_match_reference
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_random_grammars_match_reference ] );
     ]

@@ -231,21 +231,24 @@ let test_bundle_roundtrip_drives_codegen () =
   Alcotest.(check string) "rewritten bundle" bytes (Cogg.Tables_io.write t2)
 
 (* The bytes a table build produces are a contract: a from-scratch build
-   of either shipped spec, sequential or on a 2-domain pool, writes the
-   bundle these digests and lengths pin.  A change to LR construction,
-   compression, template compilation, the spec hashes or the bundle
-   layout that moves a byte fails here, not only in a digest computed
-   by hand. *)
+   of either shipped spec, SLR or LALR, sequential or on a 2-domain pool,
+   writes the bundle these digests and lengths pin.  A change to LR
+   construction, lookaheads, compression, template compilation, the spec
+   hashes or the bundle layout that moves a byte fails here, not only in
+   a digest computed by hand. *)
 let pinned_bundles =
-  [
-    ("amdahl470", "amdahl470.cgg", "e569137acc1c3c06ec9842f23d3b186c", 260_192);
-    ("risc32", "risc32.cgg", "2c3acc0d297e2f8c660893acac8f02e8", 263_762);
-  ]
+  Cogg.Lookahead.
+    [
+      ("amdahl470", "amdahl470.cgg", Slr, "e569137acc1c3c06ec9842f23d3b186c", 260_192);
+      ("risc32", "risc32.cgg", Slr, "2c3acc0d297e2f8c660893acac8f02e8", 263_762);
+      ("amdahl470", "amdahl470.cgg", Lalr, "26f927284d92872e4b9be602eb17c163", 260_128);
+      ("risc32", "risc32.cgg", Lalr, "3fb651c88b6f617bda96fb345d13364e", 263_698);
+    ]
 
 let test_bundle_bytes_pinned () =
-  let build ?pool (target, file, _, _) =
+  let build ?pool (target, file, mode, _, _) =
     match
-      Cogg.Cogg_build.build_file ?pool
+      Cogg.Cogg_build.build_file ?pool ~mode
         ~target:(Machine.Targets.find_exn target)
         (Util.spec_path file)
     with
@@ -255,11 +258,15 @@ let test_bundle_bytes_pinned () =
           (Fmt.list Cogg.Cogg_build.pp_error)
           es
   in
-  let check how (target, _, md5, len) bytes =
-    check_int (Fmt.str "%s %s: bundle length" target how) len
-      (String.length bytes);
+  let check how (target, _, mode, md5, len) bytes =
+    let what =
+      Fmt.str "%s %s %s" target
+        (match mode with Cogg.Lookahead.Slr -> "SLR" | Lalr -> "LALR")
+        how
+    in
+    check_int (what ^ ": bundle length") len (String.length bytes);
     Alcotest.(check string)
-      (Fmt.str "%s %s: bundle MD5" target how)
+      (what ^ ": bundle MD5")
       md5
       (Digest.to_hex (Digest.string bytes))
   in
