@@ -293,6 +293,7 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
               class_of;
               kind_of;
               hashes;
+              builders = Tables.builders_of target compiled;
             }
           else
             let parse, compressed = build_tables ?pool ~mode grammar in

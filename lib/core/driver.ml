@@ -28,7 +28,9 @@
     once — so a shift costs two array writes and an integer table probe:
     no string hashing, no record allocation.  The emission routine trades
     in the same representation, so reduction-prefixed tokens re-enter the
-    stream already interned. *)
+    stream already interned; a reduction hands it the popped tokens in an
+    array the driver reuses, and takes its tokens back in the order the
+    emitter built them. *)
 
 type dispatch = Flat | Comb
 
@@ -123,8 +125,10 @@ let bottom = { psym = min_int; pvalue = Ifl.Value.Unit }
     the popped translation-stack tokens; [remap] lets the emitter rewrite
     register bindings on the live stack and pending input (needed when a
     [need] directive transfers a busy register); the returned tokens are
-    prefixed to the input (first element consumed first) and must carry
-    interned symbol ids. *)
+    prefixed to the input, the last element consumed first (the order
+    an emitter conses them in), and must carry interned symbol ids.
+    [rhs] is the driver's own array for that length, refilled at every
+    reduction: the callback may write its slots but must not keep it. *)
 let parse ?(dispatch = Comb) (tables : Tables.t)
     ~(reduce :
        prod:int ->
@@ -259,6 +263,14 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
       | v, Some msg ->
           bad_ptok { Ifl.Token.sym = Grammar.name g p.psym; value = v } msg
   in
+  (* a reduction's tokens arrive the one consumed last first, so pushing
+     them in list order leaves the first on top *)
+  let rec push_prefixed = function
+    | [] -> ()
+    | p :: rest ->
+        push_pre (prepare_prefixed p);
+        push_prefixed rest
+  in
   (* the translation/parse stack: parallel state/token arrays *)
   let states = ref (Array.make 64 0) in
   let toks = ref (Array.make 64 bottom) in
@@ -273,6 +285,18 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
     incr sp
   in
   push tables.Tables.start bottom;
+  (* one [rhs] array per right-hand-side length, refilled at every
+     reduction of that length (the emitter keeps none of them) *)
+  let rhs_bufs = Array.make (Lr0.max_rhs + 1) [||] in
+  let rhs_of n =
+    if n > Lr0.max_rhs then Array.make n bottom
+    else if Array.length rhs_bufs.(n) = n then rhs_bufs.(n)
+    else begin
+      let b = Array.make n bottom in
+      rhs_bufs.(n) <- b;
+      b
+    end
+  in
   let shifts = ref 0 and reductions = ref 0 and max_stack = ref 1 in
   let reduce_run = ref 0 in
   let flush_metrics ~failed =
@@ -387,20 +411,15 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
                 "translation stack underflow (invalid IF)"
             else begin
               let base = !sp - n in
-              let toks_arr = !toks in
-              let rhs = Array.init n (fun i -> toks_arr.(base + i)) in
+              let rhs = rhs_of n in
+              Array.blit !toks base rhs 0 n;
               sp := base;
-              let prefixed =
-                if Tables.is_user_prod tables p then
-                  reduce ~prod:p ~rhs ~remap
-                else
-                  (* augmentation production: prefix the bare LHS *)
-                  [ { psym = prod.Grammar.lhs; pvalue = Ifl.Value.Unit } ]
-              in
-              (* first element of [prefixed] is consumed first *)
-              List.iter
-                (fun p -> push_pre (prepare_prefixed p))
-                (List.rev prefixed);
+              push_prefixed
+                (if Tables.is_user_prod tables p then
+                   reduce ~prod:p ~rhs ~remap
+                 else
+                   (* augmentation production: prefix the bare LHS *)
+                   [ { psym = prod.Grammar.lhs; pvalue = Ifl.Value.Unit } ]);
               loop ()
             end
           end

@@ -79,8 +79,11 @@ val parse :
     the popped translation-stack tokens; [remap] lets the emitter rewrite
     register bindings on the live stack and pending input (needed when a
     [need] directive transfers a busy register); the returned tokens are
-    prefixed to the input (first element consumed first) and must carry
-    interned symbol ids.
+    prefixed to the input, the {e last} element consumed first (the order
+    an emitter conses them in), and must carry interned symbol ids.
+    [rhs] is the driver's own array for that right-hand-side length,
+    refilled at every reduction: the callback may overwrite its slots
+    but must not keep the array.
 
     Input tokens are type-checked against the specification: terminals
     must carry their declared value kind, register non-terminals a

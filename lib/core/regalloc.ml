@@ -13,7 +13,11 @@
     - A register holding a common subexpression can be evicted (the caller
       stores it to the CSE's temporary); a register holding a live
       intermediate result cannot, and exhausting the pool on live values
-      raises [Pressure]. *)
+      raises [Pressure].
+
+    Every call runs once or more per reduction, so none allocates on its
+    way to a register: the pools are scanned as arrays in their
+    configured order, and only the failing path builds a message. *)
 
 type bank = Gp | Fp
 
@@ -59,8 +63,10 @@ type stats = {
   mutable n_allocs : int;
   mutable n_evictions : int;
   mutable n_transfers : int;
-  mutable reuse_distances : int list;
-      (** usage-index distance at allocation: the pipeline-contention proxy *)
+  mutable reuse_sum : int;
+  mutable reuse_count : int;
+      (** usage-index distance at allocation, summed over [reuse_count]
+          allocated registers: the pipeline-contention proxy *)
   mutable gp_peak : int;  (** most general registers ever busy at once *)
   mutable fp_peak : int;  (** most floating registers ever busy at once *)
 }
@@ -70,12 +76,35 @@ type t = {
   strategy : strategy;
   gprs : reg array;
   fprs : reg array;
+  pools : int array array;
+      (** the configured pools as arrays, indexed by {!pool_slot} *)
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
 }
 
 exception Pressure of string
+
+(* registers covered by an allocation of class [cls] rooted at [r] *)
+let covered cls r =
+  match cls with
+  | Symtab.Pair -> [ r; r + 1 ]
+  | Symtab.Fpair -> [ r; r + 2 ]
+  | _ -> [ r ]
+
+(* distance from an allocation's root to its partner register, 0 when it
+   covers only its root *)
+let partner : Symtab.reg_class -> int = function
+  | Symtab.Pair -> 1
+  | Symtab.Fpair -> 2
+  | Symtab.Gpr | Symtab.Fpr | Symtab.Cc | Symtab.Noclass -> 0
+
+let pool_slot : Symtab.reg_class -> int = function
+  | Symtab.Gpr -> 0
+  | Symtab.Pair -> 1
+  | Symtab.Fpr -> 2
+  | Symtab.Fpair -> 3
+  | Symtab.Cc | Symtab.Noclass -> 4
 
 let create ?(config = default_config) ?(strategy = Lru) () =
   let mk n = Array.init n (fun _ ->
@@ -87,6 +116,10 @@ let create ?(config = default_config) ?(strategy = Lru) () =
     strategy;
     gprs = mk 16;
     fprs = mk 8;
+    pools =
+      Array.map Array.of_list
+        [| config.gpr_pool; config.pair_pool; config.fpr_pool;
+           config.fpair_pool; [] |];
     global_index = 0;
     cursor = 0;
     stats =
@@ -94,27 +127,14 @@ let create ?(config = default_config) ?(strategy = Lru) () =
         n_allocs = 0;
         n_evictions = 0;
         n_transfers = 0;
-        reuse_distances = [];
+        reuse_sum = 0;
+        reuse_count = 0;
         gp_peak = 0;
         fp_peak = 0;
       };
   }
 
 let regs t = function Gp -> t.gprs | Fp -> t.fprs
-
-let pool t = function
-  | Symtab.Gpr -> t.config.gpr_pool
-  | Symtab.Pair -> t.config.pair_pool
-  | Symtab.Fpr -> t.config.fpr_pool
-  | Symtab.Fpair -> t.config.fpair_pool
-  | Symtab.Cc | Symtab.Noclass -> []
-
-(* registers covered by an allocation of class [cls] rooted at [r] *)
-let covered cls r =
-  match cls with
-  | Symtab.Pair -> [ r; r + 1 ]
-  | Symtab.Fpair -> [ r; r + 2 ]
-  | _ -> [ r ]
 
 let in_any_pool t bank r =
   match bank with
@@ -128,64 +148,181 @@ let in_any_pool t bank r =
 (** Bump the global usage index; called once per reduction. *)
 let begin_reduction t = t.global_index <- t.global_index + 1
 
-let free_for t bank cls r =
-  List.for_all (fun i -> not (regs t bank).(i).busy) (covered cls r)
+(* -- scanning a pool ---------------------------------------------------------
+   A scan admits the members of a class's pool that pass one of three
+   tests, and picks among them by the strategy; pool order breaks every
+   tie, so the result is that of filtering the pool list and picking
+   from what is left. *)
 
-(* candidate members of [cls]'s pool that are currently free *)
-let free_members t cls =
-  let bank = bank_of_class cls in
-  List.filter (free_for t bank cls) (pool t cls)
+type admit =
+  | Free  (** every register the allocation covers is free *)
+  | Preserving
+      (** free, and not a half of a free pair (quad) while free pairs
+          are scarce *)
+  | Evictable
+      (** covers only free registers and CSE copies with no live stack
+          reference, at least one of them a CSE copy *)
 
-let pick t cls candidates =
-  let bank = bank_of_class cls in
-  match candidates with
-  | [] -> None
-  | cs -> (
-      match t.strategy with
-      | First_free -> Some (List.hd cs)
-      | Round_robin ->
-          let n = List.length cs in
-          let c = List.nth cs (t.cursor mod n) in
-          t.cursor <- t.cursor + 1;
-          Some c
-      | Lru ->
-          Some
-            (List.fold_left
-               (fun best r ->
-                 let idx =
-                   List.fold_left
-                     (fun m i -> max m (regs t bank).(i).usage_index)
-                     0 (covered cls r)
-                 in
-                 match best with
-                 | Some (_, bidx) when bidx <= idx -> best
-                 | _ -> Some (r, idx))
-               None cs
-            |> Option.get |> fst))
+let free_at (regs : reg array) step r =
+  (not regs.(r).busy) && (step = 0 || not regs.(r + step).busy)
+
+(* the pair class a single-register class protects, as (pool slot,
+   partner distance) *)
+let protected_pairs : Symtab.reg_class -> int * int = function
+  | Symtab.Gpr -> (1, 1)
+  | Symtab.Fpr -> (3, 2)
+  | Symtab.Pair | Symtab.Fpair | Symtab.Cc | Symtab.Noclass -> (4, 0)
+
+let count_free_pairs t regs cls =
+  let slot, step = protected_pairs cls in
+  let pairs = t.pools.(slot) and n = ref 0 in
+  for i = 0 to Array.length pairs - 1 do
+    if free_at regs step pairs.(i) then incr n
+  done;
+  !n
+
+(* would allocating [r] alone break up a free pair? *)
+let breaks_free_pair t regs cls r =
+  let slot, step = protected_pairs cls in
+  let pairs = t.pools.(slot) in
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Array.length pairs do
+    let e = pairs.(!i) in
+    if free_at regs step e && (r = e || r = e + step) then found := true;
+    incr i
+  done;
+  !found
+
+let evictable_reg (st : reg) =
+  (not st.busy) || (st.cse <> None && st.use_count <= st.cse_shares)
+
+let admits t regs cls admit r =
+  let step = partner cls in
+  match admit with
+  | Free -> free_at regs step r
+  | Preserving -> free_at regs step r && not (breaks_free_pair t regs cls r)
+  | Evictable ->
+      evictable_reg regs.(r)
+      && (step = 0 || evictable_reg regs.(r + step))
+      && (regs.(r).cse <> None || (step > 0 && regs.(r + step).cse <> None))
+
+let count_admitted t regs cls admit =
+  let pool = t.pools.(pool_slot cls) and n = ref 0 in
+  for i = 0 to Array.length pool - 1 do
+    if admits t regs cls admit pool.(i) then incr n
+  done;
+  !n
+
+(* the stamp LRU orders an allocation by: its covered registers' latest *)
+let stamp (regs : reg array) step r =
+  let u = regs.(r).usage_index in
+  if step = 0 then u else max u regs.(r + step).usage_index
+
+(* the admitted member the strategy picks, or -1 when none is admitted *)
+let pick t cls admit =
+  let regs = regs t (bank_of_class cls) in
+  let pool = t.pools.(pool_slot cls) in
+  let n = Array.length pool in
+  match t.strategy with
+  | First_free ->
+      let found = ref (-1) and i = ref 0 in
+      while !found < 0 && !i < n do
+        if admits t regs cls admit pool.(!i) then found := pool.(!i);
+        incr i
+      done;
+      !found
+  | Round_robin ->
+      let k = count_admitted t regs cls admit in
+      if k = 0 then -1
+      else begin
+        let target = t.cursor mod k in
+        t.cursor <- t.cursor + 1;
+        let found = ref (-1) and seen = ref 0 and i = ref 0 in
+        while !found < 0 do
+          let r = pool.(!i) in
+          if admits t regs cls admit r then begin
+            if !seen = target then found := r;
+            incr seen
+          end;
+          incr i
+        done;
+        !found
+      end
+  | Lru ->
+      let step = partner cls in
+      let best = ref (-1) and best_stamp = ref 0 in
+      for i = 0 to n - 1 do
+        let r = pool.(i) in
+        if admits t regs cls admit r then begin
+          let s = stamp regs step r in
+          if !best < 0 || s < !best_stamp then begin
+            best := r;
+            best_stamp := s
+          end
+        end
+      done;
+      !best
 
 (* raise the bank's pressure high-water mark to the current busy count *)
 let note_peak t bank =
-  let n = ref 0 in
-  Array.iter (fun st -> if st.busy then incr n) (regs t bank);
+  let regs = regs t bank and n = ref 0 in
+  for i = 0 to Array.length regs - 1 do
+    if regs.(i).busy then incr n
+  done;
   match bank with
   | Gp -> if !n > t.stats.gp_peak then t.stats.gp_peak <- !n
   | Fp -> if !n > t.stats.fp_peak then t.stats.fp_peak <- !n
 
+(* a fresh holding: one reference, stamped now, no CSE copy *)
+let hold t (st : reg) =
+  st.busy <- true;
+  st.use_count <- 1;
+  st.usage_index <- t.global_index;
+  st.cse <- None;
+  st.cse_shares <- 0
+
+let occupy t (st : reg) =
+  t.stats.reuse_sum <- t.stats.reuse_sum + (t.global_index - st.usage_index);
+  t.stats.reuse_count <- t.stats.reuse_count + 1;
+  hold t st
+
 let mark_allocated t cls r =
   let bank = bank_of_class cls in
-  List.iter
-    (fun i ->
-      let st = (regs t bank).(i) in
-      t.stats.reuse_distances <-
-        (t.global_index - st.usage_index) :: t.stats.reuse_distances;
-      st.busy <- true;
-      st.use_count <- 1;
-      st.usage_index <- t.global_index;
-      st.cse <- None;
-      st.cse_shares <- 0)
-    (covered cls r);
+  let regs = regs t bank and step = partner cls in
+  occupy t regs.(r);
+  if step > 0 then occupy t regs.(r + step);
   t.stats.n_allocs <- t.stats.n_allocs + 1;
   note_peak t bank
+
+let clear (st : reg) =
+  st.busy <- false;
+  st.use_count <- 0;
+  st.cse <- None;
+  st.cse_shares <- 0
+
+(* diagnosable exhaustion: name the class, its pool, and what each
+   member is holding (use counts, CSE bindings) *)
+let pressure_message t cls =
+  let regs = regs t (bank_of_class cls) in
+  let pool = Array.to_list t.pools.(pool_slot cls) in
+  let members = List.sort_uniq compare (List.concat_map (covered cls) pool) in
+  let holding =
+    List.filter_map
+      (fun i ->
+        let st = regs.(i) in
+        if not st.busy then None
+        else
+          Some
+            (Fmt.str "r%d:uses=%d%s" i st.use_count
+               (match st.cse with
+               | Some c -> Fmt.str "[cse %d]" c
+               | None -> "")))
+      members
+  in
+  Fmt.str "no %a register available: pool {%s} holds only live values (%s)"
+    Symtab.pp_reg_class cls
+    (String.concat " " (List.map (fun r -> "r" ^ string_of_int r) pool))
+    (String.concat ", " holding)
 
 type evicted = { ev_cse : int; ev_reg : int }
 
@@ -197,99 +334,44 @@ let alloc t (cls : Symtab.reg_class) : int * evicted option =
   match cls with
   | Symtab.Cc -> (0, None) (* the machine condition code: always available *)
   | Symtab.Noclass -> (0, None)
-  | _ -> (
+  | Symtab.Gpr | Symtab.Pair | Symtab.Fpr | Symtab.Fpair -> (
+      let regs = regs t (bank_of_class cls) in
       (* single-register requests prefer registers that do not break up a
          fully free even/odd pair, so multiplies and divides can still
-         find one (Fpr requests likewise protect quad pairs) *)
-      let free = free_members t cls in
-      let candidates =
-        let protect pair_pool step pcls =
-          let free_pairs =
-            List.filter (fun e -> free_for t (bank_of_class cls) pcls e) pair_pool
-          in
-          (* only protect pairs once they become scarce, so simple
-             programs still see the natural r1, r2, ... ordering *)
-          if List.length free_pairs > 2 then free
-          else
-            let breaking r =
-              List.exists (fun e -> r = e || r = e + step) free_pairs
-            in
-            let preserving = List.filter (fun r -> not (breaking r)) free in
-            if preserving <> [] then preserving else free
-        in
+         find one (Fpr requests likewise protect quad pairs); only once
+         pairs become scarce, so simple programs still see the natural
+         r1, r2, ... ordering *)
+      let admit =
         match cls with
-        | Symtab.Gpr -> protect t.config.pair_pool 1 Symtab.Pair
-        | Symtab.Fpr -> protect t.config.fpair_pool 2 Symtab.Fpair
-        | _ -> free
+        | (Symtab.Gpr | Symtab.Fpr)
+          when count_free_pairs t regs cls <= 2
+               && count_admitted t regs cls Preserving > 0 ->
+            Preserving
+        | _ -> Free
       in
-      match pick t cls candidates with
-      | Some r ->
-          mark_allocated t cls r;
-          (r, None)
-      | None -> (
+      match pick t cls admit with
+      | -1 -> (
           (* evict the least-recently-used CSE-bound register in the pool *)
-          let bank = bank_of_class cls in
-          let evictable r =
-            List.for_all
-              (fun i ->
-                let st = (regs t bank).(i) in
-                (not st.busy)
-                || (st.cse <> None && st.use_count <= st.cse_shares))
-              (covered cls r)
-            && List.exists
-                 (fun i -> (regs t bank).(i).cse <> None)
-                 (covered cls r)
-          in
-          match pick t cls (List.filter evictable (pool t cls)) with
-          | None ->
-              (* diagnosable exhaustion: name the class, its pool, and
-                 what each member is holding (use counts, CSE bindings) *)
-              let members =
-                List.sort_uniq compare
-                  (List.concat_map (covered cls) (pool t cls))
+          match pick t cls Evictable with
+          | -1 -> raise (Pressure (pressure_message t cls))
+          | r ->
+              let step = partner cls in
+              let holder =
+                if regs.(r).cse <> None || step = 0 then r else r + step
               in
-              let holding =
-                List.filter_map
-                  (fun i ->
-                    let st = (regs t bank).(i) in
-                    if not st.busy then None
-                    else
-                      Some
-                        (Fmt.str "r%d:uses=%d%s" i st.use_count
-                           (match st.cse with
-                           | Some c -> Fmt.str "[cse %d]" c
-                           | None -> "")))
-                  members
-              in
-              raise
-                (Pressure
-                   (Fmt.str
-                      "no %a register available: pool {%s} holds only live \
-                       values (%s)"
-                      Symtab.pp_reg_class cls
-                      (String.concat " "
-                         (List.map (fun r -> "r" ^ string_of_int r) (pool t cls)))
-                      (String.concat ", " holding)))
-          | Some r ->
               let ev =
-                List.find_map
-                  (fun i ->
-                    let st = (regs t bank).(i) in
-                    Option.map (fun c -> { ev_cse = c; ev_reg = i }) st.cse)
-                  (covered cls r)
-                |> Option.get
+                match regs.(holder).cse with
+                | Some c -> { ev_cse = c; ev_reg = holder }
+                | None -> assert false
               in
-              List.iter
-                (fun i ->
-                  let st = (regs t bank).(i) in
-                  st.busy <- false;
-                  st.use_count <- 0;
-                  st.cse <- None;
-                  st.cse_shares <- 0)
-                (covered cls r);
+              clear regs.(r);
+              if step > 0 then clear regs.(r + step);
               t.stats.n_evictions <- t.stats.n_evictions + 1;
               mark_allocated t cls r;
-              (r, Some ev)))
+              (r, Some ev))
+      | r ->
+          mark_allocated t cls r;
+          (r, None))
 
 type transfer = { tr_from : int; tr_to : int }
 
@@ -301,11 +383,7 @@ let need t (cls : Symtab.reg_class) (r : int) :
   let bank = bank_of_class cls in
   let st = (regs t bank).(r) in
   if not st.busy then begin
-    st.busy <- true;
-    st.use_count <- 1;
-    st.usage_index <- t.global_index;
-    st.cse <- None;
-    st.cse_shares <- 0;
+    hold t st;
     note_peak t bank;
     Ok (None, None)
   end
@@ -316,11 +394,7 @@ let need t (cls : Symtab.reg_class) (r : int) :
         d.use_count <- st.use_count;
         d.cse <- st.cse;
         d.cse_shares <- st.cse_shares;
-        st.busy <- true;
-        st.use_count <- 1;
-        st.usage_index <- t.global_index;
-        st.cse <- None;
-        st.cse_shares <- 0;
+        hold t st;
         t.stats.n_transfers <- t.stats.n_transfers + 1;
         Ok (Some { tr_from = r; tr_to = dst }, ev)
     | exception Pressure m -> Error m
@@ -339,13 +413,15 @@ let release t bank r =
   let st = (regs t bank).(r) in
   if st.busy then begin
     st.use_count <- st.use_count - 1;
-    if st.use_count <= 0 then begin
-      st.busy <- false;
-      st.use_count <- 0;
-      st.cse <- None;
-      st.cse_shares <- 0
-    end
+    if st.use_count <= 0 then clear st
   end
+
+(** Release every register an allocation of [cls] rooted at [r] covers,
+    root first. *)
+let release_covered t cls r =
+  let bank = bank_of_class cls and step = partner cls in
+  release t bank r;
+  if step > 0 then release t bank (r + step)
 
 (** One reserved CSE use materializes (a [find_common] found the value in
     the register): the share converts into the stack reference the caller
@@ -365,11 +441,7 @@ let drop_cse_shares t bank r =
   if st.busy && st.cse_shares > 0 then begin
     st.use_count <- st.use_count - st.cse_shares;
     st.cse_shares <- 0;
-    if st.use_count <= 0 then begin
-      st.busy <- false;
-      st.use_count <- 0;
-      st.cse <- None
-    end
+    if st.use_count <= 0 then clear st
   end
 
 (** [modifies]: the register's contents changed — refresh its LRU stamp

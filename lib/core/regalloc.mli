@@ -13,7 +13,11 @@
     - A register holding a common subexpression can be evicted (the
       caller stores it to the CSE's temporary); a register holding a live
       intermediate result cannot, and exhausting the pool on live values
-      raises {!Pressure}. *)
+      raises {!Pressure}.
+
+    Every call runs once or more per reduction, so none allocates on its
+    way to a register: the pools are scanned as arrays in their
+    configured order, and only the failing path builds a message. *)
 
 (** The two register files of the 370. *)
 type bank = Gp | Fp
@@ -39,9 +43,11 @@ type stats = {
   mutable n_allocs : int;
   mutable n_evictions : int;
   mutable n_transfers : int;
-  mutable reuse_distances : int list;
-      (** usage-index distance at allocation: the pipeline-contention
-          proxy of the ablation benchmark *)
+  mutable reuse_sum : int;
+  mutable reuse_count : int;
+      (** usage-index distance at allocation, summed over [reuse_count]
+          allocated registers: the pipeline-contention proxy of the
+          ablation benchmark *)
   mutable gp_peak : int;  (** most general registers ever busy at once *)
   mutable fp_peak : int;  (** most floating registers ever busy at once *)
 }
@@ -51,6 +57,7 @@ type t = private {
   strategy : strategy;
   gprs : reg array;
   fprs : reg array;
+  pools : int array array;  (** the configured pools, as arrays *)
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -99,6 +106,10 @@ val retain : ?count:int -> t -> bank -> int -> unit
 val release : t -> bank -> int -> unit
 (** Decrement the use count; at zero the register is freed.  A no-op on
     dedicated (never-allocated) registers. *)
+
+val release_covered : t -> Symtab.reg_class -> int -> unit
+(** [release_covered t cls r] releases every register an allocation of
+    [cls] rooted at [r] covers ({!covered}), root first. *)
 
 val consume_cse_share : t -> bank -> int -> unit
 (** One reserved CSE use materializes: the share converts into the stack

@@ -43,9 +43,42 @@ type t = {
       (** per-production content hashes of the spec this bundle was
           built from — the partial-build state an incremental rebuild
           diffs against *)
+  builders : (int array -> Machine.Insn.t, string) result array Once.t array;
+      (** per production, per template step: the target's builder for
+          an [Instr] step, resolved the first time a compile reduces the
+          production and shared by every compile after it; not part of
+          the bundle, and derived from [compiled] by {!builders_of},
+          which every record with new templates must call again *)
 }
 
 let section v = { value = Once.of_value v; encoded = None }
+
+(* what {!insn_builder} holds for a step that is not an instruction *)
+let not_an_instruction = Error "not an instruction step"
+
+(** The [builders] field for these templates: one [Once.t] per
+    production, so a compile resolves only the productions it reduces. *)
+let builders_of (target : Machine.Target.t)
+    (compiled : Template.compiled option array) =
+  Array.map
+    (fun c ->
+      Once.make (fun () ->
+          match c with
+          | None -> [||]
+          | Some (c : Template.compiled) ->
+              Array.map
+                (function
+                  | Template.Instr { mnem; ops } ->
+                      target.Machine.Target.insn_builder ~mnem
+                        ~nsubs:
+                          (List.map
+                             (fun (o : Template.operand) ->
+                               List.length o.Template.subs)
+                             ops)
+                  | _ -> not_an_instruction)
+                c.Template.c_steps))
+    compiled
+
 let force s = Once.force s.value
 
 (** The tables of a fresh build. *)
@@ -67,6 +100,7 @@ let make ~target ~grammar ~symtab ~(parse : Parse_table.t) ~compressed
     conflict_log = section parse.Parse_table.conflicts;
     states = section automaton.Lr0.states;
     hashes;
+    builders = builders_of target compiled;
   }
 
 let n_states t = t.compressed.Compress.n_states
@@ -92,6 +126,6 @@ let is_user_prod t p = p < t.n_user_prods
 let compiled t p =
   if p < Array.length t.compiled then t.compiled.(p) else None
 
-(** Register bank a grammar symbol's values live in. *)
-let bank_of t sym : Regalloc.bank option =
-  Option.map Regalloc.bank_of_class (class_of t sym)
+(** The builder for step [step] of production [prod]'s templates, which
+    must be an [Instr] step. *)
+let insn_builder t prod step = (Once.force t.builders.(prod)).(step)

@@ -760,6 +760,7 @@ let decode_bundle (s : string) : Tables.t =
           Array.init n_states (fun id ->
               { Lr0.id; kernel = [||]; closure = [||]; transitions = [] }));
     hashes;
+    builders = Tables.builders_of target compiled;
   }
 
 (** Reload a bundle written by {!write}, in a [tables_io.read] {!Trace}

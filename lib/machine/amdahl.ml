@@ -58,51 +58,58 @@ let validate ~(mnem : string) ~(nsubs : int list) : (unit, string) result =
             fail "%s: second operand takes at most d(b)" mnem
           else Ok ())
 
-let build_insn ~(mnem : string) (vals : (int * int list) list) :
-    (Insn.t, string) result =
-  (* vals: per operand, (base value, sub values) *)
-  let fail fmt = Fmt.kstr (fun m -> Error m) fmt in
+let insn_builder ~(mnem : string) ~(nsubs : int list) :
+    (int array -> Insn.t, string) result =
   match Insn.format_of_mnemonic mnem with
-  | None -> fail "unknown mnemonic %s at emission" mnem
+  | None -> Fmt.kstr (fun m -> Error m) "unknown mnemonic %s at emission" mnem
   | Some fmt -> (
-      let plain k =
-        match List.nth_opt vals k with
-        | Some (v, []) -> v
-        | _ ->
-            Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
-      in
+      let ops = Target.operands nsubs in
+      let plain k = Target.plain ops ~mnem k in
       let memop k =
-        match List.nth_opt vals k with
-        | Some (d, []) -> (d, 0, 0)
-        | Some (d, [ b ]) -> (d, 0, b)
-        | Some (d, [ x; b ]) -> (d, x, b)
-        | _ -> Fmt.failwith "%s: missing storage operand" mnem
+        match Target.memop ops k with
+        | Some m -> m
+        | None -> Fmt.failwith "%s: missing storage operand" mnem
       in
+      let v = Target.value in
       try
         Ok
           (match fmt with
-          | Insn.RR -> Insn.Rr { op = mnem; r1 = plain 0; r2 = plain 1 }
+          | Insn.RR ->
+              let r1 = plain 0 and r2 = plain 1 in
+              fun a -> Insn.Rr { op = mnem; r1 = a.(r1); r2 = a.(r2) }
           | Insn.RX ->
-              let d2, x2, b2 = memop 1 in
-              Insn.Rx { op = mnem; r1 = plain 0; d2; x2; b2 }
+              let r1 = plain 0 and d2, x2, b2 = memop 1 in
+              fun a ->
+                Insn.Rx
+                  { op = mnem; r1 = a.(r1); d2 = a.(d2); x2 = v a x2;
+                    b2 = v a b2 }
+          | Insn.RS when is_shift mnem ->
+              let r1 = plain 0 and d2, _, b2 = memop 1 in
+              fun a ->
+                Insn.Rs
+                  { op = mnem; r1 = a.(r1); r3 = 0; d2 = a.(d2); b2 = v a b2 }
           | Insn.RS ->
-              if is_shift mnem then
-                let d2, _, b2 = memop 1 in
-                Insn.Rs { op = mnem; r1 = plain 0; r3 = 0; d2; b2 }
-              else
-                let d2, _, b2 = memop 2 in
-                Insn.Rs { op = mnem; r1 = plain 0; r3 = plain 1; d2; b2 }
+              let r1 = plain 0 and r3 = plain 1 and d2, _, b2 = memop 2 in
+              fun a ->
+                Insn.Rs
+                  { op = mnem; r1 = a.(r1); r3 = a.(r3); d2 = a.(d2);
+                    b2 = v a b2 }
           | Insn.SI ->
-              let d1, _, b1 = memop 0 in
-              Insn.Si { op = mnem; d1; b1; i2 = plain 1 }
+              let d1, _, b1 = memop 0 and i2 = plain 1 in
+              fun a ->
+                Insn.Si { op = mnem; d1 = a.(d1); b1 = v a b1; i2 = a.(i2) }
           | Insn.SS ->
-              let l, d1, b1 =
-                match List.nth_opt vals 0 with
-                | Some (d, [ l; b ]) -> (l, d, b)
+              (* d(l,b): the length sits where an index would *)
+              let d1, l, b1 =
+                match Target.memop ops 0 with
+                | Some ((_, l, _) as m) when l >= 0 -> m
                 | _ -> Fmt.failwith "%s: first operand must be d(l,b)" mnem
               in
               let d2, _, b2 = memop 1 in
-              Insn.Ss { op = mnem; l; d1; b1; d2; b2 })
+              fun a ->
+                Insn.Ss
+                  { op = mnem; l = a.(l); d1 = a.(d1); b1 = a.(b1);
+                    d2 = a.(d2); b2 = v a b2 })
       with Failure m -> Error m)
 
 let spill_store ~fp ~reg ~dsp ~base =
@@ -126,7 +133,7 @@ let target : Target.t =
     spec_file = "specs/amdahl470.cgg";
     is_mnemonic = Insn.is_mnemonic;
     validate;
-    build_insn;
+    insn_builder;
     site_model = Target.Span_dependent;
     spill_store;
     reg_move;

@@ -249,36 +249,44 @@ let validate ~(mnem : string) ~(nsubs : int list) : (unit, string) result =
       fail "%s: pc-relative branches are written with the branch/skip semops"
         mnem
 
-let build_insn ~(mnem : string) (vals : (int * int list) list) :
-    (Insn.t, string) result =
-  let fail fmt = Fmt.kstr (fun m -> Error m) fmt in
-  let plain k =
-    match List.nth_opt vals k with
-    | Some (v, []) -> v
-    | _ -> Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
-  in
+let insn_builder ~(mnem : string) ~(nsubs : int list) :
+    (int array -> Insn.t, string) result =
   match Insn.r32_format_of_mnemonic mnem with
-  | None -> fail "unknown mnemonic %s at emission" mnem
+  | None -> Fmt.kstr (fun m -> Error m) "unknown mnemonic %s at emission" mnem
   | Some f -> (
+      let ops = Target.operands nsubs in
+      let plain k = Target.plain ops ~mnem k in
       try
         Ok
           (match f with
           | Insn.F_r3 ->
-              Insn.R3 { op = mnem; rd = plain 0; rs1 = plain 1; rs2 = plain 2 }
+              let rd = plain 0 and rs1 = plain 1 and rs2 = plain 2 in
+              fun a ->
+                Insn.R3 { op = mnem; rd = a.(rd); rs1 = a.(rs1); rs2 = a.(rs2) }
+          | Insn.F_r2 when mnem = "jr" ->
+              let rs = plain 0 in
+              fun a -> Insn.R2 { op = mnem; rd = 0; rs = a.(rs) }
           | Insn.F_r2 ->
-              if mnem = "jr" then Insn.R2 { op = mnem; rd = 0; rs = plain 0 }
-              else Insn.R2 { op = mnem; rd = plain 0; rs = plain 1 }
+              let rd = plain 0 and rs = plain 1 in
+              fun a -> Insn.R2 { op = mnem; rd = a.(rd); rs = a.(rs) }
           | Insn.F_ri ->
-              Insn.Ri { op = mnem; rd = plain 0; rs = plain 1; imm = plain 2 }
-          | Insn.F_li -> Insn.Li { op = mnem; rd = plain 0; imm = plain 1 }
+              let rd = plain 0 and rs = plain 1 and imm = plain 2 in
+              fun a ->
+                Insn.Ri { op = mnem; rd = a.(rd); rs = a.(rs); imm = a.(imm) }
+          | Insn.F_li ->
+              let rd = plain 0 and imm = plain 1 in
+              fun a -> Insn.Li { op = mnem; rd = a.(rd); imm = a.(imm) }
           | Insn.F_mem ->
               let dsp, rb =
-                match List.nth_opt vals 1 with
-                | Some (d, []) -> (d, 0)
-                | Some (d, [ b ]) -> (d, b)
+                match Target.memop ops 1 with
+                | Some (d, -1, b) -> (d, b)
                 | _ -> Fmt.failwith "%s: missing storage operand" mnem
               in
-              Insn.Mem { op = mnem; rd = plain 0; dsp; rb }
+              let rd = plain 0 in
+              fun a ->
+                Insn.Mem
+                  { op = mnem; rd = a.(rd); dsp = a.(dsp);
+                    rb = Target.value a rb }
           | Insn.F_bcc ->
               Fmt.failwith "%s: branches are emitted via branch sites" mnem)
       with Failure m -> Error m)
@@ -303,7 +311,7 @@ let target : Target.t =
     spec_file = "specs/risc32.cgg";
     is_mnemonic = Insn.r32_is_mnemonic;
     validate;
-    build_insn;
+    insn_builder;
     site_model = Target.Pc_relative;
     spill_store;
     reg_move;

@@ -21,6 +21,41 @@
       instruction; sizing is a single pass (the RISC-32 model). *)
 type site_model = Span_dependent | Pc_relative
 
+(** Where an instruction builder finds each operand's values: operand
+    [k]'s base value at [offsets.(k)] of the evaluated-operand array,
+    its [nsubs.(k)] sub values right after it, operand after operand. *)
+type operands = { nsubs : int array; offsets : int array }
+
+let operands (nsubs : int list) : operands =
+  let nsubs = Array.of_list nsubs in
+  let offsets = Array.make (Array.length nsubs) 0 in
+  for k = 1 to Array.length nsubs - 1 do
+    offsets.(k) <- offsets.(k - 1) + 1 + nsubs.(k - 1)
+  done;
+  { nsubs; offsets }
+
+(** The offset of operand [k], which must be written without
+    sub-operands; raises [Failure] otherwise. *)
+let plain (o : operands) ~mnem k =
+  if k < Array.length o.nsubs && o.nsubs.(k) = 0 then o.offsets.(k)
+  else Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
+
+(** The offsets of a storage operand's displacement, index and base
+    ([-1] for an index or base not written; see {!value}), or [None]
+    when operand [k] is missing or has more than two sub-operands. *)
+let memop (o : operands) k : (int * int * int) option =
+  if k >= Array.length o.nsubs then None
+  else
+    let d = o.offsets.(k) in
+    match o.nsubs.(k) with
+    | 0 -> Some (d, -1, -1)
+    | 1 -> Some (d, -1, d + 1)
+    | 2 -> Some (d, d + 1, d + 2)
+    | _ -> None
+
+(** The value at an offset, 0 for an operand part not written ([-1]). *)
+let value (vals : int array) i = if i < 0 then 0 else vals.(i)
+
 type t = {
   name : string;  (** registry key, e.g. "amdahl470" *)
   spec_file : string;  (** spec path relative to the repo root *)
@@ -29,9 +64,12 @@ type t = {
   validate : mnem:string -> nsubs:int list -> (unit, string) result;
       (** shape-check a template instruction at table-construction time:
           [nsubs] lists, per written operand, its sub-operand count *)
-  build_insn : mnem:string -> (int * int list) list -> (Insn.t, string) result;
-      (** build a symbolic instruction from evaluated operand values at
-          emission time (same shape as [validate] accepted) *)
+  insn_builder :
+    mnem:string -> nsubs:int list -> (int array -> Insn.t, string) result;
+      (** resolve a template instruction once (same shape as [validate]
+          accepted): the builder makes the symbolic instruction from the
+          operand values evaluated at emission time, laid out as
+          {!operands} describes, and allocates nothing else *)
   site_model : site_model;
   spill_store : fp:bool -> reg:int -> dsp:int -> base:int -> Insn.t;
       (** store an evicted CSE register to its temporary *)

@@ -303,7 +303,9 @@ module Programs = Programs
       rejecting new toplevel mutable bindings in the hot modules.
     - Results are placed by input index ({!Cogg.Pool.map}), so batch
       output order — and, since each compile is deterministic, every
-      byte of it — is identical to the sequential run. *)
+      byte of it — is identical to the sequential run.  The pool claims
+      the jobs largest source first ({!map_largest_first}), which
+      changes when each job runs, never where its result lands. *)
 module Batch = struct
   type job = {
     name : string;  (** label for reports; the source path under [pasc] *)
@@ -312,6 +314,27 @@ module Batch = struct
 
   type result_t = (compiled, string) result
 
+  (** [map_largest_first pool ~size f xs] is [Cogg.Pool.maybe pool f xs]
+      with the elements handed to a pool of two or more domains in
+      decreasing [size] (ties in input order).  The pool claims its
+      work in order, a chunk at a time, so a batch whose largest compile
+      came last would run it alone at the end; claimed first, it
+      overlaps the small ones and the batch finishes sooner.  Results
+      are placed by input index either way. *)
+  let map_largest_first (pool : Cogg.Pool.t option) ~(size : 'a -> int)
+      (f : 'a -> 'b) (xs : 'a array) : 'b array =
+    match pool with
+    | Some p when Cogg.Pool.size p > 1 && Array.length xs > 1 ->
+        let order = Array.init (Array.length xs) Fun.id in
+        Array.stable_sort
+          (fun a b -> compare (size xs.(b)) (size xs.(a)))
+          order;
+        let out = Cogg.Pool.map p (fun i -> f xs.(i)) order in
+        let rank = Array.make (Array.length xs) 0 in
+        Array.iteri (fun k i -> rank.(i) <- k) order;
+        Array.map (fun k -> out.(k)) rank
+    | _ -> Cogg.Pool.maybe pool f xs
+
   (** [compile_all ?pool tables jobs] compiles every job against
       [tables].  With a pool the jobs fan out across its domains; without
       one (or with a pool of size 1) the batch runs sequentially on the
@@ -319,7 +342,8 @@ module Batch = struct
       way. *)
   let compile_all ?pool ?cse ?checks ?strategy ?dispatch ?explain
       (tables : Cogg.Tables.t) (jobs : job array) : result_t array =
-    Cogg.Pool.maybe pool
+    map_largest_first pool
+      ~size:(fun j -> String.length j.source)
       (fun j ->
         (* the per-program span: events land in the compiling domain's
            buffer and are merged at serialization time, after the pool

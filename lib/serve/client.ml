@@ -88,15 +88,6 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
   if n = 0 then Ok [||]
   else begin
     let replies = Array.make n None in
-    let frame_len s =
-      if String.length s < 4 then None
-      else
-        Some
-          ((Char.code s.[0] lsl 24)
-          lor (Char.code s.[1] lsl 16)
-          lor (Char.code s.[2] lsl 8)
-          lor Char.code s.[3])
-    in
     (* one select-interleaved send/receive round over the given ids;
        replies land in [replies] by id (overwriting — a retry round
        replaces the [Overloaded] placeholder with the real answer) *)
@@ -113,8 +104,25 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
       let sent = ref 0 in
       let received = ref 0 in
       let want = Array.length ids in
-      let inbuf = ref "" in
-      let chunk = Bytes.create 65536 in
+      (* replies are read in place and decoded where they lie, so a reply
+         of n bytes costs O(n) copying however it arrives *)
+      let inb = Wire.inbuf () in
+      let rec take_replies () =
+        match Wire.next_frame inb with
+        | None -> ()
+        | Some (pos, len) -> (
+            match Wire.decode_reply_in inb.Wire.bytes ~pos ~len with
+            | Error m -> failwith m
+            | Ok reply ->
+                (match reply with
+                | (Wire.Compiled { id; _ } | Wire.Overloaded { id; _ })
+                  when id >= 0 && id < n && outstanding.(id) ->
+                    outstanding.(id) <- false;
+                    incr received;
+                    replies.(id) <- Some reply
+                | _ -> failwith "unexpected reply in batch");
+                take_replies ())
+      in
       while !received < want do
         let want_write = !sent < out_len in
         let readable, writable, _ =
@@ -124,38 +132,9 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
         if readable = [] && writable = [] then
           failwith "timed out waiting for the daemon";
         if readable <> [] then begin
-          let r =
-            Wire.retry_eintr (fun () ->
-                Unix.read t.fd chunk 0 (Bytes.length chunk))
-          in
-          if r = 0 then failwith "daemon closed the connection";
-          inbuf := !inbuf ^ Bytes.sub_string chunk 0 r;
-          let continue = ref true in
-          while !continue do
-            match frame_len !inbuf with
-            | Some len when String.length !inbuf >= 4 + len -> (
-                let payload = String.sub !inbuf 4 len in
-                inbuf :=
-                  String.sub !inbuf (4 + len) (String.length !inbuf - 4 - len);
-                match Wire.decode_reply payload with
-                | Error m -> failwith m
-                | Ok reply -> (
-                    let id =
-                      match reply with
-                      | Wire.Compiled { id; _ } | Wire.Overloaded { id; _ } ->
-                          Some id
-                      | Wire.Stats_reply _ | Wire.Hello_reply _ | Wire.Ack
-                      | Wire.Bye ->
-                          None
-                    in
-                    match id with
-                    | Some id when id >= 0 && id < n && outstanding.(id) ->
-                        outstanding.(id) <- false;
-                        incr received;
-                        replies.(id) <- Some reply
-                    | _ -> failwith "unexpected reply in batch"))
-            | _ -> continue := false
-          done
+          if Wire.retry_eintr (fun () -> Wire.read_into t.fd inb) = 0 then
+            failwith "daemon closed the connection";
+          take_replies ()
         end;
         if writable <> [] && !sent < out_len then
           sent :=

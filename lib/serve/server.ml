@@ -10,7 +10,7 @@
       round-trip (the fast path the benchmark measures);
     - everything else joins a bounded pending queue (full queue =>
       [Overloaded], the admission-control contract) and is drained in
-      batches through [Pool.maybe], exactly like
+      batches through [Pipeline.Batch.map_largest_first], exactly like
       [Pipeline.Batch.compile_all] — so a served batch is byte-identical
       to a direct one;
     - [Pause n] suspends draining for [n] ms without suspending
@@ -35,10 +35,7 @@ type entry = { body : Wire.outcome; mutable verified : bool }
 
 type conn = {
   fd : Unix.file_descr;
-  mutable buf : Bytes.t;
-  mutable start : int;
-  mutable stop : int;
-      (** [buf] holds received bytes not yet framed in [\[start, stop)] *)
+  inb : Wire.inbuf;  (** received bytes not yet framed *)
   mutable alive : bool;
 }
 
@@ -117,11 +114,14 @@ let run_compile (tables : Cogg.Tables.t) (o : Wire.options) (source : string) :
   | exception e -> Error ("internal: " ^ Printexc.to_string e)
 
 (** The result-cache key: table identity, canonical option bytes,
-    source text — content-addressed end to end. *)
+    source text — content-addressed end to end.  The source is digested
+    on its own and only that digest joins the short parts, so a request
+    costs no second copy of its source. *)
 let cache_key (t : t) (o : Wire.options) (source : string) : string =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00" [ t.table_key; Wire.options_tag o; source ]))
+       (String.concat "\x00"
+          [ t.table_key; Wire.options_tag o; Digest.string source ]))
 
 (* -- connection plumbing ------------------------------------------------------ *)
 
@@ -213,15 +213,17 @@ let handle_request (t : t) (c : conn) (req : Wire.request) =
 
 (* -- queue draining ----------------------------------------------------------- *)
 
-(** Drain every pending compile through the pool in one batch (results
-    placed by index, same determinism argument as [Batch.compile_all]),
-    then apply the cache policy and reply in request order. *)
+(** Drain every pending compile through the pool in one batch, claimed
+    largest source first and placed by index (the same helper and the
+    same determinism argument as [Batch.compile_all]), then apply the
+    cache policy and reply in request order. *)
 let drain (t : t) =
   if not (Queue.is_empty t.pending) then begin
     let jobs = Array.of_seq (Queue.to_seq t.pending) in
     Queue.clear t.pending;
     let results =
-      Cogg.Pool.maybe t.pool
+      Pipeline.Batch.map_largest_first t.pool
+        ~size:(fun j -> String.length j.j_source)
         (fun j -> run_compile t.tables j.j_options j.j_source)
         jobs
     in
@@ -262,29 +264,17 @@ let drain (t : t) =
 
 (* -- frame extraction --------------------------------------------------------- *)
 
-(* a connection's receive buffer starts at this size, and returns to it
-   whenever it drains *)
-let buffer_size = 65536
-
-(* the length prefix of the next frame, once its 4 bytes are in *)
-let frame_len (c : conn) : int option =
-  if c.stop - c.start < 4 then None
-  else Some (Int32.to_int (Bytes.get_int32_be c.buf c.start) land 0xFFFF_FFFF)
-
 (** Consume every complete frame buffered on the connection; a protocol
     violation (oversized frame, undecodable request) drops the
     connection — there is no way to resynchronize a framed stream. *)
 let rec process_frames (t : t) (c : conn) =
-  match frame_len c with
+  match Wire.next_frame c.inb with
   | None -> ()
-  | Some n when n > Wire.max_frame ->
-      Log.warn (fun f -> f "dropping client: oversized frame (%d bytes)" n);
+  | exception Failure m ->
+      Log.warn (fun f -> f "dropping client: %s" m);
       close_conn t c
-  | Some n when c.stop - c.start < 4 + n -> ()
-  | Some n -> (
-      let payload = Bytes.sub_string c.buf (c.start + 4) n in
-      c.start <- c.start + 4 + n;
-      match Wire.decode_request payload with
+  | Some (pos, len) -> (
+      match Wire.decode_request_in c.inb.Wire.bytes ~pos ~len with
       | Error m ->
           Log.warn (fun f -> f "dropping client: %s" m);
           close_conn t c
@@ -292,30 +282,12 @@ let rec process_frames (t : t) (c : conn) =
           handle_request t c req;
           if c.alive && not t.stop then process_frames t c)
 
-(* Read straight into the buffer after [stop].  A full buffer first
-   slides its unframed bytes to the front, or doubles when none can be
-   dropped, so a frame's bytes are copied a bounded number of times
-   however they arrive. *)
 let on_readable (t : t) (c : conn) =
-  let size = Bytes.length c.buf in
-  if c.stop = size then begin
-    let buf = if c.start > 0 then c.buf else Bytes.create (2 * size) in
-    Bytes.blit c.buf c.start buf 0 (c.stop - c.start);
-    c.buf <- buf;
-    c.stop <- c.stop - c.start;
-    c.start <- 0
-  end;
-  match Unix.read c.fd c.buf c.stop (Bytes.length c.buf - c.stop) with
+  match Wire.read_into c.fd c.inb with
   | 0 -> close_conn t c
-  | n ->
-      c.stop <- c.stop + n;
+  | _ ->
       process_frames t c;
-      if c.start = c.stop then begin
-        c.start <- 0;
-        c.stop <- 0;
-        if Bytes.length c.buf > buffer_size then
-          c.buf <- Bytes.create buffer_size
-      end
+      Wire.drained c.inb
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       close_conn t c
 
@@ -384,14 +356,7 @@ let run (t : t) : unit =
               match Unix.accept t.sock with
               | cfd, _ ->
                   t.conns <-
-                    {
-                      fd = cfd;
-                      buf = Bytes.create buffer_size;
-                      start = 0;
-                      stop = 0;
-                      alive = true;
-                    }
-                    :: t.conns
+                    { fd = cfd; inb = Wire.inbuf (); alive = true } :: t.conns
               | exception Unix.Unix_error _ -> ()
             end
             else

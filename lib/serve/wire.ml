@@ -104,12 +104,6 @@ let payload encode =
   encode o;
   Bytes.sub_string o.buf 0 o.len
 
-let get_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 (* tri-state option byte: 0 = server default, 1 = false, 2 = true *)
 let opt_bool_byte = function
   | None -> '\000'
@@ -167,33 +161,45 @@ let add_request o r =
 
 let encode_request r = payload (fun o -> encode_request_into o r)
 
-let decode_request (s : string) : (request, string) result =
+(* A payload is decoded where it lies, [len] bytes of [b] from [pos]:
+   the strings a message carries are its only copies. *)
+let get_u32 b pos =
+  (Char.code (Bytes.get b pos) lsl 24)
+  lor (Char.code (Bytes.get b (pos + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (pos + 2)) lsl 8)
+  lor Char.code (Bytes.get b (pos + 3))
+
+let decode_request_in (b : Bytes.t) ~(pos : int) ~(len : int) :
+    (request, string) result =
   let ( let* ) = Result.bind in
-  let n = String.length s in
+  let n = len and at i = Bytes.get b (pos + i) in
   if n = 0 then Error "empty request frame"
   else
-    match s.[0] with
+    match at 0 with
     | 'C' ->
         if n < 8 then Error "truncated compile request"
         else
-          let* cse = get_opt_bool s.[5] in
-          let* checks = get_opt_bool s.[6] in
-          let* dispatch = dispatch_of_byte s.[7] in
+          let* cse = get_opt_bool (at 5) in
+          let* checks = get_opt_bool (at 6) in
+          let* dispatch = dispatch_of_byte (at 7) in
           Ok
             (Compile
                {
-                 id = get_u32 s 1;
+                 id = get_u32 b (pos + 1);
                  options = { cse; checks; dispatch };
-                 source = String.sub s 8 (n - 8);
+                 source = Bytes.sub_string b (pos + 8) (n - 8);
                })
     | 'S' -> Ok Stats
     | 'P' -> Ok Ping
     | 'Z' ->
         if n < 5 then Error "truncated pause request"
-        else Ok (Pause (get_u32 s 1))
+        else Ok (Pause (get_u32 b (pos + 1)))
     | 'H' -> Ok Hello
     | 'Q' -> Ok Shutdown
     | c -> Error (Printf.sprintf "unknown request tag %d" (Char.code c))
+
+let decode_request (s : string) : (request, string) result =
+  decode_request_in (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* -- replies ------------------------------------------------------------------ *)
 
@@ -238,43 +244,45 @@ let add_reply o r =
 
 let encode_reply r = payload (fun o -> encode_reply_into o r)
 
-let decode_reply (s : string) : (reply, string) result =
-  let n = String.length s in
+let decode_reply_in (b : Bytes.t) ~(pos : int) ~(len : int) :
+    (reply, string) result =
+  let n = len and at i = Bytes.get b (pos + i) in
+  let sub i k = Bytes.sub_string b (pos + i) k in
   if n = 0 then Error "empty reply frame"
   else
-    match s.[0] with
+    match at 0 with
     | 'R' ->
         if n < 7 then Error "truncated compile reply"
         else
-          let id = get_u32 s 1 in
-          let cached = s.[5] = '\001' in
-          (match s.[6] with
+          let id = get_u32 b (pos + 1) in
+          let cached = at 5 = '\001' in
+          (match at 6 with
           | 'K' ->
               if n < 11 then Error "truncated compile reply body"
               else
-                let ll = get_u32 s 7 in
+                let ll = get_u32 b (pos + 7) in
                 if 11 + ll > n then Error "listing length out of range"
                 else
-                  let listing = String.sub s 11 ll in
-                  let code = String.sub s (11 + ll) (n - 11 - ll) in
+                  let listing = sub 11 ll in
+                  let code = sub (11 + ll) (n - 11 - ll) in
                   Ok (Compiled { id; cached; outcome = Ok (listing, code) })
-          | 'E' ->
-              Ok
-                (Compiled
-                   { id; cached; outcome = Error (String.sub s 7 (n - 7)) })
+          | 'E' -> Ok (Compiled { id; cached; outcome = Error (sub 7 (n - 7)) })
           | c -> Error (Printf.sprintf "bad outcome tag %d" (Char.code c)))
     | 'O' ->
         if n < 5 then Error "truncated overloaded reply"
         else
           (* pre-hint peers encode only the id; treat a missing hint as
              "retry whenever", not a decode error *)
-          let retry_after_ms = if n >= 9 then get_u32 s 5 else 0 in
-          Ok (Overloaded { id = get_u32 s 1; retry_after_ms })
-    | 'T' -> Ok (Stats_reply (String.sub s 1 (n - 1)))
-    | 'h' -> Ok (Hello_reply (String.sub s 1 (n - 1)))
+          let retry_after_ms = if n >= 9 then get_u32 b (pos + 5) else 0 in
+          Ok (Overloaded { id = get_u32 b (pos + 1); retry_after_ms })
+    | 'T' -> Ok (Stats_reply (sub 1 (n - 1)))
+    | 'h' -> Ok (Hello_reply (sub 1 (n - 1)))
     | 'A' -> Ok Ack
     | 'B' -> Ok Bye
     | c -> Error (Printf.sprintf "unknown reply tag %d" (Char.code c))
+
+let decode_reply (s : string) : (reply, string) result =
+  decode_reply_in (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* -- frame I/O ---------------------------------------------------------------- *)
 
@@ -305,6 +313,60 @@ let write_out (fd : Unix.file_descr) (o : out) : unit =
     sent :=
       !sent + retry_eintr (fun () -> Unix.write fd o.buf !sent (o.len - !sent))
   done
+
+(* -- receive buffers --------------------------------------------------------- *)
+
+type inbuf = {
+  mutable bytes : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+}
+
+(* a receive buffer starts at this size, and [drained] returns it there *)
+let inbuf_size = 65536
+
+let inbuf () = { bytes = Bytes.create inbuf_size; start = 0; stop = 0 }
+
+let read_into fd (b : inbuf) : int =
+  let size = Bytes.length b.bytes in
+  if b.stop = size then begin
+    (* the frame in progress, once its length prefix is in, says how
+       much room it needs *)
+    let pending = b.stop - b.start in
+    let frame =
+      if pending < 4 then 0 else 4 + min max_frame (get_u32 b.bytes b.start)
+    in
+    let bytes =
+      if b.start > 0 && frame <= size then b.bytes
+      else Bytes.create (max (2 * size) frame)
+    in
+    Bytes.blit b.bytes b.start bytes 0 pending;
+    b.bytes <- bytes;
+    b.stop <- b.stop - b.start;
+    b.start <- 0
+  end;
+  let n = Unix.read fd b.bytes b.stop (Bytes.length b.bytes - b.stop) in
+  b.stop <- b.stop + n;
+  n
+
+let next_frame (b : inbuf) : (int * int) option =
+  if b.stop - b.start < 4 then None
+  else
+    let n = get_u32 b.bytes b.start in
+    if n > max_frame then
+      failwith (Printf.sprintf "oversized frame (%d bytes)" n)
+    else if b.stop - b.start < 4 + n then None
+    else begin
+      b.start <- b.start + 4 + n;
+      Some (b.start - n, n)
+    end
+
+let drained (b : inbuf) =
+  if b.start = b.stop then begin
+    b.start <- 0;
+    b.stop <- 0;
+    if Bytes.length b.bytes > inbuf_size then b.bytes <- Bytes.create inbuf_size
+  end
 
 let read_exact fd n ~what : string =
   let buf = Bytes.create n in

@@ -115,11 +115,52 @@ val write_out : Unix.file_descr -> out -> unit
 val encode_request : request -> string
 val decode_request : string -> (request, string) result
 
+val decode_request_in :
+  Bytes.t -> pos:int -> len:int -> (request, string) result
+(** [decode_request_in b ~pos ~len] decodes the payload held in [len]
+    bytes of [b] from [pos], as a receive buffer holds it: a compile
+    request's source is copied once, out of [b]. *)
+
 val encode_reply : reply -> string
 (** A payload without its length prefix, exactly the bytes a frame
     carries after it; no size cap. *)
 
 val decode_reply : string -> (reply, string) result
+
+val decode_reply_in : Bytes.t -> pos:int -> len:int -> (reply, string) result
+(** {!decode_reply} on a payload in place, as {!decode_request_in}: a
+    compile reply's listing and code are each copied once, out of [b]. *)
+
+(** {2 Receive buffers}
+
+    A connection's received bytes not yet framed, in [\[start, stop)] of
+    [bytes]; each read lands in place after [stop].  A full buffer first
+    slides its unframed bytes to the front; when the frame in progress
+    cannot fit, they move to a new buffer of twice the size, or of the
+    frame's whole length once its prefix is in.  So a frame's bytes are
+    copied a bounded number of times however they arrive, and a frame
+    is decoded where it lies ({!decode_request_in}, {!decode_reply_in}). *)
+
+type inbuf = {
+  mutable bytes : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+}
+
+val inbuf : unit -> inbuf
+
+val read_into : Unix.file_descr -> inbuf -> int
+(** One [Unix.read] into the buffer, after making room; the count read,
+    0 at end of stream.  Raises [Unix.Unix_error] as [Unix.read] does. *)
+
+val next_frame : inbuf -> (int * int) option
+(** The position and length of the next complete frame's payload, which
+    it consumes; [None] until one is complete.  Raises [Failure] on a
+    length prefix over {!max_frame}. *)
+
+val drained : inbuf -> unit
+(** When every received byte has been framed, rewind the buffer and
+    shrink it back to its starting size. *)
 
 val read_frame : Unix.file_descr -> string option
 (** Read one frame, blocking; [None] on clean EOF before a length

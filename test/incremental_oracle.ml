@@ -4,8 +4,9 @@
    duplication, production removal — are applied textually to both real
    specs, and the incremental rebuild (spliced from the previous build
    of the unedited spec) must be byte-identical to a from-scratch build
-   of the edited text.  When an edit makes the spec invalid, both paths
-   must report the same errors.  The @incremental alias runs this
+   of the edited text, and emit the same code for the named programs.
+   When an edit makes the spec invalid, both paths must report the same
+   errors.  The @incremental alias runs this
    executable at COGG_JOBS=1 and COGG_JOBS=max, so the guarantee covers
    any worker count, the same discipline the batch determinism suite
    established for parallel builds.
@@ -158,6 +159,15 @@ let previous ~pool (s : subject) : Cogg.Tables.t =
   | Ok t -> t
   | Error es -> fail "%s: baseline build failed: %s" s.name (errors_str es)
 
+(* the named programs' listings, object bytes and errors, digested *)
+let emitted (t : Cogg.Tables.t) : string =
+  Pipeline.Batch.fingerprint
+    (Pipeline.Batch.compile_all t
+       (Array.of_list
+          (List.map
+             (fun (name, source) -> { Pipeline.Batch.name; source })
+             Pipeline.Programs.all)))
+
 let check_edit ~pool ~prev (s : subject) kind seed : unit =
   match apply kind s.text seed with
   | None -> ()
@@ -176,6 +186,11 @@ let check_edit ~pool ~prev (s : subject) kind seed : unit =
             fail "%s %s(%d): incremental bytes differ from scratch (%s)"
               s.name (kind_name kind) seed
               (Fmt.str "%a" Cogg.Cogg_build.pp_incr_stats stats);
+          (* what emission derives from the templates is not in the
+             bundle: both tables must also emit the same code *)
+          if emitted a <> emitted b then
+            fail "%s %s(%d): incremental tables emit other code than scratch"
+              s.name (kind_name kind) seed;
           (* a pure template tweak must actually splice; anything that
              recompiles every template defeats the point *)
           if kind = Tweak && not stats.Cogg.Cogg_build.spliced_tables then

@@ -275,6 +275,173 @@ let test_fpr_bank_independent () =
   R.release t R.Fp f;
   Alcotest.(check bool) "gpr untouched by fpr release" true (R.is_busy t R.Gp g)
 
+(* -- the list-based allocator as the reference ----------------------------- *)
+
+module Ref = Reference.Regalloc
+
+(* one call into the allocator; [fp] picks the floating bank *)
+type op =
+  | Begin
+  | Alloc of S.reg_class
+  | Need of S.reg_class * int
+  | Release of bool * int
+  | Retain of bool * int * int  (** count *)
+  | Bind of bool * int * int * int  (** CSE id, shares *)
+  | Consume of bool * int
+  | Drop of bool * int
+  | Touch of bool * int
+
+let classes = S.[ Gpr; Pair; Fpr; Fpair; Cc; Noclass ]
+let cls_name c = Fmt.str "%a" S.pp_reg_class c
+
+let pp_op = function
+  | Begin -> "begin"
+  | Alloc c -> "alloc " ^ cls_name c
+  | Need (c, r) -> Printf.sprintf "need %s r%d" (cls_name c) r
+  | Release (fp, r) -> Printf.sprintf "release %b r%d" fp r
+  | Retain (fp, r, n) -> Printf.sprintf "retain %b r%d x%d" fp r n
+  | Bind (fp, r, c, n) -> Printf.sprintf "bind %b r%d cse %d shares %d" fp r c n
+  | Consume (fp, r) -> Printf.sprintf "consume %b r%d" fp r
+  | Drop (fp, r) -> Printf.sprintf "drop %b r%d" fp r
+  | Touch (fp, r) -> Printf.sprintf "touch %b r%d" fp r
+
+(* a register of the bank: general registers 0-15, floating 0-7 *)
+let gen_reg fp = QCheck.Gen.int_bound (if fp then 7 else 15)
+
+let gen_op =
+  let open QCheck.Gen in
+  let bank_reg = bool >>= fun fp -> gen_reg fp >|= fun r -> (fp, r) in
+  frequency
+    [
+      (3, return Begin);
+      (6, oneofl classes >|= fun c -> Alloc c);
+      ( 1,
+        oneofl classes >>= fun c ->
+        gen_reg (R.bank_of_class c = R.Fp) >|= fun r -> Need (c, r) );
+      (4, bank_reg >|= fun (fp, r) -> Release (fp, r));
+      ( 2,
+        pair bank_reg (int_range 1 3) >|= fun ((fp, r), n) ->
+        Retain (fp, r, n) );
+      ( 2,
+        triple bank_reg (int_bound 20) (int_bound 3) >|= fun ((fp, r), c, n) ->
+        Bind (fp, r, c, n) );
+      (1, bank_reg >|= fun (fp, r) -> Consume (fp, r));
+      (1, bank_reg >|= fun (fp, r) -> Drop (fp, r));
+      (1, bank_reg >|= fun (fp, r) -> Touch (fp, r));
+    ]
+
+let strategies = [ (R.Lru, Ref.Lru); (R.Round_robin, Ref.Round_robin);
+                   (R.First_free, Ref.First_free) ]
+
+let arb_run =
+  QCheck.make
+    ~print:(fun (k, ops) ->
+      R.strategy_name (fst (List.nth strategies k))
+      ^ ": " ^ String.concat "; " (List.map pp_op ops))
+    QCheck.Gen.(pair (int_bound 2) (list_size (int_range 1 300) gen_op))
+
+let pp_ev = function
+  | None -> ""
+  | Some (c, r) -> Printf.sprintf " evicting cse %d from r%d" c r
+
+(* each call's observable result, as text both allocators can produce *)
+let run_new t = function
+  | Begin -> R.begin_reduction t; ""
+  | Alloc c -> (
+      match R.alloc t c with
+      | r, ev ->
+          Printf.sprintf "r%d%s" r
+            (pp_ev (Option.map (fun e -> (e.R.ev_cse, e.R.ev_reg)) ev))
+      | exception R.Pressure m -> "pressure: " ^ m)
+  | Need (c, r) -> (
+      match R.need t c r with
+      | Ok (tr, ev) ->
+          Printf.sprintf "ok%s%s"
+            (match tr with
+            | Some tr -> Printf.sprintf " r%d->r%d" tr.R.tr_from tr.R.tr_to
+            | None -> "")
+            (pp_ev (Option.map (fun e -> (e.R.ev_cse, e.R.ev_reg)) ev))
+      | Error m -> "error: " ^ m)
+  | Release (fp, r) -> R.release t (if fp then R.Fp else R.Gp) r; ""
+  | Retain (fp, r, count) -> R.retain ~count t (if fp then R.Fp else R.Gp) r; ""
+  | Bind (fp, r, c, shares) ->
+      R.bind_cse ~shares t (if fp then R.Fp else R.Gp) r c; ""
+  | Consume (fp, r) -> R.consume_cse_share t (if fp then R.Fp else R.Gp) r; ""
+  | Drop (fp, r) -> R.drop_cse_shares t (if fp then R.Fp else R.Gp) r; ""
+  | Touch (fp, r) -> (
+      match R.touch t (if fp then R.Fp else R.Gp) r with
+      | Some c -> Printf.sprintf "cse %d" c
+      | None -> "")
+
+let run_ref t = function
+  | Begin -> Ref.begin_reduction t; ""
+  | Alloc c -> (
+      match Ref.alloc t c with
+      | r, ev ->
+          Printf.sprintf "r%d%s" r
+            (pp_ev (Option.map (fun e -> (e.Ref.ev_cse, e.Ref.ev_reg)) ev))
+      | exception Ref.Pressure m -> "pressure: " ^ m)
+  | Need (c, r) -> (
+      match Ref.need t c r with
+      | Ok (tr, ev) ->
+          Printf.sprintf "ok%s%s"
+            (match tr with
+            | Some tr -> Printf.sprintf " r%d->r%d" tr.Ref.tr_from tr.Ref.tr_to
+            | None -> "")
+            (pp_ev (Option.map (fun e -> (e.Ref.ev_cse, e.Ref.ev_reg)) ev))
+      | Error m -> "error: " ^ m)
+  | Release (fp, r) -> Ref.release t (if fp then Ref.Fp else Ref.Gp) r; ""
+  | Retain (fp, r, count) ->
+      Ref.retain ~count t (if fp then Ref.Fp else Ref.Gp) r; ""
+  | Bind (fp, r, c, shares) ->
+      Ref.bind_cse ~shares t (if fp then Ref.Fp else Ref.Gp) r c; ""
+  | Consume (fp, r) -> Ref.consume_cse_share t (if fp then Ref.Fp else Ref.Gp) r; ""
+  | Drop (fp, r) -> Ref.drop_cse_shares t (if fp then Ref.Fp else Ref.Gp) r; ""
+  | Touch (fp, r) -> (
+      match Ref.touch t (if fp then Ref.Fp else Ref.Gp) r with
+      | Some c -> Printf.sprintf "cse %d" c
+      | None -> "")
+
+(* every register's state, the statistics, the cursor and the usage index *)
+let state_new (t : R.t) =
+  let reg (st : R.reg) =
+    (st.R.busy, st.R.use_count, st.R.usage_index, st.R.cse, st.R.cse_shares)
+  in
+  let s = t.R.stats in
+  ( Array.map reg (Array.append t.R.gprs t.R.fprs),
+    [ s.R.n_allocs; s.R.n_evictions; s.R.n_transfers; s.R.reuse_sum;
+      s.R.reuse_count; s.R.gp_peak; s.R.fp_peak; t.R.cursor; t.R.global_index ] )
+
+let state_ref (t : Ref.t) =
+  let reg (st : Ref.reg) =
+    (st.Ref.busy, st.Ref.use_count, st.Ref.usage_index, st.Ref.cse,
+     st.Ref.cse_shares)
+  in
+  let s = t.Ref.stats in
+  ( Array.map reg (Array.append t.Ref.gprs t.Ref.fprs),
+    [ s.Ref.n_allocs; s.Ref.n_evictions; s.Ref.n_transfers;
+      List.fold_left ( + ) 0 s.Ref.reuse_distances;
+      List.length s.Ref.reuse_distances; s.Ref.gp_peak; s.Ref.fp_peak;
+      t.Ref.cursor; t.Ref.global_index ] )
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:600
+    ~name:"every call agrees with the list-based allocator" arb_run
+    (fun (k, ops) ->
+      let strategy, ref_strategy = List.nth strategies k in
+      let t = R.create ~strategy () and t' = Ref.create ~strategy:ref_strategy () in
+      List.iteri
+        (fun i op ->
+          let got = run_new t op and want = run_ref t' op in
+          if got <> want then
+            QCheck.Test.fail_reportf "call %d (%s): %S, reference %S" i
+              (pp_op op) got want;
+          if state_new t <> state_ref t' then
+            QCheck.Test.fail_reportf "call %d (%s): register state or stats differ"
+              i (pp_op op))
+        ops;
+      true)
+
 let () =
   Alcotest.run "regalloc"
     [
@@ -308,4 +475,5 @@ let () =
           Alcotest.test_case "share consumption" `Quick test_consume_share;
           Alcotest.test_case "touch reports binding" `Quick test_touch_reports_cse;
         ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
     ]

@@ -585,6 +585,43 @@ let opcode_coverage name () =
     "template mnemonics no case emits" []
     (SS.elements (SS.diff templates emitted))
 
+(* The digest of every listing, object image and error text over the
+   example bank (examples/programs) and the named programs, per target
+   and allocation strategy.  The ablation is the only other place the
+   round-robin and first-free strategies run, so these pin the bytes the
+   allocator emits under each of them, not only under LRU. *)
+let pinned_bytes =
+  Cogg.Regalloc.
+    [
+      ( "amdahl470",
+        [ (Lru, "103aa2618ae5c70fb6bfe37365b187e6");
+          (Round_robin, "3502bc54d004eaf0b468fb50463dceb2");
+          (First_free, "e389bf623167dbdea3417c60a4af581a") ] );
+      ( "risc32",
+        [ (Lru, "436ceb677b09da7115bccfcf0836191c");
+          (Round_robin, "1186767c2ebc62e444643860691ebae5");
+          (First_free, "f3c2e3ffd3b600f0935183f96c7ebc4e") ] );
+    ]
+
+let emitted_bytes name strategy want () =
+  let tables = tables name in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (_, src) ->
+      match Pipeline.compile ~strategy tables src with
+      | Ok c ->
+          Buffer.add_string b c.Pipeline.gen.Cogg.Codegen.listing;
+          Buffer.add_char b '\000';
+          Buffer.add_string b (Pipeline.Batch.code_bytes c);
+          Buffer.add_char b '\001'
+      | Error m ->
+          Buffer.add_string b m;
+          Buffer.add_char b '\002')
+    (Util.example_programs () @ Pipeline.Programs.all);
+  Alcotest.(check string)
+    "digest of the listings, object bytes and errors" want
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let tc label f = Alcotest.test_case label `Quick f
 
 let cases_for name =
@@ -598,6 +635,12 @@ let cases_for name =
           variants)
       [ (Cogg.Lookahead.Slr, "slr"); (Cogg.Lookahead.Lalr, "lalr") ]
   @ [ tc "opcode coverage" (opcode_coverage name) ]
+  @ List.map
+      (fun (strategy, want) ->
+        tc
+          ("emitted bytes " ^ Cogg.Regalloc.strategy_name strategy)
+          (emitted_bytes name strategy want))
+      (Option.value ~default:[] (List.assoc_opt name pinned_bytes))
 
 (* a differential case judges two machines at once, so it is named by
    both: a divergence cannot say which of them is wrong *)
