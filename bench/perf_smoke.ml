@@ -15,7 +15,7 @@
              file's bytes and any large array never pass through the
              minor heap, so minor words alone would miss them);
      line 4: one from-scratch SLR table build of specs/amdahl470.cgg
-             (Cogg.Cogg_build.build of the parsed spec, no pool: LR(0),
+             (Cogg.Cogg_build.build of the parsed spec: LR(0),
              lookaheads, the action fill, the comb, the templates),
              words per build, counted as line 3 counts them.
    Each budget is ~1.5x the measured steady-state figure.  These counts

@@ -78,10 +78,10 @@ let spec_for target spec_opt =
   | None -> target.Machine.Target.spec_file
 
 (* Built tables are cached on disk keyed by the spec's content digest
-   (plus the target name), so repeat runs skip LR construction entirely;
-   on a miss, the pool (if any) parallelizes the build itself. *)
-let load_tables ?pool ?target spec_path =
-  match Cogg.Tables_cache.build_file ?pool ?target spec_path with
+   (plus the target name), so repeat runs skip LR construction
+   entirely. *)
+let load_tables ?target spec_path =
+  match Cogg.Tables_cache.build_file ?target spec_path with
   | Ok (t, origin) ->
       if Sys.getenv_opt "COGG_CACHE_VERBOSE" <> None then
         Fmt.epr "[tables-cache] %s: %a@." spec_path Cogg.Tables_cache.pp_origin
@@ -106,7 +106,7 @@ let run_executed (x : Pipeline.executed) =
 
 let compile_cmd =
   let run target spec_opt src_paths jobs no_cse checks baseline
-      show_if show_listing run_it verify stats trace explain dispatch =
+      show_if show_listing run_it verify stats trace explain =
     let spec_path = spec_for target spec_opt in
     if baseline && target.Machine.Target.name <> Machine.Targets.default.Machine.Target.name
     then
@@ -153,6 +153,7 @@ let compile_cmd =
       (* the parallel engine: one shared table bundle, per-program work
          fanned out over the pool; -j 1 (the default) passes no pool and
          takes the sequential path *)
+      let tables = load_tables ~target spec_path in
       let domains =
         if jobs = 0 then Domain.recommended_domain_count () else jobs
       in
@@ -161,7 +162,6 @@ let compile_cmd =
         else Cogg.Pool.with_pool ~domains (fun p -> f (Some p))
       in
       with_pool @@ fun pool ->
-      let tables = load_tables ?pool ~target spec_path in
       let batch =
         Array.of_list
           (List.map
@@ -171,7 +171,7 @@ let compile_cmd =
       let results =
         Cogg.Trace.with_span ~cat:"batch" "batch" (fun () ->
             Pipeline.Batch.compile_all ?pool ~cse:(not no_cse) ~checks
-              ~dispatch ~explain tables batch)
+              ~explain tables batch)
       in
       (* reporting stays sequential and in input order: batch output must
          be byte-identical to compiling the files one by one *)
@@ -245,16 +245,7 @@ let compile_cmd =
       $ trace_arg
       $ flag [ "explain" ]
           "Annotate every emitted instruction with the production and \
-           directives responsible for it (table-driven generators only)"
-      $ Arg.(
-          value
-          & opt
-              (enum [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ])
-              Cogg.Driver.Comb
-          & info [ "dispatch" ] ~docv:"D"
-              ~doc:
-                "Parse-table dispatch the driver probes: $(b,comb) \
-                 (packed, the default) or $(b,flat) (uncompressed)."))
+           directives responsible for it (table-driven generators only)")
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -492,6 +483,7 @@ let socket_arg =
 let serve_cmd =
   let run target spec_opt socket jobs queue_capacity cache_capacity =
     let spec_path = spec_for target spec_opt in
+    let tables = load_tables ~target spec_path in
     let domains =
       if jobs = 0 then Domain.recommended_domain_count () else jobs
     in
@@ -500,17 +492,9 @@ let serve_cmd =
       else Cogg.Pool.with_pool ~domains (fun p -> f (Some p))
     in
     with_pool @@ fun pool ->
-    let tables = load_tables ?pool ~target spec_path in
-    (* the table bundle's own cache key doubles as its identity in every
-       result-cache key, so results can never outlive the spec (or the
-       target) they were compiled under *)
-    let table_key =
-      Cogg.Tables_cache.key ~target ~mode:Cogg.Lookahead.Slr
-        (read_file spec_path)
-    in
     let server =
       or_die
-        (Serve.Server.create ?pool ~queue_capacity ~cache_capacity ~table_key
+        (Serve.Server.create ?pool ~queue_capacity ~cache_capacity
            ~socket_path:socket tables)
     in
     Fmt.epr "pascd: serving %s [%s] on %s (%d domain%s)@." spec_path

@@ -26,10 +26,9 @@ let pp_error ppf = function
   | Resolve_failure m -> Fmt.pf ppf "loader record generation failed: %s" m
 
 (** Generate code for a linearized IF program. *)
-let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?reload_dsp
-    ?reload_reg ?(explain = false) ?on_reduce (tables : Tables.t)
-    (input : Ifl.Token.t list) : (result_t, error) result =
-  let emitter = Emit.create ~strategy ?reload_dsp ?reload_reg ~explain tables in
+let generate ?(strategy = Regalloc.Lru) ?dispatch ?(explain = false) ?on_reduce
+    (tables : Tables.t) (input : Ifl.Token.t list) : (result_t, error) result =
+  let emitter = Emit.create ~strategy ~explain tables in
   let reduce =
     match on_reduce with
     | None -> Emit.reduce emitter
@@ -44,7 +43,7 @@ let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?reload_dsp
     | exception Emit.Emit_error m -> Error (Emit_failure m)
     | exception Regalloc.Pressure m -> Error (Emit_failure m)
     | Ok outcome -> (
-        match Emit.finish ~name emitter with
+        match Emit.finish emitter with
         | Error m -> Error (Resolve_failure m)
         | Ok (objmod, resolved) ->
             Ok
@@ -64,14 +63,11 @@ let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch ?reload_dsp
   result
 
 (** Convenience: parse the textual IF syntax and generate. *)
-let generate_string ?name ?strategy ?dispatch ?reload_dsp ?reload_reg ?explain
-    tables text : (result_t, string) result =
+let generate_string ?strategy ?dispatch ?explain tables text :
+    (result_t, string) result =
   match Ifl.Reader.program_of_string text with
   | Error m -> Error m
   | Ok tokens -> (
-      match
-        generate ?name ?strategy ?dispatch ?reload_dsp ?reload_reg ?explain
-          tables tokens
-      with
+      match generate ?strategy ?dispatch ?explain tables tokens with
       | Ok r -> Ok r
       | Error e -> Error (Fmt.str "%a" pp_error e))

@@ -22,31 +22,25 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val generate :
-  ?name:string ->
   ?strategy:Regalloc.strategy ->
   ?dispatch:Driver.dispatch ->
-  ?reload_dsp:string ->
-  ?reload_reg:string ->
   ?explain:bool ->
   ?on_reduce:(int -> unit) ->
   Tables.t ->
   Ifl.Token.t list ->
   (result_t, error) result
-(** Generate code for a linearized IF program.  [strategy] selects the
-    register allocation policy (default LRU); [dispatch] the parse-table
-    representation the driver probes (default comb); [reload_dsp]/[reload_reg] name the terminals used when a common
-    subexpression is reloaded from its temporary (defaults ["dsp"]/["r"]);
-    [explain] (default false) additionally records, per emitted item, the
-    production and directives responsible, surfaced as [explanation];
-    [on_reduce] is called with each production id as it fires, before
-    emission (the production-coverage hook). *)
+(** Generate code for a linearized IF program, as the module ["MAIN"].
+    [strategy] selects the register allocation policy (default LRU);
+    [dispatch] the parse-table representation the driver probes (default
+    comb; flat is the reference the fuzz dispatch oracle compares it
+    with); [explain] (default false) additionally records, per emitted
+    item, the production and directives responsible, surfaced as
+    [explanation]; [on_reduce] is called with each production id as it
+    fires, before emission (the production-coverage hook). *)
 
 val generate_string :
-  ?name:string ->
   ?strategy:Regalloc.strategy ->
   ?dispatch:Driver.dispatch ->
-  ?reload_dsp:string ->
-  ?reload_reg:string ->
   ?explain:bool ->
   Tables.t ->
   string ->

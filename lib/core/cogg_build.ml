@@ -26,11 +26,10 @@ let parse_spec read =
 
 (* LR(0), the action table and the comb: what a grammar-shape change
    rebuilds *)
-let build_tables ?pool ~mode grammar =
+let build_tables ~mode grammar =
   let automaton = span "cogg_build.lr0" (fun () -> Lr0.build grammar) in
   let parse =
-    span "cogg_build.parse_table" (fun () ->
-        Parse_table.build ?pool ~mode automaton)
+    span "cogg_build.parse_table" (fun () -> Parse_table.build ~mode automaton)
   in
   let compressed =
     span "cogg_build.compress" (fun () ->
@@ -110,33 +109,25 @@ let type_info (grammar : Grammar.t) (symtab : Symtab.t) =
     symtab.Symtab.terminals;
   (class_of, kind_of)
 
-let build ?pool ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
+let build ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
     (spec : Spec_ast.t) : (Tables.t, error list) result =
   let* symtab =
     Result.map_error (fun e -> [ lift_symtab e ]) (Symtab.of_spec ~target spec)
   in
   let* grammar = grammar_of_spec symtab spec in
-  let parse, compressed = build_tables ?pool ~mode grammar in
-  (* compile templates; production ids follow declaration order.  Each
-     template compiles independently, so the list fans out over the pool;
-     results and errors are merged back in declaration order. *)
+  let parse, compressed = build_tables ~mode grammar in
+  (* compile templates; production ids follow declaration order, and
+     errors are reported in it *)
   let n_user = List.length spec.Spec_ast.productions in
   let compiled = Array.make (Grammar.n_prods grammar) None in
-  let template_results =
-    span "cogg_build.templates" (fun () ->
-        Pool.maybe pool
-          (fun (i, (p : Spec_ast.production)) ->
-            Template.compile ~target ~grammar ~symtab ~prod_id:i p)
-          (Array.of_list
-             (List.mapi (fun i p -> (i, p)) spec.Spec_ast.productions)))
-  in
   let errs = ref [] in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok c -> compiled.(i) <- Some c
-      | Error e -> errs := lift_template e :: !errs)
-    template_results;
+  span "cogg_build.templates" (fun () ->
+      List.iteri
+        (fun i p ->
+          match Template.compile ~target ~grammar ~symtab ~prod_id:i p with
+          | Ok c -> compiled.(i) <- Some c
+          | Error e -> errs := lift_template e :: !errs)
+        spec.Spec_ast.productions);
   if !errs <> [] then Error (List.rev !errs)
   else
     let class_of, kind_of = type_info grammar symtab in
@@ -180,17 +171,16 @@ let scratch_stats n =
     Anything the previous build cannot cover (different target, shifted
     symbol ids, a previous bundle with inconsistent metadata) falls back
     to a full {!build}.  In every case the result is byte-identical
-    ({!Tables_io.write}) to a from-scratch build of [spec] at any worker
-    count — splicing changes how the bytes are obtained, never which
-    bytes. *)
-let build_incremental ?pool ?(mode = Lookahead.Slr)
+    ({!Tables_io.write}) to a from-scratch build of [spec] — splicing
+    changes how the bytes are obtained, never which bytes. *)
+let build_incremental ?(mode = Lookahead.Slr)
     ?(target = Machine.Targets.default) ~(previous : Tables.t)
     (spec : Spec_ast.t) : (Tables.t * incr_stats, error list) result =
   let n_user = List.length spec.Spec_ast.productions in
   let fallback () =
     Result.map
       (fun t -> (t, scratch_stats n_user))
-      (build ?pool ~mode ~target spec)
+      (build ~mode ~target spec)
   in
   if
     previous.Tables.target.Machine.Target.name
@@ -220,10 +210,10 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
     else begin
       (* symbol ids are stable, so compiled templates transfer across
          the edit wherever the production's content hash still matches;
-         assign reuse sources sequentially (a hash can legitimately
-         repeat — duplicated productions — so sources are consumed
-         first-come in declaration order, deterministically), then fan
-         the residual compiles out over the pool. *)
+         assign reuse sources in declaration order (a hash can
+         legitimately repeat — duplicated productions — so sources are
+         consumed first-come, deterministically), then compile the
+         rest. *)
       let sources : (string, int Queue.t) Hashtbl.t = Hashtbl.create 64 in
       Array.iteri
         (fun j h ->
@@ -251,26 +241,22 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
       let n_reused =
         List.length (List.filter (fun (_, _, r) -> r <> None) plan)
       in
-      let template_results =
-        span "cogg_build.templates" (fun () ->
-            Pool.maybe pool
-              (fun (i, (p : Spec_ast.production), reuse) ->
-                match reuse with
-                | Some j ->
-                    let c = Option.get previous.Tables.compiled.(j) in
-                    Ok { c with Template.c_prod = i }
-                | None ->
-                    Template.compile ~target ~grammar ~symtab ~prod_id:i p)
-              (Array.of_list plan))
-      in
       let compiled = Array.make (Grammar.n_prods grammar) None in
       let errs = ref [] in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok c -> compiled.(i) <- Some c
-          | Error e -> errs := lift_template e :: !errs)
-        template_results;
+      span "cogg_build.templates" (fun () ->
+          List.iter
+            (fun (i, (p : Spec_ast.production), reuse) ->
+              match reuse with
+              | Some j ->
+                  let c = Option.get previous.Tables.compiled.(j) in
+                  compiled.(i) <- Some { c with Template.c_prod = i }
+              | None -> (
+                  match
+                    Template.compile ~target ~grammar ~symtab ~prod_id:i p
+                  with
+                  | Ok c -> compiled.(i) <- Some c
+                  | Error e -> errs := lift_template e :: !errs))
+            plan);
       if !errs <> [] then Error (List.rev !errs)
       else begin
         let splice = hashes.Spec_hash.shape = prev_h.Spec_hash.shape in
@@ -296,7 +282,7 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
               builders = Tables.builders_of target compiled;
             }
           else
-            let parse, compressed = build_tables ?pool ~mode grammar in
+            let parse, compressed = build_tables ~mode grammar in
             Tables.make ~target ~grammar ~symtab ~parse ~compressed ~compiled
               ~n_user_prods:n_user ~class_of ~kind_of ~hashes
         in
@@ -310,17 +296,17 @@ let build_incremental ?pool ?(mode = Lookahead.Slr)
       end
     end
 
-let build_incremental_string ?pool ?mode ?target ~previous (text : string) :
+let build_incremental_string ?mode ?target ~previous (text : string) :
     (Tables.t * incr_stats, error list) result =
   let* spec = parse_spec (fun () -> Spec_parse.of_string text) in
-  build_incremental ?pool ?mode ?target ~previous spec
+  build_incremental ?mode ?target ~previous spec
 
-let build_string ?pool ?mode ?target (text : string) :
+let build_string ?mode ?target (text : string) :
     (Tables.t, error list) result =
   let* spec = parse_spec (fun () -> Spec_parse.of_string text) in
-  build ?pool ?mode ?target spec
+  build ?mode ?target spec
 
-let build_file ?pool ?mode ?target (path : string) :
+let build_file ?mode ?target (path : string) :
     (Tables.t, error list) result =
   let* spec = parse_spec (fun () -> Spec_parse.of_file path) in
-  build ?pool ?mode ?target spec
+  build ?mode ?target spec

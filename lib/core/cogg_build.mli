@@ -14,16 +14,12 @@ val grammar_of_spec :
 (** Build the augmented machine grammar from a checked specification. *)
 
 val build :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   Spec_ast.t ->
   (Tables.t, error list) result
-(** Build the complete table bundle.  [mode] selects SLR(1) (the
-    default, as in the paper) or LALR(1) lookaheads.  [pool] parallelizes
-    the lookahead computation (SLR's per-state reductions, LALR's
-    per-state discovery) and template compilation; the resulting bundle
-    is byte-identical at any worker count.
+(** Build the complete table bundle, on the calling domain.  [mode]
+    selects SLR(1) (the default, as in the paper) or LALR(1) lookaheads.
     [target] selects the machine substrate the spec's opcodes and
     template shapes are checked against (default: the Amdahl 470); it is
     recorded in [Tables.target] and drives emission, loading and
@@ -46,7 +42,6 @@ type incr_stats = {
 val pp_incr_stats : Format.formatter -> incr_stats -> unit
 
 val build_incremental :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   previous:Tables.t ->
@@ -61,11 +56,10 @@ val build_incremental :
     compiled templates (rebound to their new production ids); an
     unchanged grammar shape additionally transfers the automaton,
     action rows, conflicts and comb packing.  The result is byte-identical
-    to a from-scratch build of the same spec at any worker count —
-    enforced by the randomized edit oracle in the test suite. *)
+    to a from-scratch build of the same spec — enforced by the randomized
+    edit oracle in the test suite. *)
 
 val build_incremental_string :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   previous:Tables.t ->
@@ -73,14 +67,12 @@ val build_incremental_string :
   (Tables.t * incr_stats, error list) result
 
 val build_string :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   string ->
   (Tables.t, error list) result
 
 val build_file :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   string ->

@@ -36,10 +36,10 @@ type t = {
   cse : Cse.t;
   buf : Code_buffer.t;
   reload_dsp : Grammar.sym;
-      (** terminal used when reloading a CSE, interned at creation
-          ([-1] when the configured name is not in the grammar — pushing
-          it then fails at the driver, like any uninterned symbol) *)
-  reload_reg : Grammar.sym;  (** register non-terminal for CSE reloads *)
+      (** terminal ["dsp"], pushed when reloading a CSE, interned at
+          creation ([-1] when the grammar lacks it — pushing it then
+          fails at the driver, like any uninterned symbol) *)
+  reload_reg : Grammar.sym;  (** register non-terminal ["r"] for CSE reloads *)
   mutable next_internal : int;
   (* open [skip]s: remaining instruction count until the internal label *)
   mutable open_skips : (int ref * Code_buffer.label) list;
@@ -64,8 +64,8 @@ type t = {
       (** the tokens it prefixes, the one consumed last first *)
 }
 
-let create ?(strategy = Regalloc.Lru) ?(reload_dsp = "dsp") ?(reload_reg = "r")
-    ?(explain = false) (tables : Tables.t) : t =
+let create ?(strategy = Regalloc.Lru) ?(explain = false) (tables : Tables.t) :
+    t =
   let intern n =
     match Grammar.sym tables.Tables.grammar n with Some s -> s | None -> -1
   in
@@ -74,8 +74,8 @@ let create ?(strategy = Regalloc.Lru) ?(reload_dsp = "dsp") ?(reload_reg = "r")
     regs = Regalloc.create ~strategy ();
     cse = Cse.create ();
     buf = Code_buffer.create ();
-    reload_dsp = intern reload_dsp;
-    reload_reg = intern reload_reg;
+    reload_dsp = intern "dsp";
+    reload_reg = intern "r";
     next_internal = 0;
     open_skips = [];
     stmt_records = [];
@@ -569,12 +569,11 @@ let reduce (t : t) ~(prod : int) ~(rhs : Driver.ptoken array)
   done;
   t.pushed
 
-(** Finish the module: resolve labels and branches and emit loader
-    records. *)
-let finish ?(name = "MAIN") (t : t) :
-    (Machine.Objmod.t * Loader_gen.resolved, string) result =
+(** Finish the module, named ["MAIN"]: resolve labels and branches and
+    emit loader records. *)
+let finish (t : t) : (Machine.Objmod.t * Loader_gen.resolved, string) result =
   if t.open_skips <> [] then Error "unterminated skip at end of module"
-  else Loader_gen.to_objmod ~name ~target:(target t) t.buf
+  else Loader_gen.to_objmod ~name:"MAIN" ~target:(target t) t.buf
 
 let listing (t : t) = Code_buffer.to_listing t.buf
 

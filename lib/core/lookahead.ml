@@ -14,10 +14,9 @@
     once its LA has grown.  Every set is a {!Grammar.Symset} bitset over
     the grammar's symbols plus [#], merged in place.
 
-    LALR's discovery of spontaneous lookaheads and propagation links is
-    per state, so it maps over an optional {!Pool}; the per-state
-    results are merged in state order, and propagation is a fixpoint,
-    so the lookaheads do not depend on the worker count. *)
+    LALR discovers spontaneous lookaheads and propagation links state
+    by state, merges them in state order, and propagates them to a
+    fixpoint. *)
 
 module Symset = Grammar.Symset
 
@@ -25,11 +24,10 @@ type mode = Slr | Lalr
 
 (* every final item of each closure, with FOLLOW of its left-hand side
    (the analysis' own set) *)
-let slr ?pool (a : Lr0.t) (an : Grammar.analysis) : (int * Symset.t) list array
-    =
+let slr (a : Lr0.t) (an : Grammar.analysis) : (int * Symset.t) list array =
   let g = a.Lr0.grammar in
   let next = Lr0.next_syms g in
-  Pool.maybe pool
+  Array.map
     (fun (st : Lr0.state) ->
       Array.fold_right
         (fun i acc ->
@@ -194,11 +192,11 @@ let discover (it : items) (a : Lr0.t) slot (st : Lr0.state) =
   (!spont, !links)
 
 (* LALR kernel lookaheads by slot *)
-let kernel_lookaheads ?pool (it : items) (a : Lr0.t) slot : Symset.t array =
+let kernel_lookaheads (it : items) (a : Lr0.t) slot : Symset.t array =
   let n_slots = slot.(Lr0.n_states a) in
   let la = Array.init n_slots (fun _ -> Symset.create it.width) in
   let succ = Array.make n_slots [] in
-  let discovered = Pool.maybe pool (discover it a slot) a.Lr0.states in
+  let discovered = Array.map (discover it a slot) a.Lr0.states in
   (* the goal item gets eof *)
   Symset.add la.(slot.(a.Lr0.start)) it.g.Grammar.eof;
   Array.iter
@@ -228,11 +226,10 @@ let kernel_lookaheads ?pool (it : items) (a : Lr0.t) slot : Symset.t array =
    final items.  Every kernel item holds some lookahead (eof reaches the
    start item, each goto passes an item's lookaheads on, and FIRST sets
    are never empty), so every final item is a reduction. *)
-let lalr ?pool (a : Lr0.t) (an : Grammar.analysis) :
-    (int * Symset.t) list array =
+let lalr (a : Lr0.t) (an : Grammar.analysis) : (int * Symset.t) list array =
   let it = items a.Lr0.grammar an in
   let slot = kernel_slots a in
-  let kla = kernel_lookaheads ?pool it a slot in
+  let kla = kernel_lookaheads it a slot in
   let c = lr1 it in
   let empty = Symset.create it.width in
   Array.map
@@ -254,11 +251,11 @@ let lalr ?pool (a : Lr0.t) (an : Grammar.analysis) :
       reds)
     a.Lr0.states
 
-(** [reductions ?pool a an mode] returns, per state, the reducible
+(** [reductions a an mode] returns, per state, the reducible
     productions with their lookahead sets, in production order.  SLR
     lists every final item of the state's closure, with FOLLOW of its
     left-hand side (the set is [an]'s own); LALR lists them with their
     LALR(1) lookaheads. *)
-let reductions ?pool (a : Lr0.t) (an : Grammar.analysis) (mode : mode) :
+let reductions (a : Lr0.t) (an : Grammar.analysis) (mode : mode) :
     (int * Symset.t) list array =
-  match mode with Slr -> slr ?pool a an | Lalr -> lalr ?pool a an
+  match mode with Slr -> slr a an | Lalr -> lalr a an

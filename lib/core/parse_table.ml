@@ -54,14 +54,12 @@ let pp_conflict g ppf c =
    (no polymorphic comparison) and logs each conflict in the order it
    arises, which is the conflict log's order.  The action values are
    shared, one per state and per production, so a cell write allocates
-   nothing.  [?pool] reaches the lookahead computation only: the fill
-   takes about a millisecond on amdahl470, and a pool did not make it
-   faster. *)
-let build ?pool ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
+   nothing. *)
+let build ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
   let g = a.Lr0.grammar in
   let an = Grammar.analyze g in
   let n_syms = Grammar.n_syms g in
-  let reds = Lookahead.reductions ?pool a an mode in
+  let reds = Lookahead.reductions a an mode in
   let shift = Array.init (Lr0.n_states a) (fun s -> Shift s) in
   let reduce = Array.init (Grammar.n_prods g) (fun p -> Reduce p) in
   let len p = Array.length (Grammar.prod g p).rhs in

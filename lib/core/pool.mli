@@ -1,5 +1,5 @@
-(** A Domain-based worker pool for data-parallel table construction and
-    batch compilation.
+(** A Domain-based worker pool for batch compilation: a batch's
+    compiles, the daemon's, and the fuzz engine's rounds.
 
     The pool owns [size - 1] long-lived worker domains; the caller's own
     domain participates in every parallel region, so a pool of size 1

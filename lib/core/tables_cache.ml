@@ -262,7 +262,7 @@ let load path : Tables.t option =
     {!Cogg_build.build_incremental} splices every artifact the edit
     left untouched — and still byte-identical to a scratch build, so
     the stored entry is the same either way. *)
-let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
+let build_text ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
     : (Tables.t * origin, Cogg_build.error list) result =
   let path = entry_path ~mode ?target ?cache_dir text in
   let lpath = lineage_path ~mode ?target ?cache_dir () in
@@ -285,7 +285,7 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
       let built =
         match previous with
         | Some prev ->
-            Cogg_build.build_incremental_string ?pool ~mode ?target
+            Cogg_build.build_incremental_string ~mode ?target
               ~previous:prev text
         | None ->
             Result.map
@@ -296,7 +296,7 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
                        templates_reused = 0;
                        templates_recompiled = 0;
                      }))
-              (Cogg_build.build_string ?pool ~mode ?target text)
+              (Cogg_build.build_string ~mode ?target text)
       in
       match built with
       | Error es -> Error es
@@ -316,8 +316,8 @@ let build_text ?pool ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
 (** [build_file ?mode ?cache_dir path] is {!build_text} over the file's
     contents: the digest covers the text, so editing the spec in place is
     a clean miss, not a stale hit. *)
-let build_file ?pool ?mode ?target ?cache_dir (path : string) :
+let build_file ?mode ?target ?cache_dir (path : string) :
     (Tables.t * origin, Cogg_build.error list) result =
   match read_file path with
-  | text -> build_text ?pool ?mode ?target ?cache_dir text
+  | text -> build_text ?mode ?target ?cache_dir text
   | exception Sys_error m -> Error [ { Cogg_build.line = 0; msg = m } ]

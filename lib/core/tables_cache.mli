@@ -33,11 +33,6 @@ val prune : ?cache_dir:string -> ?max_entries:int -> unit -> int
     Every successful [store] runs this automatically, so a long-lived
     daemon's cache directory stays bounded. *)
 
-val key : ?target:Machine.Target.t -> mode:Lookahead.mode -> string -> string
-(** Digest a specification text into its cache key.  The [target]'s name
-    (default: the Amdahl 470) is part of the key, so the same spec text
-    checked against two machines never shares an entry. *)
-
 val entry_path :
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
@@ -45,7 +40,10 @@ val entry_path :
   string ->
   string
 (** [entry_path spec_text] is the cache file a given specification text
-    maps to (whether or not it exists yet). *)
+    maps to (whether or not it exists yet).  Its name digests the text,
+    the mode and the [target]'s name (default: the Amdahl 470), so the
+    same spec text checked against two machines never shares an
+    entry. *)
 
 val lineage_path :
   ?mode:Lookahead.mode ->
@@ -59,19 +57,16 @@ val lineage_path :
     incrementally; it is refreshed on every hit and store. *)
 
 val build_text :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->
   (Tables.t * origin, Cogg_build.error list) result
 (** Tables for a specification given as text, through the cache.
-    [pool] parallelizes the build on a miss; the stored bundle is
-    byte-identical at any worker count.  [target] selects the machine
-    substrate the spec is checked against. *)
+    [target] selects the machine substrate the spec is checked
+    against. *)
 
 val build_file :
-  ?pool:Pool.t ->
   ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->

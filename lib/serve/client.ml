@@ -1,13 +1,17 @@
 (** Client side of the [pascd] compile service (see client.mli). *)
 
-type t = { fd : Unix.file_descr; mutable open_ : bool }
+type t = {
+  fd : Unix.file_descr;
+  inb : Wire.inbuf;  (** received bytes not yet framed *)
+  mutable open_ : bool;
+}
 
 let connect (path : string) : (t, string) result =
   try
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     try
       Unix.connect fd (Unix.ADDR_UNIX path);
-      Ok { fd; open_ = true }
+      Ok { fd; inb = Wire.inbuf (); open_ = true }
     with e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
@@ -22,14 +26,26 @@ let close (t : t) =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
+(* Read until the next whole frame is buffered.  Replies are read in
+   place and decoded where they lie, so a reply of n bytes costs O(n)
+   copying however it arrives. *)
+let rec await_frame (t : t) : int * int =
+  match Wire.next_frame t.inb with
+  | Some frame -> frame
+  | None ->
+      if Wire.retry_eintr (fun () -> Wire.read_into t.fd t.inb) = 0 then
+        failwith "daemon closed the connection";
+      await_frame t
+
 let request (t : t) (req : Wire.request) : (Wire.reply, string) result =
   try
     let o = Wire.out () in
     Wire.add_request o req;
     Wire.write_out t.fd o;
-    match Wire.read_frame t.fd with
-    | None -> Error "daemon closed the connection"
-    | Some payload -> Wire.decode_reply payload
+    let pos, len = await_frame t in
+    let reply = Wire.decode_reply_in t.inb.Wire.bytes ~pos ~len in
+    Wire.drained t.inb;
+    reply
   with
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | Failure m -> Error m
@@ -50,12 +66,6 @@ let stats (t : t) : (string, string) result =
   | Ok _ -> Error "expected Stats_reply"
   | Error _ as e -> e
 
-let hello (t : t) : (string, string) result =
-  match request t Wire.Hello with
-  | Ok (Wire.Hello_reply target) -> Ok target
-  | Ok _ -> Error "expected Hello_reply"
-  | Error _ as e -> e
-
 let pause (t : t) (ms : int) : (unit, string) result =
   match request t (Wire.Pause ms) with
   | Ok Wire.Ack -> Ok ()
@@ -68,9 +78,8 @@ let shutdown (t : t) : (unit, string) result =
   | Ok _ -> Error "expected Bye"
   | Error _ as e -> e
 
-let compile (t : t) ?(options = Wire.default_options) (source : string) :
-    (Wire.reply, string) result =
-  request t (Wire.Compile { id = 0; options; source })
+let compile (t : t) (source : string) : (Wire.reply, string) result =
+  request t (Wire.Compile { id = 0; source })
 
 (* -- interleaved batch -------------------------------------------------------- *)
 
@@ -82,8 +91,8 @@ let compile (t : t) ?(options = Wire.default_options) (source : string) :
     after a drain), so interleaving is what prevents the
     both-sides-blocked-on-write deadlock a naive send-all-then-read-all
     client would risk on large batches. *)
-let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
-    (sources : string array) : (Wire.reply array, string) result =
+let compile_batch (t : t) ?(retry = false) (sources : string array) :
+    (Wire.reply array, string) result =
   let n = Array.length sources in
   if n = 0 then Ok [||]
   else begin
@@ -97,21 +106,17 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
       let frames = Wire.out () in
       Array.iter
         (fun id ->
-          Wire.add_request frames
-            (Wire.Compile { id; options; source = sources.(id) }))
+          Wire.add_request frames (Wire.Compile { id; source = sources.(id) }))
         ids;
       let out = Wire.out_bytes frames and out_len = Wire.out_length frames in
       let sent = ref 0 in
       let received = ref 0 in
       let want = Array.length ids in
-      (* replies are read in place and decoded where they lie, so a reply
-         of n bytes costs O(n) copying however it arrives *)
-      let inb = Wire.inbuf () in
       let rec take_replies () =
-        match Wire.next_frame inb with
+        match Wire.next_frame t.inb with
         | None -> ()
         | Some (pos, len) -> (
-            match Wire.decode_reply_in inb.Wire.bytes ~pos ~len with
+            match Wire.decode_reply_in t.inb.Wire.bytes ~pos ~len with
             | Error m -> failwith m
             | Ok reply ->
                 (match reply with
@@ -132,9 +137,10 @@ let compile_batch (t : t) ?(options = Wire.default_options) ?(retry = false)
         if readable = [] && writable = [] then
           failwith "timed out waiting for the daemon";
         if readable <> [] then begin
-          if Wire.retry_eintr (fun () -> Wire.read_into t.fd inb) = 0 then
+          if Wire.retry_eintr (fun () -> Wire.read_into t.fd t.inb) = 0 then
             failwith "daemon closed the connection";
-          take_replies ()
+          take_replies ();
+          Wire.drained t.inb
         end;
         if writable <> [] && !sent < out_len then
           sent :=

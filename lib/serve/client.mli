@@ -10,7 +10,8 @@
 type t
 
 val connect : string -> (t, string) result
-(** Connect to the daemon's Unix-domain socket at the given path. *)
+(** Connect to the daemon's Unix-domain socket at the given path.  The
+    connection reads every reply through its one {!Wire.inbuf}. *)
 
 val close : t -> unit
 
@@ -21,11 +22,6 @@ val request : t -> Wire.request -> (Wire.reply, string) result
 val ping : t -> (unit, string) result
 val stats : t -> (string, string) result
 
-val hello : t -> (string, string) result
-(** Ask the daemon which target it serves; returns the registry name
-    (["amdahl470"], ["risc32"], ...) so a caller can refuse to feed
-    sources meant for one machine to a daemon serving another. *)
-
 val pause : t -> int -> (unit, string) result
 (** Ask the daemon to stop draining its compile queue for [ms]
     milliseconds (the backpressure test hook). *)
@@ -33,15 +29,11 @@ val pause : t -> int -> (unit, string) result
 val shutdown : t -> (unit, string) result
 (** Ask the daemon to drain and exit; waits for [Bye]. *)
 
-val compile : t -> ?options:Wire.options -> string -> (Wire.reply, string) result
+val compile : t -> string -> (Wire.reply, string) result
 (** Compile one source (request id 0). *)
 
 val compile_batch :
-  t ->
-  ?options:Wire.options ->
-  ?retry:bool ->
-  string array ->
-  (Wire.reply array, string) result
+  t -> ?retry:bool -> string array -> (Wire.reply array, string) result
 (** Submit every source (ids [0..n-1]) and collect all replies, indexed
     by id — so the array lines up with the input whatever order the
     daemon answered in, and [Wire.fingerprint] of the result is

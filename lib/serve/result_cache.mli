@@ -3,8 +3,7 @@
     The compile service's second cache tier: where {!Cogg.Tables_cache}
     amortizes table {e construction} across processes, this caches the
     {e output} of individual compilations within a long-lived process,
-    keyed by a content digest of (table identity, option fingerprint,
-    source text).  Because every compile is deterministic (the fuzz
+    keyed by a content digest of the source text.  Because every compile is deterministic (the fuzz
     subsystem's byte-identical-recompile oracle), a cached value is
     exactly what a fresh compile would produce — the service still
     gates hits against that property (see {!Server}).

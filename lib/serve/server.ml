@@ -42,7 +42,6 @@ type conn = {
 type job = {
   j_conn : conn;
   j_id : int;
-  j_options : Wire.options;
   j_source : string;
   j_key : string;
   j_expect : entry option;
@@ -51,7 +50,6 @@ type job = {
 
 type t = {
   tables : Cogg.Tables.t;
-  table_key : string;
   pool : Cogg.Pool.t option;
   sock : Unix.file_descr;
   socket_path : string;
@@ -95,33 +93,15 @@ let stats_text (t : t) : string =
 
 (* -- the compile itself ------------------------------------------------------- *)
 
-let dispatch_of : Wire.dispatch -> Cogg.Driver.dispatch option = function
-  | Wire.Default -> None
-  | Wire.Flat -> Some Cogg.Driver.Flat
-  | Wire.Comb -> Some Cogg.Driver.Comb
-
-(** One compilation, options applied, exceptions contained (a crash
-    must fail one request, not the pool batch it rode in). *)
-let run_compile (tables : Cogg.Tables.t) (o : Wire.options) (source : string) :
-    Wire.outcome =
-  match
-    Pipeline.compile ?cse:o.Wire.cse ?checks:o.Wire.checks
-      ?dispatch:(dispatch_of o.Wire.dispatch) tables source
-  with
+(** One compilation, [Pipeline.compile]'s defaults, exceptions
+    contained (a crash must fail one request, not the pool batch it rode
+    in). *)
+let run_compile (tables : Cogg.Tables.t) (source : string) : Wire.outcome =
+  match Pipeline.compile tables source with
   | Ok c ->
       Ok (c.Pipeline.gen.Cogg.Codegen.listing, Pipeline.Batch.code_bytes c)
   | Error m -> Error m
   | exception e -> Error ("internal: " ^ Printexc.to_string e)
-
-(** The result-cache key: table identity, canonical option bytes,
-    source text — content-addressed end to end.  The source is digested
-    on its own and only that digest joins the short parts, so a request
-    costs no second copy of its source. *)
-let cache_key (t : t) (o : Wire.options) (source : string) : string =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [ t.table_key; Wire.options_tag o; Digest.string source ]))
 
 (* -- connection plumbing ------------------------------------------------------ *)
 
@@ -173,14 +153,15 @@ let enqueue (t : t) (job : job) =
   end
   else Queue.add job t.pending
 
-let handle_compile (t : t) (c : conn) ~id (options : Wire.options)
-    (source : string) =
-  let key = cache_key t options source in
+(* The result-cache key is the source's digest alone: a daemon serves
+   one [Tables.t] for its whole life and compiles every request the same
+   way, so the source is all that can tell two compiles apart. *)
+let handle_compile (t : t) (c : conn) ~id (source : string) =
+  let key = Digest.string source in
   let job expect =
     {
       j_conn = c;
       j_id = id;
-      j_options = options;
       j_source = source;
       j_key = key;
       j_expect = expect;
@@ -198,12 +179,9 @@ let handle_compile (t : t) (c : conn) ~id (options : Wire.options)
 let handle_request (t : t) (c : conn) (req : Wire.request) =
   t.n_requests <- t.n_requests + 1;
   match req with
-  | Wire.Compile { id; options; source } -> handle_compile t c ~id options source
+  | Wire.Compile { id; source } -> handle_compile t c ~id source
   | Wire.Stats -> send t c (Wire.Stats_reply (stats_text t))
   | Wire.Ping -> send t c Wire.Ack
-  | Wire.Hello ->
-      send t c
-        (Wire.Hello_reply t.tables.Cogg.Tables.target.Machine.Target.name)
   | Wire.Pause ms ->
       t.pause_until <- Unix.gettimeofday () +. (float_of_int ms /. 1000.);
       send t c Wire.Ack
@@ -224,7 +202,7 @@ let drain (t : t) =
     let results =
       Pipeline.Batch.map_largest_first t.pool
         ~size:(fun j -> String.length j.j_source)
-        (fun j -> run_compile t.tables j.j_options j.j_source)
+        (fun j -> run_compile t.tables j.j_source)
         jobs
     in
     t.n_compiles <- t.n_compiles + Array.length jobs;
@@ -248,7 +226,7 @@ let drain (t : t) =
               t.n_gate_failures <- t.n_gate_failures + 1;
               Log.err (fun f ->
                   f "determinism gate failure for key %s (entry replaced)"
-                    j.j_key);
+                    (Digest.to_hex j.j_key));
               Result_cache.store t.cache j.j_key
                 { body = fresh; verified = false };
               send t j.j_conn
@@ -293,8 +271,8 @@ let on_readable (t : t) (c : conn) =
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ~table_key
-    ~socket_path (tables : Cogg.Tables.t) : (t, string) result =
+let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ~socket_path
+    (tables : Cogg.Tables.t) : (t, string) result =
   (* the cache's correctness premise, checked before we serve a single
      byte: recompiling a known program is byte-identical *)
   match Fuzz.Oracle.determinism tables Pipeline.Programs.gcd with
@@ -310,7 +288,6 @@ let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ~table_key
         Ok
           {
             tables;
-            table_key;
             pool;
             sock;
             socket_path;

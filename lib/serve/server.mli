@@ -4,8 +4,10 @@
     One process loads the driving tables once (through
     {!Cogg.Tables_cache}), then serves {!Wire} compile requests from
     many clients, scheduling misses onto a {!Cogg.Pool} and answering
-    repeated compilations from a {!Result_cache} keyed by (table
-    digest, option fingerprint, source digest).
+    repeated compilations from a {!Result_cache} keyed by the source's
+    digest.  Every request compiles as [Pipeline.compile tables source]
+    does, with its defaults; the tables are the daemon's for its whole
+    life, so the source is the whole key.
 
     Correctness gate: every compile is deterministic (the fuzz
     subsystem's oracle), so a cached response must be byte-identical to
@@ -31,18 +33,14 @@ val create :
   ?pool:Cogg.Pool.t ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  table_key:string ->
   socket_path:string ->
   Cogg.Tables.t ->
   (t, string) result
-(** Bind the socket and prepare the serve state.  [table_key] is the
-    table bundle's cache key ({!Cogg.Tables_cache.key}), mixed into
-    every result-cache key so results from different specifications (or
-    targets) can never be confused.  [queue_capacity] bounds the
-    pending-compile queue (default 64); [cache_capacity] the result
-    cache (default 256 entries).  The determinism oracle runs on a known
-    program before binding; if it fails, nothing is served.  A stale
-    socket file at [socket_path] is replaced. *)
+(** Bind the socket and prepare the serve state.  [queue_capacity]
+    bounds the pending-compile queue (default 64); [cache_capacity] the
+    result cache (default 256 entries).  The determinism oracle runs on
+    a known program before binding; if it fails, nothing is served.  A
+    stale socket file at [socket_path] is replaced. *)
 
 val run : t -> unit
 (** Serve until a [Shutdown] request arrives: accept connections, parse

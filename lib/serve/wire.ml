@@ -1,24 +1,13 @@
 (** Wire protocol of the [pascd] compile service: length-prefixed
     frames, tagged payloads, big-endian integers.  See wire.mli for the
-    frame grammar; this module is pure encoding plus the two blocking
-    frame I/O helpers the client and the test harness share. *)
-
-type dispatch = Default | Flat | Comb
-
-type options = {
-  cse : bool option;
-  checks : bool option;
-  dispatch : dispatch;
-}
-
-let default_options = { cse = None; checks = None; dispatch = Default }
+    frame grammar; this module is pure encoding plus the one receive
+    buffer both ends read frames through. *)
 
 type request =
-  | Compile of { id : int; options : options; source : string }
+  | Compile of { id : int; source : string }
   | Stats
   | Ping
   | Pause of int
-  | Hello
   | Shutdown
 
 type outcome = (string * string, string) result
@@ -27,7 +16,6 @@ type reply =
   | Compiled of { id : int; cached : bool; outcome : outcome }
   | Overloaded of { id : int; retry_after_ms : int }
   | Stats_reply of string
-  | Hello_reply of string
   | Ack
   | Bye
 
@@ -98,68 +86,29 @@ let frame o ~size encode =
   end;
   set_u32 o.buf start n
 
-(* the payload [encode] writes, as a string, without the cap *)
-let payload encode =
-  let o = out () in
-  encode o;
-  Bytes.sub_string o.buf 0 o.len
-
-(* tri-state option byte: 0 = server default, 1 = false, 2 = true *)
-let opt_bool_byte = function
-  | None -> '\000'
-  | Some false -> '\001'
-  | Some true -> '\002'
-
-let get_opt_bool = function
-  | '\000' -> Ok None
-  | '\001' -> Ok (Some false)
-  | '\002' -> Ok (Some true)
-  | c -> Error (Printf.sprintf "bad option byte %d" (Char.code c))
-
-let dispatch_byte = function
-  | Default -> '\000'
-  | Flat -> '\001'
-  | Comb -> '\002'
-
-let dispatch_of_byte = function
-  | '\000' -> Ok Default
-  | '\001' -> Ok Flat
-  | '\002' -> Ok Comb
-  | c -> Error (Printf.sprintf "bad dispatch byte %d" (Char.code c))
-
-(** The cache key's option component: same canonical bytes as the wire
-    encoding, so distinct option sets are distinct key material. *)
-let options_tag (o : options) : string =
-  String.init 3 (function
-    | 0 -> opt_bool_byte o.cse
-    | 1 -> opt_bool_byte o.checks
-    | _ -> dispatch_byte o.dispatch)
-
 (* -- requests ----------------------------------------------------------------- *)
 
 let request_size = function
-  | Compile { source; _ } -> 8 + String.length source
-  | Stats | Ping | Pause _ | Hello | Shutdown -> 5
+  | Compile { source; _ } -> 5 + String.length source
+  | Stats | Ping | Pause _ | Shutdown -> 5
 
 let encode_request_into o (r : request) =
   match r with
-  | Compile { id; options; source } ->
-      add_char o 'C';
+  | Compile { id; source } ->
+      (* 'c': a frame in the retired 'C' format (id, then three option
+         bytes) is refused as an unknown request, not read as source *)
+      add_char o 'c';
       put_u32 o id;
-      add_string o (options_tag options);
       add_string o source
   | Stats -> add_char o 'S'
   | Ping -> add_char o 'P'
   | Pause ms ->
       add_char o 'Z';
       put_u32 o ms
-  | Hello -> add_char o 'H'
   | Shutdown -> add_char o 'Q'
 
 let add_request o r =
   frame o ~size:(request_size r) (fun o -> encode_request_into o r)
-
-let encode_request r = payload (fun o -> encode_request_into o r)
 
 (* A payload is decoded where it lies, [len] bytes of [b] from [pos]:
    the strings a message carries are its only copies. *)
@@ -171,35 +120,25 @@ let get_u32 b pos =
 
 let decode_request_in (b : Bytes.t) ~(pos : int) ~(len : int) :
     (request, string) result =
-  let ( let* ) = Result.bind in
-  let n = len and at i = Bytes.get b (pos + i) in
-  if n = 0 then Error "empty request frame"
+  if len = 0 then Error "empty request frame"
   else
-    match at 0 with
-    | 'C' ->
-        if n < 8 then Error "truncated compile request"
+    match Bytes.get b pos with
+    | 'c' ->
+        if len < 5 then Error "truncated compile request"
         else
-          let* cse = get_opt_bool (at 5) in
-          let* checks = get_opt_bool (at 6) in
-          let* dispatch = dispatch_of_byte (at 7) in
           Ok
             (Compile
                {
                  id = get_u32 b (pos + 1);
-                 options = { cse; checks; dispatch };
-                 source = Bytes.sub_string b (pos + 8) (n - 8);
+                 source = Bytes.sub_string b (pos + 5) (len - 5);
                })
     | 'S' -> Ok Stats
     | 'P' -> Ok Ping
     | 'Z' ->
-        if n < 5 then Error "truncated pause request"
+        if len < 5 then Error "truncated pause request"
         else Ok (Pause (get_u32 b (pos + 1)))
-    | 'H' -> Ok Hello
     | 'Q' -> Ok Shutdown
     | c -> Error (Printf.sprintf "unknown request tag %d" (Char.code c))
-
-let decode_request (s : string) : (request, string) result =
-  decode_request_in (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* -- replies ------------------------------------------------------------------ *)
 
@@ -208,7 +147,7 @@ let reply_size = function
       11 + String.length listing + String.length code
   | Compiled { outcome = Error msg; _ } -> 7 + String.length msg
   | Overloaded _ -> 9
-  | Stats_reply text | Hello_reply text -> 1 + String.length text
+  | Stats_reply text -> 1 + String.length text
   | Ack | Bye -> 1
 
 let encode_reply_into o (r : reply) =
@@ -233,16 +172,11 @@ let encode_reply_into o (r : reply) =
   | Stats_reply text ->
       add_char o 'T';
       add_string o text
-  | Hello_reply target ->
-      add_char o 'h';
-      add_string o target
   | Ack -> add_char o 'A'
   | Bye -> add_char o 'B'
 
 let add_reply o r =
   frame o ~size:(reply_size r) (fun o -> encode_reply_into o r)
-
-let encode_reply r = payload (fun o -> encode_reply_into o r)
 
 let decode_reply_in (b : Bytes.t) ~(pos : int) ~(len : int) :
     (reply, string) result =
@@ -269,20 +203,15 @@ let decode_reply_in (b : Bytes.t) ~(pos : int) ~(len : int) :
           | 'E' -> Ok (Compiled { id; cached; outcome = Error (sub 7 (n - 7)) })
           | c -> Error (Printf.sprintf "bad outcome tag %d" (Char.code c)))
     | 'O' ->
-        if n < 5 then Error "truncated overloaded reply"
+        if n < 9 then Error "truncated overloaded reply"
         else
-          (* pre-hint peers encode only the id; treat a missing hint as
-             "retry whenever", not a decode error *)
-          let retry_after_ms = if n >= 9 then get_u32 b (pos + 5) else 0 in
-          Ok (Overloaded { id = get_u32 b (pos + 1); retry_after_ms })
+          Ok
+            (Overloaded
+               { id = get_u32 b (pos + 1); retry_after_ms = get_u32 b (pos + 5) })
     | 'T' -> Ok (Stats_reply (sub 1 (n - 1)))
-    | 'h' -> Ok (Hello_reply (sub 1 (n - 1)))
     | 'A' -> Ok Ack
     | 'B' -> Ok Bye
     | c -> Error (Printf.sprintf "unknown reply tag %d" (Char.code c))
-
-let decode_reply (s : string) : (reply, string) result =
-  decode_reply_in (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* -- frame I/O ---------------------------------------------------------------- *)
 
@@ -305,7 +234,7 @@ let oversized_substitute (r : reply) ~(size : int) : reply =
   in
   match r with
   | Compiled { id; cached; _ } -> Compiled { id; cached; outcome = Error msg }
-  | Overloaded _ | Stats_reply _ | Hello_reply _ | Ack | Bye -> Stats_reply msg
+  | Overloaded _ | Stats_reply _ | Ack | Bye -> Stats_reply msg
 
 let write_out (fd : Unix.file_descr) (o : out) : unit =
   let sent = ref 0 in
@@ -368,38 +297,6 @@ let drained (b : inbuf) =
     if Bytes.length b.bytes > inbuf_size then b.bytes <- Bytes.create inbuf_size
   end
 
-let read_exact fd n ~what : string =
-  let buf = Bytes.create n in
-  let got = ref 0 in
-  while !got < n do
-    let r = retry_eintr (fun () -> Unix.read fd buf !got (n - !got)) in
-    if r = 0 then failwith ("unexpected EOF reading " ^ what);
-    got := !got + r
-  done;
-  Bytes.unsafe_to_string buf
-
-let read_frame (fd : Unix.file_descr) : string option =
-  let hdr = Bytes.create 4 in
-  let got = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !got < 4 do
-    let r = retry_eintr (fun () -> Unix.read fd hdr !got (4 - !got)) in
-    if r = 0 then
-      if !got = 0 then eof := true
-      else failwith "unexpected EOF inside frame header"
-    else got := !got + r
-  done;
-  if !eof then None
-  else
-    let n =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
-    if n > max_frame then failwith (Printf.sprintf "oversized frame (%d bytes)" n)
-    else Some (read_exact fd n ~what:"frame payload")
-
 (* -- batch fingerprint -------------------------------------------------------- *)
 
 (** Byte-for-byte the {!Pipeline.Batch.fingerprint} construction, over
@@ -418,7 +315,7 @@ let fingerprint (replies : reply array) : string =
       | Compiled { outcome = Error m; _ } ->
           Buffer.add_string buf m;
           Buffer.add_char buf '\002'
-      | Overloaded _ | Stats_reply _ | Hello_reply _ | Ack | Bye ->
+      | Overloaded _ | Stats_reply _ | Ack | Bye ->
           Buffer.add_char buf '\003')
     replies;
   Digest.to_hex (Digest.string (Buffer.contents buf))

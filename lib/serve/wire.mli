@@ -12,21 +12,9 @@
     results are answered inline while misses wait for the compile
     pool). *)
 
-type dispatch = Default | Flat | Comb
-
-type options = {
-  cse : bool option;  (** [None] = server default (the {!Pipeline.compile} default) *)
-  checks : bool option;
-  dispatch : dispatch;
-}
-
-val default_options : options
-(** Everything defaulted — compiles exactly like
-    [Pipeline.Batch.compile_all] with no overrides, which is what makes
-    served batches fingerprint-identical to direct ones. *)
-
 type request =
-  | Compile of { id : int; options : options; source : string }
+  | Compile of { id : int; source : string }
+      (** compile [source] as [Pipeline.compile] does with its defaults *)
   | Stats  (** counters snapshot, as a [Stats_reply] text *)
   | Ping  (** liveness probe; answered [Ack] *)
   | Pause of int
@@ -34,10 +22,6 @@ type request =
           (admission control keeps running, so the queue fills and
           overflow requests get [Overloaded]) — the deterministic
           backpressure test hook *)
-  | Hello
-      (** identity probe; answered [Hello_reply] with the daemon's
-          target name, so a client can refuse to feed sources meant for
-          one machine to a daemon serving another *)
   | Shutdown  (** drain, answer [Bye], exit the serve loop *)
 
 type outcome = (string * string, string) result
@@ -52,10 +36,9 @@ type reply =
           full.  Nothing was compiled.  [retry_after_ms] is the server's
           backoff hint — how long it expects to need before the queue
           has room (derived from any active pause plus the queue depth);
-          0 means "retry whenever" (also what decoding a pre-hint peer's
-          5-byte reply yields). *)
-  | Stats_reply of string  (** [key value] lines *)
-  | Hello_reply of string  (** the serving target's registry name *)
+          0 means "retry whenever". *)
+  | Stats_reply of string
+      (** [key value] lines, the last naming the serving target *)
   | Ack
   | Bye
 
@@ -82,11 +65,6 @@ val oversized_substitute : reply -> size:int -> reply
     [size] > {!max_frame}: same id, structured [Error] outcome.  Its own
     encoding always fits. *)
 
-val options_tag : options -> string
-(** Canonical 3-byte encoding of [options] — part of the result cache
-    key, so the same source compiled under different options never
-    collides. *)
-
 type out
 (** Outgoing frames, encoded in place: each frame's 4-byte length is
     reserved, its payload written straight after it, and the length
@@ -112,34 +90,30 @@ val write_out : Unix.file_descr -> out -> unit
 (** Write every frame in the buffer, looping until all bytes are out.
     Raises [Unix.Unix_error] on a dead peer. *)
 
-val encode_request : request -> string
-val decode_request : string -> (request, string) result
-
 val decode_request_in :
   Bytes.t -> pos:int -> len:int -> (request, string) result
 (** [decode_request_in b ~pos ~len] decodes the payload held in [len]
     bytes of [b] from [pos], as a receive buffer holds it: a compile
-    request's source is copied once, out of [b]. *)
-
-val encode_reply : reply -> string
-(** A payload without its length prefix, exactly the bytes a frame
-    carries after it; no size cap. *)
-
-val decode_reply : string -> (reply, string) result
+    request's source is copied once, out of [b].  A payload it cannot
+    read, a compile frame in the retired ['C'] format among them, is an
+    [Error]. *)
 
 val decode_reply_in : Bytes.t -> pos:int -> len:int -> (reply, string) result
-(** {!decode_reply} on a payload in place, as {!decode_request_in}: a
-    compile reply's listing and code are each copied once, out of [b]. *)
+(** Decode a reply payload in place, as {!decode_request_in}: a compile
+    reply's listing and code are each copied once, out of [b]; an
+    [Overloaded] payload shorter than its 9 bytes is an [Error]. *)
 
 (** {2 Receive buffers}
 
-    A connection's received bytes not yet framed, in [\[start, stop)] of
-    [bytes]; each read lands in place after [stop].  A full buffer first
-    slides its unframed bytes to the front; when the frame in progress
-    cannot fit, they move to a new buffer of twice the size, or of the
-    frame's whole length once its prefix is in.  So a frame's bytes are
-    copied a bounded number of times however they arrive, and a frame
-    is decoded where it lies ({!decode_request_in}, {!decode_reply_in}). *)
+    The one frame reader: the daemon and the client each keep one
+    buffer per connection.  It holds the connection's received bytes
+    not yet framed, in [\[start, stop)] of [bytes]; each read lands in
+    place after [stop].  A full buffer first slides its unframed bytes
+    to the front; when the frame in progress cannot fit, they move to a
+    new buffer of twice the size, or of the frame's whole length once
+    its prefix is in.  So a frame's bytes are copied a bounded number of
+    times however they arrive, and a frame is decoded where it lies
+    ({!decode_request_in}, {!decode_reply_in}). *)
 
 type inbuf = {
   mutable bytes : Bytes.t;
@@ -161,10 +135,6 @@ val next_frame : inbuf -> (int * int) option
 val drained : inbuf -> unit
 (** When every received byte has been framed, rewind the buffer and
     shrink it back to its starting size. *)
-
-val read_frame : Unix.file_descr -> string option
-(** Read one frame, blocking; [None] on clean EOF before a length
-    prefix.  Raises [Failure] on truncated or oversized frames. *)
 
 val fingerprint : reply array -> string
 (** Digest an id-ordered reply array exactly the way

@@ -6,21 +6,12 @@
    of the unedited spec) must be byte-identical to a from-scratch build
    of the edited text, and emit the same code for the named programs.
    When an edit makes the spec invalid, both paths must report the same
-   errors.  The @incremental alias runs this
-   executable at COGG_JOBS=1 and COGG_JOBS=max, so the guarantee covers
-   any worker count, the same discipline the batch determinism suite
-   established for parallel builds.
+   errors.  The @incremental alias runs this executable.
 
    Also here: the v4->v5 bundle-format gate (a stale-format cache entry
    is rejected as corrupt and migrated by a clean rebuild) and the
    cross-process cache path (a miss on an edited spec follows the
    lineage pointer and splices). *)
-
-let jobs () =
-  match Sys.getenv_opt "COGG_JOBS" with
-  | Some "max" -> max 2 (Domain.recommended_domain_count ())
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
-  | None -> 4
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -152,10 +143,10 @@ let subjects =
 
 let errors_str es = Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es
 
-(* one scratch build of each unedited spec per pool: the "previous
-   revision" every random edit splices from *)
-let previous ~pool (s : subject) : Cogg.Tables.t =
-  match Cogg.Cogg_build.build_string ~pool ~target:s.target s.text with
+(* one scratch build of each unedited spec: the "previous revision"
+   every random edit splices from *)
+let previous (s : subject) : Cogg.Tables.t =
+  match Cogg.Cogg_build.build_string ~target:s.target s.text with
   | Ok t -> t
   | Error es -> fail "%s: baseline build failed: %s" s.name (errors_str es)
 
@@ -168,15 +159,13 @@ let emitted (t : Cogg.Tables.t) : string =
              (fun (name, source) -> { Pipeline.Batch.name; source })
              Pipeline.Programs.all)))
 
-let check_edit ~pool ~prev (s : subject) kind seed : unit =
+let check_edit ~prev (s : subject) kind seed : unit =
   match apply kind s.text seed with
   | None -> ()
   | Some edited -> (
-      let scratch =
-        Cogg.Cogg_build.build_string ~pool ~target:s.target edited
-      in
+      let scratch = Cogg.Cogg_build.build_string ~target:s.target edited in
       let incr =
-        Cogg.Cogg_build.build_incremental_string ~pool ~target:s.target
+        Cogg.Cogg_build.build_incremental_string ~target:s.target
           ~previous:prev edited
       in
       match (scratch, incr) with
@@ -207,13 +196,13 @@ let check_edit ~pool ~prev (s : subject) kind seed : unit =
           fail "%s %s(%d): incremental succeeded where scratch failed: %s"
             s.name (kind_name kind) seed (errors_str es))
 
-let oracle_tests ~pool () =
+let oracle_tests () =
   List.iter
     (fun s ->
-      let prev = previous ~pool s in
+      let prev = previous s in
       (* deterministic smoke of each edit kind first, then the random sweep *)
       List.iter
-        (fun kind -> check_edit ~pool ~prev s kind 7)
+        (fun kind -> check_edit ~prev s kind 7)
         [ Tweak; Remove; Duplicate ];
       let gen =
         QCheck.Gen.(
@@ -228,7 +217,7 @@ let oracle_tests ~pool () =
           ~name:(Printf.sprintf "%s: incremental == scratch" s.name)
           arb
           (fun (kind, seed) ->
-            check_edit ~pool ~prev s kind seed;
+            check_edit ~prev s kind seed;
             true)
       in
       QCheck.Test.check_exn test;
@@ -243,7 +232,7 @@ let fresh_cache_dir () =
   Sys.remove path;
   path
 
-let format_gate_tests ~pool () =
+let format_gate_tests () =
   let s = List.hd (Lazy.force subjects) in
   let dir = fresh_cache_dir () in
   let path =
@@ -251,7 +240,7 @@ let format_gate_tests ~pool () =
   in
   Cogg.Tables_cache.(ignore (prune ~cache_dir:dir ()));
   let build () =
-    Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text
+    Cogg.Tables_cache.build_text ~cache_dir:dir ~target:s.target s.text
   in
   (match build () with
   | Ok (_, Cogg.Tables_cache.Built) -> ()
@@ -295,13 +284,11 @@ let format_gate_tests ~pool () =
 
 (* -- cross-process path: an edited spec splices through the cache ------------- *)
 
-let cache_splice_tests ~pool () =
+let cache_splice_tests () =
   let s = List.hd (Lazy.force subjects) in
   let dir = fresh_cache_dir () in
   let build text =
-    match
-      Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target text
-    with
+    match Cogg.Tables_cache.build_text ~cache_dir:dir ~target:s.target text with
     | Ok r -> r
     | Error es -> fail "cache build failed: %s" (errors_str es)
   in
@@ -316,7 +303,7 @@ let cache_splice_tests ~pool () =
       if not st.Cogg.Cogg_build.spliced_tables then
         fail "cache splice: tables were rebuilt for a template tweak";
       let scratch =
-        match Cogg.Cogg_build.build_string ~pool ~target:s.target edited with
+        match Cogg.Cogg_build.build_string ~target:s.target edited with
         | Ok t -> t
         | Error es -> fail "scratch build failed: %s" (errors_str es)
       in
@@ -335,9 +322,7 @@ let cache_splice_tests ~pool () =
   Printf.printf "incremental oracle: cache lineage splice ok\n%!"
 
 let () =
-  Cogg.Pool.with_pool ~domains:(jobs ()) (fun pool ->
-      oracle_tests ~pool ();
-      format_gate_tests ~pool ();
-      cache_splice_tests ~pool ());
-  Printf.printf "incremental oracle: all checks passed (COGG_JOBS=%d)\n%!"
-    (jobs ())
+  oracle_tests ();
+  format_gate_tests ();
+  cache_splice_tests ();
+  Printf.printf "incremental oracle: all checks passed\n%!"

@@ -1,8 +1,7 @@
 (* Determinism of the parallel engine: for any batch and any worker
    count, parallel compilation must be byte-identical to sequential —
    same listings, same object bytes, same error messages in the same
-   positions — and parallel table construction must serialize to the
-   same bundle as a sequential build.
+   positions.
 
    COGG_JOBS overrides the worker count exercised here: an integer, or
    "max" for Domain.recommended_domain_count.  The default of 4 makes
@@ -84,34 +83,6 @@ let test_errors_land_in_place () =
   Alcotest.(check bool) "bad jobs failed" true (Result.is_error seq.(1))
 
 (* ------------------------------------------------------------------ *)
-(* Table construction                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let amdahl_spec =
-  lazy
-    (match Cogg.Spec_parse.of_file (Util.spec_path "amdahl470.cgg") with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "spec parse: %a" Cogg.Spec_parse.pp_error e)
-
-let build_bundle ?pool () =
-  match Cogg.Cogg_build.build ?pool (Lazy.force amdahl_spec) with
-  | Ok t -> Cogg.Tables_io.write t
-  | Error es ->
-      Alcotest.failf "build failed: %a" (Fmt.list Cogg.Cogg_build.pp_error) es
-
-let test_table_build_bytes_identical () =
-  let seq = build_bundle () in
-  Cogg.Pool.with_pool ~domains:(jobs ()) (fun pool ->
-      let par = build_bundle ~pool () in
-      Alcotest.(check int) "bundle length" (String.length seq)
-        (String.length par);
-      Alcotest.(check bool) "bundle bytes identical" true (String.equal seq par));
-  Cogg.Pool.with_pool ~domains:1 (fun pool ->
-      Alcotest.(check bool)
-        "pool of one identical" true
-        (String.equal seq (build_bundle ~pool ())))
-
-(* ------------------------------------------------------------------ *)
 (* Property: random batches                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -184,8 +155,6 @@ let () =
             test_corpus_parallel_equals_sequential_no_cse;
           Alcotest.test_case "errors land in place" `Quick
             test_errors_land_in_place;
-          Alcotest.test_case "table build bytes identical" `Quick
-            test_table_build_bytes_identical;
           QCheck_alcotest.to_alcotest prop_random_batches;
         ] );
     ]

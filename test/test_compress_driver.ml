@@ -109,25 +109,33 @@ let programs =
     ("appendix1", Pipeline.Programs.appendix1_equation);
   ]
 
-let compile_with dispatch src =
-  match Pipeline.compile ~dispatch (amdahl ()) src with
-  | Ok c -> c
+(* Each program is compiled once through the pipeline; its linearized IF
+   then drives the code generator under each dispatch. *)
+let flat_and_comb src =
+  let t = amdahl () in
+  match Pipeline.compile t src with
   | Error m -> Alcotest.failf "compile failed: %s" m
+  | Ok c ->
+      let generate dispatch =
+        match Cogg.Codegen.generate ~dispatch t c.Pipeline.tokens with
+        | Ok r -> r
+        | Error e ->
+            Alcotest.failf "codegen failed: %a" Cogg.Codegen.pp_error e
+      in
+      (generate Cogg.Driver.Flat, generate Cogg.Driver.Comb)
 
 (* End to end: both dispatch paths must produce byte-identical code. *)
 let test_flat_comb_identical_code () =
   List.iter
     (fun (name, src) ->
-      let flat = compile_with Cogg.Driver.Flat src in
-      let comb = compile_with Cogg.Driver.Comb src in
+      let flat, comb = flat_and_comb src in
       Alcotest.(check string)
         (name ^ ": identical listings")
-        flat.Pipeline.gen.Cogg.Codegen.listing
-        comb.Pipeline.gen.Cogg.Codegen.listing;
+        flat.Cogg.Codegen.listing comb.Cogg.Codegen.listing;
       Alcotest.(check bytes)
         (name ^ ": identical code bytes")
-        flat.Pipeline.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.code
-        comb.Pipeline.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.code)
+        flat.Cogg.Codegen.resolved.Cogg.Loader_gen.code
+        comb.Cogg.Codegen.resolved.Cogg.Loader_gen.code)
     programs
 
 (* Well-formed IF never exercises a softened (defaulted) entry on a path
@@ -135,10 +143,9 @@ let test_flat_comb_identical_code () =
 let test_outcomes_agree () =
   List.iter
     (fun (name, src) ->
-      let flat = compile_with Cogg.Driver.Flat src in
-      let comb = compile_with Cogg.Driver.Comb src in
-      let fo = flat.Pipeline.gen.Cogg.Codegen.outcome in
-      let co = comb.Pipeline.gen.Cogg.Codegen.outcome in
+      let flat, comb = flat_and_comb src in
+      let fo = flat.Cogg.Codegen.outcome in
+      let co = comb.Cogg.Codegen.outcome in
       check_int (name ^ ": reductions") fo.Cogg.Driver.reductions
         co.Cogg.Driver.reductions;
       check_int (name ^ ": shifts") fo.Cogg.Driver.shifts co.Cogg.Driver.shifts;

@@ -288,6 +288,25 @@ let framed payload =
   Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
   Bytes.to_string b ^ payload
 
+(* the frame [add] appends for [m], and its payload *)
+let frame_of add m =
+  let o = Serve.Wire.out () in
+  add o m;
+  Bytes.sub_string (Serve.Wire.out_bytes o) 0 (Serve.Wire.out_length o)
+
+let payload_of add m =
+  let f = frame_of add m in
+  String.sub f 4 (String.length f - 4)
+
+(* the payload of the next frame on a raw connection, read through a
+   receive buffer as the client and the daemon read; [None] once the
+   peer has closed it *)
+let rec read_payload fd inb =
+  match Serve.Wire.next_frame inb with
+  | Some (pos, len) -> Some (Bytes.sub_string inb.Serve.Wire.bytes pos len)
+  | None ->
+      if Serve.Wire.read_into fd inb = 0 then None else read_payload fd inb
+
 (* (f) send-side frame cap: an oversized payload is refused before a
    single byte goes out, so the stream stays clean for a recovery
    reply: framing it raises, the frames already in the buffer stay as
@@ -304,14 +323,10 @@ let test_write_frame_cap () =
       let o = Serve.Wire.out () in
       Serve.Wire.add_request o Serve.Wire.Ping;
       let before = Serve.Wire.out_length o in
-      (* a compile payload is 8 bytes plus the source *)
+      (* a compile payload is 5 bytes plus the source *)
       let big =
         Serve.Wire.Compile
-          {
-            id = 1;
-            options = Serve.Wire.default_options;
-            source = String.make (Serve.Wire.max_frame - 7) 'x';
-          }
+          { id = 1; source = String.make (Serve.Wire.max_frame - 4) 'x' }
       in
       (match Serve.Wire.add_request o big with
       | () -> Alcotest.fail "oversized frame was framed"
@@ -325,7 +340,7 @@ let test_write_frame_cap () =
       let got = Bytes.create 64 in
       let n = Unix.read b got 0 64 in
       Alcotest.(check string) "only the frame before the refused one"
-        (framed (Serve.Wire.encode_request Serve.Wire.Ping))
+        (frame_of Serve.Wire.add_request Serve.Wire.Ping)
         (Bytes.sub_string got 0 n);
       match Unix.read b got 0 1 with
       | _ -> Alcotest.fail "bytes of the refused frame were written"
@@ -340,36 +355,40 @@ let test_oversized_substitute () =
   let r =
     Serve.Wire.Compiled { id = 7; cached = false; outcome = Ok (huge, "") }
   in
-  let size = String.length (Serve.Wire.encode_reply r) in
+  let size =
+    match Serve.Wire.add_reply (Serve.Wire.out ()) r with
+    | () -> Alcotest.fail "the synthetic reply was framed"
+    | exception Serve.Wire.Frame_too_large n -> n
+  in
   Alcotest.(check bool)
     "the synthetic reply really is oversized" true
     (size > Serve.Wire.max_frame);
   match Serve.Wire.oversized_substitute r ~size with
-  | Serve.Wire.Compiled { id = 7; cached = false; outcome = Error m } as sub ->
+  | Serve.Wire.Compiled { id = 7; cached = false; outcome = Error m } as sub -> (
       Alcotest.(check bool) "error names the cap" true
         (Util.contains m "frame cap");
-      Alcotest.(check bool) "substitute fits the wire" true
-        (String.length (Serve.Wire.encode_reply sub) <= Serve.Wire.max_frame)
+      match Serve.Wire.add_reply (Serve.Wire.out ()) sub with
+      | () -> ()
+      | exception Serve.Wire.Frame_too_large _ ->
+          Alcotest.fail "substitute does not fit the wire")
   | _ -> Alcotest.fail "substitute lost the reply's id or shape"
 
-(* (h) Hello names the serving target, the stats report it too, and a
-   daemon serving the second backend really compiles for it *)
-let test_hello_target () =
+(* (h) the stats reply names the serving target, and a daemon serving
+   the second backend really compiles for it *)
+let test_stats_target () =
+  let check_target c name =
+    match Serve.Client.stats c with
+    | Ok text ->
+        Alcotest.(check bool)
+          ("stats name " ^ name) true
+          (List.mem ("target " ^ name) (String.split_on_char '\n' text))
+    | Error m -> Alcotest.failf "stats failed: %s" m
+  in
   with_daemon (fun sock ->
-      with_client sock (fun c ->
-          match Serve.Client.hello c with
-          | Ok t -> Alcotest.(check string) "default daemon" "amdahl470" t
-          | Error m -> Alcotest.failf "hello failed: %s" m));
+      with_client sock (fun c -> check_target c "amdahl470"));
   with_daemon ~spec:"risc32.cgg" ~args:[ "--target"; "risc32" ] (fun sock ->
       with_client sock (fun c ->
-          (match Serve.Client.hello c with
-          | Ok t -> Alcotest.(check string) "risc32 daemon" "risc32" t
-          | Error m -> Alcotest.failf "hello failed: %s" m);
-          (match Serve.Client.stats c with
-          | Ok text ->
-              Alcotest.(check bool) "stats name the target" true
-                (Util.contains text "target risc32")
-          | Error m -> Alcotest.failf "stats failed: %s" m);
+          check_target c "risc32";
           match Serve.Client.compile c Pipeline.Programs.gcd with
           | Ok (Serve.Wire.Compiled { outcome = Ok _; _ }) -> ()
           | Ok _ -> Alcotest.fail "risc32 daemon refused a known program"
@@ -433,44 +452,31 @@ let test_eintr_signal_bomb () =
                 (Lazy.force direct_fingerprint)
                 (Serve.Wire.fingerprint (batch c (sources ()))))))
 
-(* every option set a request can carry: cse and checks each defaulted,
-   on or off, times the three dispatch choices *)
-let all_options =
-  let bools = [ None; Some true; Some false ] in
-  List.concat_map
-    (fun cse ->
-      List.concat_map
-        (fun checks ->
-          List.map
-            (fun dispatch -> { Serve.Wire.cse; checks; dispatch })
-            Serve.Wire.[ Default; Flat; Comb ])
-        bools)
-    bools
-
 let requests =
-  Serve.Wire.(
-    List.mapi
-      (fun id options ->
-        Compile { id; options; source = Pipeline.Programs.gcd })
-      all_options
-    @ [ Compile { id = 0xFFFF_FFFF; options = default_options; source = "" };
-        Stats; Ping; Pause 250; Hello; Shutdown ])
+  Serve.Wire.
+    [ Compile { id = 7; source = Pipeline.Programs.gcd };
+      Compile { id = 0xFFFF_FFFF; source = "" }; Stats; Ping; Pause 250;
+      Shutdown ]
 
-(* a compile frame whose dispatch byte is [b]: 'C', the u32 id, then the
-   options tag (cse, checks, dispatch) *)
-let compile_frame_with_dispatch b =
-  let frame = Bytes.of_string (Serve.Wire.encode_request (List.hd requests)) in
-  Bytes.set frame 7 (Char.chr b);
-  Bytes.to_string frame
+(* a compile request in the format compile requests had before they lost
+   their options: tag 'C', the u32 id, three option bytes (cse, checks
+   and dispatch, each 0 for the daemon's default), then the source *)
+let retired_compile_payload =
+  "C\000\000\000\007\000\000\000" ^ Pipeline.Programs.gcd
 
-(* (j) an undecodable request — a compile frame carrying dispatch byte
-   3, a tag no dispatch answers to — drops that client's connection
-   without a reply, and the daemon keeps serving every other client *)
+(* [decode_in] on a payload held in bytes of its own length, so a read
+   past the payload raises instead of landing in a neighbour's bytes *)
+let decode decode_in s =
+  decode_in (Bytes.of_string s) ~pos:0 ~len:(String.length s)
+
+(* (j) a peer from before that change fails loudly: its compile frame is
+   refused as an unknown request, never read as source, the daemon drops
+   that client's connection without a reply, and it keeps serving every
+   other client *)
 let test_undecodable_request_drops_client () =
-  let frame = compile_frame_with_dispatch 3 in
-  (match Serve.Wire.decode_request frame with
+  (match decode Serve.Wire.decode_request_in retired_compile_payload with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "dispatch byte 3 decoded as a request");
+  | Ok _ -> Alcotest.fail "a retired compile frame decoded as a request");
   with_daemon (fun sock ->
       with_client sock (fun good ->
           let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -479,12 +485,12 @@ let test_undecodable_request_drops_client () =
               try Unix.close raw with Unix.Unix_error _ -> ())
             (fun () ->
               Unix.connect raw (Unix.ADDR_UNIX sock);
-              let bytes = framed frame in
+              let bytes = framed retired_compile_payload in
               ignore (Unix.write_substring raw bytes 0 (String.length bytes));
-              match Serve.Wire.read_frame raw with
+              match read_payload raw (Serve.Wire.inbuf ()) with
               | None -> ()
               | Some _ ->
-                  Alcotest.fail "the daemon answered an undecodable request");
+                  Alcotest.fail "the daemon answered a retired compile frame");
           Alcotest.(check string)
             "the other client is still served correctly"
             (Lazy.force direct_fingerprint)
@@ -497,20 +503,14 @@ let test_undecodable_request_drops_client () =
 let test_split_and_joined_frames () =
   let source i = Printf.sprintf "{ split %d }\n%s" i Pipeline.Programs.gcd in
   let frame i =
-    framed
-      (Serve.Wire.encode_request
-         (Serve.Wire.Compile
-            {
-              id = 0;
-              options = Serve.Wire.default_options;
-              source = source i;
-            }))
+    frame_of Serve.Wire.add_request
+      (Serve.Wire.Compile { id = 0; source = source i })
   in
   with_daemon (fun sock ->
       with_client sock (fun c ->
           let want =
             match Serve.Client.compile c (source 0) with
-            | Ok r -> Serve.Wire.encode_reply r
+            | Ok r -> payload_of Serve.Wire.add_reply r
             | Error m -> Alcotest.failf "reference compile failed: %s" m
           in
           let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -521,8 +521,9 @@ let test_split_and_joined_frames () =
               let write s =
                 ignore (Unix.write_substring raw s 0 (String.length s))
               in
+              let inb = Serve.Wire.inbuf () in
               let reply what =
-                match Serve.Wire.read_frame raw with
+                match read_payload raw inb with
                 | Some r -> Alcotest.(check string) what want r
                 | None -> Alcotest.failf "%s: connection closed" what
               in
@@ -547,8 +548,7 @@ let test_big_frame_allocation () =
   Sys.remove sock;
   let server =
     match
-      Serve.Server.create ~table_key:"big-frame" ~socket_path:sock
-        (Lazy.force Util.amdahl_tables)
+      Serve.Server.create ~socket_path:sock (Lazy.force Util.amdahl_tables)
     with
     | Ok s -> s
     | Error m -> Alcotest.failf "create failed: %s" m
@@ -631,57 +631,50 @@ let replies =
     [ Compiled { id = 3; cached = true; outcome = Ok ("L 1,8(13)\n", "\000") };
       Compiled { id = 5; cached = false; outcome = Error "syntax error" };
       Overloaded { id = 0xFFFF_FFFF; retry_after_ms = 1500 };
-      Stats_reply "requests 3\n"; Hello_reply "amdahl470"; Ack; Bye ]
+      Stats_reply "requests 3\ntarget amdahl470\n"; Ack; Bye ]
 
-let roundtrip encode decode messages () =
+(* each message, framed, decodes where it lies in the encoder's buffer *)
+let roundtrip add decode_in messages () =
   List.iter
     (fun m ->
-      match decode (encode m) with
+      let o = Serve.Wire.out () in
+      add o m;
+      match
+        decode_in (Serve.Wire.out_bytes o) ~pos:4
+          ~len:(Serve.Wire.out_length o - 4)
+      with
       | Ok m' when m' = m -> ()
       | Ok _ -> Alcotest.fail "a message changed across the codec"
       | Error e -> Alcotest.failf "an encoded message failed to decode: %s" e)
     messages
 
-(* the options tag is result-cache key material: distinct option sets
-   must never share a tag *)
-let test_options_tags_distinct () =
-  let tags = List.map Serve.Wire.options_tag all_options in
-  Alcotest.(check int)
-    "one tag per option set" (List.length all_options)
-    (List.length (List.sort_uniq compare tags))
+(* an Overloaded reply without its backoff hint (tag and id, 5 bytes) is
+   refused, not read as "retry whenever" *)
+let test_short_overloaded_refused () =
+  match decode Serve.Wire.decode_reply_in "O\000\000\000\001" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a 5-byte Overloaded payload decoded"
 
-(* dispatch bytes 0-2 decode to Default, Flat and Comb; every other byte
-   names no dispatch and fails to decode *)
-let test_dispatch_byte_range () =
-  for b = 0 to 255 do
-    match Serve.Wire.decode_request (compile_frame_with_dispatch b) with
-    | Ok (Serve.Wire.Compile { options; _ })
-      when List.nth_opt Serve.Wire.[ Default; Flat; Comb ] b
-           = Some options.dispatch ->
-        ()
-    | Error _ when b > 2 -> ()
-    | _ -> Alcotest.failf "dispatch byte %d misdecoded" b
-  done
-
-(* decoding is total: every prefix of a real frame, and arbitrary bytes
+(* decoding is total: every prefix of a real payload, and arbitrary bytes
    behind every tag, come back as [Ok] or [Error], never as an exception
    that would take down a connection handler *)
 let decodes_totally s =
-  ignore (Serve.Wire.decode_request s);
-  ignore (Serve.Wire.decode_reply s)
+  ignore (decode Serve.Wire.decode_request_in s);
+  ignore (decode Serve.Wire.decode_reply_in s)
 
 let test_prefixes_decode_totally () =
   List.iter
-    (fun frame ->
-      String.iteri (fun n _ -> decodes_totally (String.sub frame 0 n)) frame)
-    (List.map Serve.Wire.encode_request requests
-    @ List.map Serve.Wire.encode_reply replies)
+    (fun payload ->
+      String.iteri (fun n _ -> decodes_totally (String.sub payload 0 n)) payload)
+    ((retired_compile_payload
+     :: List.map (payload_of Serve.Wire.add_request) requests)
+    @ List.map (payload_of Serve.Wire.add_reply) replies)
 
 let prop_decoders_total =
   QCheck.Test.make ~count:2000 ~name:"decoders are total on arbitrary frames"
     QCheck.(
       pair
-        (oneofl (List.of_seq (String.to_seq "CSPZHQROThAB\000")))
+        (oneofl (List.of_seq (String.to_seq "cCSPZHQROThAB\000")))
         (string_of_size Gen.(0 -- 24)))
     (fun (tag, rest) ->
       decodes_totally (String.make 1 tag ^ rest);
@@ -715,8 +708,8 @@ let () =
             test_write_frame_cap;
           Alcotest.test_case "oversized reply becomes a structured error"
             `Quick test_oversized_substitute;
-          Alcotest.test_case "hello names the serving target" `Quick
-            test_hello_target;
+          Alcotest.test_case "stats name the serving target" `Quick
+            test_stats_target;
           Alcotest.test_case "EINTR bombing never tears a frame" `Quick
             test_eintr_signal_bomb;
           Alcotest.test_case "undecodable request drops only its client"
@@ -731,14 +724,12 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "requests round-trip" `Quick
-            (roundtrip Serve.Wire.encode_request Serve.Wire.decode_request
+            (roundtrip Serve.Wire.add_request Serve.Wire.decode_request_in
                requests);
           Alcotest.test_case "replies round-trip" `Quick
-            (roundtrip Serve.Wire.encode_reply Serve.Wire.decode_reply replies);
-          Alcotest.test_case "options tags are distinct" `Quick
-            test_options_tags_distinct;
-          Alcotest.test_case "dispatch byte range" `Quick
-            test_dispatch_byte_range;
+            (roundtrip Serve.Wire.add_reply Serve.Wire.decode_reply_in replies);
+          Alcotest.test_case "a hintless Overloaded reply is refused" `Quick
+            test_short_overloaded_refused;
           Alcotest.test_case "frame prefixes decode totally" `Quick
             test_prefixes_decode_totally;
           QCheck_alcotest.to_alcotest prop_decoders_total;

@@ -231,8 +231,8 @@ let test_bundle_roundtrip_drives_codegen () =
   Alcotest.(check string) "rewritten bundle" bytes (Cogg.Tables_io.write t2)
 
 (* The bytes a table build produces are a contract: a from-scratch build
-   of either shipped spec, SLR or LALR, sequential or on a 2-domain pool,
-   writes the bundle these digests and lengths pin.  A change to LR
+   of either shipped spec, SLR or LALR, writes the bundle these digests
+   and lengths pin.  A change to LR
    construction, lookaheads, compression, template compilation, the spec
    hashes or the bundle layout that moves a byte fails here, not only in
    a digest computed by hand. *)
@@ -246,9 +246,9 @@ let pinned_bundles =
     ]
 
 let test_bundle_bytes_pinned () =
-  let build ?pool (target, file, mode, _, _) =
+  let build (target, file, mode, _, _) =
     match
-      Cogg.Cogg_build.build_file ?pool ~mode
+      Cogg.Cogg_build.build_file ~mode
         ~target:(Machine.Targets.find_exn target)
         (Util.spec_path file)
     with
@@ -258,11 +258,10 @@ let test_bundle_bytes_pinned () =
           (Fmt.list Cogg.Cogg_build.pp_error)
           es
   in
-  let check how (target, _, mode, md5, len) bytes =
+  let check (target, _, mode, md5, len) bytes =
     let what =
-      Fmt.str "%s %s %s" target
+      Fmt.str "%s %s" target
         (match mode with Cogg.Lookahead.Slr -> "SLR" | Lalr -> "LALR")
-        how
     in
     check_int (what ^ ": bundle length") len (String.length bytes);
     Alcotest.(check string)
@@ -270,11 +269,7 @@ let test_bundle_bytes_pinned () =
       md5
       (Digest.to_hex (Digest.string bytes))
   in
-  List.iter (fun pin -> check "sequential" pin (build pin)) pinned_bundles;
-  Cogg.Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun pin -> check "on 2 domains" pin (build ~pool pin))
-        pinned_bundles)
+  List.iter (fun pin -> check pin (build pin)) pinned_bundles
 
 (* the reader's message for a bundle it must refuse as corrupt *)
 let rejected what bytes =
@@ -566,8 +561,7 @@ let () =
         [ Alcotest.test_case "lookup equivalence" `Quick test_compressed_lookup_equivalence ] );
       ( "bundle",
         [
-          Alcotest.test_case "pinned bytes, -j1 and -j2" `Quick
-            test_bundle_bytes_pinned;
+          Alcotest.test_case "pinned bytes" `Quick test_bundle_bytes_pinned;
           Alcotest.test_case "roundtrip drives codegen" `Quick test_bundle_roundtrip_drives_codegen;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
           Alcotest.test_case "current and stale magic" `Quick

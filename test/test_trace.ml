@@ -158,8 +158,8 @@ let phase_rows () =
     (Cogg.Metrics.snapshot ())
 
 (* [with_cache f] runs [f build] on a private cache that starts empty
-   and is removed afterwards; [build ()] builds amdahl470 through it (on
-   a pool when COGG_JOBS asks for one) and returns the origin. *)
+   and is removed afterwards; [build ()] builds amdahl470 through it and
+   returns the origin. *)
 let with_cache f =
   let text =
     In_channel.with_open_bin (Util.spec_path "amdahl470.cgg")
@@ -167,8 +167,8 @@ let with_cache f =
   in
   let dir = Filename.temp_file "test-trace-cache" "" in
   Sys.remove dir;
-  let build ?pool () =
-    match Cogg.Tables_cache.build_text ?pool ~cache_dir:dir text with
+  let build () =
+    match Cogg.Tables_cache.build_text ~cache_dir:dir text with
     | Ok (_, origin) -> origin
     | Error _ -> Alcotest.fail "amdahl470.cgg failed to build"
   in
@@ -180,11 +180,7 @@ let with_cache f =
           (Sys.readdir dir);
         Sys.rmdir dir
       end)
-    (fun () ->
-      if jobs () > 1 then
-        Cogg.Pool.with_pool ~domains:(jobs ()) (fun pool ->
-            f (build ~pool))
-      else f (fun () -> build ()))
+    (fun () -> f build)
 
 let is_origin what expected got =
   Alcotest.(check bool) what true (got = expected)
