@@ -4,8 +4,9 @@
      check SPEC           build the tables, report conflicts and errors
      stats SPEC           print the Table-1 statistics
      sizes SPEC           print the Table-2 artifact sizes
-     gen SPEC IF-FILE     generate code for a linearized-IF program
-     conflicts SPEC       list every resolved parsing conflict *)
+     conflicts SPEC       list every resolved parsing conflict
+     tables SPEC OUT.cgt  write the table bundle to a file
+     gen SPEC IF-FILE     generate code for a linearized-IF program *)
 
 open Cmdliner
 
@@ -19,7 +20,7 @@ let read_file path =
 (* a .cgt file is a serialized table bundle; anything else is a
    specification compiled through the content-hashed table cache (repeat
    invocations on an unchanged spec skip LR construction) *)
-let load_tables ?(mode = Cogg.Lookahead.Slr) ?target path =
+let load_tables ?target path =
   if Filename.check_suffix path ".cgt" then
     (* the bundle names its own target; --target is only a build input *)
     match Cogg.Tables_io.read (read_file path) with
@@ -27,7 +28,7 @@ let load_tables ?(mode = Cogg.Lookahead.Slr) ?target path =
     | exception Cogg.Tables_io.Corrupt m ->
         Error (Fmt.str "%s: corrupt table bundle (%s)" path m)
   else
-    match Cogg.Tables_cache.build_file ~mode ?target path with
+    match Cogg.Tables_cache.build_file ?target path with
     | Ok (t, origin) ->
         if Sys.getenv_opt "COGG_CACHE_VERBOSE" <> None then
           Fmt.epr "[tables-cache] %s: %a@." path Cogg.Tables_cache.pp_origin
@@ -46,14 +47,6 @@ let spec_arg =
     required
     & pos 0 (some file) None
     & info [] ~docv:"SPEC" ~doc:"Code generator specification (.cgg)")
-
-let mode_conv =
-  Arg.enum [ ("slr", Cogg.Lookahead.Slr); ("lalr", Cogg.Lookahead.Lalr) ]
-
-let mode_arg =
-  Arg.(
-    value & opt mode_conv Cogg.Lookahead.Slr
-    & info [ "mode" ] ~docv:"MODE" ~doc:"Lookahead construction: slr or lalr")
 
 let target_arg =
   Arg.(
@@ -130,8 +123,8 @@ let report_dead_templates (t : Cogg.Tables.t) (baseline : string) =
         dead
 
 let check_cmd =
-  let run mode target spec_path dead_baseline =
-    let t = or_die (load_tables ~mode ~target spec_path) in
+  let run target spec_path dead_baseline =
+    let t = or_die (load_tables ~target spec_path) in
     let conflicts = Cogg.Tables.conflicts t in
     let sr, rr =
       List.partition
@@ -168,20 +161,20 @@ let check_cmd =
              with each one's automaton footprint")
   in
   Cmd.v (Cmd.info "check" ~doc:"Build a specification and report conflicts")
-    Term.(const run $ mode_arg $ target_arg $ spec_arg $ dead_arg)
+    Term.(const run $ target_arg $ spec_arg $ dead_arg)
 
 let stats_cmd =
-  let run mode target spec_path =
+  let run target spec_path =
     let spec = or_die (load_spec spec_path) in
-    let t = or_die (load_tables ~mode ~target spec_path) in
+    let t = or_die (load_tables ~target spec_path) in
     Fmt.pr "%a" Cogg.Stats.pp_table1 (Cogg.Stats.table1 spec t)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print the paper's Table-1 statistics")
-    Term.(const run $ mode_arg $ target_arg $ spec_arg)
+    Term.(const run $ target_arg $ spec_arg)
 
 let sizes_cmd =
-  let run mode target spec_path =
-    let t = or_die (load_tables ~mode ~target spec_path) in
+  let run target spec_path =
+    let t = or_die (load_tables ~target spec_path) in
     let s = Cogg.Tables_io.sizes t in
     let row label bytes =
       Fmt.pr "%-28s %8d bytes  %6.1f pages@." label bytes
@@ -192,11 +185,11 @@ let sizes_cmd =
     row "uncompressed parse table" s.Cogg.Tables_io.uncompressed_table
   in
   Cmd.v (Cmd.info "sizes" ~doc:"Print the Table-2 artifact sizes")
-    Term.(const run $ mode_arg $ target_arg $ spec_arg)
+    Term.(const run $ target_arg $ spec_arg)
 
 let conflicts_cmd =
-  let run mode target spec_path limit =
-    let t = or_die (load_tables ~mode ~target spec_path) in
+  let run target spec_path limit =
+    let t = or_die (load_tables ~target spec_path) in
     let g = t.Cogg.Tables.grammar in
     List.iteri
       (fun i c ->
@@ -209,11 +202,11 @@ let conflicts_cmd =
       & info [ "limit"; "n" ] ~docv:"N" ~doc:"Show at most N conflicts")
   in
   Cmd.v (Cmd.info "conflicts" ~doc:"List resolved parsing conflicts")
-    Term.(const run $ mode_arg $ target_arg $ spec_arg $ limit)
+    Term.(const run $ target_arg $ spec_arg $ limit)
 
 let tables_cmd =
-  let run mode target spec_path out =
-    let t = or_die (load_tables ~mode ~target spec_path) in
+  let run target spec_path out =
+    let t = or_die (load_tables ~target spec_path) in
     let bytes = Cogg.Tables_io.write t in
     let oc = open_out_bin out in
     output_string oc bytes;
@@ -229,11 +222,11 @@ let tables_cmd =
   Cmd.v
     (Cmd.info "tables"
        ~doc:"Compile a specification into a loadable table bundle (.cgt)")
-    Term.(const run $ mode_arg $ target_arg $ spec_arg $ out)
+    Term.(const run $ target_arg $ spec_arg $ out)
 
 let gen_cmd =
-  let run mode target spec_path if_path run_it =
-    let t = or_die (load_tables ~mode ~target spec_path) in
+  let run target spec_path if_path run_it =
+    let t = or_die (load_tables ~target spec_path) in
     let text = read_file if_path in
     match Cogg.Codegen.generate_string t text with
     | Error m -> or_die (Error m)
@@ -272,7 +265,7 @@ let gen_cmd =
       & info [ "run" ] ~doc:"Execute on the target's simulator")
   in
   Cmd.v (Cmd.info "gen" ~doc:"Generate code for an IF program")
-    Term.(const run $ mode_arg $ target_arg $ spec_arg $ if_arg $ run_flag)
+    Term.(const run $ target_arg $ spec_arg $ if_arg $ run_flag)
 
 let () =
   (* library warnings (a table-cache entry that cannot be stored) go to

@@ -60,11 +60,6 @@ let contents t = Array.sub t.arr 0 t.n
 
 let items t = Array.to_list (contents t)
 
-let iter f t =
-  for i = 0 to t.n - 1 do
-    f t.arr.(i)
-  done
-
 (** Count of machine instructions (sites count as one); O(1), maintained
     on append. *)
 let n_instructions t = t.n_insns

@@ -41,10 +41,8 @@ val contents : t -> item array
 (** The appended items in order, as a fresh array. *)
 
 val items : t -> item list
-(** The appended items in order, as a list (prefer {!contents} or
-    {!iter} on hot paths). *)
-
-val iter : (item -> unit) -> t -> unit
+(** The appended items in order, as a list (prefer {!contents} on hot
+    paths). *)
 
 val n_instructions : t -> int
 (** Count of machine instructions (sites count as one); O(1), cached on

@@ -26,10 +26,10 @@ let parse_spec read =
 
 (* LR(0), the action table and the comb: what a grammar-shape change
    rebuilds *)
-let build_tables ~mode grammar =
+let build_tables grammar =
   let automaton = span "cogg_build.lr0" (fun () -> Lr0.build grammar) in
   let parse =
-    span "cogg_build.parse_table" (fun () -> Parse_table.build ~mode automaton)
+    span "cogg_build.parse_table" (fun () -> Parse_table.build automaton)
   in
   let compressed =
     span "cogg_build.compress" (fun () ->
@@ -109,13 +109,13 @@ let type_info (grammar : Grammar.t) (symtab : Symtab.t) =
     symtab.Symtab.terminals;
   (class_of, kind_of)
 
-let build ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
-    (spec : Spec_ast.t) : (Tables.t, error list) result =
+let build ?(target = Machine.Targets.default) (spec : Spec_ast.t) :
+    (Tables.t, error list) result =
   let* symtab =
     Result.map_error (fun e -> [ lift_symtab e ]) (Symtab.of_spec ~target spec)
   in
   let* grammar = grammar_of_spec symtab spec in
-  let parse, compressed = build_tables ~mode grammar in
+  let parse, compressed = build_tables grammar in
   (* compile templates; production ids follow declaration order, and
      errors are reported in it *)
   let n_user = List.length spec.Spec_ast.productions in
@@ -157,8 +157,8 @@ let scratch_stats n =
   { spliced_tables = false; templates_reused = 0; templates_recompiled = n }
 
 (** Rebuild the bundle for [spec], splicing in whatever [previous] (a
-    build of an earlier revision of the same spec, same target and
-    lookahead mode) still covers:
+    build of an earlier revision of the same spec and target) still
+    covers:
 
     - same declaration structure ([Spec_hash.decls]) keeps symbol ids
       stable, so any production whose content hash is unchanged reuses
@@ -173,19 +173,18 @@ let scratch_stats n =
     to a full {!build}.  In every case the result is byte-identical
     ({!Tables_io.write}) to a from-scratch build of [spec] — splicing
     changes how the bytes are obtained, never which bytes. *)
-let build_incremental ?(mode = Lookahead.Slr)
-    ?(target = Machine.Targets.default) ~(previous : Tables.t)
-    (spec : Spec_ast.t) : (Tables.t * incr_stats, error list) result =
+let build_incremental ?(target = Machine.Targets.default)
+    ~(previous : Tables.t) (spec : Spec_ast.t) :
+    (Tables.t * incr_stats, error list) result =
   let n_user = List.length spec.Spec_ast.productions in
   let fallback () =
     Result.map
       (fun t -> (t, scratch_stats n_user))
-      (build ~mode ~target spec)
+      (build ~target spec)
   in
   if
     previous.Tables.target.Machine.Target.name
     <> target.Machine.Target.name
-    || previous.Tables.mode <> mode
     || Array.length previous.Tables.hashes.Spec_hash.prods
        <> previous.Tables.n_user_prods
   then fallback ()
@@ -282,7 +281,7 @@ let build_incremental ?(mode = Lookahead.Slr)
               builders = Tables.builders_of target compiled;
             }
           else
-            let parse, compressed = build_tables ~mode grammar in
+            let parse, compressed = build_tables grammar in
             Tables.make ~target ~grammar ~symtab ~parse ~compressed ~compiled
               ~n_user_prods:n_user ~class_of ~kind_of ~hashes
         in
@@ -296,17 +295,15 @@ let build_incremental ?(mode = Lookahead.Slr)
       end
     end
 
-let build_incremental_string ?mode ?target ~previous (text : string) :
+let build_incremental_string ?target ~previous (text : string) :
     (Tables.t * incr_stats, error list) result =
   let* spec = parse_spec (fun () -> Spec_parse.of_string text) in
-  build_incremental ?mode ?target ~previous spec
+  build_incremental ?target ~previous spec
 
-let build_string ?mode ?target (text : string) :
-    (Tables.t, error list) result =
+let build_string ?target (text : string) : (Tables.t, error list) result =
   let* spec = parse_spec (fun () -> Spec_parse.of_string text) in
-  build ?mode ?target spec
+  build ?target spec
 
-let build_file ?mode ?target (path : string) :
-    (Tables.t, error list) result =
+let build_file ?target (path : string) : (Tables.t, error list) result =
   let* spec = parse_spec (fun () -> Spec_parse.of_file path) in
-  build ?mode ?target spec
+  build ?target spec

@@ -14,19 +14,18 @@ val grammar_of_spec :
 (** Build the augmented machine grammar from a checked specification. *)
 
 val build :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   Spec_ast.t ->
   (Tables.t, error list) result
-(** Build the complete table bundle, on the calling domain.  [mode]
-    selects SLR(1) (the default, as in the paper) or LALR(1) lookaheads.
-    [target] selects the machine substrate the spec's opcodes and
-    template shapes are checked against (default: the Amdahl 470); it is
-    recorded in [Tables.target] and drives emission, loading and
-    simulation.  Each stage runs in a {!Trace} span:
-    [cogg_build.lr0], [cogg_build.parse_table], [cogg_build.compress],
-    [cogg_build.templates] and [cogg_build.spec_hash], plus [spec_parse]
-    in the [_string] and [_file] entry points. *)
+(** Build the complete table bundle, on the calling domain, with
+    SLR(1) lookaheads, as in the paper.  [target] selects the machine
+    substrate the spec's opcodes and template shapes are checked against
+    (default: the Amdahl 470); it is recorded in [Tables.target] and
+    drives emission, loading and simulation.  Each stage runs in a
+    {!Trace} span: [cogg_build.lr0], [cogg_build.parse_table],
+    [cogg_build.compress], [cogg_build.templates] and
+    [cogg_build.spec_hash], plus [spec_parse] in the [_string] and
+    [_file] entry points. *)
 
 type incr_stats = {
   spliced_tables : bool;
@@ -42,7 +41,6 @@ type incr_stats = {
 val pp_incr_stats : Format.formatter -> incr_stats -> unit
 
 val build_incremental :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   previous:Tables.t ->
   Spec_ast.t ->
@@ -50,8 +48,8 @@ val build_incremental :
 (** Rebuild the bundle for an edited spec, recomputing only the
     artifacts downstream of changed per-production content hashes
     ({!Spec_hash}) and splicing everything else in from [previous] — a
-    build of an earlier revision of the same spec (same target, same
-    lookahead mode; anything else falls back to a full {!build}).
+    build of an earlier revision of the same spec (same target;
+    anything else falls back to a full {!build}).
     Splice rules: stable declaration structure transfers hash-matched
     compiled templates (rebound to their new production ids); an
     unchanged grammar shape additionally transfers the automaton,
@@ -60,20 +58,17 @@ val build_incremental :
     edit oracle in the test suite. *)
 
 val build_incremental_string :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   previous:Tables.t ->
   string ->
   (Tables.t * incr_stats, error list) result
 
 val build_string :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   string ->
   (Tables.t, error list) result
 
 val build_file :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   string ->
   (Tables.t, error list) result

@@ -158,28 +158,21 @@ let finish b =
 
 (** Sets of symbol ids as fixed-width bitsets: bit [s mod int_size] of
     word [s / int_size] holds symbol [s].  A set is made for a universe
-    of [n] symbols ([create n]) and never grows; a union reads the
-    words of its source only, so a set over a smaller universe can be
-    merged into a larger one (the LALR sets carry one sentinel symbol
-    past the grammar's).  Sets are mutable: [union_into] and [add]
-    update in place, and a set handed out by {!analyze} must not be
-    changed by its reader. *)
+    of [n] symbols ([create n]) and never grows.  Sets are mutable:
+    [union_into] and [add] update in place, and a set handed out by
+    {!analyze} must not be changed by its reader. *)
 module Symset : sig
   type t
 
   val create : int -> t
   val singleton : int -> int -> t
-  val copy : t -> t
   val mem : int -> t -> bool
   val add : t -> int -> unit
-  val remove : t -> int -> unit
-  val clear : t -> unit
 
   val union_into : into:t -> t -> bool
   (** [union_into ~into s] adds every member of [s] to [into]; true if
       [into] grew *)
 
-  val is_empty : t -> bool
   val iter : (int -> unit) -> t -> unit
   (** members in ascending order *)
 
@@ -189,12 +182,8 @@ end = struct
 
   let bits = Sys.int_size
   let create n = Array.make ((n + bits - 1) / bits) 0
-  let copy = Array.copy
   let mem s t = t.(s / bits) land (1 lsl (s mod bits)) <> 0
   let add t s = t.(s / bits) <- t.(s / bits) lor (1 lsl (s mod bits))
-  let remove t s = t.(s / bits) <- t.(s / bits) land lnot (1 lsl (s mod bits))
-
-  let clear t = Array.fill t 0 (Array.length t) 0
 
   let singleton n s =
     let t = create n in
@@ -211,8 +200,6 @@ end = struct
       end
     done;
     !grew
-
-  let is_empty t = Array.for_all (fun w -> w = 0) t
 
   let iter f t =
     for i = 0 to Array.length t - 1 do

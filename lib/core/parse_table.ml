@@ -25,7 +25,6 @@ type conflict = {
 type t = {
   grammar : Grammar.t;
   automaton : Lr0.t;
-  mode : Lookahead.mode;
   actions : action array array; (* state x symbol *)
   conflicts : conflict list;
 }
@@ -55,11 +54,11 @@ let pp_conflict g ppf c =
    arises, which is the conflict log's order.  The action values are
    shared, one per state and per production, so a cell write allocates
    nothing. *)
-let build ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
+let build (a : Lr0.t) : t =
   let g = a.Lr0.grammar in
   let an = Grammar.analyze g in
   let n_syms = Grammar.n_syms g in
-  let reds = Lookahead.reductions a an mode in
+  let reds = Lookahead.reductions a an in
   let shift = Array.init (Lr0.n_states a) (fun s -> Shift s) in
   let reduce = Array.init (Grammar.n_prods g) (fun p -> Reduce p) in
   let len p = Array.length (Grammar.prod g p).rhs in
@@ -112,7 +111,7 @@ let build ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
         row)
       a.Lr0.states
   in
-  { grammar = g; automaton = a; mode; actions; conflicts = List.rev !conflicts }
+  { grammar = g; automaton = a; actions; conflicts = List.rev !conflicts }
 
 (** Number of non-error entries (the paper's "significant entries"),
     counted over the given symbol columns. *)

@@ -16,8 +16,8 @@
       raises [Pressure].
 
     Every call runs once or more per reduction, so none allocates on its
-    way to a register: the pools are scanned as arrays in their
-    configured order, and only the failing path builds a message. *)
+    way to a register: the pools are scanned as arrays in a fixed
+    order, and only the failing path builds a message. *)
 
 type bank = Gp | Fp
 
@@ -31,23 +31,6 @@ let strategy_name = function
   | Lru -> "lru"
   | Round_robin -> "round-robin"
   | First_free -> "first-free"
-
-type config = {
-  gpr_pool : int list;
-  pair_pool : int list;  (** even members; the odd partner is implied *)
-  fpr_pool : int list;
-  fpair_pool : int list;  (** quad pairs: f and f+2 *)
-}
-
-(** Pool matching the project's register conventions (r13 frame, r10 PSA,
-    r12 code base, r0 zero, r14/r15 linkage via [need]). *)
-let default_config =
-  {
-    gpr_pool = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 11 ];
-    pair_pool = [ 2; 4; 6; 8 ];
-    fpr_pool = [ 0; 2; 4; 6 ];
-    fpair_pool = [ 0; 4 ];
-  }
 
 type reg = {
   mutable busy : bool;
@@ -72,12 +55,9 @@ type stats = {
 }
 
 type t = {
-  config : config;
   strategy : strategy;
   gprs : reg array;
   fprs : reg array;
-  pools : int array array;
-      (** the configured pools as arrays, indexed by {!pool_slot} *)
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -99,6 +79,18 @@ let partner : Symtab.reg_class -> int = function
   | Symtab.Fpair -> 2
   | Symtab.Gpr | Symtab.Fpr | Symtab.Cc | Symtab.Noclass -> 0
 
+(* The pools, matching the project's register conventions (r13 frame,
+   r10 PSA, r12 code base, r0 zero, r14/r15 linkage via [need]), each
+   in the order a scan visits it.  Every allocator, on every domain,
+   reads them and none writes them. *)
+let gpr_pool = [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 11 |]
+let pair_pool = [| 2; 4; 6; 8 |]  (* even members; the odd partner is implied *)
+let fpr_pool = [| 0; 2; 4; 6 |]
+let fpair_pool = [| 0; 4 |]  (* quad pairs: f and f+2 *)
+
+(* the pools by {!pool_slot} *)
+let pools = [| gpr_pool; pair_pool; fpr_pool; fpair_pool; [||] |]
+
 let pool_slot : Symtab.reg_class -> int = function
   | Symtab.Gpr -> 0
   | Symtab.Pair -> 1
@@ -106,20 +98,15 @@ let pool_slot : Symtab.reg_class -> int = function
   | Symtab.Fpair -> 3
   | Symtab.Cc | Symtab.Noclass -> 4
 
-let create ?(config = default_config) ?(strategy = Lru) () =
+let create ?(strategy = Lru) () =
   let mk n = Array.init n (fun _ ->
       { busy = false; use_count = 0; usage_index = 0; cse = None;
         cse_shares = 0 })
   in
   {
-    config;
     strategy;
     gprs = mk 16;
     fprs = mk 8;
-    pools =
-      Array.map Array.of_list
-        [| config.gpr_pool; config.pair_pool; config.fpr_pool;
-           config.fpair_pool; [] |];
     global_index = 0;
     cursor = 0;
     stats =
@@ -136,14 +123,14 @@ let create ?(config = default_config) ?(strategy = Lru) () =
 
 let regs t = function Gp -> t.gprs | Fp -> t.fprs
 
-let in_any_pool t bank r =
+let in_any_pool bank r =
   match bank with
-  | Fp -> List.mem r t.config.fpr_pool || List.mem r t.config.fpair_pool
-          || List.mem (r - 2) t.config.fpair_pool
+  | Fp ->
+      Array.mem r fpr_pool || Array.mem r fpair_pool
+      || Array.mem (r - 2) fpair_pool
   | Gp ->
-      List.mem r t.config.gpr_pool
-      || List.mem r t.config.pair_pool
-      || List.exists (fun e -> r = e + 1) t.config.pair_pool
+      Array.mem r gpr_pool || Array.mem r pair_pool
+      || Array.mem (r - 1) pair_pool
 
 (** Bump the global usage index; called once per reduction. *)
 let begin_reduction t = t.global_index <- t.global_index + 1
@@ -173,18 +160,18 @@ let protected_pairs : Symtab.reg_class -> int * int = function
   | Symtab.Fpr -> (3, 2)
   | Symtab.Pair | Symtab.Fpair | Symtab.Cc | Symtab.Noclass -> (4, 0)
 
-let count_free_pairs t regs cls =
+let count_free_pairs regs cls =
   let slot, step = protected_pairs cls in
-  let pairs = t.pools.(slot) and n = ref 0 in
+  let pairs = pools.(slot) and n = ref 0 in
   for i = 0 to Array.length pairs - 1 do
     if free_at regs step pairs.(i) then incr n
   done;
   !n
 
 (* would allocating [r] alone break up a free pair? *)
-let breaks_free_pair t regs cls r =
+let breaks_free_pair regs cls r =
   let slot, step = protected_pairs cls in
-  let pairs = t.pools.(slot) in
+  let pairs = pools.(slot) in
   let found = ref false and i = ref 0 in
   while (not !found) && !i < Array.length pairs do
     let e = pairs.(!i) in
@@ -196,20 +183,20 @@ let breaks_free_pair t regs cls r =
 let evictable_reg (st : reg) =
   (not st.busy) || (st.cse <> None && st.use_count <= st.cse_shares)
 
-let admits t regs cls admit r =
+let admits regs cls admit r =
   let step = partner cls in
   match admit with
   | Free -> free_at regs step r
-  | Preserving -> free_at regs step r && not (breaks_free_pair t regs cls r)
+  | Preserving -> free_at regs step r && not (breaks_free_pair regs cls r)
   | Evictable ->
       evictable_reg regs.(r)
       && (step = 0 || evictable_reg regs.(r + step))
       && (regs.(r).cse <> None || (step > 0 && regs.(r + step).cse <> None))
 
-let count_admitted t regs cls admit =
-  let pool = t.pools.(pool_slot cls) and n = ref 0 in
+let count_admitted regs cls admit =
+  let pool = pools.(pool_slot cls) and n = ref 0 in
   for i = 0 to Array.length pool - 1 do
-    if admits t regs cls admit pool.(i) then incr n
+    if admits regs cls admit pool.(i) then incr n
   done;
   !n
 
@@ -221,18 +208,18 @@ let stamp (regs : reg array) step r =
 (* the admitted member the strategy picks, or -1 when none is admitted *)
 let pick t cls admit =
   let regs = regs t (bank_of_class cls) in
-  let pool = t.pools.(pool_slot cls) in
+  let pool = pools.(pool_slot cls) in
   let n = Array.length pool in
   match t.strategy with
   | First_free ->
       let found = ref (-1) and i = ref 0 in
       while !found < 0 && !i < n do
-        if admits t regs cls admit pool.(!i) then found := pool.(!i);
+        if admits regs cls admit pool.(!i) then found := pool.(!i);
         incr i
       done;
       !found
   | Round_robin ->
-      let k = count_admitted t regs cls admit in
+      let k = count_admitted regs cls admit in
       if k = 0 then -1
       else begin
         let target = t.cursor mod k in
@@ -240,7 +227,7 @@ let pick t cls admit =
         let found = ref (-1) and seen = ref 0 and i = ref 0 in
         while !found < 0 do
           let r = pool.(!i) in
-          if admits t regs cls admit r then begin
+          if admits regs cls admit r then begin
             if !seen = target then found := r;
             incr seen
           end;
@@ -253,7 +240,7 @@ let pick t cls admit =
       let best = ref (-1) and best_stamp = ref 0 in
       for i = 0 to n - 1 do
         let r = pool.(i) in
-        if admits t regs cls admit r then begin
+        if admits regs cls admit r then begin
           let s = stamp regs step r in
           if !best < 0 || s < !best_stamp then begin
             best := r;
@@ -304,7 +291,7 @@ let clear (st : reg) =
    member is holding (use counts, CSE bindings) *)
 let pressure_message t cls =
   let regs = regs t (bank_of_class cls) in
-  let pool = Array.to_list t.pools.(pool_slot cls) in
+  let pool = Array.to_list pools.(pool_slot cls) in
   let members = List.sort_uniq compare (List.concat_map (covered cls) pool) in
   let holding =
     List.filter_map
@@ -344,8 +331,8 @@ let alloc t (cls : Symtab.reg_class) : int * evicted option =
       let admit =
         match cls with
         | (Symtab.Gpr | Symtab.Fpr)
-          when count_free_pairs t regs cls <= 2
-               && count_admitted t regs cls Preserving > 0 ->
+          when count_free_pairs regs cls <= 2
+               && count_admitted regs cls Preserving > 0 ->
             Preserving
         | _ -> Free
       in
@@ -454,7 +441,7 @@ let touch t bank r : int option =
   c
 
 let bind_cse ?(shares = 0) t bank r cse =
-  if in_any_pool t bank r then begin
+  if in_any_pool bank r then begin
     (regs t bank).(r).cse <- Some cse;
     (regs t bank).(r).cse_shares <- shares
   end

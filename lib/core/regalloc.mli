@@ -16,8 +16,8 @@
       raises {!Pressure}.
 
     Every call runs once or more per reduction, so none allocates on its
-    way to a register: the pools are scanned as arrays in their
-    configured order, and only the failing path builds a message. *)
+    way to a register: the pools are scanned as arrays in a fixed
+    order, and only the failing path builds a message. *)
 
 (** The two register files of the 370. *)
 type bank = Gp | Fp
@@ -27,17 +27,6 @@ val bank_of_class : Symtab.reg_class -> bank
 type strategy = Lru | Round_robin | First_free
 
 val strategy_name : strategy -> string
-
-type config = {
-  gpr_pool : int list;
-  pair_pool : int list;  (** even members; the odd partner is implied *)
-  fpr_pool : int list;
-  fpair_pool : int list;  (** quad pairs: f and f+2 *)
-}
-
-val default_config : config
-(** Pool matching the project's register conventions (r13 frame, r10 PSA,
-    r12 code base, r0 zero, r14/r15 linkage via [need]). *)
 
 type stats = {
   mutable n_allocs : int;
@@ -53,11 +42,9 @@ type stats = {
 }
 
 type t = private {
-  config : config;
   strategy : strategy;
   gprs : reg array;
   fprs : reg array;
-  pools : int array array;  (** the configured pools, as arrays *)
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -74,7 +61,11 @@ and reg = {
 exception Pressure of string
 (** No register can be allocated: the pool holds only live values. *)
 
-val create : ?config:config -> ?strategy:strategy -> unit -> t
+val create : ?strategy:strategy -> unit -> t
+(** A fresh allocator over the pools of the project's register
+    conventions: r1–r9 and r11 (r13 frame, r10 PSA, r12 code base, r0
+    zero, r14/r15 linkage via [need]), the even-odd pairs r2–r9, f0–f6,
+    and the quad pairs f0 and f4. *)
 
 val covered : Symtab.reg_class -> int -> int list
 (** The physical registers an allocation of this class occupies. *)

@@ -45,7 +45,6 @@ let all =
     "abort";
   ]
 
-let count = List.length all
 let is_semantic name = List.mem (String.lowercase_ascii name) all
 
 (** The IF type operator a CSE-definition operator corresponds to: when a

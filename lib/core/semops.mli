@@ -5,7 +5,6 @@
     checking is of utmost importance" (paper, footnote 2). *)
 
 val all : string list
-val count : int
 val is_semantic : string -> bool
 
 val common_type_operator : string -> string option

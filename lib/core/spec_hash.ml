@@ -126,13 +126,3 @@ let of_spec (symtab : Symtab.t) (spec : Spec_ast.t) : t =
       Array.of_list
         (List.map (production_hash symtab) spec.Spec_ast.productions);
   }
-
-(** Indices of productions whose hash differs from [previous] (including
-    every index past the shorter array): the changed set an incremental
-    rebuild must recompute. *)
-let changed ~(previous : t) (current : t) : int list =
-  let n = Array.length current.prods in
-  let m = Array.length previous.prods in
-  List.filter
-    (fun i -> i >= m || current.prods.(i) <> previous.prods.(i))
-    (List.init n Fun.id)

@@ -24,7 +24,3 @@ val of_spec : Symtab.t -> Spec_ast.t -> t
 val production_hash : Symtab.t -> Spec_ast.production -> string
 (** The content digest of one production: grammar signature, template
     body, and the symbol-table slice it reads. *)
-
-val changed : previous:t -> t -> int list
-(** Indices of current productions whose hash differs from [previous]
-    (including all indices past the shorter array). *)

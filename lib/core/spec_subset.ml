@@ -96,6 +96,6 @@ let filter (lvl : level) (spec : Spec_ast.t) : Spec_ast.t =
   { spec with Spec_ast.productions = List.filter (keep lvl) spec.Spec_ast.productions }
 
 (** Build every level from a parsed specification. *)
-let build_levels ?mode (spec : Spec_ast.t) :
+let build_levels (spec : Spec_ast.t) :
     (level * (Tables.t, Cogg_build.error list) result) list =
-  List.map (fun lvl -> (lvl, Cogg_build.build ?mode (filter lvl spec))) all_levels
+  List.map (fun lvl -> (lvl, Cogg_build.build (filter lvl spec))) all_levels

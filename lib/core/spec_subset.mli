@@ -26,7 +26,6 @@ val keep : level -> Spec_ast.production -> bool
 val filter : level -> Spec_ast.t -> Spec_ast.t
 
 val build_levels :
-  ?mode:Lookahead.mode ->
   Spec_ast.t ->
   (level * (Tables.t, Cogg_build.error list) result) list
 (** Build every level from a parsed specification. *)

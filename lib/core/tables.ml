@@ -21,7 +21,6 @@ type t = {
       (** the machine substrate this bundle's templates emit for *)
   grammar : Grammar.t;
   symtab : Symtab.t;
-  mode : Lookahead.mode;
   start : int;  (** the automaton's start state *)
   compressed : Compress.t;
       (** the comb-packed (defaults + row displacement) form of the
@@ -89,7 +88,6 @@ let make ~target ~grammar ~symtab ~(parse : Parse_table.t) ~compressed
     target;
     grammar;
     symtab;
-    mode = parse.Parse_table.mode;
     start = automaton.Lr0.start;
     compressed;
     compiled;
@@ -113,7 +111,6 @@ let parse t : Parse_table.t =
     Parse_table.grammar = t.grammar;
     automaton =
       { Lr0.grammar = t.grammar; states = force t.states; start = t.start };
-    mode = t.mode;
     actions = actions t;
     conflicts = conflicts t;
   }

@@ -2,8 +2,8 @@
 
     LR construction over the full amdahl470 specification dominates every
     [pasc]/[coggc] invocation, yet its result depends only on the
-    specification text and the lookahead mode.  The cache keys an entry on
-    a digest of (format version, mode, spec text) and stores the
+    specification text and the target.  The cache keys an entry on a
+    digest of (format version, target, spec text) and stores the
     {!Tables_io} serialization, so a second run on an unchanged spec skips
     {!Cogg_build.build} entirely and a modified spec simply hashes to a
     different entry.  Corrupt or truncated entries are indistinguishable
@@ -46,28 +46,21 @@ let default_dir () =
       | Some d when d <> "" -> Filename.concat d "cogg"
       | _ -> "_cache")
 
-let mode_tag : Lookahead.mode -> string = function
-  | Lookahead.Slr -> "slr"
-  | Lookahead.Lalr -> "lalr"
-
-let key ?(target = Machine.Targets.default) ~(mode : Lookahead.mode)
-    (spec_text : string) : string =
+let key ?(target = Machine.Targets.default) (spec_text : string) : string =
   (* the target name is part of the key: the same spec text checked
      against two machines yields different bundles.  The text is
      digested on its own and only that digest joins the short prefix,
      so a lookup never copies the spec *)
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "cogg-tables-v%d:%s:%s:%s" format_version
-          (mode_tag mode) target.Machine.Target.name
-          (Digest.string spec_text)))
+       (Printf.sprintf "cogg-tables-v%d:%s:%s" format_version
+          target.Machine.Target.name (Digest.string spec_text)))
 
 (** Cache file an unchanged spec would hit; exposed so tests (and curious
     users) can inspect or corrupt the entry. *)
-let entry_path ?(mode = Lookahead.Slr) ?target ?cache_dir (spec_text : string)
-    : string =
+let entry_path ?target ?cache_dir (spec_text : string) : string =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
-  Filename.concat dir ("cogg-" ^ key ?target ~mode spec_text ^ ".cgt")
+  Filename.concat dir ("cogg-" ^ key ?target spec_text ^ ".cgt")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -99,12 +92,6 @@ let tmp_counter = Atomic.make 0
    victim set is deterministic.  Everything is best effort — a
    concurrently deleted file is simply skipped. *)
 let default_max_entries = 64
-
-let max_entries_default () =
-  match Sys.getenv_opt "COGG_CACHE_MAX_ENTRIES" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default_max_entries)
-  | None -> default_max_entries
 
 let is_entry name =
   String.length name > 9
@@ -148,7 +135,9 @@ let remove_orphans dir names =
 
 let prune ?cache_dir ?max_entries () : int =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
-  let cap = match max_entries with Some n -> max 1 n | None -> max_entries_default () in
+  let cap =
+    match max_entries with Some n -> max 1 n | None -> default_max_entries
+  in
   match Sys.readdir dir with
   | exception Sys_error _ -> 0
   | names ->
@@ -212,17 +201,16 @@ let store path bytes =
    — by design, but it also severs the edited spec from the build of its
    previous revision, which is precisely what an incremental rebuild
    wants to splice from.  The bridge is one pointer file per lineage
-   (format version x mode x target, everything in the key except the
-   text): it names the newest entry stored for that
-   lineage.  On a miss, the pointer locates the previous partial build;
-   the pointer itself is a hint — stale, pruned-away or corrupt targets
-   simply degrade to a scratch build. *)
+   (format version x target, everything in the key except the text):
+   it names the newest entry stored for that lineage.  On a miss, the
+   pointer locates the previous partial build; the pointer itself is a
+   hint — stale, pruned-away or corrupt targets simply degrade to a
+   scratch build. *)
 
-let lineage_path ?(mode = Lookahead.Slr) ?(target = Machine.Targets.default)
-    ?cache_dir () : string =
+let lineage_path ?(target = Machine.Targets.default) ?cache_dir () : string =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
   let tag =
-    Printf.sprintf "cogg-lineage-v%d:%s:%s" format_version (mode_tag mode)
+    Printf.sprintf "cogg-lineage-v%d:%s" format_version
       target.Machine.Target.name
   in
   Filename.concat dir ("cogg-" ^ Digest.to_hex (Digest.string tag) ^ ".ptr")
@@ -255,17 +243,17 @@ let load path : Tables.t option =
         Log.info (fun f -> f "cannot read entry %s (%s)" path m);
         None
 
-(** [build_text ?mode ?cache_dir text] returns the tables for a
+(** [build_text ?cache_dir text] returns the tables for a
     specification given as text, via the cache.  On a miss, the lineage
-    pointer is consulted for the previous build of the same (mode,
-    target) line: when one loads, the rebuild is incremental —
+    pointer is consulted for the previous build of the same target's
+    line: when one loads, the rebuild is incremental —
     {!Cogg_build.build_incremental} splices every artifact the edit
     left untouched — and still byte-identical to a scratch build, so
     the stored entry is the same either way. *)
-let build_text ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
-    : (Tables.t * origin, Cogg_build.error list) result =
-  let path = entry_path ~mode ?target ?cache_dir text in
-  let lpath = lineage_path ~mode ?target ?cache_dir () in
+let build_text ?target ?cache_dir (text : string) :
+    (Tables.t * origin, Cogg_build.error list) result =
+  let path = entry_path ?target ?cache_dir text in
+  let lpath = lineage_path ?target ?cache_dir () in
   match load path with
   | Some t ->
       Metrics.add m_hits 1;
@@ -285,8 +273,7 @@ let build_text ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
       let built =
         match previous with
         | Some prev ->
-            Cogg_build.build_incremental_string ~mode ?target
-              ~previous:prev text
+            Cogg_build.build_incremental_string ?target ~previous:prev text
         | None ->
             Result.map
               (fun t ->
@@ -296,7 +283,7 @@ let build_text ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
                        templates_reused = 0;
                        templates_recompiled = 0;
                      }))
-              (Cogg_build.build_string ~mode ?target text)
+              (Cogg_build.build_string ?target text)
       in
       match built with
       | Error es -> Error es
@@ -313,11 +300,11 @@ let build_text ?(mode = Lookahead.Slr) ?target ?cache_dir (text : string)
           Log.info (fun f -> f "miss; %a: %s" pp_origin origin path);
           Ok (t, origin))
 
-(** [build_file ?mode ?cache_dir path] is {!build_text} over the file's
+(** [build_file ?cache_dir path] is {!build_text} over the file's
     contents: the digest covers the text, so editing the spec in place is
     a clean miss, not a stale hit. *)
-let build_file ?mode ?target ?cache_dir (path : string) :
+let build_file ?target ?cache_dir (path : string) :
     (Tables.t * origin, Cogg_build.error list) result =
   match read_file path with
-  | text -> build_text ?mode ?target ?cache_dir text
+  | text -> build_text ?target ?cache_dir text
   | exception Sys_error m -> Error [ { Cogg_build.line = 0; msg = m } ]

@@ -1,5 +1,5 @@
 (** On-disk cache of built table bundles, keyed by a content digest of the
-    specification (plus lookahead mode and serialization-format version).
+    specification (plus target and serialization-format version).
 
     A hit loads the {!Tables_io} bundle and skips LR construction
     entirely; a miss builds with {!Cogg_build} and stores the result.
@@ -17,47 +17,42 @@ type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 val pp_origin : Format.formatter -> origin -> unit
 
 val default_max_entries : int
-(** The entry-count cap {!prune} enforces when neither [?max_entries]
-    nor [$COGG_CACHE_MAX_ENTRIES] overrides it. *)
+(** The entry-count cap every [store] enforces, and {!prune}'s
+    default. *)
 
 val prune : ?cache_dir:string -> ?max_entries:int -> unit -> int
 (** Enforce the size cap on a cache directory: when it holds more than
-    [max_entries] (default [$COGG_CACHE_MAX_ENTRIES], else
-    {!default_max_entries}) bundle entries, delete the excess
-    oldest-first by modification time (ties by name, so the victim set
-    is deterministic).  Also delete the temp files of entries and
-    lineage pointers whose writer's process is gone (a writer killed
-    before its rename); a live writer's temp file stays.  Returns the
-    number of files deleted.  Best effort and race-tolerant —
-    concurrently removed files are skipped, errors are swallowed.
+    [max_entries] (default {!default_max_entries}) bundle entries,
+    delete the excess oldest-first by modification time (ties by name,
+    so the victim set is deterministic).  Also delete the temp files of
+    entries and lineage pointers whose writer's process is gone (a
+    writer killed before its rename); a live writer's temp file stays.
+    Returns the number of files deleted.  Best effort and race-tolerant
+    — concurrently removed files are skipped, errors are swallowed.
     Every successful [store] runs this automatically, so a long-lived
     daemon's cache directory stays bounded. *)
 
 val entry_path :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->
   string
 (** [entry_path spec_text] is the cache file a given specification text
-    maps to (whether or not it exists yet).  Its name digests the text,
-    the mode and the [target]'s name (default: the Amdahl 470), so the
-    same spec text checked against two machines never shares an
-    entry. *)
+    maps to (whether or not it exists yet).  Its name digests the text
+    and the [target]'s name (default: the Amdahl 470), so the same spec
+    text checked against two machines never shares an entry. *)
 
 val lineage_path :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   unit ->
   string
-(** The pointer file naming the newest entry of a (mode, target)
-    lineage — everything in the key except the spec text.  A
-    miss follows it to the previous partial build and rebuilds
-    incrementally; it is refreshed on every hit and store. *)
+(** The pointer file naming the newest entry of a target's lineage —
+    everything in the key except the spec text.  A miss follows it to
+    the previous partial build and rebuilds incrementally; it is
+    refreshed on every hit and store. *)
 
 val build_text :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->
@@ -67,7 +62,6 @@ val build_text :
     against. *)
 
 val build_file :
-  ?mode:Lookahead.mode ->
   ?target:Machine.Target.t ->
   ?cache_dir:string ->
   string ->

@@ -16,7 +16,7 @@
     24  u32 x 7  section lengths (the directory); the sections follow
                  in this order, back to back, and end at [length]
         meta       target, grammar, symbol table, start state,
-                   lookahead mode, user production count
+                   lookahead mode (always 0), user production count
         comb       the comb-packed table (Compress.t), which also
                    carries the state and symbol counts
         templates  the CGT1 template array
@@ -34,7 +34,12 @@
     a corrupt or torn bundle is always [Corrupt] and never a wrong table.
     It then decodes the runtime part (meta, comb, templates, types) and
     the small hashes section, and checks the structure of the rest:
-    every length and column fits its section.  The comb's cells are not
+    every length and column fits its section.  The meta section's
+    lookahead-mode word is always 0 (SLR(1), the one construction), and
+    any other value is [Corrupt].  The word is kept so that the layout
+    and the bytes of every bundle stay as they were when a second
+    construction could be chosen: dropping it would change the format
+    for no change in the tables.  The comb's cells are not
     copied: the dispatcher probes them in the loaded string.  The rows
     and conflicts, and the skeletal automaton, are decoded on first use
     ({!Tables.section}), from bytes already checked, so a first use
@@ -337,15 +342,6 @@ let method_of_code = function
   | 3 -> Compress.Defaults_and_comb
   | k -> corrupt "bad compression method %d" k
 
-let mode_code : Lookahead.mode -> int = function
-  | Lookahead.Slr -> 0
-  | Lookahead.Lalr -> 1
-
-let mode_of_code = function
-  | 0 -> Lookahead.Slr
-  | 1 -> Lookahead.Lalr
-  | k -> corrupt "bad lookahead mode %d" k
-
 let magic = "CGB7"
 let n_sections = 7
 let header_bytes = 24
@@ -411,7 +407,7 @@ let w_meta b (t : Tables.t) =
   w_list b (fun b (n, v) -> w_str b n; w_i32 b v) st.Symtab.constants;
   w_list b w_str st.Symtab.semantics;
   List.iter (w_i32 b)
-    [ t.Tables.start; mode_code t.Tables.mode; t.Tables.n_user_prods ]
+    [ t.Tables.start; 0 (* lookahead mode *); t.Tables.n_user_prods ]
 
 let r_grammar r : Grammar.t =
   let names = r_arr r r_str in
@@ -701,7 +697,7 @@ let decode_bundle (s : string) : Tables.t =
   let grammar = r_grammar r in
   let symtab = r_symtab r in
   let start = r_i32 r in
-  let mode = mode_of_code (r_i32 r) in
+  (match r_i32 r with 0 -> () | k -> corrupt "bad lookahead mode %d" k);
   let n_user_prods = r_i32 r in
   finish r;
   let n_syms = Grammar.n_syms grammar in
@@ -743,7 +739,6 @@ let decode_bundle (s : string) : Tables.t =
     Tables.target;
     grammar;
     symtab;
-    mode;
     start;
     compressed;
     compiled;

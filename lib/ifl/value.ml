@@ -24,8 +24,6 @@ let equal a b =
   | Cond a, Cond b -> a = b
   | (Unit | Int _ | Reg _ | Label _ | Cse _ | Cond _), _ -> false
 
-let compare = Stdlib.compare
-
 (** [to_int v] extracts the numeric payload of any valued attribute.
     Raises [Invalid_argument] on [Unit]. *)
 let to_int = function
@@ -39,5 +37,3 @@ let pp ppf = function
   | Label n -> Fmt.pf ppf ":L%d" n
   | Cse n -> Fmt.pf ppf ":c%d" n
   | Cond n -> Fmt.pf ppf ":m%d" n
-
-let to_string v = Fmt.str "%a" pp v

@@ -15,7 +15,6 @@ type t =
   | Cond of int  (** condition-code branch mask (IBM 370 BC mask) *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val to_int : t -> int
 (** [to_int v] extracts the numeric payload of any valued attribute.
@@ -24,5 +23,3 @@ val to_int : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints the textual-syntax payload suffix ([:5], [:r13], [:L2], ...);
     prints nothing for [Unit]. *)
-
-val to_string : t -> string

@@ -4,15 +4,13 @@
    row extraction in lib/core equal to these, and test_compress_driver's
    "packer" cases hold Compress.pack_rows equal to the packer at the
    end.  LR(0) closures are found item by item and sorted; FIRST/FOLLOW
-   and lookahead sets are [Set.Make (Int)] fixpoints; LALR runs the
-   Dragon book's closure per kernel item and propagation passes over
-   the whole link table; the fill resolves through a polymorphic
-   [resolve]; row defaults are counted in a [Hashtbl] per row; the
-   packer probes one offset at a time.  Each is the sequential form of
-   the code it replaced (no pool fan-out), otherwise unchanged, and
-   slow: LALR on amdahl470 takes about half a second.  The register
-   allocator at the end is the list-based one test_regalloc's
-   "reference" property holds Cogg.Regalloc equal to. *)
+   and lookahead sets are [Set.Make (Int)] fixpoints; the fill resolves
+   through a polymorphic [resolve]; row defaults are counted in a
+   [Hashtbl] per row; the packer probes one offset at a time.  Each is
+   the sequential form of the code it replaced (no pool fan-out),
+   otherwise unchanged, and slow.  The register allocator at the end is
+   the list-based one test_regalloc's "reference" property holds
+   Cogg.Regalloc equal to. *)
 
 module Grammar = Cogg.Grammar
 module Parse_table = Cogg.Parse_table
@@ -225,150 +223,18 @@ let reducible (g : Grammar.t) (st : Cogg.Lr0.state) : int list =
   |> List.filter (fun i ->
          item_dot i = Array.length (Grammar.prod g (item_prod i)).rhs)
 
-let goto (st : Cogg.Lr0.state) s = List.assoc_opt s st.Cogg.Lr0.transitions
+(* -- SLR lookaheads ------------------------------------------------------------ *)
 
-(* -- SLR and LALR lookaheads ------------------------------------------------------ *)
-
-let sentinel = -1
-
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) (b : int) = a = b
-  let hash x = x * 0x9e3779b1 land 0x3fffffff
-end)
-
-let closure1 (g : Grammar.t) (an : analysis) (init : (int * IntSet.t) list) :
-    IntSet.t Int_tbl.t =
-  let sets = Int_tbl.create 32 in
-  let work = Queue.create () in
-  let add item la =
-    let cur = Option.value (Int_tbl.find_opt sets item) ~default:IntSet.empty in
-    let merged = IntSet.union cur la in
-    if not (IntSet.equal cur merged) then begin
-      Int_tbl.replace sets item merged;
-      Queue.add item work
-    end
-  in
-  List.iter (fun (i, la) -> add i la) init;
-  while not (Queue.is_empty work) do
-    let i = Queue.pop work in
-    let la = Int_tbl.find sets i in
-    let p = Grammar.prod g (item_prod i) in
-    let dot = item_dot i in
-    if dot < Array.length p.rhs then begin
-      let b = p.rhs.(dot) in
-      if g.Grammar.is_nonterminal.(b) then begin
-        let fst, nullable = first_of_seq an p.rhs ~from:(dot + 1) in
-        let new_la = if nullable then IntSet.union fst la else fst in
-        List.iter
-          (fun pid -> add (item ~prod:pid ~dot:0) new_la)
-          g.Grammar.by_lhs.(b)
-      end
-    end
-  done;
-  sets
-
-let lalr_kernel_lookaheads (a : Cogg.Lr0.t) (an : analysis) =
+let reductions (a : Cogg.Lr0.t) (an : analysis) : (int * IntSet.t) list array =
   let g = a.Cogg.Lr0.grammar in
-  let item_bound = Grammar.n_prods g lsl dot_bits in
-  let key state item = (state * item_bound) + item in
-  let discover (st : Cogg.Lr0.state) =
-    let spont = ref [] and links = ref [] in
-    Array.iter
-      (fun k ->
-        let cl = closure1 g an [ (k, IntSet.singleton sentinel) ] in
-        let my_links = ref [] in
-        Int_tbl.iter
-          (fun i iset ->
-            let p = Grammar.prod g (item_prod i) in
-            let dot = item_dot i in
-            if dot < Array.length p.rhs then
-              match goto st p.rhs.(dot) with
-              | None -> ()
-              | Some s' ->
-                  let adv = item ~prod:(item_prod i) ~dot:(dot + 1) in
-                  let s = IntSet.remove sentinel iset in
-                  if not (IntSet.is_empty s) then
-                    spont := (key s' adv, s) :: !spont;
-                  if IntSet.mem sentinel iset then
-                    my_links := key s' adv :: !my_links)
-          cl;
-        if !my_links <> [] then
-          links := (key st.Cogg.Lr0.id k, !my_links) :: !links)
-      st.Cogg.Lr0.kernel;
-    (List.rev !spont, List.rev !links)
-  in
-  let discovered = Array.map discover a.Cogg.Lr0.states in
-  let la = Int_tbl.create 256 in
-  let links = Int_tbl.create 256 in
-  let get k = Option.value (Int_tbl.find_opt la k) ~default:IntSet.empty in
-  let goal_item = a.Cogg.Lr0.states.(a.Cogg.Lr0.start).Cogg.Lr0.kernel.(0) in
-  Int_tbl.replace la (key a.Cogg.Lr0.start goal_item)
-    (IntSet.singleton g.Grammar.eof);
-  Array.iter
-    (fun (spont, lks) ->
-      List.iter (fun (k, s) -> Int_tbl.replace la k (IntSet.union (get k) s)) spont;
-      List.iter
-        (fun (src, dsts) ->
-          Int_tbl.replace links src
-            (dsts @ Option.value (Int_tbl.find_opt links src) ~default:[]))
-        lks)
-    discovered;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Int_tbl.iter
-      (fun src dsts ->
-        let s = get src in
-        if not (IntSet.is_empty s) then
-          List.iter
-            (fun dst ->
-              let cur = get dst in
-              let merged = IntSet.union cur s in
-              if not (IntSet.equal cur merged) then begin
-                Int_tbl.replace la dst merged;
-                changed := true
-              end)
-            dsts)
-      links
-  done;
-  (item_bound, la)
-
-let reductions (a : Cogg.Lr0.t) (an : analysis) (mode : Cogg.Lookahead.mode) :
-    (int * IntSet.t) list array =
-  let g = a.Cogg.Lr0.grammar in
-  match mode with
-  | Slr ->
-      Array.map
-        (fun st ->
-          reducible g st
-          |> List.map (fun i ->
-                 let p = item_prod i in
-                 (p, an.follow.((Grammar.prod g p).lhs)))
-          |> List.sort_uniq compare)
-        a.Cogg.Lr0.states
-  | Lalr ->
-      let item_bound, kla = lalr_kernel_lookaheads a an in
-      Array.map
-        (fun (st : Cogg.Lr0.state) ->
-          let init =
-            Array.to_list st.Cogg.Lr0.kernel
-            |> List.map (fun k ->
-                   ( k,
-                     Option.value
-                       (Int_tbl.find_opt kla ((st.Cogg.Lr0.id * item_bound) + k))
-                       ~default:IntSet.empty ))
-          in
-          let cl = closure1 g an init in
-          Int_tbl.fold
-            (fun i iset acc ->
-              let p = Grammar.prod g (item_prod i) in
-              if item_dot i = Array.length p.rhs then (p.id, iset) :: acc
-              else acc)
-            cl []
-          |> List.sort_uniq compare)
-        a.Cogg.Lr0.states
+  Array.map
+    (fun st ->
+      reducible g st
+      |> List.map (fun i ->
+             let p = item_prod i in
+             (p, an.follow.((Grammar.prod g p).lhs)))
+      |> List.sort_uniq compare)
+    a.Cogg.Lr0.states
 
 (* -- the action fill ----------------------------------------------------------- *)
 
@@ -422,12 +288,12 @@ let resolve g state sym (a : Parse_table.action) b :
              state)
 
 (* the action rows and the conflict log [Parse_table.build] yields *)
-let parse_table ?(mode = Cogg.Lookahead.Slr) (a : Cogg.Lr0.t) :
+let parse_table (a : Cogg.Lr0.t) :
     Parse_table.action array array * Parse_table.conflict list =
   let g = a.Cogg.Lr0.grammar in
   let an = analyze g in
   let n_syms = Grammar.n_syms g in
-  let reds = reductions a an mode in
+  let reds = reductions a an in
   let fill (st : Cogg.Lr0.state) =
     let row = Array.make n_syms Parse_table.Error in
     let conflicts = ref [] in
@@ -445,7 +311,7 @@ let parse_table ?(mode = Cogg.Lookahead.Slr) (a : Cogg.Lr0.t) :
       (fun (p, las) ->
         IntSet.iter
           (fun sym ->
-            if sym >= 0 && sym <> g.Grammar.goal then
+            if sym <> g.Grammar.goal then
               set sym (Parse_table.Reduce p))
           las)
       reds.(st.Cogg.Lr0.id);

@@ -329,20 +329,6 @@ let test_compression_shrinks () =
     "compressed is smaller" true
     (c.Cogg.Compress.size_bytes < unc)
 
-let test_slr_lalr_agree_on_intro () =
-  (* for this simple grammar both constructions accept the same program *)
-  match Cogg.Cogg_build.build_string ~mode:Cogg.Lookahead.Lalr intro_spec with
-  | Error es ->
-      Alcotest.failf "lalr build failed: %a"
-        (Fmt.list Cogg.Cogg_build.pp_error)
-        es
-  | Ok t -> (
-      match Cogg.Codegen.generate_string t intro_if with
-      | Error m -> Alcotest.fail m
-      (* 2 loads + iadd + store + ret user reductions, plus the three
-         augmentation reductions (%stmts epsilon and two statements) *)
-      | Ok r -> check_int "reductions" 8 r.Cogg.Codegen.outcome.Cogg.Driver.reductions)
-
 let () =
   Alcotest.run "cogg-core"
     [
@@ -373,6 +359,5 @@ let () =
         [
           Alcotest.test_case "compression roundtrip" `Quick test_compression_roundtrip;
           Alcotest.test_case "compression shrinks" `Quick test_compression_shrinks;
-          Alcotest.test_case "lalr mode works" `Quick test_slr_lalr_agree_on_intro;
         ] );
     ]

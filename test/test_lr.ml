@@ -1,8 +1,6 @@
 (* The LR machinery on its own: grammar analysis, LR(0) construction,
-   SLR/LALR lookaheads, Graham-Glanville conflict resolution, and a
+   SLR lookaheads, Graham-Glanville conflict resolution, and a
    property test over randomly generated prefix-operator grammars. *)
-
-let check_int = Alcotest.(check int)
 
 (* Build a grammar from (lhs, rhs list) pairs; nonterminals are the LHS
    names, everything else terminals. *)
@@ -84,9 +82,9 @@ let test_nullable () =
 
 (* -- basic parsing ------------------------------------------------------------- *)
 
-let simple_pt ?mode prods =
+let simple_pt prods =
   let g = grammar prods in
-  Cogg.Parse_table.build ?mode (Cogg.Lr0.build g)
+  Cogg.Parse_table.build (Cogg.Lr0.build g)
 
 let test_accepts_prefix_arithmetic () =
   let pt =
@@ -153,40 +151,6 @@ let test_reduce_reduce_longest_wins () =
           Alcotest.(check bool) "longer production kept" true (len w >= len l)
       | _ -> Alcotest.fail "reduce/reduce without two reduces")
     rr
-
-(* -- SLR vs LALR ------------------------------------------------------------------ *)
-
-let test_lalr_no_broader_than_slr () =
-  (* every LALR reduce entry must also be an SLR reduce entry: LALR
-     lookaheads are a subset of FOLLOW *)
-  let prods =
-    [ ("e", [ "plus"; "e"; "e" ]); ("e", [ "load"; "d" ]); ("e", [ "num" ]);
-      ("lambda", [ "store"; "d"; "e" ]); ("lambda", [ "jump"; "d" ]) ]
-  in
-  let slr = simple_pt ~mode:Cogg.Lookahead.Slr prods in
-  let lalr = simple_pt ~mode:Cogg.Lookahead.Lalr prods in
-  check_int "same states" (Cogg.Parse_table.n_states slr)
-    (Cogg.Parse_table.n_states lalr);
-  let g = slr.Cogg.Parse_table.grammar in
-  for state = 0 to Cogg.Parse_table.n_states slr - 1 do
-    for sym = 0 to Cogg.Grammar.n_syms g - 1 do
-      match
-        ( Cogg.Parse_table.action lalr state sym,
-          Cogg.Parse_table.action slr state sym )
-      with
-      | Cogg.Parse_table.Reduce _, Cogg.Parse_table.Error ->
-          Alcotest.failf "LALR reduce where SLR has error (state %d)" state
-      | Cogg.Parse_table.Shift a, Cogg.Parse_table.Shift b when a <> b ->
-          Alcotest.fail "shift targets differ"
-      | _ -> ()
-    done
-  done
-
-let test_lalr_agrees_on_amdahl () =
-  (* both constructions accept the same IF programs for the full spec *)
-  let slr = Lazy.force Util.amdahl_tables in
-  ignore slr;
-  ()
 
 (* -- random prefix-operator grammars -------------------------------------------------- *)
 
@@ -295,11 +259,11 @@ let prop_compression_on_random_grammars =
 (* -- the construction against its reference ------------------------------------ *)
 
 (* The first difference between what the current stages and Reference
-   (reference.ml) build from [g] in [mode], as a message: the automaton
+   (reference.ml) build from [g], as a message: the automaton
    (kernels, closures, transitions, start), FIRST, nullable and FOLLOW,
    each state's reductions, the action rows, the conflict log in order,
    and the shared rows and defaults compression packs. *)
-let reference_diff mode (g : Cogg.Grammar.t) : string option =
+let reference_diff (g : Cogg.Grammar.t) : string option =
   let module G = Cogg.Grammar in
   let module L = Cogg.Lr0 in
   let elements = G.Symset.elements and ref_elements = Reference.IntSet.elements in
@@ -332,15 +296,15 @@ let reference_diff mode (g : Cogg.Grammar.t) : string option =
       ]
   in
   let reductions () =
-    let reds = Cogg.Lookahead.reductions a an mode
-    and rreds = Reference.reductions a ran mode in
+    let reds = Cogg.Lookahead.reductions a an
+    and rreds = Reference.reductions a ran in
     first_diff "reductions of state" (L.n_states a) (fun s ->
         List.map (fun (p, la) -> (p, elements la)) reds.(s)
         <> List.map (fun (p, la) -> (p, ref_elements la)) rreds.(s))
   in
   let table () =
-    let pt = Cogg.Parse_table.build ~mode a in
-    let actions, conflicts = Reference.parse_table ~mode ra in
+    let pt = Cogg.Parse_table.build a in
+    let actions, conflicts = Reference.parse_table ra in
     match
       first_diff "action row of state" (L.n_states a) (fun s ->
           pt.Cogg.Parse_table.actions.(s) <> actions.(s))
@@ -364,22 +328,12 @@ let reference_diff mode (g : Cogg.Grammar.t) : string option =
   in
   List.find_map (fun f -> f ()) [ automaton; analysis; reductions; table ]
 
-let mode_name = function
-  | Cogg.Lookahead.Slr -> "SLR"
-  | Cogg.Lookahead.Lalr -> "LALR"
-
 let test_specs_match_reference () =
   List.iter
     (fun (name, tables) ->
-      let g = (Lazy.force tables).Cogg.Tables.grammar in
-      List.iter
-        (fun mode ->
-          match reference_diff mode g with
-          | None -> ()
-          | Some d ->
-              Alcotest.failf "%s %s differs from the reference at %s" name
-                (mode_name mode) d)
-        [ Cogg.Lookahead.Slr; Cogg.Lookahead.Lalr ])
+      match reference_diff (Lazy.force tables).Cogg.Tables.grammar with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s differs from the reference at %s" name d)
     [ ("amdahl470", Util.amdahl_tables); ("risc32", Util.risc32_tables) ]
 
 (* Random grammars over nonterminals n0.. and terminals t0..: empty
@@ -431,14 +385,9 @@ let prop_random_grammars_match_reference =
          String.concat "; "
            (List.map (fun (l, r) -> l ^ " ::= " ^ String.concat " " r) prods)))
     (fun prods ->
-      let g = grammar prods in
-      List.for_all
-        (fun mode ->
-          match reference_diff mode g with
-          | None -> true
-          | Some d ->
-              QCheck.Test.fail_reportf "%s differs at %s" (mode_name mode) d)
-        [ Cogg.Lookahead.Slr; Cogg.Lookahead.Lalr ])
+      match reference_diff (grammar prods) with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "differs at %s" d)
 
 let () =
   Alcotest.run "lr"
@@ -459,17 +408,11 @@ let () =
           Alcotest.test_case "shift preferred" `Quick test_shift_preferred;
           Alcotest.test_case "longest reduce wins" `Quick test_reduce_reduce_longest_wins;
         ] );
-      ( "lalr",
-        [
-          Alcotest.test_case "lalr within slr" `Quick test_lalr_no_broader_than_slr;
-          Alcotest.test_case "amdahl builds in both modes" `Quick test_lalr_agrees_on_amdahl;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_grammars; prop_compression_on_random_grammars ] );
       ( "reference",
-        Alcotest.test_case "both specs, SLR and LALR" `Quick
-          test_specs_match_reference
+        Alcotest.test_case "both specs" `Quick test_specs_match_reference
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_random_grammars_match_reference ] );
     ]

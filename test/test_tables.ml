@@ -231,24 +231,20 @@ let test_bundle_roundtrip_drives_codegen () =
   Alcotest.(check string) "rewritten bundle" bytes (Cogg.Tables_io.write t2)
 
 (* The bytes a table build produces are a contract: a from-scratch build
-   of either shipped spec, SLR or LALR, writes the bundle these digests
-   and lengths pin.  A change to LR
-   construction, lookaheads, compression, template compilation, the spec
-   hashes or the bundle layout that moves a byte fails here, not only in
-   a digest computed by hand. *)
+   of either shipped spec writes the bundle these digests and lengths
+   pin.  A change to LR construction, lookaheads, compression, template
+   compilation, the spec hashes or the bundle layout that moves a byte
+   fails here, not only in a digest computed by hand. *)
 let pinned_bundles =
-  Cogg.Lookahead.
-    [
-      ("amdahl470", "amdahl470.cgg", Slr, "e569137acc1c3c06ec9842f23d3b186c", 260_192);
-      ("risc32", "risc32.cgg", Slr, "2c3acc0d297e2f8c660893acac8f02e8", 263_762);
-      ("amdahl470", "amdahl470.cgg", Lalr, "26f927284d92872e4b9be602eb17c163", 260_128);
-      ("risc32", "risc32.cgg", Lalr, "3fb651c88b6f617bda96fb345d13364e", 263_698);
-    ]
+  [
+    ("amdahl470", "amdahl470.cgg", "e569137acc1c3c06ec9842f23d3b186c", 260_192);
+    ("risc32", "risc32.cgg", "2c3acc0d297e2f8c660893acac8f02e8", 263_762);
+  ]
 
 let test_bundle_bytes_pinned () =
-  let build (target, file, mode, _, _) =
+  let build (target, file, _, _) =
     match
-      Cogg.Cogg_build.build_file ~mode
+      Cogg.Cogg_build.build_file
         ~target:(Machine.Targets.find_exn target)
         (Util.spec_path file)
     with
@@ -258,14 +254,10 @@ let test_bundle_bytes_pinned () =
           (Fmt.list Cogg.Cogg_build.pp_error)
           es
   in
-  let check (target, _, mode, md5, len) bytes =
-    let what =
-      Fmt.str "%s %s" target
-        (match mode with Cogg.Lookahead.Slr -> "SLR" | Lalr -> "LALR")
-    in
-    check_int (what ^ ": bundle length") len (String.length bytes);
+  let check (target, _, md5, len) bytes =
+    check_int (target ^ ": bundle length") len (String.length bytes);
     Alcotest.(check string)
-      (what ^ ": bundle MD5")
+      (target ^ ": bundle MD5")
       md5
       (Digest.to_hex (Digest.string bytes))
   in
@@ -386,6 +378,26 @@ let resealed bytes patch =
   let h = Cogg.Tables_io.header_bytes in
   Bytes.blit_string (Digest.subbytes b h (Bytes.length b - h)) 0 b 8 16;
   Bytes.to_string b
+
+(* The meta section ends with the start state, the lookahead-mode word
+   and the user production count.  The mode word is on-disk format too:
+   every bundle carries 0, for SLR(1), and a bundle that carries 1, the
+   code of a lookahead construction the format no longer has, is
+   refused. *)
+let test_lookahead_mode_word () =
+  let bytes = Lazy.force amdahl_bundle in
+  let meta_len =
+    Int32.to_int (String.get_int32_le bytes Cogg.Tables_io.header_bytes)
+  in
+  let mode = Cogg.Tables_io.directory_end + meta_len - 8 in
+  check_int "the written mode word" 0
+    (Int32.to_int (String.get_int32_le bytes mode));
+  let m =
+    rejected "lookahead mode 1"
+      (resealed bytes (fun b -> Bytes.set_int32_le b mode 1l))
+  in
+  if not (Util.contains m "lookahead mode") then
+    Alcotest.failf "refused for another reason: %s" m
 
 (* [a] as a column of 4-byte cells, wider than its values need *)
 let wide a =
@@ -567,6 +579,8 @@ let () =
           Alcotest.test_case "current and stale magic" `Quick
             test_bundle_format_magic;
           Alcotest.test_case "method codes are stable" `Quick test_method_codes;
+          Alcotest.test_case "lookahead mode word is 0" `Quick
+            test_lookahead_mode_word;
           Alcotest.test_case "every method survives" `Quick
             test_every_method_survives_bundle;
           Alcotest.test_case "rejects out-of-range values" `Quick

@@ -174,18 +174,6 @@ let test_concurrent_store_same_entry () =
     "raced entry drives codegen identically" a.Cogg.Codegen.listing
     b.Cogg.Codegen.listing
 
-let test_mode_is_part_of_key () =
-  let dir = fresh_cache_dir () in
-  let _, _ = build dir in
-  match Cogg.Tables_cache.build_text ~mode:Cogg.Lookahead.Lalr ~cache_dir:dir
-          intro_spec
-  with
-  | Ok (_, o) -> check_origin "lalr does not hit the slr entry" "built" (origin_str o)
-  | Error es ->
-      Alcotest.failf "lalr build failed: %a"
-        (Fmt.list Cogg.Cogg_build.pp_error)
-        es
-
 (* -- size cap / eviction ------------------------------------------------------ *)
 
 let variant i = intro_spec ^ Printf.sprintf "* cache-churn variant %d\n" i
@@ -240,21 +228,30 @@ let test_prune_enforces_cap () =
     alive
 
 let test_store_auto_prunes () =
-  (* every store runs the pruner with the env-configured cap, so a
-     daemon churning through specs keeps its cache directory bounded *)
+  (* every store prunes its directory to the default cap, so a daemon
+     churning through specs keeps its cache directory bounded: a store
+     into a directory already at the cap evicts the oldest entry *)
   let dir = fresh_cache_dir () in
-  Unix.putenv "COGG_CACHE_MAX_ENTRIES" "2";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "COGG_CACHE_MAX_ENTRIES" "")
-    (fun () ->
-      for i = 1 to 4 do
-        ignore (build ~spec:(variant i) dir)
-      done;
-      Alcotest.(check bool)
-        (Fmt.str "directory stays within the cap (%d entries)"
-           (entry_count dir))
-        true
-        (entry_count dir <= 2))
+  Sys.mkdir dir 0o755;
+  let cap = Cogg.Tables_cache.default_max_entries in
+  let old i = Filename.concat dir (Printf.sprintf "cogg-old-%03d.cgt" i) in
+  let now = Unix.time () in
+  for i = 0 to cap - 1 do
+    Out_channel.with_open_bin (old i) (fun oc -> output_string oc "stale");
+    (* an hour ago, entry 0 the oldest *)
+    let mtime = now -. 3600. +. float_of_int i in
+    Unix.utimes (old i) mtime mtime
+  done;
+  let _, o = build dir in
+  check_origin "the new spec is built" "built" (origin_str o);
+  Alcotest.(check int) "the directory stays at the cap" cap (entry_count dir);
+  Alcotest.(check bool)
+    "the new entry is kept" true
+    (Sys.file_exists (Cogg.Tables_cache.entry_path ~cache_dir:dir intro_spec));
+  Alcotest.(check bool) "the oldest entry is evicted" false
+    (Sys.file_exists (old 0));
+  Alcotest.(check bool) "the next oldest is kept" true
+    (Sys.file_exists (old 1))
 
 (* -- integrity: corrupt entries, orphaned temp files, killed writers ------- *)
 
@@ -462,8 +459,6 @@ let () =
             test_modified_spec_misses;
           Alcotest.test_case "concurrent stores race safely" `Quick
             test_concurrent_store_same_entry;
-          Alcotest.test_case "mode is part of the key" `Quick
-            test_mode_is_part_of_key;
           Alcotest.test_case "an unwritable cache warns on stderr" `Quick
             test_unwritable_cache_warns;
         ] );

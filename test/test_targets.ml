@@ -17,16 +17,16 @@ module SS = Set.Make (String)
 
 let check_int = Alcotest.(check int)
 
-(* -- tables, per target and lookahead mode ------------------------------- *)
+(* -- tables, per target ---------------------------------------------------- *)
 
-let build mode (tgt : Machine.Target.t) : Cogg.Tables.t =
+let build (tgt : Machine.Target.t) : Cogg.Tables.t =
   let rel = tgt.Machine.Target.spec_file in
   let path =
     match Util.find_up (Sys.getcwd ()) rel with
     | Some p -> p
     | None -> Alcotest.failf "cannot locate %s from %s" rel (Sys.getcwd ())
   in
-  match Cogg.Cogg_build.build_file ~mode ~target:tgt path with
+  match Cogg.Cogg_build.build_file ~target:tgt path with
   | Ok t -> t
   | Error es ->
       Alcotest.failf "%s failed to build: %a" rel
@@ -34,14 +34,9 @@ let build mode (tgt : Machine.Target.t) : Cogg.Tables.t =
         es
 
 let bundles =
-  List.map
-    (fun (name, tgt) ->
-      (name, (lazy (build Cogg.Lookahead.Slr tgt), lazy (build Lalr tgt))))
-    Machine.Targets.all
+  List.map (fun (name, tgt) -> (name, lazy (build tgt))) Machine.Targets.all
 
-let tables ?(mode = Cogg.Lookahead.Slr) name =
-  let slr, lalr = List.assoc name bundles in
-  Lazy.force (if mode = Cogg.Lookahead.Slr then slr else lalr)
+let tables name = Lazy.force (List.assoc name bundles)
 
 (* -- the shared cases ---------------------------------------------------- *)
 
@@ -512,7 +507,7 @@ let stmt_records name () =
         (List.map fst emitter.Cogg.Emit.stmt_records)
 
 (* the canonical corpus against the reference interpreter, under each
-   lookahead mode and shaping variant *)
+   shaping variant *)
 let variants =
   [
     ("cse", None, None);
@@ -520,8 +515,8 @@ let variants =
     ("checks", None, Some true);
   ]
 
-let corpus name mode (_, cse, checks) () =
-  let tables = tables ~mode name in
+let corpus name (_, cse, checks) () =
+  let tables = tables name in
   List.iter
     (fun (program, src) ->
       match Pipeline.verify ?cse ?checks tables src with
@@ -627,13 +622,10 @@ let tc label f = Alcotest.test_case label `Quick f
 let cases_for name =
   List.map (fun c -> tc c.name (run_case name c)) shared
   @ [ tc "stmt records collected" (stmt_records name) ]
-  @ List.concat_map
-      (fun (mode, m) ->
-        List.map
-          (fun ((v, _, _) as variant) ->
-            tc (Printf.sprintf "corpus %s %s" m v) (corpus name mode variant))
-          variants)
-      [ (Cogg.Lookahead.Slr, "slr"); (Cogg.Lookahead.Lalr, "lalr") ]
+  @ List.map
+      (fun ((v, _, _) as variant) ->
+        tc ("corpus slr " ^ v) (corpus name variant))
+      variants
   @ [ tc "opcode coverage" (opcode_coverage name) ]
   @ List.map
       (fun (strategy, want) ->
