@@ -7,7 +7,8 @@
     {!Tables_io} serialization, so a second run on an unchanged spec skips
     {!Cogg_build.build} entirely and a modified spec simply hashes to a
     different entry.  Corrupt or truncated entries are indistinguishable
-    from misses (the bundle's MD5 is checked before anything is decoded):
+    from misses (the bundle's checksum is checked before anything is
+    decoded):
     the tables are rebuilt and the entry rewritten, never surfaced as an
     error. *)
 
@@ -19,8 +20,10 @@
    the previous build and splice instead of rebuilding from scratch;
    v8: the CGB6 bundle drops the profile-specialized table and its
    profile digest; v9: the CGB7 bundle, checksummed, with cells at their
-   narrowest widths and a section directory. *)
-let format_version = 9
+   narrowest widths and a section directory; v10: the CGB8 bundle, whose
+   checksum is two word-at-a-time lanes instead of an MD5, with every
+   byte after the header as in CGB7. *)
+let format_version = 10
 
 type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 
@@ -68,6 +71,46 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* "cogg-<digest><suffix>": an entry (".cgt") or a lineage pointer
+   (".ptr") *)
+let cache_file suffix name =
+  String.length name > 9
+  && String.sub name 0 5 = "cogg-"
+  && Filename.check_suffix name suffix
+
+let is_entry = cache_file ".cgt"
+let is_pointer = cache_file ".ptr"
+
+(* -- lineage pointers --------------------------------------------------------
+
+   Entries are keyed by the spec text, so an edited spec is a clean miss
+   — by design, but it also severs the edited spec from the build of its
+   previous revision, which is precisely what an incremental rebuild
+   wants to splice from.  The bridge is one pointer file per lineage
+   (format version x target, everything in the key except the text):
+   it names the newest entry stored for that lineage.  On a miss, the
+   pointer locates the previous partial build; the pointer itself is a
+   hint — stale, pruned-away or corrupt targets simply degrade to a
+   scratch build. *)
+
+let lineage_path ?(target = Machine.Targets.default) ?cache_dir () : string =
+  let dir = match cache_dir with Some d -> d | None -> default_dir () in
+  let tag =
+    Printf.sprintf "cogg-lineage-v%d:%s" format_version
+      target.Machine.Target.name
+  in
+  Filename.concat dir ("cogg-" ^ Digest.to_hex (Digest.string tag) ^ ".ptr")
+
+let read_lineage (lpath : string) : string option =
+  if not (Sys.file_exists lpath) then None
+  else
+    match read_file lpath with
+    | name when is_entry (String.trim name) -> Some (String.trim name)
+    | _ -> None
+    | exception Sys_error _ -> None
+
+(* -- storing and pruning -------------------------------------------------- *)
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -92,11 +135,6 @@ let tmp_counter = Atomic.make 0
    victim set is deterministic.  Everything is best effort — a
    concurrently deleted file is simply skipped. *)
 let default_max_entries = 64
-
-let is_entry name =
-  String.length name > 9
-  && String.sub name 0 5 = "cogg-"
-  && Filename.check_suffix name ".cgt"
 
 (* The pid of the writer behind a temp file [write_atomic] names
    "cogg-<key>.<cgt|ptr>.<pid>.<domain>.<n>.tmp", or [None] for any
@@ -133,6 +171,74 @@ let remove_orphans dir names =
       | _ -> removed)
     0 names
 
+(* Delete the oldest [.cgt] entries beyond [cap]. *)
+let evict_oldest dir names cap =
+  let entries =
+    Array.to_list names
+    |> List.filter_map (fun name ->
+           if not (is_entry name) then None
+           else
+             let path = Filename.concat dir name in
+             match Unix.stat path with
+             | st -> Some (st.Unix.st_mtime, name, path)
+             | exception Unix.Unix_error _ -> None)
+  in
+  let n = List.length entries in
+  if n <= cap then 0
+  else begin
+    let oldest_first =
+      List.sort
+        (fun (ma, na, _) (mb, nb, _) ->
+          match Float.compare ma mb with 0 -> String.compare na nb | c -> c)
+        entries
+    in
+    let victims = List.filteri (fun i _ -> i < n - cap) oldest_first in
+    List.fold_left
+      (fun removed (_, _, path) ->
+        match Sys.remove path with
+        | () ->
+            Metrics.add m_evictions 1;
+            Log.info (fun f -> f "evicted %s (cache over %d entries)" path cap);
+            removed + 1
+        | exception Sys_error _ -> removed)
+      0 victims
+  end
+
+(* A lineage pointer is dead when no current [lineage_path] forms its
+   name (one left by an older format version) or when it names no entry
+   that exists (evicted, never stored, or garbage): no miss will follow
+   it to a build again.  The live names are read now, not as [names]
+   listed them before the evictions, so a pointer rewritten since to
+   name an entry just evicted goes too. *)
+let remove_dead_pointers dir names =
+  let live =
+    List.map
+      (fun (_, target) ->
+        Filename.basename (lineage_path ~target ~cache_dir:dir ()))
+      Machine.Targets.all
+  in
+  let stale =
+    List.filter
+      (fun name -> is_pointer name && not (List.mem name live))
+      (Array.to_list names)
+  in
+  let dangling name =
+    let path = Filename.concat dir name in
+    match read_lineage path with
+    | Some entry -> not (Sys.file_exists (Filename.concat dir entry))
+    | None -> Sys.file_exists path
+  in
+  List.fold_left
+    (fun removed name ->
+      let path = Filename.concat dir name in
+      match Sys.remove path with
+      | () ->
+          Log.info (fun f -> f "removed dead lineage pointer %s" path);
+          removed + 1
+      | exception Sys_error _ -> removed)
+    0
+    (stale @ List.filter dangling live)
+
 let prune ?cache_dir ?max_entries () : int =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
   let cap =
@@ -142,38 +248,8 @@ let prune ?cache_dir ?max_entries () : int =
   | exception Sys_error _ -> 0
   | names ->
       let orphans = remove_orphans dir names in
-      let entries =
-        Array.to_list names
-        |> List.filter_map (fun name ->
-               if not (is_entry name) then None
-               else
-                 let path = Filename.concat dir name in
-                 match Unix.stat path with
-                 | st -> Some (st.Unix.st_mtime, name, path)
-                 | exception Unix.Unix_error _ -> None)
-      in
-      let n = List.length entries in
-      if n <= cap then orphans
-      else begin
-        let oldest_first =
-          List.sort
-            (fun (ma, na, _) (mb, nb, _) ->
-              match Float.compare ma mb with
-              | 0 -> String.compare na nb
-              | c -> c)
-            entries
-        in
-        let victims = List.filteri (fun i _ -> i < n - cap) oldest_first in
-        List.fold_left
-          (fun removed (_, _, path) ->
-            match Sys.remove path with
-            | () ->
-                Metrics.add m_evictions 1;
-                Log.info (fun f -> f "evicted %s (cache over %d entries)" path cap);
-                removed + 1
-            | exception Sys_error _ -> removed)
-          orphans victims
-      end
+      let evicted = evict_oldest dir names cap in
+      orphans + evicted + remove_dead_pointers dir names
 
 let write_atomic path bytes =
   mkdir_p (Filename.dirname path);
@@ -194,34 +270,6 @@ let store path bytes =
        caller-supplied cache_dir rather than the default *)
     ignore (prune ~cache_dir:(Filename.dirname path) ())
   with Sys_error m -> Log.warn (fun f -> f "cannot store cache entry: %s" m)
-
-(* -- lineage pointers --------------------------------------------------------
-
-   Entries are keyed by the spec text, so an edited spec is a clean miss
-   — by design, but it also severs the edited spec from the build of its
-   previous revision, which is precisely what an incremental rebuild
-   wants to splice from.  The bridge is one pointer file per lineage
-   (format version x target, everything in the key except the text):
-   it names the newest entry stored for that lineage.  On a miss, the
-   pointer locates the previous partial build; the pointer itself is a
-   hint — stale, pruned-away or corrupt targets simply degrade to a
-   scratch build. *)
-
-let lineage_path ?(target = Machine.Targets.default) ?cache_dir () : string =
-  let dir = match cache_dir with Some d -> d | None -> default_dir () in
-  let tag =
-    Printf.sprintf "cogg-lineage-v%d:%s" format_version
-      target.Machine.Target.name
-  in
-  Filename.concat dir ("cogg-" ^ Digest.to_hex (Digest.string tag) ^ ".ptr")
-
-let read_lineage (lpath : string) : string option =
-  if not (Sys.file_exists lpath) then None
-  else
-    match read_file lpath with
-    | name when is_entry (String.trim name) -> Some (String.trim name)
-    | _ -> None
-    | exception Sys_error _ -> None
 
 let store_lineage (lpath : string) (entry_name : string) =
   match read_lineage lpath with

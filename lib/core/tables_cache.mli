@@ -3,7 +3,7 @@
 
     A hit loads the {!Tables_io} bundle and skips LR construction
     entirely; a miss builds with {!Cogg_build} and stores the result.
-    A bundle's MD5 is checked before anything in it is decoded, so
+    A bundle's checksum is checked before anything in it is decoded, so
     corrupt, truncated or stale entries are always a miss and a rebuild,
     never an error and never a wrong hit.  Entries live in
     [$COGG_CACHE_DIR], else [$XDG_CACHE_HOME/cogg], else [_cache/] under
@@ -27,6 +27,9 @@ val prune : ?cache_dir:string -> ?max_entries:int -> unit -> int
     so the victim set is deterministic).  Also delete the temp files of
     entries and lineage pointers whose writer's process is gone (a
     writer killed before its rename); a live writer's temp file stays.
+    Then delete every dead lineage pointer: one that no current
+    {!lineage_path} forms for any target in {!Machine.Targets.all} (left
+    by an older format version), or whose named entry is missing.
     Returns the number of files deleted.  Best effort and race-tolerant
     — concurrently removed files are skipped, errors are swallowed.
     Every successful [store] runs this automatically, so a long-lived

@@ -6,13 +6,14 @@
     4096-byte pages.  The format round-trips: [read (write t)]
     reconstructs a bundle that drives code generation identically.
 
-    {b Bundle format [CGB7].}  Every multi-byte field is little-endian;
+    {b Bundle format [CGB8].}  Every multi-byte field is little-endian;
     scalars, counts and string lengths take 4 bytes.
 
     {v
-    0   "CGB7"
+    0   "CGB8"
     4   u32  length of the whole bundle
-    8   16   MD5 of bytes [24, length)
+    8   16   checksum of bytes [24, length): two 63-bit lanes, 8 bytes
+             each (see [checksum])
     24  u32 x 7  section lengths (the directory); the sections follow
                  in this order, back to back, and end at [length]
         meta       target, grammar, symbol table, start state,
@@ -30,8 +31,9 @@
     bytes per cell, so the comb's cells take exactly the bytes
     [Compress.size_bytes] charges and the dense rows take 16 bits.
 
-    [read] checks the length and the MD5 before it decodes anything, so
-    a corrupt or torn bundle is always [Corrupt] and never a wrong table.
+    [read] checks the length and the checksum before it decodes
+    anything, so a torn bundle, or one with any change confined to one
+    8-byte word, is always [Corrupt] and never a wrong table.
     It then decodes the runtime part (meta, comb, templates, types) and
     the small hashes section, and checks the structure of the rest:
     every length and column fits its section.  The meta section's
@@ -342,10 +344,61 @@ let method_of_code = function
   | 3 -> Compress.Defaults_and_comb
   | k -> corrupt "bad compression method %d" k
 
-let magic = "CGB7"
+let magic = "CGB8"
 let n_sections = 7
 let header_bytes = 24
 let directory_end = header_bytes + (4 * n_sections)
+
+(* -- the checksum ------------------------------------------------------------ *)
+
+(* Bytes [header_bytes, n) are read one little-endian 8-byte word at a
+   time.  Each word's low and high 4-byte halves feed two 63-bit lanes;
+   a short tail is zero-padded to a word, and the length is folded in
+   last.  A step maps (lane, half) to [v lxor (v lsr r)] with
+   [v = (lane lxor half) * k] and [k] odd.  For a fixed half it is a
+   bijection of the lane (xor, multiplication by an odd number modulo
+   2^63 and a right xorshift are each invertible), and for a fixed lane
+   it is injective in the half.  So a change confined to one word makes
+   the lane its half feeds differ after that step, and every later step
+   keeps it different: such a change, and so every single-bit flip, is
+   always caught, not just with high probability.  The halves are 32
+   bits wide, so no bit of a word is lost to OCaml's 63-bit [int] (a
+   whole word through [Int64.to_int] would lose bit 63). *)
+
+let step k r lane half =
+  let v = (lane lxor half) * k in
+  v lxor (v lsr r)
+
+let lane_lo lane half = step 0x1F47_A2E3_9C8B_5D2B 29 lane half
+let lane_hi lane half = step 0x2C6F_E0B1_8D3A_47A5 31 lane half
+
+(** The checksum of bytes [[header_bytes, n)] of [s]: the two lanes as
+    the 16 bytes the header stores at offset 8. *)
+let checksum (s : string) : string =
+  let n = String.length s in
+  let lo = ref 0x0123_4567_89AB_CDEF and hi = ref 0x3EDC_BA98_7654_3210 in
+  let i = ref header_bytes in
+  while !i + 8 <= n do
+    let w = String.get_int64_le s !i in
+    lo := lane_lo !lo (Int64.to_int w land 0xFFFF_FFFF);
+    hi := lane_hi !hi (Int64.to_int (Int64.shift_right_logical w 32));
+    i := !i + 8
+  done;
+  let tail = ref 0 in
+  for j = n - 1 downto !i do
+    tail := (!tail lsl 8) lor Char.code s.[j]
+  done;
+  let lo = lane_lo (lane_lo !lo (!tail land 0xFFFF_FFFF)) n
+  and hi = lane_hi (lane_hi !hi (!tail lsr 32)) n in
+  let b = Bytes.create 16 in
+  Bytes.set_int64_le b 0 (Int64.of_int lo);
+  Bytes.set_int64_le b 8 (Int64.of_int hi);
+  Bytes.unsafe_to_string b
+
+(** Store the checksum of [b]'s bytes from [header_bytes] on in its
+    header. *)
+let seal (b : Bytes.t) =
+  Bytes.blit_string (checksum (Bytes.unsafe_to_string b)) 0 b 8 16
 
 (* integer columns *)
 
@@ -648,12 +701,10 @@ let encode_bundle (t : Tables.t) : string =
     (fun i len ->
       Bytes.set_int32_le bytes (header_bytes + (4 * i)) (Int32.of_int len))
     lens;
-  Bytes.blit_string
-    (Digest.subbytes bytes header_bytes (n - header_bytes))
-    0 bytes 8 16;
+  seal bytes;
   Bytes.unsafe_to_string bytes
 
-(** Serialize a complete table bundle (format [CGB7]), in a
+(** Serialize a complete table bundle (format [CGB8]), in a
     [tables_io.write] {!Trace} span. *)
 let write (t : Tables.t) : string =
   Trace.with_span ~cat:"tables_io" "tables_io.write" (fun () ->
@@ -669,9 +720,7 @@ let decode_bundle (s : string) : Tables.t =
   if n < directory_end then raise (Corrupt "truncated header");
   if Int32.to_int (String.get_int32_le s 4) <> n then
     raise (Corrupt "length does not match the header (torn or padded)");
-  if Digest.substring s header_bytes (n - header_bytes) <> String.sub s 8 16
-  then
-    raise (Corrupt "checksum mismatch");
+  if checksum s <> String.sub s 8 16 then raise (Corrupt "checksum mismatch");
   (* the directory: each section's reader, bounded by its extent *)
   let sections = Array.make n_sections (reader s 0 0) in
   let pos = ref directory_end in
@@ -759,7 +808,7 @@ let decode_bundle (s : string) : Tables.t =
   }
 
 (** Reload a bundle written by {!write}, in a [tables_io.read] {!Trace}
-    span; [Corrupt] unless the length and the MD5 match and every
+    span; [Corrupt] unless the length and the checksum match and every
     section is well formed.  The automaton is not stored: a skeletal one
     with only the state ids is rebuilt on first use, which is all the
     driver needs (it reads actions, never items). *)

@@ -259,7 +259,9 @@ let format_gate_tests () =
       | exception Cogg.Tables_io.Corrupt m ->
           if not (String.length m >= 5 && String.sub m 0 5 = "stale") then
             fail "a %s bundle was refused, but not as stale: %s" magic m
-      | _ -> fail "a %s bundle was accepted by the CGB7 reader" magic);
+      | _ ->
+          fail "a %s bundle was accepted by the %s reader" magic
+            Cogg.Tables_io.magic);
       (* ...and a cache entry holding one must migrate: clean miss,
          rebuild, entry rewritten in the current format *)
       let oc = open_out_bin path in
@@ -278,9 +280,9 @@ let format_gate_tests () =
             (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
       | Error es ->
           fail "post-%s-migration build failed: %s" magic (errors_str es));
-      Printf.printf "incremental oracle: %s->CGB7 rejection/migration ok\n%!"
-        magic)
-    [ "CGB4"; "CGB5"; "CGB6" ]
+      Printf.printf "incremental oracle: %s->%s rejection/migration ok\n%!"
+        magic Cogg.Tables_io.magic)
+    [ "CGB4"; "CGB5"; "CGB6"; "CGB7" ]
 
 (* -- cross-process path: an edited spec splices through the cache ------------- *)
 

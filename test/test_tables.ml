@@ -234,15 +234,25 @@ let test_bundle_roundtrip_drives_codegen () =
    of either shipped spec writes the bundle these digests and lengths
    pin.  A change to LR construction, lookaheads, compression, template
    compilation, the spec hashes or the bundle layout that moves a byte
-   fails here, not only in a digest computed by hand. *)
+   fails here, not only in a digest computed by hand.  The second digest
+   covers only the bytes after the header, which CGB7 bundles carried
+   unchanged, so it is the MD5 a CGB7 header stored. *)
 let pinned_bundles =
   [
-    ("amdahl470", "amdahl470.cgg", "e569137acc1c3c06ec9842f23d3b186c", 260_192);
-    ("risc32", "risc32.cgg", "2c3acc0d297e2f8c660893acac8f02e8", 263_762);
+    ( "amdahl470",
+      "amdahl470.cgg",
+      "cdcf55e9b5bad7183cd9310204684cee",
+      "86f8fcd9e665eed32cf7a049dc430227",
+      260_192 );
+    ( "risc32",
+      "risc32.cgg",
+      "61bf012034f9dd878ce3c59741c1a9cf",
+      "c8a48115d9fc9f2aa3a4226d778ba84e",
+      263_762 );
   ]
 
 let test_bundle_bytes_pinned () =
-  let build (target, file, _, _) =
+  let build (target, file, _, _, _) =
     match
       Cogg.Cogg_build.build_file
         ~target:(Machine.Targets.find_exn target)
@@ -254,12 +264,17 @@ let test_bundle_bytes_pinned () =
           (Fmt.list Cogg.Cogg_build.pp_error)
           es
   in
-  let check (target, _, md5, len) bytes =
+  let check (target, _, md5, body_md5, len) bytes =
+    let h = Cogg.Tables_io.header_bytes in
     check_int (target ^ ": bundle length") len (String.length bytes);
     Alcotest.(check string)
       (target ^ ": bundle MD5")
       md5
-      (Digest.to_hex (Digest.string bytes))
+      (Digest.to_hex (Digest.string bytes));
+    Alcotest.(check string)
+      (target ^ ": MD5 of the bytes after the header")
+      body_md5
+      (Digest.to_hex (Digest.substring bytes h (String.length bytes - h)))
   in
   List.iter (fun pin -> check pin (build pin)) pinned_bundles
 
@@ -285,8 +300,8 @@ let flip bytes pos bit =
   Bytes.to_string b
 
 (* Each of 1,000 single-bit flips spread evenly over the bundle is
-   refused: the MD5 covers every byte after the header, and the header
-   is the magic, the length and the MD5 itself. *)
+   refused: the checksum covers every byte after the header, and the
+   header is the magic, the length and the checksum itself. *)
 let test_bit_flips_refused () =
   let bytes = Lazy.force amdahl_bundle in
   let n = String.length bytes in
@@ -297,6 +312,76 @@ let test_bit_flips_refused () =
     | exception Cogg.Tables_io.Corrupt _ -> ()
     | _ -> Alcotest.failf "a flip of bit %d at offset %d was accepted" bit pos
   done
+
+(* The checksum reads the bytes after the header as aligned 8-byte words.
+   Any change confined to one of them is caught for certain, not just
+   likely: each bit of a word reaches a lane, bit 63 included (a word fed
+   through [Int64.to_int] would lose it).  The risc32 bundle ends in a
+   2-byte tail; the amdahl470 bundle has none. *)
+let both_bundles =
+  lazy
+    [ ("amdahl470", Lazy.force amdahl_bundle);
+      ("risc32", Cogg.Tables_io.write (Lazy.force Util.risc32_tables)) ]
+
+(* [bytes] with [mask]'s bytes XORed in from [pos] on, as far as the
+   bundle goes, must be refused by the checksum: it comes before any
+   structural check *)
+let refused_by_checksum what bytes pos mask =
+  let b = Bytes.of_string bytes in
+  for k = 0 to Int.min 8 (Bytes.length b - pos) - 1 do
+    let m = Int64.to_int (Int64.shift_right_logical mask (8 * k)) land 0xff in
+    Bytes.set_uint8 b (pos + k) (Bytes.get_uint8 b (pos + k) lxor m)
+  done;
+  match Cogg.Tables_io.read (Bytes.to_string b) with
+  | exception Cogg.Tables_io.Corrupt "checksum mismatch" -> true
+  | exception Cogg.Tables_io.Corrupt m ->
+      Alcotest.failf "%s: refused for another reason: %s" what m
+  | _ -> false
+
+let body_words bytes =
+  let h = Cogg.Tables_io.header_bytes in
+  ((String.length bytes - h) / 8, (String.length bytes - h) mod 8)
+
+let test_word_flips_refused () =
+  let h = Cogg.Tables_io.header_bytes in
+  List.iter
+    (fun (name, bytes) ->
+      let words, tail = body_words bytes in
+      let flips pos bits =
+        for bit = 0 to bits - 1 do
+          let what = Printf.sprintf "%s: bit %d of the word at %d" name bit pos in
+          if not (refused_by_checksum what bytes pos (Int64.shift_left 1L bit))
+          then Alcotest.failf "%s: a flip was accepted" what
+        done
+      in
+      List.iter
+        (fun w -> flips (h + (8 * w)) 64)
+        [ 0; words / 2; words - 1 ];
+      flips (h + (8 * words)) (8 * tail))
+    (Lazy.force both_bundles);
+  check_int "risc32 tail bytes" 2
+    (snd (body_words (List.assoc "risc32" (Lazy.force both_bundles))))
+
+let prop_word_xor_refused =
+  let gen = QCheck.Gen.(triple (int_bound 1) (int_bound max_int) ui64) in
+  QCheck.Test.make ~count:400
+    ~name:"any nonzero XOR within one aligned word is refused"
+    (QCheck.make gen ~print:(fun (b, w, m) ->
+         Printf.sprintf "bundle %d, word %d, mask %Lx" b w m))
+    (fun (b, w, mask) ->
+      let name, bytes = List.nth (Lazy.force both_bundles) b in
+      let words, tail = body_words bytes in
+      let w = w mod (words + if tail > 0 then 1 else 0) in
+      let pos = Cogg.Tables_io.header_bytes + (8 * w) in
+      let width = Int.min 8 (String.length bytes - pos) in
+      let mask =
+        if width = 8 then mask
+        else Int64.logand mask (Int64.pred (Int64.shift_left 1L (8 * width)))
+      in
+      QCheck.assume (mask <> 0L);
+      refused_by_checksum
+        (Printf.sprintf "%s: word %d ^ %Lx" name w mask)
+        bytes pos mask)
 
 (* A torn write leaves a proper prefix: every one is refused, at every
    offset of the header and directory, then every 64 bytes to the end. *)
@@ -327,7 +412,7 @@ let methods =
    older magic is refused as a stale format, not misread. *)
 let test_bundle_format_magic () =
   let bytes = Cogg.Tables_io.write (tables ()) in
-  Alcotest.(check string) "current magic" "CGB7" (String.sub bytes 0 4);
+  Alcotest.(check string) "current magic" "CGB8" (String.sub bytes 0 4);
   let body = String.sub bytes 4 (String.length bytes - 4) in
   List.iter
     (fun magic ->
@@ -335,7 +420,7 @@ let test_bundle_format_magic () =
         (magic ^ " named as a stale format")
         true
         (Util.contains (rejected magic (magic ^ body)) "stale"))
-    [ "CGB4"; "CGB5"; "CGB6" ]
+    [ "CGB4"; "CGB5"; "CGB6"; "CGB7" ]
 
 (* Method codes are on-disk format: each packing keeps its number, and
    one that names no packing is corruption. *)
@@ -371,12 +456,12 @@ let test_every_method_survives_bundle () =
     methods
 
 (* A patched body under a fresh checksum: what refuses it is then the
-   structural check behind the MD5, which also catches writer bugs. *)
+   structural check behind the checksum, which also catches writer
+   bugs. *)
 let resealed bytes patch =
   let b = Bytes.of_string bytes in
   patch b;
-  let h = Cogg.Tables_io.header_bytes in
-  Bytes.blit_string (Digest.subbytes b h (Bytes.length b - h)) 0 b 8 16;
+  Cogg.Tables_io.seal b;
   Bytes.to_string b
 
 (* The meta section ends with the start state, the lookahead-mode word
@@ -587,6 +672,9 @@ let () =
             test_bundle_rejects_out_of_range;
           Alcotest.test_case "1,000 bit flips refused" `Quick
             test_bit_flips_refused;
+          Alcotest.test_case "every bit of a word refused" `Quick
+            test_word_flips_refused;
+          QCheck_alcotest.to_alcotest prop_word_xor_refused;
           Alcotest.test_case "torn prefixes refused" `Quick
             test_prefixes_refused;
           Alcotest.test_case "concurrent first use" `Quick

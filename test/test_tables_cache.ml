@@ -352,12 +352,51 @@ let test_prune_removes_orphans () =
   let _, o = build dir in
   check_origin "the entry still hits" "hit" (origin_str o)
 
+let pointer_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ptr")
+  |> List.sort compare
+
+(* A lineage pointer no miss will follow again is removed: one whose
+   name no current [lineage_path] forms (here the name format version 9
+   gave amdahl470's lineage), and one that names a missing entry.  The
+   live pointer stays, and still leads to its entry. *)
+let test_prune_removes_dead_pointers () =
+  let dir = fresh_cache_dir () in
+  let _ = build dir in
+  let entry =
+    Filename.basename (Cogg.Tables_cache.entry_path ~cache_dir:dir intro_spec)
+  and live = Cogg.Tables_cache.lineage_path ~cache_dir:dir () in
+  let older_version =
+    Filename.concat dir
+      ("cogg-"
+      ^ Digest.to_hex (Digest.string "cogg-lineage-v9:amdahl470")
+      ^ ".ptr")
+  and names_missing =
+    Cogg.Tables_cache.lineage_path
+      ~target:(Machine.Targets.find_exn "risc32")
+      ~cache_dir:dir ()
+  in
+  clobber older_version entry;
+  clobber names_missing ("cogg-" ^ String.make 32 '0' ^ ".cgt");
+  Alcotest.(check int)
+    "two dead pointers removed, no entry evicted" 2
+    (Cogg.Tables_cache.prune ~cache_dir:dir ~max_entries:8 ());
+  Alcotest.(check (list string))
+    "the live pointer stays" [ Filename.basename live ] (pointer_files dir);
+  Alcotest.(check string) "it names the entry" entry (read_file live);
+  let _, o = build dir in
+  check_origin "the entry still hits" "hit" (origin_str o)
+
 let writer_path () =
   let p =
     Filename.concat (Filename.dirname Sys.executable_name) "cache_writer.exe"
   in
   if Sys.file_exists p then p
   else Alcotest.failf "cache_writer.exe not found at %s" p
+
+(* the spec text cache_writer.exe stores as its variant [i] *)
+let stored_variant i = intro_spec ^ Printf.sprintf "* stored variant %d\n" i
 
 (* A process storing entries in a loop is killed with SIGKILL, wherever
    it happens to be.  Afterwards every entry it may have written is a
@@ -383,8 +422,7 @@ let test_killed_writer () =
   Alcotest.(check bool) "the writer stored entries" true (stored > 0);
   let fresh = generate (fst (build (fresh_cache_dir ()))) in
   for i = 0 to stored do
-    let spec = intro_spec ^ Printf.sprintf "* stored variant %d\n" i in
-    let t, _ = build ~spec dir in
+    let t, _ = build ~spec:(stored_variant i) dir in
     Alcotest.(check string)
       (Printf.sprintf "variant %d drives codegen as a fresh build" i)
       fresh.Cogg.Codegen.listing (generate t).Cogg.Codegen.listing
@@ -392,12 +430,69 @@ let test_killed_writer () =
   ignore (Cogg.Tables_cache.prune ~cache_dir:dir ());
   Alcotest.(check (list string)) "no temp file survives" [] (temp_files dir)
 
+(* Four writer processes store distinct spec texts into one directory
+   at once, each pruning it to three entries after every store.  They
+   are spawned executables: OCaml 5 refuses [Unix.fork] once a process
+   has started a domain, as this one has.  Stores, evictions, lineage-pointer updates and
+   incremental splices from another process's entries all race.
+   Afterwards every entry left is a verified hit that compiles as a
+   fresh build does, no temp file is left, and every lineage pointer
+   names an entry that exists. *)
+let test_writer_processes_race () =
+  let dir = fresh_cache_dir () in
+  Unix.mkdir dir 0o755;
+  let spec_file = Filename.concat dir "intro.cgg" in
+  clobber spec_file intro_spec;
+  let writer = writer_path () in
+  let writers = 4 and each = 100 in
+  let pids =
+    List.init writers (fun w ->
+        Unix.create_process writer
+          [| writer; dir; spec_file; string_of_int (w * each);
+             string_of_int each; "3" |]
+          Unix.stdin Unix.stdout Unix.stderr)
+  in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "a writer process failed")
+    pids;
+  Alcotest.(check (list string)) "no temp file survives" [] (temp_files dir);
+  List.iter
+    (fun ptr ->
+      let entry = String.trim (read_file (Filename.concat dir ptr)) in
+      if not (Sys.file_exists (Filename.concat dir entry)) then
+        Alcotest.failf "pointer %s names a missing entry %s" ptr entry)
+    (pointer_files dir);
+  let stored =
+    List.init (writers * each) (fun i ->
+        let spec = stored_variant i in
+        (Filename.basename (Cogg.Tables_cache.entry_path ~cache_dir:dir spec), spec))
+  in
+  let entries =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cgt")
+  in
+  Alcotest.(check bool) "entries survive" true (entries <> []);
+  let fresh = generate (fst (build (fresh_cache_dir ()))) in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name stored with
+      | None -> Alcotest.failf "%s is no variant a writer stored" name
+      | Some spec ->
+          let t, o = build ~spec dir in
+          check_origin (name ^ " is a hit") "hit" (origin_str o);
+          Alcotest.(check string)
+            (name ^ " compiles as a fresh build")
+            fresh.Cogg.Codegen.listing (generate t).Cogg.Codegen.listing)
+    entries
+
+let pasc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/pasc.exe"
+
 (* exit code, stdout and stderr of the built `pasc ARGS` over a given
    table-cache directory *)
 let run_pasc ~cache_dir args =
-  let pasc =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/pasc.exe"
-  in
   let out = Filename.temp_file "pasc" ".out"
   and err = Filename.temp_file "pasc" ".err" in
   let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -445,6 +540,16 @@ let test_unwritable_cache_warns () =
   if not (Util.contains err "cannot store cache entry") then
     Alcotest.failf "no store warning on stderr:\n%s" err
 
+(* Each `pasc` process loads its tables and starts anew, and as a
+   position-independent executable it would also apply ~28,000 relative
+   relocations at every start: bin/dune links it position-dependent.
+   The ELF header's e_type (bytes 16-17) is then 2, ET_EXEC; a PIE reads
+   3, ET_DYN. *)
+let test_pasc_not_pie () =
+  let header = In_channel.with_open_bin pasc (fun ic -> really_input_string ic 18) in
+  if String.sub header 0 4 <> "\x7fELF" then Alcotest.skip ();
+  Alcotest.(check int) "e_type" 2 (String.get_uint16_le header 16)
+
 let () =
   Alcotest.run "tables_cache"
     [
@@ -469,6 +574,8 @@ let () =
           Alcotest.test_case "store auto-prunes" `Quick test_store_auto_prunes;
           Alcotest.test_case "prune removes orphaned temp files" `Quick
             test_prune_removes_orphans;
+          Alcotest.test_case "prune removes dead lineage pointers" `Quick
+            test_prune_removes_dead_pointers;
         ] );
       ( "integrity",
         [
@@ -476,5 +583,11 @@ let () =
             test_flipped_entry_is_a_miss;
           Alcotest.test_case "a killed writer leaves no wrong hit" `Quick
             test_killed_writer;
+          Alcotest.test_case "four writer processes race safely" `Quick
+            test_writer_processes_race;
+        ] );
+      ( "start-up",
+        [
+          Alcotest.test_case "pasc is not a PIE" `Quick test_pasc_not_pie;
         ] );
     ]
