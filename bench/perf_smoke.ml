@@ -1,6 +1,6 @@
 (* Allocation smoke test:
      dune build @perf-smoke
-   meters the allocation of four calls and fails if any exceeds its
+   meters the allocation of six calls and fails if any exceeds its
    checked-in budget (bench/perf_budget.txt, passed as argv.(1); one
    number per line):
      line 1: one warm table-driven compile of the appendix-1 equation
@@ -8,7 +8,8 @@
              compile;
      line 2: the IF optimizer alone (Shaper.Cse_opt.optimize) on the
              same program, minor words per call, on a freshly shaped
-             program each time;
+             program each time (its IF holds no repeated subtree, so
+             this is the screen that skips a statement);
      line 3: one table-cache hit (Cogg.Tables_cache.build_file on a
              private warm cache directory), words per hit: minor words
              plus the words allocated straight to the major heap (the
@@ -17,13 +18,19 @@
      line 4: one from-scratch SLR table build of specs/amdahl470.cgg
              (Cogg.Cogg_build.build of the parsed spec: LR(0),
              lookaheads, the action fill, the comb, the templates),
-             words per build, counted as line 3 counts them.
+             words per build, counted as line 3 counts them;
+     line 5: the front end (Pascal.Sema.front_end: lexer, parser and
+             static semantics) on examples/programs/expr-eval.pas,
+             minor words per call;
+     line 6: the IF optimizer as line 2 meters it, on
+             examples/programs/expr-eval.pas, whose IF holds twelve
+             make_commons, so numbering, choosing and rewriting run.
    Each budget is ~1.5x the measured steady-state figure.  These counts
    repeat exactly from run to run, so drift — a new per-token
    allocation, a listing rendered through Format again, CSE keys built
-   as strings, a bundle section decoded at load again, LR sets back on
-   [Set.Make] — trips the gate long before it shows up as wall-clock
-   noise. *)
+   as strings, keywords looked up in a list, a bundle section decoded at
+   load again, LR sets back on [Set.Make] — trips the gate long before
+   it shows up as wall-clock noise. *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -60,7 +67,7 @@ let meter_codegen ~budget tables tokens =
 
 (* optimize reserves CSE temporaries in the frames it is given, so every
    call gets a fresh shape; only the optimize call itself is metered *)
-let meter_cse ~budget checked =
+let meter_cse ~what ~budget checked =
   let shape () =
     match Shaper.Irgen.shape checked with
     | Ok sh -> sh
@@ -75,7 +82,18 @@ let meter_cse ~budget checked =
     ignore (Sys.opaque_identity (Shaper.Cse_opt.optimize sh));
     words := !words +. (Gc.minor_words () -. w0)
   done;
-  check ~what:"cse_opt" ~unit:"call" ~budget (!words /. float_of_int runs)
+  check ~what ~unit:"call" ~budget (!words /. float_of_int runs)
+
+let meter_front_end ~budget source =
+  for _ = 1 to 3 do
+    ignore (Pascal.Sema.front_end source)
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (Pascal.Sema.front_end source))
+  done;
+  check ~what:"front end" ~unit:"call" ~budget
+    ((Gc.minor_words () -. w0) /. float_of_int runs)
 
 (* every word allocated, wherever it went: minor words plus the major
    words that were not promoted from the minor heap.  The minor count
@@ -137,7 +155,7 @@ let () =
       exit 2
     end
   in
-  let codegen_budget, cse_budget, cache_budget, build_budget =
+  let budgets =
     let ic = open_in budget_file in
     let text = In_channel.input_all ic in
     close_in ic;
@@ -146,18 +164,24 @@ let () =
         (List.filter (( <> ) "")
            (List.map String.trim (String.split_on_char '\n' text)))
     with
-    | [ Some g; Some c; Some h; Some b ] -> (g, c, h, b)
+    | [ Some _; Some _; Some _; Some _; Some _; Some _ ] as l ->
+        Array.of_list (List.map Option.get l)
     | _ ->
-        Fmt.epr "%s: expected four numbers, one per line: %S@." budget_file
+        Fmt.epr "%s: expected six numbers, one per line: %S@." budget_file
           text;
         exit 2
   in
-  let spec_file =
-    match find_up (Sys.getcwd ()) "specs/amdahl470.cgg" with
+  let locate rel =
+    match find_up (Sys.getcwd ()) rel with
     | Some p -> p
     | None ->
-        Fmt.epr "cannot locate specs/amdahl470.cgg@.";
+        Fmt.epr "cannot locate %s@." rel;
         exit 2
+  in
+  let spec_file = locate "specs/amdahl470.cgg" in
+  let expr_eval =
+    In_channel.with_open_bin (locate "examples/programs/expr-eval.pas")
+      In_channel.input_all
   in
   let tables =
     match Cogg.Cogg_build.build_file spec_file with
@@ -174,15 +198,28 @@ let () =
         exit 2
   in
   let codegen_ok =
-    meter_codegen ~budget:codegen_budget tables compiled.Pipeline.tokens
+    meter_codegen ~budget:budgets.(0) tables compiled.Pipeline.tokens
   in
-  let cse_ok = meter_cse ~budget:cse_budget compiled.Pipeline.checked in
-  let cache_ok = meter_cache_hit ~budget:cache_budget spec_file in
+  let cse_ok =
+    meter_cse ~what:"cse_opt" ~budget:budgets.(1) compiled.Pipeline.checked
+  in
+  let cache_ok = meter_cache_hit ~budget:budgets.(2) spec_file in
   let build_ok =
     match Cogg.Spec_parse.of_file spec_file with
-    | Ok spec -> meter_build ~budget:build_budget spec
+    | Ok spec -> meter_build ~budget:budgets.(3) spec
     | Error e ->
         Fmt.epr "%a@." Cogg.Spec_parse.pp_error e;
         exit 2
   in
-  if not (codegen_ok && cse_ok && cache_ok && build_ok) then exit 1
+  let front_ok = meter_front_end ~budget:budgets.(4) expr_eval in
+  let cse_common_ok =
+    match Pascal.Sema.front_end expr_eval with
+    | Ok checked ->
+        meter_cse ~what:"cse_opt (make_common)" ~budget:budgets.(5) checked
+    | Error m ->
+        Fmt.epr "%s@." m;
+        exit 2
+  in
+  if
+    not (codegen_ok && cse_ok && cache_ok && build_ok && front_ok && cse_common_ok)
+  then exit 1

@@ -75,59 +75,72 @@ let pp_item ppf = function
   | Word_lit v -> Fmt.pf ppf "      dc    f'%d'" v
   | Word_label l -> Fmt.pf ppf "      dc    a(%a)" pp_label l
 
-(* Buffer-based rendering, byte-identical to [pp_item]: the listing is
-   produced once per compile and feeds the determinism fingerprint, so
-   it bypasses the [Format] machinery (boxes, format-string
-   interpretation) which otherwise dominates compile time. *)
-let render_label b = function
-  | User n ->
-      Buffer.add_char b 'L';
-      Buffer.add_string b (string_of_int n)
-  | Internal n ->
-      Buffer.add_char b '.';
-      Buffer.add_string b (string_of_int n)
+(* Listing text, byte-identical to [pp_item]: the listing is produced
+   once per compile and feeds the determinism fingerprint, so it
+   bypasses the [Format] machinery and is written, integers digit by
+   digit, into one string sized up front by [item_width]. *)
+module Insn = Machine.Insn
 
-let render_item b = function
-  | Fixed i ->
-      Buffer.add_string b "      ";
-      Machine.Insn.render b i
+let label_width (User n | Internal n) = 1 + Insn.digits n
+
+let add_label o = function
+  | User n ->
+      Insn.add_char o 'L';
+      Insn.add_int o n
+  | Internal n ->
+      Insn.add_char o '.';
+      Insn.add_int o n
+
+let item_width = function
+  | Fixed i -> 6 + Insn.width i
   | Branch_site { mask; lbl; x; _ } ->
-      Buffer.add_string b "      bc    ";
-      Buffer.add_string b (string_of_int mask);
-      Buffer.add_char b ',';
-      render_label b lbl;
-      if x <> 0 then begin
-        Buffer.add_string b "(r";
-        Buffer.add_string b (string_of_int x);
-        Buffer.add_char b ')'
-      end
+      12 + Insn.digits mask + 1 + label_width lbl
+      + if x <> 0 then 3 + Insn.digits x else 0
   | Case_site { reg; lbl; _ } ->
-      Buffer.add_string b "      l     r";
-      Buffer.add_string b (string_of_int reg);
-      Buffer.add_char b ',';
-      render_label b lbl;
-      Buffer.add_string b "(r";
-      Buffer.add_string b (string_of_int reg);
-      Buffer.add_char b ')'
+      13 + Insn.digits reg + 1 + label_width lbl + 3 + Insn.digits reg
+  | Label_def l -> label_width l + 1
+  | Word_lit v -> 14 + Insn.digits v + 1
+  | Word_label l -> 14 + label_width l + 1
+
+let render_item o = function
+  | Fixed i ->
+      Insn.add_string o "      ";
+      Insn.render o i
+  | Branch_site { mask; lbl; x; _ } ->
+      Insn.add_string o "      bc    ";
+      Insn.add_int o mask;
+      Insn.add_char o ',';
+      add_label o lbl;
+      if x <> 0 then Insn.add_base o x
+  | Case_site { reg; lbl; _ } ->
+      Insn.add_string o "      l     r";
+      Insn.add_int o reg;
+      Insn.add_char o ',';
+      add_label o lbl;
+      Insn.add_base o reg
   | Label_def l ->
-      render_label b l;
-      Buffer.add_char b ':'
+      add_label o l;
+      Insn.add_char o ':'
   | Word_lit v ->
-      Buffer.add_string b "      dc    f'";
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b '\''
+      Insn.add_string o "      dc    f'";
+      Insn.add_int o v;
+      Insn.add_char o '\''
   | Word_label l ->
-      Buffer.add_string b "      dc    a(";
-      render_label b l;
-      Buffer.add_char b ')'
+      Insn.add_string o "      dc    a(";
+      add_label o l;
+      Insn.add_char o ')'
 
 (** Assembly-style listing in the manner of the paper's Appendix 1. *)
 let to_listing t =
-  let b = Buffer.create (24 * (t.n + 1)) in
+  let len = ref (max 0 (t.n - 1)) in
   for i = 0 to t.n - 1 do
-    if i > 0 then Buffer.add_char b '\n';
-    render_item b t.arr.(i)
+    len := !len + item_width t.arr.(i)
   done;
-  Buffer.contents b
+  let o = Insn.out !len in
+  for i = 0 to t.n - 1 do
+    if i > 0 then Insn.add_char o '\n';
+    render_item o t.arr.(i)
+  done;
+  Insn.contents o
 
 let pp ppf t = Fmt.string ppf (to_listing t)

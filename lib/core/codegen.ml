@@ -43,14 +43,20 @@ let generate ?(strategy = Regalloc.Lru) ?dispatch ?(explain = false) ?on_reduce
     | exception Emit.Emit_error m -> Error (Emit_failure m)
     | exception Regalloc.Pressure m -> Error (Emit_failure m)
     | Ok outcome -> (
-        match Emit.finish emitter with
+        (* the loader and the listing carry the layer names perfbench
+           reports them under *)
+        match
+          Trace.with_span ~cat:"codegen" "loader" (fun () -> Emit.finish emitter)
+        with
         | Error m -> Error (Resolve_failure m)
         | Ok (objmod, resolved) ->
             Ok
               {
                 objmod;
                 resolved;
-                listing = Emit.listing emitter;
+                listing =
+                  Trace.with_span ~cat:"codegen" "listing" (fun () ->
+                      Emit.listing emitter);
                 outcome;
                 alloc_stats = Emit.stats emitter;
                 n_items = Code_buffer.length emitter.Emit.buf;

@@ -22,7 +22,8 @@
    profile digest; v9: the CGB7 bundle, checksummed, with cells at their
    narrowest widths and a section directory; v10: the CGB8 bundle, whose
    checksum is two word-at-a-time lanes instead of an MD5, with every
-   byte after the header as in CGB7. *)
+   byte after the header as in CGB7.  Since v10 an entry's name carries
+   the version too ([entry_prefix]). *)
 let format_version = 10
 
 type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
@@ -59,11 +60,15 @@ let key ?(target = Machine.Targets.default) (spec_text : string) : string =
        (Printf.sprintf "cogg-tables-v%d:%s:%s" format_version
           target.Machine.Target.name (Digest.string spec_text)))
 
+(* Every entry's name starts with this, so [prune] can tell an entry of
+   an older format, which no key can hit again, by its name alone. *)
+let entry_prefix = Printf.sprintf "cogg-v%d-" format_version
+
 (** Cache file an unchanged spec would hit; exposed so tests (and curious
     users) can inspect or corrupt the entry. *)
 let entry_path ?target ?cache_dir (spec_text : string) : string =
   let dir = match cache_dir with Some d -> d | None -> default_dir () in
-  Filename.concat dir ("cogg-" ^ key ?target spec_text ^ ".cgt")
+  Filename.concat dir (entry_prefix ^ key ?target spec_text ^ ".cgt")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -71,8 +76,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* "cogg-<digest><suffix>": an entry (".cgt") or a lineage pointer
-   (".ptr") *)
+(* "cogg-<name><suffix>": an entry (".cgt", of any format) or a lineage
+   pointer (".ptr") *)
 let cache_file suffix name =
   String.length name > 9
   && String.sub name 0 5 = "cogg-"
@@ -171,6 +176,22 @@ let remove_orphans dir names =
       | _ -> removed)
     0 names
 
+(* Delete every entry of an older format (one whose name lacks
+   [entry_prefix]) without opening it. *)
+let remove_stale_entries dir names =
+  Array.fold_left
+    (fun removed name ->
+      if is_entry name && not (String.starts_with ~prefix:entry_prefix name)
+      then
+        let path = Filename.concat dir name in
+        match Sys.remove path with
+        | () ->
+            Log.info (fun f -> f "removed %s (an older cache format)" path);
+            removed + 1
+        | exception Sys_error _ -> removed
+      else removed)
+    0 names
+
 (* Delete the oldest [.cgt] entries beyond [cap]. *)
 let evict_oldest dir names cap =
   let entries =
@@ -248,8 +269,9 @@ let prune ?cache_dir ?max_entries () : int =
   | exception Sys_error _ -> 0
   | names ->
       let orphans = remove_orphans dir names in
+      let stale = remove_stale_entries dir names in
       let evicted = evict_oldest dir names cap in
-      orphans + evicted + remove_dead_pointers dir names
+      orphans + stale + evicted + remove_dead_pointers dir names
 
 let write_atomic path bytes =
   mkdir_p (Filename.dirname path);

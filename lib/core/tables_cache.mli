@@ -24,7 +24,10 @@ val prune : ?cache_dir:string -> ?max_entries:int -> unit -> int
 (** Enforce the size cap on a cache directory: when it holds more than
     [max_entries] (default {!default_max_entries}) bundle entries,
     delete the excess oldest-first by modification time (ties by name,
-    so the victim set is deterministic).  Also delete the temp files of
+    so the victim set is deterministic).  Before that, delete every
+    entry of an older cache format, told by its name alone (a current
+    entry's name carries the format version), so pruning stays a
+    directory scan.  Also delete the temp files of
     entries and lineage pointers whose writer's process is gone (a
     writer killed before its rename); a live writer's temp file stays.
     Then delete every dead lineage pointer: one that no current
@@ -41,8 +44,9 @@ val entry_path :
   string ->
   string
 (** [entry_path spec_text] is the cache file a given specification text
-    maps to (whether or not it exists yet).  Its name digests the text
-    and the [target]'s name (default: the Amdahl 470), so the same spec
+    maps to (whether or not it exists yet), named
+    [cogg-v<format version>-<key>.cgt].  The key digests the text and
+    the [target]'s name (default: the Amdahl 470), so the same spec
     text checked against two machines never shares an entry. *)
 
 val lineage_path :

@@ -280,164 +280,227 @@ let size = function
   | Ss _ -> 6
   | R3 _ | R2 _ | Ri _ | Li _ | Mem _ | Bcc _ -> 4
 
-(** Assembly-listing rendering, in the style of the paper's Appendix 1
+(** Assembly-listing text, in the style of the paper's Appendix 1
     ([l r1,132(r12)], [sla r1,2], [mvc 144(4,13),168(13)], ...).
 
-    [render] appends straight to a [Buffer]: listings are produced once
-    per compile and sit on the hot path (they feed the determinism
-    fingerprint), so the rendering avoids the [Format] machinery
-    entirely.  [pp] wraps it for embedding in formatted output. *)
-let render (b : Buffer.t) (t : t) : unit =
-  let str = Buffer.add_string b in
-  let ch = Buffer.add_char b in
-  let int n = str (string_of_int n) in
-  let mnem op =
-    str op;
-    (* the listing pads mnemonics to 5 columns *)
-    for _ = String.length op to 4 do
-      ch ' '
-    done;
-    ch ' '
-  in
-  let reg r =
-    ch 'r';
-    int r
-  in
-  let freg r =
-    ch 'f';
-    int r
-  in
+    Listings are produced once per compile and sit on the hot path (they
+    feed the determinism fingerprint), so they are written into an
+    [out] of exactly the right size: [width] is the length [render]
+    writes, integers are written digit by digit, and nothing is
+    allocated per instruction.  [to_string] and [pp] wrap it for
+    embedding in other text. *)
+
+type out = { buf : Bytes.t; mutable pos : int }
+
+let out n = { buf = Bytes.create n; pos = 0 }
+
+(** The text of a filled [out], without a copy.  A width that disagrees
+    with what was written is a bug in a [width] function: writing past
+    the end raises, and so does stopping short. *)
+let contents o =
+  if o.pos <> Bytes.length o.buf then invalid_arg "Insn.contents: out not filled";
+  Bytes.unsafe_to_string o.buf
+
+let add_char o c =
+  Bytes.set o.buf o.pos c;
+  o.pos <- o.pos + 1
+
+let add_string o s =
+  Bytes.blit_string s 0 o.buf o.pos (String.length s);
+  o.pos <- o.pos + String.length s
+
+(* Digits are taken from the value made non-positive, so [min_int]
+   needs no case of its own. *)
+let rec count_digits q n = if q <= -10 then count_digits (q / 10) (n + 1) else n
+
+(** Characters in the decimal rendering of [n], sign included. *)
+let digits n =
+  (* registers, masks and displacements are small and non-negative *)
+  if n >= 0 && n < 10 then 1
+  else if n >= 0 && n < 100 then 2
+  else if n >= 0 && n < 1000 then 3
+  else if n >= 0 && n < 10000 then 4
+  else count_digits (if n > 0 then -n else n) (if n < 0 then 2 else 1)
+
+let rec put_digits buf k q =
+  Bytes.set buf k (Char.unsafe_chr (Char.code '0' - (q mod 10)));
+  if q <= -10 then put_digits buf (k - 1) (q / 10)
+
+let add_int o n =
+  if n >= 0 && n < 10 then add_char o (Char.unsafe_chr (Char.code '0' + n))
+  else begin
+    let w = digits n in
+    if n < 0 then Bytes.set o.buf o.pos '-';
+    put_digits o.buf (o.pos + w - 1) (if n > 0 then -n else n);
+    o.pos <- o.pos + w
+  end
+
+(* the listing pads mnemonics to 5 columns, then one space *)
+let mnem_width op = max (String.length op) 5 + 1
+
+let add_mnem o op =
+  add_string o op;
+  for _ = String.length op to 4 do
+    add_char o ' '
+  done;
+  add_char o ' '
+
+let add_reg o r =
+  add_char o 'r';
+  add_int o r
+
+let add_freg o r =
+  add_char o 'f';
+  add_int o r
+
+(* "(rN)" *)
+let add_base o r =
+  add_char o '(';
+  add_reg o r;
+  add_char o ')'
+
+let is_shift = function
+  | "sla" | "sra" | "sll" | "srl" | "slda" | "srda" | "sldl" | "srdl" -> true
+  | _ -> false
+
+(* RISC-32 register fields that name FP registers *)
+let r3_fp op = String.length op > 0 && op.[0] = 'f'
+let mem_fp = function "fld" | "fsd" | "fls" | "fss" -> true | _ -> false
+
+(** Length of [render]'s text for [t].  [r] and [f] register names have
+    the same width. *)
+let width t =
+  let reg r = 1 + digits r in
+  let base r = 3 + digits r in
+  match t with
+  | Rr { op; r1; r2 } -> mnem_width op + reg r1 + 1 + reg r2
+  | Rx { op; r1; d2; x2; b2 } ->
+      mnem_width op + reg r1 + 1 + digits d2
+      + (if x2 = 0 && b2 = 0 then 0
+         else if x2 = 0 then base b2
+         else 3 + reg x2 + reg b2)
+  | Rs { op; r1; r3; d2; b2 } ->
+      mnem_width op + reg r1 + 1
+      + (if is_shift op then 0 else reg r3 + 1)
+      + digits d2
+      + if b2 <> 0 then base b2 else 0
+  | Si { op; d1; b1; i2 } ->
+      mnem_width op + digits d1 + (if b1 <> 0 then base b1 else 0) + 1
+      + digits i2
+  | Ss { op; l; d1; b1; d2; b2 } ->
+      mnem_width op + digits d1 + 1 + digits l + 1 + reg b1 + 2 + digits d2
+      + base b2
+  | R3 { op; rd; rs1; rs2 } -> mnem_width op + reg rd + 1 + reg rs1 + 1 + reg rs2
+  | R2 { op = "jr"; rs; _ } -> mnem_width "jr" + reg rs
+  | R2 { op; rd; rs } -> mnem_width op + reg rd + 1 + reg rs
+  | Ri { op; rd; rs; imm } -> mnem_width op + reg rd + 1 + reg rs + 1 + digits imm
+  | Li { op; rd; imm } -> mnem_width op + reg rd + 1 + digits imm
+  | Mem { op; rd; dsp; rb } -> mnem_width op + reg rd + 1 + digits dsp + base rb
+  | Bcc { mask; rel } -> mnem_width "bc" + digits mask + 1 + digits rel
+
+(** Write [t]'s listing text at [o.pos]: [width t] characters. *)
+let render (o : out) (t : t) : unit =
   match t with
   | Rr { op; r1; r2 } ->
-      mnem op;
-      reg r1;
-      ch ',';
-      reg r2
+      add_mnem o op;
+      add_reg o r1;
+      add_char o ',';
+      add_reg o r2
   | Rx { op; r1; d2; x2; b2 } ->
-      mnem op;
-      reg r1;
-      ch ',';
-      int d2;
+      add_mnem o op;
+      add_reg o r1;
+      add_char o ',';
+      add_int o d2;
       if x2 = 0 && b2 = 0 then ()
-      else if x2 = 0 then begin
-        ch '(';
-        reg b2;
-        ch ')'
-      end
+      else if x2 = 0 then add_base o b2
       else begin
-        ch '(';
-        reg x2;
-        ch ',';
-        reg b2;
-        ch ')'
+        add_char o '(';
+        add_reg o x2;
+        add_char o ',';
+        add_reg o b2;
+        add_char o ')'
       end
-  | Rs { op; r1; r3; d2; b2 } -> (
-      match op with
-      | "sla" | "sra" | "sll" | "srl" | "slda" | "srda" | "sldl" | "srdl" ->
-          mnem op;
-          reg r1;
-          ch ',';
-          int d2;
-          if b2 <> 0 then begin
-            ch '(';
-            reg b2;
-            ch ')'
-          end
-      | _ ->
-          mnem op;
-          reg r1;
-          ch ',';
-          reg r3;
-          ch ',';
-          int d2;
-          if b2 <> 0 then begin
-            ch '(';
-            reg b2;
-            ch ')'
-          end)
-  | Si { op; d1; b1; i2 } ->
-      mnem op;
-      int d1;
-      if b1 <> 0 then begin
-        ch '(';
-        reg b1;
-        ch ')'
+  | Rs { op; r1; r3; d2; b2 } ->
+      add_mnem o op;
+      add_reg o r1;
+      add_char o ',';
+      if not (is_shift op) then begin
+        add_reg o r3;
+        add_char o ','
       end;
-      ch ',';
-      int i2
+      add_int o d2;
+      if b2 <> 0 then add_base o b2
+  | Si { op; d1; b1; i2 } ->
+      add_mnem o op;
+      add_int o d1;
+      if b1 <> 0 then add_base o b1;
+      add_char o ',';
+      add_int o i2
   | Ss { op; l; d1; b1; d2; b2 } ->
-      mnem op;
-      int d1;
-      ch '(';
-      int l;
-      ch ',';
-      reg b1;
-      ch ')';
-      ch ',';
-      int d2;
-      ch '(';
-      reg b2;
-      ch ')'
+      add_mnem o op;
+      add_int o d1;
+      add_char o '(';
+      add_int o l;
+      add_char o ',';
+      add_reg o b1;
+      add_string o "),";
+      add_int o d2;
+      add_base o b2
   | R3 { op; rd; rs1; rs2 } ->
-      let r = if String.length op > 0 && op.[0] = 'f' then freg else reg in
-      mnem op;
-      r rd;
-      ch ',';
-      r rs1;
-      ch ',';
-      r rs2
+      let fp = r3_fp op in
+      add_mnem o op;
+      if fp then add_freg o rd else add_reg o rd;
+      add_char o ',';
+      if fp then add_freg o rs1 else add_reg o rs1;
+      add_char o ',';
+      if fp then add_freg o rs2 else add_reg o rs2
   | R2 { op; rd; rs } -> (
-      mnem op;
+      add_mnem o op;
       match op with
-      | "jr" -> reg rs
+      | "jr" -> add_reg o rs
       | "itof" ->
-          freg rd;
-          ch ',';
-          reg rs
+          add_freg o rd;
+          add_char o ',';
+          add_reg o rs
       | "ftoi" ->
-          reg rd;
-          ch ',';
-          freg rs
+          add_reg o rd;
+          add_char o ',';
+          add_freg o rs
       | "fmov" | "fneg" | "fabs" | "fhlv" | "fcmp" ->
-          freg rd;
-          ch ',';
-          freg rs
+          add_freg o rd;
+          add_char o ',';
+          add_freg o rs
       | _ ->
-          reg rd;
-          ch ',';
-          reg rs)
+          add_reg o rd;
+          add_char o ',';
+          add_reg o rs)
   | Ri { op; rd; rs; imm } ->
-      mnem op;
-      reg rd;
-      ch ',';
-      reg rs;
-      ch ',';
-      int imm
+      add_mnem o op;
+      add_reg o rd;
+      add_char o ',';
+      add_reg o rs;
+      add_char o ',';
+      add_int o imm
   | Li { op; rd; imm } ->
-      mnem op;
-      reg rd;
-      ch ',';
-      int imm
+      add_mnem o op;
+      add_reg o rd;
+      add_char o ',';
+      add_int o imm
   | Mem { op; rd; dsp; rb } ->
-      let r =
-        match op with "fld" | "fsd" | "fls" | "fss" -> freg | _ -> reg
-      in
-      mnem op;
-      r rd;
-      ch ',';
-      int dsp;
-      ch '(';
-      reg rb;
-      ch ')'
+      add_mnem o op;
+      if mem_fp op then add_freg o rd else add_reg o rd;
+      add_char o ',';
+      add_int o dsp;
+      add_base o rb
   | Bcc { mask; rel } ->
-      mnem "bc";
-      int mask;
-      ch ',';
-      int rel
+      add_mnem o "bc";
+      add_int o mask;
+      add_char o ',';
+      add_int o rel
 
 let to_string t =
-  let b = Buffer.create 24 in
-  render b t;
-  Buffer.contents b
+  let o = out (width t) in
+  render o t;
+  contents o
 
 let pp ppf t = Fmt.string ppf (to_string t)

@@ -18,11 +18,17 @@ let pp_token ppf = function
   | Sym s -> Fmt.pf ppf "%S" s
   | Eof -> Fmt.string ppf "end of file"
 
-let keywords =
-  [ "program"; "var"; "begin"; "end"; "if"; "then"; "else"; "while"; "do";
-    "repeat"; "until"; "for"; "to"; "downto"; "case"; "of"; "otherwise";
-    "procedure"; "array"; "set"; "integer"; "boolean"; "char"; "real";
-    "div"; "mod"; "and"; "or"; "not"; "true"; "false"; "in" ]
+(* One string [match]: the compiler turns it into a few word compares,
+   where [List.mem] over a keyword list made a polymorphic [compare]
+   call per keyword. *)
+let is_keyword = function
+  | "program" | "var" | "begin" | "end" | "if" | "then" | "else" | "while"
+  | "do" | "repeat" | "until" | "for" | "to" | "downto" | "case" | "of"
+  | "otherwise" | "procedure" | "array" | "set" | "integer" | "boolean"
+  | "char" | "real" | "div" | "mod" | "and" | "or" | "not" | "true"
+  | "false" | "in" ->
+      true
+  | _ -> false
 
 type error = { pos : int; line : int; msg : string }
 
@@ -58,9 +64,14 @@ let tokenize (src : string) : ((token * int) list, error) result =
        else if is_alpha c then begin
          let start = !i in
          while !i < n && (is_alpha src.[!i] || is_digit src.[!i]) do incr i done;
-         let word = String.lowercase_ascii (String.sub src start (!i - start)) in
-         if List.mem word keywords then out := (Kw word, !line) :: !out
-         else out := (Ident word, !line) :: !out
+         (* lower-cased straight into the word's one string *)
+         let word = Bytes.create (!i - start) in
+         for k = 0 to !i - start - 1 do
+           Bytes.unsafe_set word k
+             (Char.lowercase_ascii (String.unsafe_get src (start + k)))
+         done;
+         let word = Bytes.unsafe_to_string word in
+         out := ((if is_keyword word then Kw word else Ident word), !line) :: !out
        end
        else if is_digit c then begin
          let start = !i in
@@ -78,11 +89,18 @@ let tokenize (src : string) : ((token * int) list, error) result =
            | Some f -> out := (Real f, !line) :: !out
            | None -> fail start ("malformed real " ^ text)
          end
-         else
-           let text = String.sub src start (!i - start) in
-           match int_of_string_opt text with
-           | Some v -> out := (Int v, !line) :: !out
-           | None -> fail start ("malformed integer " ^ text)
+         else begin
+           (* the digits' value, or -1 past [max_int], where
+              [int_of_string] fails too *)
+           let v = ref 0 in
+           for k = start to !i - 1 do
+             let d = Char.code src.[k] - Char.code '0' in
+             v := if !v < 0 || !v > (max_int - d) / 10 then -1 else (!v * 10) + d
+           done;
+           if !v < 0 then
+             fail start ("malformed integer " ^ String.sub src start (!i - start));
+           out := (Int !v, !line) :: !out
+         end
        end
        else if c = '\'' then begin
          if !i + 2 < n && src.[!i + 2] = '\'' then begin
@@ -92,20 +110,35 @@ let tokenize (src : string) : ((token * int) list, error) result =
          else fail !i "malformed character literal"
        end
        else begin
-         let two =
-           if !i + 1 < n then String.sub src !i 2 else String.make 1 c
+         (* symbols are read by character, and every [Sym] token is a
+            constant *)
+         let next = if !i + 1 < n then src.[!i + 1] else ' ' in
+         let tok, len =
+           match (c, next) with
+           | ':', '=' -> (Sym ":=", 2)
+           | '<', '=' -> (Sym "<=", 2)
+           | '>', '=' -> (Sym ">=", 2)
+           | '<', '>' -> (Sym "<>", 2)
+           | '.', '.' -> (Sym "..", 2)
+           | '+', _ -> (Sym "+", 1)
+           | '-', _ -> (Sym "-", 1)
+           | '*', _ -> (Sym "*", 1)
+           | '/', _ -> (Sym "/", 1)
+           | '(', _ -> (Sym "(", 1)
+           | ')', _ -> (Sym ")", 1)
+           | '[', _ -> (Sym "[", 1)
+           | ']', _ -> (Sym "]", 1)
+           | ';', _ -> (Sym ";", 1)
+           | ':', _ -> (Sym ":", 1)
+           | ',', _ -> (Sym ",", 1)
+           | '.', _ -> (Sym ".", 1)
+           | '=', _ -> (Sym "=", 1)
+           | '<', _ -> (Sym "<", 1)
+           | '>', _ -> (Sym ">", 1)
+           | _ -> fail !i (Fmt.str "unexpected character %C" c)
          in
-         match two with
-         | ":=" | "<=" | ">=" | "<>" | ".." ->
-             out := (Sym two, !line) :: !out;
-             i := !i + 2
-         | _ -> (
-             match c with
-             | '+' | '-' | '*' | '/' | '(' | ')' | '[' | ']' | ';' | ':'
-             | ',' | '.' | '=' | '<' | '>' ->
-                 out := (Sym (String.make 1 c), !line) :: !out;
-                 incr i
-             | _ -> fail !i (Fmt.str "unexpected character %C" c))
+         out := (tok, !line) :: !out;
+         i := !i + len
        end
      done;
      out := (Eof, !line) :: !out;

@@ -57,6 +57,11 @@ type t = {
   cache : entry Result_cache.t;
   pending : job Queue.t;
   mutable conns : conn list;
+  mutable accepting : bool;
+      (** false after [accept] ran out of descriptors: the listening
+          socket stays readable then, so it is left out of [select]
+          until a connection closes, or until a [select] times out (an
+          [ENFILE] is freed by other processes, not by our clients) *)
   mutable pause_until : float;
   mutable stop : bool;
   mutable n_requests : int;
@@ -109,7 +114,9 @@ let close_conn (t : t) (c : conn) =
   if c.alive then begin
     c.alive <- false;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    t.conns <- List.filter (fun c' -> c' != c) t.conns
+    t.conns <- List.filter (fun c' -> c' != c) t.conns;
+    (* a descriptor is free again *)
+    t.accepting <- true
   end
 
 let send (t : t) (c : conn) (r : Wire.reply) =
@@ -295,6 +302,7 @@ let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ~socket_path
             cache = Result_cache.create ~capacity:cache_capacity;
             pending = Queue.create ();
             conns = [];
+            accepting = true;
             pause_until = 0.;
             stop = false;
             n_requests = 0;
@@ -323,9 +331,11 @@ let run (t : t) : unit =
     let timeout =
       if paused then Float.max 0.001 (t.pause_until -. now) else 1.0
     in
-    let fds = t.sock :: List.map (fun c -> c.fd) t.conns in
+    let fds = List.map (fun c -> c.fd) t.conns in
+    let fds = if t.accepting then t.sock :: fds else fds in
     match Unix.select fds [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> t.accepting <- true
     | readable, _, _ ->
         List.iter
           (fun fd ->
@@ -334,6 +344,11 @@ let run (t : t) : unit =
               | cfd, _ ->
                   t.conns <-
                     { fd = cfd; inb = Wire.inbuf (); alive = true } :: t.conns
+              | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _)
+                ->
+                  Log.warn (fun f ->
+                      f "out of descriptors: not accepting until a client leaves");
+                  t.accepting <- false
               | exception Unix.Unix_error _ -> ()
             end
             else

@@ -9,12 +9,19 @@
     wrapped in [make_common] (with the shaper-allocated temporary), later
     occurrences become [use_common].
 
-    Detection is value numbering: one bottom-up pass per statement maps
-    every node to the class of its structurally equal subtrees, keyed by
-    (token, children's classes), caches the class's size, purity and
-    candidacy, and counts each candidate's occurrences as it goes.
-    Choosing and rewriting then walk the classes, so a statement costs
-    time linear in its size. *)
+    Most statements hold no repeated candidate, so each statement is
+    first screened: one walk hashes every pure subtree bottom-up,
+    records the hash of each candidate occurrence in an int array, and
+    the statement is returned as it is when no hash repeats.  The walk
+    allocates nothing (its arrays grow only for a larger statement).  Equal
+    subtrees always hash equally, so the screen never skips a statement
+    with a repeat.  A statement that passes it is numbered by the same
+    walk: each candidate occurrence joins the class of an equal subtree
+    (same hash, then [Tree.equal]) or starts one, and the class counts
+    its occurrences.  Choosing and rewriting then walk the tree in
+    pre-order, finding each occurrence's class by its pre-order index.
+    The tables live in the per-call state and are reused by every
+    statement. *)
 
 module Tree = Ifl.Tree
 module Token = Ifl.Token
@@ -39,8 +46,6 @@ let pure_sym = function
 
 let min_nodes = 3
 
-type state = { mutable next_cse : int; mutable frame : Layout.t }
-
 (* Children in *positional* spots are grammar punctuation, not value
    expressions: the address of an assign, the procedure-address load of a
    call, the CSE temporary of make_common.  The node in such a spot can
@@ -52,120 +57,295 @@ let positional sym i =
   | "make_common", 2 -> true
   | _ -> false
 
-(* A chosen CSE.  [total] is the census count, so [make_common] declares
-   [total - 1] uses; copies nested inside a later occurrence of another
-   chosen CSE are counted but rewritten away with it. *)
-type chosen = { id : int; total : int; mutable defined : bool; temp : int }
-
-(* One class of structurally equal subtrees of a statement.  Numbering
-   hash-conses the statement into a DAG of classes, so walking a class
-   and its [kids] top-down visits the same nodes as walking the tree. *)
+(* One class of equal candidate subtrees of a statement.  [count] is the
+   census count (occurrences in non-positional spots), so [make_common]
+   declares [count - 1] uses; copies nested inside a later occurrence of
+   another chosen CSE are counted but rewritten away with it. *)
 type cls = {
-  tok : Token.t;
-  kids : cls list;
-  num : int;  (** value number, unique within the statement *)
-  size : int;
-  pure : bool;
-  cand : bool;  (** pure eligible root of at least [min_nodes] nodes *)
-  mutable count : int;  (** occurrences in non-positional spots *)
-  mutable chosen : chosen option;
+  rep : Tree.t;  (** the first occurrence met *)
+  hash : int;
+  size : int;  (** nodes, so a replaced occurrence can be stepped over *)
+  mutable count : int;
+  mutable id : int;  (** the CSE id once chosen, else 0 *)
+  mutable temp : int;
+  mutable defined : bool;
 }
 
-(* keyed by (token, child classes); a class is unique per value number,
-   so children compare physically *)
-module Vn = Hashtbl.Make (struct
-  type t = Token.t * cls list
+(* the class of every node that is no candidate occurrence; never
+   mutated (its count keeps it from being chosen) *)
+let no_cls =
+  { rep = Tree.leaf "none"; hash = 0; size = 0; count = 0; id = 0; temp = 0;
+    defined = false }
 
-  let equal (t1, k1) (t2, k2) = Token.equal t1 t2 && List.equal ( == ) k1 k2
+type state = {
+  mutable next_cse : int;
+  mutable frame : Layout.t;
+  mutable pos : int;  (** pre-order index of the next node walked *)
+  mutable seen : int array;  (** the statement's candidate hashes *)
+  mutable n_seen : int;
+  mutable marks : int array;  (** [seen]'s repeat check: hash slots ... *)
+  mutable stamps : int array;  (** ... valid when stamped [gen] *)
+  mutable gen : int;
+  mutable slots : cls array;  (** classes by hash, open addressing *)
+  mutable used : int array;  (** the slots filled this statement *)
+  mutable n_used : int;
+  mutable cls_at : cls array;  (** pre-order index -> occurrence's class *)
+}
 
-  let hash (t, kids) =
-    List.fold_left (fun h k -> (h * 31) + k.num) (Hashtbl.hash t) kids
-end)
+(* -- hashing ------------------------------------------------------------------ *)
 
-let count c = if c.cand then c.count <- c.count + 1
+(* An FNV-1a step.  Its high bits depend on every input bit, so table
+   slots are taken from them. *)
+let mix h k = (h lxor k) * 0x100000001b3
 
-(* value-number bottom-up, counting every candidate occurrence in a
-   non-positional child spot (the caller counts the statement root) *)
-let rec number tbl (Tree.Node (t, kids)) =
-  let kids = List.map (number tbl) kids in
-  let c =
-    match Vn.find_opt tbl (t, kids) with
-    | Some c -> c
-    | None ->
-        let size = List.fold_left (fun a k -> a + k.size) 1 kids in
-        let pure = pure_sym t.Token.sym && List.for_all (fun k -> k.pure) kids in
-        let c =
-          {
-            tok = t;
-            kids;
-            num = Vn.length tbl;
-            size;
-            pure;
-            cand = pure && eligible_root t.Token.sym && size >= min_nodes;
-            count = 0;
-            chosen = None;
-          }
-        in
-        Vn.add tbl (t, kids) c;
-        c
-  in
-  List.iteri (fun i k -> if not (positional t.Token.sym i) then count k) kids;
-  c
+let slot h mask = (h lsr 32) land mask
+
+let value_hash h = function
+  | Ifl.Value.Unit -> h
+  | Ifl.Value.Int n -> mix (mix h 1) n
+  | Ifl.Value.Reg n -> mix (mix h 2) n
+  | Ifl.Value.Label n -> mix (mix h 3) n
+  | Ifl.Value.Cse n -> mix (mix h 4) n
+  | Ifl.Value.Cond n -> mix (mix h 5) n
+
+let token_hash (t : Token.t) =
+  let h = ref (String.length t.sym) in
+  for i = 0 to String.length t.sym - 1 do
+    h := mix !h (Char.code (String.unsafe_get t.sym i))
+  done;
+  value_hash !h t.value
+
+(* A walked subtree is summarised in one int: 0 when impure, else its
+   hash shifted over a candidate bit and a set pure bit. *)
+let is_cand r = r land 2 <> 0
+
+(* -- the repeat check and the class table --------------------------------------- *)
+
+let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
+
+let grow a n fill =
+  if Array.length a >= n then a
+  else
+    let b = Array.make (pow2_above n (max 16 (Array.length a))) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+(* true when hash [h] is already marked this generation, else marks it *)
+let rec marked st mask h j =
+  if st.stamps.(j) <> st.gen then begin
+    st.stamps.(j) <- st.gen;
+    st.marks.(j) <- h;
+    false
+  end
+  else st.marks.(j) = h || marked st mask h ((j + 1) land mask)
+
+let rec any_marked st mask i =
+  i < st.n_seen
+  && (marked st mask st.seen.(i) (slot st.seen.(i) mask)
+     || any_marked st mask (i + 1))
+
+(** Whether two of the statement's candidate occurrences hash equally. *)
+let repeats st =
+  st.n_seen >= 2
+  && begin
+       let cap = pow2_above (2 * st.n_seen) 16 in
+       if Array.length st.marks < cap then begin
+         st.marks <- Array.make cap 0;
+         st.stamps <- Array.make cap 0
+       end;
+       st.gen <- st.gen + 1;
+       any_marked st (Array.length st.marks - 1) 0
+     end
+
+(* the class of [node], an occurrence hashing to [r] of [size] nodes *)
+let rec find_cls st mask r size node j =
+  let c = st.slots.(j) in
+  if c == no_cls then begin
+    let c =
+      { rep = node; hash = r; size; count = 0; id = 0; temp = 0;
+        defined = false }
+    in
+    st.slots.(j) <- c;
+    st.used.(st.n_used) <- j;
+    st.n_used <- st.n_used + 1;
+    c
+  end
+  else if c.hash = r && Tree.equal c.rep node then c
+  else find_cls st mask r size node ((j + 1) land mask)
+
+(* a candidate occurrence in a non-positional spot (or the statement
+   root) at pre-order index [at]: screening records its hash, numbering
+   counts it in its class *)
+let occurrence st ~number node at r =
+  if not number then begin
+    if st.n_seen = Array.length st.seen then st.seen <- grow st.seen (st.n_seen + 1) 0;
+    st.seen.(st.n_seen) <- r;
+    st.n_seen <- st.n_seen + 1
+  end
+  else begin
+    let mask = Array.length st.slots - 1 in
+    let c = find_cls st mask r (st.pos - at) node (slot r mask) in
+    c.count <- c.count + 1;
+    st.cls_at.(at) <- c
+  end
+
+(* The walk both passes share: pre-order indices, hashes bottom-up. *)
+let rec walk st ~number (Tree.Node (t, kids)) =
+  let at = st.pos in
+  st.pos <- at + 1;
+  let sym = t.Token.sym in
+  let pure = ref (pure_sym sym) in
+  let h = ref (if !pure then token_hash t else 0) in
+  let rest = ref kids and i = ref 0 in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | k :: tl ->
+        let k_at = st.pos in
+        let r = walk st ~number k in
+        if r = 0 then pure := false
+        else begin
+          h := mix !h r;
+          if is_cand r && not (positional sym !i) then occurrence st ~number k k_at r
+        end;
+        rest := tl;
+        incr i
+  done;
+  if not !pure then 0
+  else
+    let cand = eligible_root sym && st.pos - at >= min_nodes in
+    (!h lsl 2) lor (if cand then 2 else 0) lor 1
+
+(* -- choosing and rewriting ------------------------------------------------------ *)
 
 (* choose outermost repeated subtrees: walk top-down, and when a node is
    chosen do not consider its descendants (every occurrence of a chosen
    subtree is replaced wholesale, so nothing below it can need its own
    CSE).  Ids and temporaries are allocated in walk order. *)
-let rec choose st root_ok c =
-  if root_ok && c.cand && c.count >= 2 then begin
-    if Option.is_none c.chosen then begin
-      let id = st.next_cse in
-      st.next_cse <- id + 1;
-      let temp = Layout.temp st.frame ("cse-" ^ Int.to_string id) in
-      c.chosen <- Some { id; total = c.count; defined = false; temp }
-    end
+let rec choose st (Tree.Node (_, kids)) =
+  let at = st.pos in
+  let c = st.cls_at.(at) in
+  if c.count >= 2 then begin
+    if c.id = 0 then begin
+      c.id <- st.next_cse;
+      st.next_cse <- c.id + 1;
+      c.temp <- Layout.temp st.frame ("cse-" ^ Int.to_string c.id)
+    end;
+    st.pos <- at + c.size
   end
-  else List.iteri (fun i k -> choose st (not (positional c.tok.Token.sym i)) k) c.kids
+  else begin
+    st.pos <- at + 1;
+    choose_all st kids
+  end
+
+and choose_all st = function
+  | [] -> ()
+  | k :: tl ->
+      choose st k;
+      choose_all st tl
 
 (* rewrite: for chosen classes, first occurrence -> make_common, rest ->
    use_common.  Top-down so outermost repeats win; inside a replaced
-   subtree no further rewriting happens (its copies are gone). *)
-let rec rewrite root_ok c : Tree.t =
-  match (if root_ok then c.chosen else None) with
-  | Some ch when not ch.defined ->
-      ch.defined <- true;
+   subtree no further rewriting happens (its copies are gone).  A
+   subtree with nothing replaced in it is kept as it is. *)
+let rec rewrite st (Tree.Node (t, kids) as node) : Tree.t =
+  let at = st.pos in
+  let c = st.cls_at.(at) in
+  if c.id > 0 && c.defined then begin
+    st.pos <- at + c.size;
+    Tree.node "use_common" [ Tree.Node (Token.cse "cse" c.id, []) ]
+  end
+  else begin
+    st.pos <- at + 1;
+    let define = c.id > 0 in
+    if define then c.defined <- true;
+    let kids' = rewrite_all st kids in
+    let node = if kids' == kids then node else Tree.Node (t, kids') in
+    if not define then node
+    else
       (* definition: keep the computation, declare the CSE *)
       Tree.node "make_common"
         [
-          Tree.Node (Token.cse "cse" ch.id, []);
-          Tree.Node (Token.int "cnt" (ch.total - 1), []);
+          Tree.Node (Token.cse "cse" c.id, []);
+          Tree.Node (Token.int "cnt" (c.count - 1), []);
           Tree.node "fullword"
             [
-              Tree.Node (Token.int "dsp" ch.temp, []);
+              Tree.Node (Token.int "dsp" c.temp, []);
               Tree.Node (Token.reg "r" Machine.Runtime.stack_base, []);
             ];
-          Tree.Node (c.tok, rewrite_kids c);
+          node;
         ]
-  | Some ch -> Tree.node "use_common" [ Tree.Node (Token.cse "cse" ch.id, []) ]
-  | None -> Tree.Node (c.tok, rewrite_kids c)
+  end
 
-and rewrite_kids c =
-  List.mapi (fun i k -> rewrite (not (positional c.tok.Token.sym i)) k) c.kids
+and rewrite_all st = function
+  | [] -> []
+  | k :: tl as l ->
+      let k' = rewrite st k in
+      let tl' = rewrite_all st tl in
+      if k' == k && tl' == tl then l else k' :: tl'
+
+(* number a statement that passed the screen, whose [pos] nodes and
+   [n_seen] candidate occurrences the screen counted *)
+let number st tree =
+  let nodes = st.pos in
+  st.cls_at <- grow st.cls_at nodes no_cls;
+  Array.fill st.cls_at 0 nodes no_cls;
+  let cap = pow2_above (2 * st.n_seen) 16 in
+  if Array.length st.slots < cap then begin
+    st.slots <- Array.make cap no_cls;
+    st.used <- Array.make cap 0
+  end;
+  st.pos <- 0;
+  let r = walk st ~number:true tree in
+  if is_cand r then occurrence st ~number:true tree 0 r
 
 (** Optimize one statement tree.  [state] carries the CSE numbering and
     the frame that provides temporaries. *)
 let optimize_statement (st : state) (tree : Tree.t) : Tree.t =
-  let root = number (Vn.create 16) tree in
-  count root;
-  let first = st.next_cse in
-  choose st true root;
-  if st.next_cse = first then tree else rewrite true root
+  st.pos <- 0;
+  st.n_seen <- 0;
+  let r = walk st ~number:false tree in
+  if is_cand r then occurrence st ~number:false tree 0 r;
+  if not (repeats st) then tree
+  else begin
+    number st tree;
+    let first = st.next_cse in
+    st.pos <- 0;
+    choose st tree;
+    let out =
+      if st.next_cse = first then tree
+      else begin
+        st.pos <- 0;
+        rewrite st tree
+      end
+    in
+    for i = 0 to st.n_used - 1 do
+      st.slots.(st.used.(i)) <- no_cls
+    done;
+    st.n_used <- 0;
+    out
+  end
 
 (** Optimize a shaped program: CSEs are numbered across the module (they
     are "valid throughout the compilation"), temporaries come from the
     frame owning the statement. *)
 let optimize (shaped : Irgen.shaped) : Irgen.shaped =
-  let st = { next_cse = 1; frame = shaped.Irgen.main_frame } in
+  let st =
+    {
+      next_cse = 1;
+      frame = shaped.Irgen.main_frame;
+      pos = 0;
+      seen = Array.make 16 0;
+      n_seen = 0;
+      marks = [||];
+      stamps = [||];
+      gen = 0;
+      slots = [||];
+      used = [||];
+      n_used = 0;
+      cls_at = [||];
+    }
+  in
   (* statements before the first procedure label belong to main; after a
      label_def that matches a procedure entry, switch frames *)
   let proc_label_frames =

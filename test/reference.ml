@@ -10,7 +10,11 @@
    the sequential form of the code it replaced (no pool fan-out),
    otherwise unchanged, and slow.  The register allocator at the end is
    the list-based one test_regalloc's "reference" property holds
-   Cogg.Regalloc equal to. *)
+   Cogg.Regalloc equal to.  The per-file layers come last: the lexer
+   that matched keywords with [List.mem] and cut every symbol with
+   [String.sub] (test_pascal's "reference" property), and the listing
+   renderers that wrote every integer through [string_of_int]
+   (test_machine's "listing reference" property). *)
 
 module Grammar = Cogg.Grammar
 module Parse_table = Cogg.Parse_table
@@ -888,4 +892,310 @@ module Regalloc = struct
 
   let is_busy t bank r = (regs t bank).(r).busy
   let use_count t bank r = (regs t bank).(r).use_count
+end
+
+(* -- the lexer ------------------------------------------------------------------ *)
+
+(* Pascal.Lexer.tokenize before keywords became one string [match] and
+   symbols were read by character: the keyword test is [List.mem] (a
+   polymorphic [compare] per keyword), every symbol and integer is cut
+   out with [String.sub].  Same tokens, lines and errors. *)
+module Lexer = struct
+  open Pascal.Lexer
+
+  let keywords =
+    [ "program"; "var"; "begin"; "end"; "if"; "then"; "else"; "while"; "do";
+      "repeat"; "until"; "for"; "to"; "downto"; "case"; "of"; "otherwise";
+      "procedure"; "array"; "set"; "integer"; "boolean"; "char"; "real";
+      "div"; "mod"; "and"; "or"; "not"; "true"; "false"; "in" ]
+
+  let tokenize (src : string) : ((token * int) list, error) result =
+    let n = String.length src in
+    let line = ref 1 in
+    let out = ref [] in
+    let fail pos msg = raise (Fail { pos; line = !line; msg }) in
+    let is_digit c = c >= '0' && c <= '9' in
+    let is_alpha c =
+      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+    in
+    let i = ref 0 in
+    (try
+       while !i < n do
+         let c = src.[!i] in
+         if c = '\n' then begin incr line; incr i end
+         else if c = ' ' || c = '\t' || c = '\r' then incr i
+         else if c = '{' then begin
+           while !i < n && src.[!i] <> '}' do
+             if src.[!i] = '\n' then incr line;
+             incr i
+           done;
+           if !i >= n then fail !i "unterminated comment";
+           incr i
+         end
+         else if is_alpha c then begin
+           let start = !i in
+           while !i < n && (is_alpha src.[!i] || is_digit src.[!i]) do incr i done;
+           let word = String.lowercase_ascii (String.sub src start (!i - start)) in
+           if List.mem word keywords then out := (Kw word, !line) :: !out
+           else out := (Ident word, !line) :: !out
+         end
+         else if is_digit c then begin
+           let start = !i in
+           while !i < n && is_digit src.[!i] do incr i done;
+           if !i + 1 < n && src.[!i] = '.' && is_digit src.[!i + 1] then begin
+             incr i;
+             while !i < n && is_digit src.[!i] do incr i done;
+             let text = String.sub src start (!i - start) in
+             match float_of_string_opt text with
+             | Some f -> out := (Real f, !line) :: !out
+             | None -> fail start ("malformed real " ^ text)
+           end
+           else
+             let text = String.sub src start (!i - start) in
+             match int_of_string_opt text with
+             | Some v -> out := (Int v, !line) :: !out
+             | None -> fail start ("malformed integer " ^ text)
+         end
+         else if c = '\'' then begin
+           if !i + 2 < n && src.[!i + 2] = '\'' then begin
+             out := (Char src.[!i + 1], !line) :: !out;
+             i := !i + 3
+           end
+           else fail !i "malformed character literal"
+         end
+         else begin
+           let two =
+             if !i + 1 < n then String.sub src !i 2 else String.make 1 c
+           in
+           match two with
+           | ":=" | "<=" | ">=" | "<>" | ".." ->
+               out := (Sym two, !line) :: !out;
+               i := !i + 2
+           | _ -> (
+               match c with
+               | '+' | '-' | '*' | '/' | '(' | ')' | '[' | ']' | ';' | ':'
+               | ',' | '.' | '=' | '<' | '>' ->
+                   out := (Sym (String.make 1 c), !line) :: !out;
+                   incr i
+               | _ -> fail !i (Fmt.str "unexpected character %C" c))
+         end
+       done;
+       out := (Eof, !line) :: !out;
+       Ok (List.rev !out)
+     with Fail e -> Error e)
+end
+
+(* -- the listing ---------------------------------------------------------------- *)
+
+(* Machine.Insn.render and Code_buffer's item rendering before integers
+   were written digit by digit: per-call closures over the [Buffer], and
+   [string_of_int] for every register, displacement, mask and literal.
+   [listing] is Code_buffer.to_listing over these. *)
+module Listing = struct
+  open Machine.Insn
+
+  let render (b : Buffer.t) (t : t) : unit =
+    let str = Buffer.add_string b in
+    let ch = Buffer.add_char b in
+    let int n = str (string_of_int n) in
+    let mnem op =
+      str op;
+      for _ = String.length op to 4 do
+        ch ' '
+      done;
+      ch ' '
+    in
+    let reg r =
+      ch 'r';
+      int r
+    in
+    let freg r =
+      ch 'f';
+      int r
+    in
+    match t with
+    | Rr { op; r1; r2 } ->
+        mnem op;
+        reg r1;
+        ch ',';
+        reg r2
+    | Rx { op; r1; d2; x2; b2 } ->
+        mnem op;
+        reg r1;
+        ch ',';
+        int d2;
+        if x2 = 0 && b2 = 0 then ()
+        else if x2 = 0 then begin
+          ch '(';
+          reg b2;
+          ch ')'
+        end
+        else begin
+          ch '(';
+          reg x2;
+          ch ',';
+          reg b2;
+          ch ')'
+        end
+    | Rs { op; r1; r3; d2; b2 } -> (
+        match op with
+        | "sla" | "sra" | "sll" | "srl" | "slda" | "srda" | "sldl" | "srdl" ->
+            mnem op;
+            reg r1;
+            ch ',';
+            int d2;
+            if b2 <> 0 then begin
+              ch '(';
+              reg b2;
+              ch ')'
+            end
+        | _ ->
+            mnem op;
+            reg r1;
+            ch ',';
+            reg r3;
+            ch ',';
+            int d2;
+            if b2 <> 0 then begin
+              ch '(';
+              reg b2;
+              ch ')'
+            end)
+    | Si { op; d1; b1; i2 } ->
+        mnem op;
+        int d1;
+        if b1 <> 0 then begin
+          ch '(';
+          reg b1;
+          ch ')'
+        end;
+        ch ',';
+        int i2
+    | Ss { op; l; d1; b1; d2; b2 } ->
+        mnem op;
+        int d1;
+        ch '(';
+        int l;
+        ch ',';
+        reg b1;
+        ch ')';
+        ch ',';
+        int d2;
+        ch '(';
+        reg b2;
+        ch ')'
+    | R3 { op; rd; rs1; rs2 } ->
+        let r = if String.length op > 0 && op.[0] = 'f' then freg else reg in
+        mnem op;
+        r rd;
+        ch ',';
+        r rs1;
+        ch ',';
+        r rs2
+    | R2 { op; rd; rs } -> (
+        mnem op;
+        match op with
+        | "jr" -> reg rs
+        | "itof" ->
+            freg rd;
+            ch ',';
+            reg rs
+        | "ftoi" ->
+            reg rd;
+            ch ',';
+            freg rs
+        | "fmov" | "fneg" | "fabs" | "fhlv" | "fcmp" ->
+            freg rd;
+            ch ',';
+            freg rs
+        | _ ->
+            reg rd;
+            ch ',';
+            reg rs)
+    | Ri { op; rd; rs; imm } ->
+        mnem op;
+        reg rd;
+        ch ',';
+        reg rs;
+        ch ',';
+        int imm
+    | Li { op; rd; imm } ->
+        mnem op;
+        reg rd;
+        ch ',';
+        int imm
+    | Mem { op; rd; dsp; rb } ->
+        let r =
+          match op with "fld" | "fsd" | "fls" | "fss" -> freg | _ -> reg
+        in
+        mnem op;
+        r rd;
+        ch ',';
+        int dsp;
+        ch '(';
+        reg rb;
+        ch ')'
+    | Bcc { mask; rel } ->
+        mnem "bc";
+        int mask;
+        ch ',';
+        int rel
+
+  let insn_to_string t =
+    let b = Buffer.create 24 in
+    render b t;
+    Buffer.contents b
+
+  module Cb = Cogg.Code_buffer
+
+  let render_label b = function
+    | Cb.User n ->
+        Buffer.add_char b 'L';
+        Buffer.add_string b (string_of_int n)
+    | Cb.Internal n ->
+        Buffer.add_char b '.';
+        Buffer.add_string b (string_of_int n)
+
+  let render_item b = function
+    | Cb.Fixed i ->
+        Buffer.add_string b "      ";
+        render b i
+    | Cb.Branch_site { mask; lbl; x; _ } ->
+        Buffer.add_string b "      bc    ";
+        Buffer.add_string b (string_of_int mask);
+        Buffer.add_char b ',';
+        render_label b lbl;
+        if x <> 0 then begin
+          Buffer.add_string b "(r";
+          Buffer.add_string b (string_of_int x);
+          Buffer.add_char b ')'
+        end
+    | Cb.Case_site { reg; lbl; _ } ->
+        Buffer.add_string b "      l     r";
+        Buffer.add_string b (string_of_int reg);
+        Buffer.add_char b ',';
+        render_label b lbl;
+        Buffer.add_string b "(r";
+        Buffer.add_string b (string_of_int reg);
+        Buffer.add_char b ')'
+    | Cb.Label_def l ->
+        render_label b l;
+        Buffer.add_char b ':'
+    | Cb.Word_lit v ->
+        Buffer.add_string b "      dc    f'";
+        Buffer.add_string b (string_of_int v);
+        Buffer.add_char b '\''
+    | Cb.Word_label l ->
+        Buffer.add_string b "      dc    a(";
+        render_label b l;
+        Buffer.add_char b ')'
+
+  let listing (items : Cb.item array) =
+    let b = Buffer.create (24 * (Array.length items + 1)) in
+    Array.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_char b '\n';
+        render_item b item)
+      items;
+    Buffer.contents b
 end

@@ -111,6 +111,94 @@ let prop_roundtrip =
       let i', sz = Encode.decode b 0 in
       sz = Bytes.length b && Insn.to_string i = Insn.to_string i')
 
+(* Property: listing text equals the renderers it replaced
+   (test/reference.ml) for every instruction constructor and every
+   code-buffer item kind, over fields that are negative, zero, one digit,
+   many digits and the extremes, and mnemonics from both opcode tables
+   plus ones shorter, longer or empty. *)
+let gen_field =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, int_range 0 15);
+      (2, int_range (-15) (-1));
+      (2, int_range (-99_999) 99_999);
+      (1, oneofl [ 0; 9; 10; -9; -10; 4095; max_int; min_int; min_int + 1 ]);
+      (1, int);
+    ]
+
+let gen_listing_item : Cogg.Code_buffer.item QCheck.Gen.t =
+  let open QCheck.Gen in
+  let f = gen_field in
+  let op =
+    oneof
+      [
+        oneofl (List.map fst Insn.opcode_table);
+        oneofl (List.map fst Insn.r32_opcode_table);
+        oneofl [ ""; "x"; "jr"; "itof"; "ftoi"; "fcmp"; "mnemonic" ];
+      ]
+  in
+  let insn =
+    oneof
+      [
+        (let* op and* r1 = f and* r2 = f in
+         return (Insn.Rr { op; r1; r2 }));
+        (let* op and* r1 = f and* d2 = f and* x2 = f and* b2 = f in
+         return (Insn.Rx { op; r1; d2; x2; b2 }));
+        (let* op and* r1 = f and* r3 = f and* d2 = f and* b2 = f in
+         return (Insn.Rs { op; r1; r3; d2; b2 }));
+        (let* op and* d1 = f and* b1 = f and* i2 = f in
+         return (Insn.Si { op; d1; b1; i2 }));
+        (let* op and* l = f and* d1 = f and* b1 = f and* d2 = f and* b2 = f in
+         return (Insn.Ss { op; l; d1; b1; d2; b2 }));
+        (let* op and* rd = f and* rs1 = f and* rs2 = f in
+         return (Insn.R3 { op; rd; rs1; rs2 }));
+        (let* op and* rd = f and* rs = f in
+         return (Insn.R2 { op; rd; rs }));
+        (let* op and* rd = f and* rs = f and* imm = f in
+         return (Insn.Ri { op; rd; rs; imm }));
+        (let* op and* rd = f and* imm = f in
+         return (Insn.Li { op; rd; imm }));
+        (let* op and* rd = f and* dsp = f and* rb = f in
+         return (Insn.Mem { op; rd; dsp; rb }));
+        (let* mask = f and* rel = f in
+         return (Insn.Bcc { mask; rel }));
+      ]
+  in
+  let label =
+    let* n = f in
+    oneofl [ Cogg.Code_buffer.User n; Cogg.Code_buffer.Internal n ]
+  in
+  let open Cogg.Code_buffer in
+  oneof
+    [
+      map (fun i -> Fixed i) insn;
+      (let* mask = f and* lbl = label and* idx = f and* x = f in
+       return (Branch_site { mask; lbl; idx; x }));
+      (let* reg = f and* lbl = label and* idx = f in
+       return (Case_site { reg; lbl; idx }));
+      map (fun l -> Label_def l) label;
+      map (fun v -> Word_lit v) f;
+      map (fun l -> Word_label l) label;
+    ]
+
+let prop_listing_reference =
+  QCheck.Test.make ~count:2000 ~name:"listing text equals the reference"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 12) gen_listing_item)
+       ~print:(fun items -> Reference.Listing.listing (Array.of_list items)))
+    (fun items ->
+      let cb = Cogg.Code_buffer.create () in
+      List.iter (Cogg.Code_buffer.add cb) items;
+      List.for_all
+        (function
+          | Cogg.Code_buffer.Fixed i ->
+              Insn.to_string i = Reference.Listing.insn_to_string i
+          | _ -> true)
+        items
+      && Cogg.Code_buffer.to_listing cb
+         = Reference.Listing.listing (Array.of_list items))
+
 (* -- simulator semantics --------------------------------------------------- *)
 
 let test_load_add_store () =
@@ -1646,7 +1734,9 @@ let test_r32_ftoi_truncates () =
 
 (* -- suite ----------------------------------------------------------------- *)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_add; prop_mr_dr ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_roundtrip; prop_add; prop_mr_dr; prop_listing_reference ]
 
 let () =
   Alcotest.run "machine"

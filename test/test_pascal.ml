@@ -50,6 +50,85 @@ let test_lexer_errors () =
       | Ok _ -> Alcotest.failf "%S lexed" src)
     [ "{ unterminated"; "'ab'"; "#" ]
 
+(* Property: the lexer gives the tokens, lines and errors of the one it
+   replaced (test/reference.ml).  Sources are generated programs with
+   letters re-cased at random (keywords in mixed case), lexically tricky
+   fragments spliced in at random offsets (identifiers that extend a
+   keyword, [..] next to reals, char literals, comments, integers at and
+   past [max_int]), sometimes a stray character, an unterminated comment
+   or a cut at a random offset. *)
+let tricky_fragments =
+  [| "endx"; "do1"; "BeGiN"; "ProGram"; "END"; "iN"; "_x1"; "tO2"; "1..2";
+     "1.5..2.5"; "3.25"; "0.5"; "7."; "8.x"; "'a'"; "''''"; "'''"; "'ab'";
+     "{ a comment\n over two lines }"; "{}"; ":="; ":"; "<>"; "<="; ">=";
+     "<"; ".."; "..."; "4611686018427387903"; "4611686018427387904";
+     "99999999999999999999999"; "007"; "x:=y"; "a[1..3]"; "\t"; "\r\n";
+     " "; "}" |]
+
+let stray_chars = [| "#"; "@"; "!"; "\""; "?"; "&"; "$"; "\000" |]
+
+let lexer_source (seed, index, recase, splices, ending) =
+  let rng = Fuzz.Rng.derive ~seed ~index in
+  let base = Fuzz.Gen_pascal.source rng (Fuzz.Profile.rotate index) in
+  let flip = Fuzz.Rng.create recase in
+  let b = Buffer.create (String.length base + 256) in
+  let rest = ref (List.sort compare splices) in
+  String.iteri
+    (fun i c ->
+      let rec splice () =
+        match !rest with
+        | (at, k) :: tl when at mod (String.length base + 1) <= i ->
+            Buffer.add_string b
+              tricky_fragments.(k mod Array.length tricky_fragments);
+            rest := tl;
+            splice ()
+        | _ -> ()
+      in
+      splice ();
+      let c =
+        if recase <> 0 && Fuzz.Rng.chance flip 1 3 then
+          if Char.lowercase_ascii c = c then Char.uppercase_ascii c
+          else Char.lowercase_ascii c
+        else c
+      in
+      Buffer.add_char b c)
+    base;
+  let text = Buffer.contents b in
+  match ending with
+  | `Whole -> text
+  | `Stray k ->
+      let at = k mod (String.length text + 1) in
+      String.sub text 0 at
+      ^ stray_chars.(k mod Array.length stray_chars)
+      ^ String.sub text at (String.length text - at)
+  | `Unterminated -> text ^ " { never closed"
+  | `Cut k -> String.sub text 0 (k mod (String.length text + 1))
+
+let gen_lexer_case =
+  let open QCheck.Gen in
+  let* seed = int_bound 1_000_000
+  and* index = int_bound 1_000
+  and* recase = frequency [ (1, return 0); (3, int_bound 1_000_000) ]
+  and* splices = list_size (int_range 0 12) (pair nat (int_bound 1_000))
+  and* ending =
+    frequency
+      [
+        (4, return `Whole);
+        (1, map (fun k -> `Stray k) nat);
+        (1, return `Unterminated);
+        (1, map (fun k -> `Cut k) nat);
+      ]
+  in
+  return (seed, index, recase, splices, ending)
+
+let prop_lexer_reference =
+  QCheck.Test.make ~count:300
+    ~name:"tokens, lines and errors equal the reference"
+    (QCheck.make gen_lexer_case ~print:lexer_source)
+    (fun c ->
+      let src = lexer_source c in
+      Pascal.Lexer.tokenize src = Reference.Lexer.tokenize src)
+
 (* -- parser ------------------------------------------------------------------ *)
 
 let parse src =
@@ -276,6 +355,7 @@ let () =
           Alcotest.test_case "chars and ops" `Quick test_lexer_char_and_ops;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
         ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_lexer_reference ]);
       ( "parser",
         [
           Alcotest.test_case "program shape" `Quick test_parser_program_shape;

@@ -227,14 +227,23 @@ let test_prune_enforces_cap () =
       check_origin "survivor still hits" "hit" (origin_str o))
     alive
 
+(* "cogg-v<format version>-", the prefix of a current entry's name *)
+let current_prefix () =
+  let name = Filename.basename (Cogg.Tables_cache.entry_path ~cache_dir:"." "") in
+  String.sub name 0 (String.index_from name 5 '-' + 1)
+
 let test_store_auto_prunes () =
   (* every store prunes its directory to the default cap, so a daemon
      churning through specs keeps its cache directory bounded: a store
-     into a directory already at the cap evicts the oldest entry *)
+     into a directory already at the cap evicts the oldest entry (the
+     fake entries are named as the current format names entries, so
+     only the cap removes them) *)
   let dir = fresh_cache_dir () in
   Sys.mkdir dir 0o755;
   let cap = Cogg.Tables_cache.default_max_entries in
-  let old i = Filename.concat dir (Printf.sprintf "cogg-old-%03d.cgt" i) in
+  let old i =
+    Filename.concat dir (Printf.sprintf "%sold-%03d.cgt" (current_prefix ()) i)
+  in
   let now = Unix.time () in
   for i = 0 to cap - 1 do
     Out_channel.with_open_bin (old i) (fun oc -> output_string oc "stale");
@@ -252,6 +261,28 @@ let test_store_auto_prunes () =
     (Sys.file_exists (old 0));
   Alcotest.(check bool) "the next oldest is kept" true
     (Sys.file_exists (old 1))
+
+(* An entry of an older cache format is deleted by its name alone: a
+   directory holding a CGB7 entry named as format 9 named entries
+   ("cogg-<digest>.cgt") and a current entry keeps only the current one
+   after one prune, though it is far below the cap. *)
+let test_prune_removes_older_formats () =
+  let dir = fresh_cache_dir () in
+  let _ = build dir in
+  let current =
+    Filename.basename (Cogg.Tables_cache.entry_path ~cache_dir:dir intro_spec)
+  in
+  let older = "cogg-" ^ Digest.to_hex (Digest.string "an older key") ^ ".cgt" in
+  clobber (Filename.concat dir older) ("CGB7" ^ String.make 60 '\000');
+  Alcotest.(check int)
+    "the older entry is deleted" 1
+    (Cogg.Tables_cache.prune ~cache_dir:dir ());
+  Alcotest.(check (list string))
+    "only the current entry is left" [ current ]
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cgt"));
+  let _, o = build dir in
+  check_origin "the current entry still hits" "hit" (origin_str o)
 
 (* -- integrity: corrupt entries, orphaned temp files, killed writers ------- *)
 
@@ -572,6 +603,8 @@ let () =
           Alcotest.test_case "prune enforces the cap" `Quick
             test_prune_enforces_cap;
           Alcotest.test_case "store auto-prunes" `Quick test_store_auto_prunes;
+          Alcotest.test_case "prune removes older formats by name" `Quick
+            test_prune_removes_older_formats;
           Alcotest.test_case "prune removes orphaned temp files" `Quick
             test_prune_removes_orphans;
           Alcotest.test_case "prune removes dead lineage pointers" `Quick

@@ -157,6 +157,38 @@ let phase_rows () =
     (fun (name, v) -> v <> 0 && String.starts_with ~prefix:"phase." name)
     (Cogg.Metrics.snapshot ())
 
+(* Codegen.generate times the loader and the listing under the layer
+   names perfbench uses, so [pasc compile --stats] prints
+   phase.loader.us and phase.listing.us; untraced, it records nothing. *)
+let test_codegen_layer_spans () =
+  let compile () =
+    match
+      Pipeline.compile (tables ()) Pipeline.Programs.appendix1_equation
+    with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  in
+  let layers = [ "loader"; "listing" ] in
+  with_observability ~metrics:true ~trace:true (fun () ->
+      compile ();
+      let events = Cogg.Trace.events () in
+      let codegen = find_event events "codegen" in
+      List.iter
+        (fun name ->
+          let e = find_event events name in
+          Alcotest.(check bool) (name ^ " nested inside codegen") true
+            (e.Cogg.Trace.ev_ts >= codegen.Cogg.Trace.ev_ts -. 0.5
+            && e.Cogg.Trace.ev_ts +. e.Cogg.Trace.ev_dur
+               <= codegen.Cogg.Trace.ev_ts +. codegen.Cogg.Trace.ev_dur +. 0.5);
+          Alcotest.(check bool) ("phase." ^ name ^ ".us counted") true
+            (List.mem_assoc ("phase." ^ name ^ ".us") (Cogg.Metrics.snapshot ())))
+        layers);
+  with_observability (fun () ->
+      compile ();
+      Alcotest.(check int) "no events recorded" 0 (Cogg.Trace.event_count ());
+      Alcotest.(check (list (pair string int)))
+        "no phase time accumulated" [] (phase_rows ()))
+
 (* [with_cache f] runs [f build] on a private cache that starts empty
    and is removed afterwards; [build ()] builds amdahl470 through it and
    returns the origin. *)
@@ -378,6 +410,8 @@ let () =
           Alcotest.test_case "spans balanced and nested" `Quick
             test_spans_balanced_and_nested;
           Alcotest.test_case "JSON well-formed" `Quick test_json_well_formed;
+          Alcotest.test_case "codegen: loader and listing spans" `Quick
+            test_codegen_layer_spans;
           Alcotest.test_case "table build: a span per stage" `Quick
             test_table_build_spans;
           Alcotest.test_case "table build: silent when disabled" `Quick
