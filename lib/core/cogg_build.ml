@@ -263,11 +263,11 @@ let build_incremental ?(target = Machine.Targets.default)
         let tables =
           if splice then
             (* same shape + same ids: LR construction and conflict
-               resolution read nothing else, so the previous rows,
-               conflicts, states and comb are exactly what a fresh build
-               would produce.  They are handed through as they are: rows
-               and conflicts that came off disk and were never decoded
-               stay bytes, and the writer copies them back. *)
+               resolution read nothing else, so the previous parse
+               table and comb are exactly what a fresh build would
+               produce.  They are handed through as they are: a parse
+               table a loaded bundle has not rebuilt yet stays unbuilt,
+               and the writer never needs it. *)
             {
               previous with
               Tables.target;

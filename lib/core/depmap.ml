@@ -27,23 +27,8 @@ let sorted_dedup (l : int list) : int array =
   let a = Array.of_list (List.sort_uniq Int.compare l) in
   a
 
-(* A bundle reloaded from disk carries a skeletal automaton (empty
-   closures — the driver never reads items); rebuild the real one from
-   the grammar in that case, which is deterministic and cheap relative
-   to any reporting use. *)
-let real_automaton (pt : Parse_table.t) : Lr0.t =
-  let auto = pt.Parse_table.automaton in
-  let skeletal =
-    Array.length auto.Lr0.states = 0
-    || Array.for_all
-         (fun st -> Array.length st.Lr0.closure = 0)
-         auto.Lr0.states
-  in
-  if skeletal then Lr0.build pt.Parse_table.grammar else auto
-
 let build ?(compressed : Compress.t option) ~(n_user_prods : int)
     (pt : Parse_table.t) : t =
-  let auto = real_automaton pt in
   let states_acc = Array.make n_user_prods [] in
   Array.iter
     (fun (st : Lr0.state) ->
@@ -55,7 +40,7 @@ let build ?(compressed : Compress.t option) ~(n_user_prods : int)
           if p < n_user_prods then
             states_acc.(p) <- st.Lr0.id :: states_acc.(p))
         st.Lr0.closure)
-    auto.Lr0.states;
+    pt.Parse_table.automaton.Lr0.states;
   let reduce_acc = Array.make n_user_prods [] in
   Array.iteri
     (fun state row ->

@@ -12,9 +12,9 @@ type t = {
 }
 
 val build : ?compressed:Compress.t -> n_user_prods:int -> Parse_table.t -> t
-(** Build the map.  A skeletal automaton (a bundle reloaded from disk)
-    is transparently replaced by a fresh {!Lr0.build} over the same
-    grammar.  Without [?compressed], [rows_of_prod] is all-empty. *)
+(** Build the map from a full parse table ({!Tables.parse}, which a
+    loaded bundle rebuilds from its grammar).  Without [?compressed],
+    [rows_of_prod] is all-empty. *)
 
 val pp_prod : Format.formatter -> t -> int -> unit
 (** One-line footprint summary for a production. *)

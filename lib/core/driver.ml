@@ -141,7 +141,7 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
      path reads the packed cells in place, the flat path encodes the
      variant (both allocation-free).  Only flat dispatch and the error
      report below use the dense rows, so a comb parse of well-formed IF
-     never decodes them. *)
+     never builds them. *)
   let lookup : int -> int -> int =
     match dispatch with
     | Comb -> Compress.dispatcher tables.Tables.compressed

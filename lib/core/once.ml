@@ -7,7 +7,8 @@
     the value too, and the first to publish wins through
     [Atomic.compare_and_set]; every caller then returns the published
     value.  The computation must therefore be pure (a decode of bytes
-    that never change) and must not raise. *)
+    that never change, or a table rebuilt from a grammar) and must not
+    raise. *)
 
 type 'a state = Ready of 'a | Pending of (unit -> 'a)
 type 'a t = 'a state Atomic.t

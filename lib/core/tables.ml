@@ -3,18 +3,10 @@
     the runtime needs (paper section 2).
 
     A comb-dispatched compile reads only the runtime part: grammar,
-    symbols, start state, comb, templates and type info.  The dense
-    action rows, the conflict log and the automaton's states are each a
-    {!section}: a value from a build, or the bytes of a loaded bundle
-    decoded the first time something asks. *)
-
-type 'a section = {
-  value : 'a Once.t;
-  encoded : (string * int * int) option;
-      (** the bundle bytes [value] decodes from (buffer, offset,
-          length), kept so a writer copies them instead of encoding the
-          value again *)
-}
+    symbols, start state, comb, templates and type info.  The automaton,
+    the dense action rows and the conflict log are one {!Parse_table.t}:
+    a build's own, or, for a loaded bundle, rebuilt from the grammar the
+    first time something asks. *)
 
 type t = {
   target : Machine.Target.t;
@@ -31,13 +23,12 @@ type t = {
   n_user_prods : int;
   class_of : Symtab.reg_class option array;  (** by grammar symbol *)
   kind_of : Symtab.value_kind option array;  (** by grammar symbol *)
-  rows : Parse_table.action array array section;
-      (** the dense action table, state x symbol: flat dispatch, the
-          driver's expected-symbol report and table statistics *)
-  conflict_log : Parse_table.conflict list section;
-  states : Lr0.state array section;
-      (** full from a build; skeletal (ids only) from a bundle, which is
-          all the driver needs *)
+  parse_table : Parse_table.t Once.t;
+      (** the automaton, the dense action table (state x symbol) and the
+          conflict log: flat dispatch, the driver's expected-symbol
+          report, table statistics, {!Depmap} and [coggc] read them.
+          Not part of the bundle: a loaded one rebuilds them from
+          [grammar] on first use ({!of_grammar}) *)
   hashes : Spec_hash.t;
       (** per-production content hashes of the spec this bundle was
           built from — the partial-build state an incremental rebuild
@@ -49,8 +40,6 @@ type t = {
           the bundle, and derived from [compiled] by {!builders_of},
           which every record with new templates must call again *)
 }
-
-let section v = { value = Once.of_value v; encoded = None }
 
 (* what {!insn_builder} holds for a step that is not an instruction *)
 let not_an_instruction = Error "not an instruction step"
@@ -78,42 +67,39 @@ let builders_of (target : Machine.Target.t)
                 c.Template.c_steps))
     compiled
 
-let force s = Once.force s.value
+(** The [parse_table] field of a loaded bundle: the SLR(1) table of
+    [grammar], built on first use.  The construction is deterministic,
+    so it is the table the bundle's writer built; it cannot raise on a
+    grammar {!Tables_io} accepted. *)
+let of_grammar grammar =
+  Once.make (fun () -> Parse_table.build (Lr0.build grammar))
 
 (** The tables of a fresh build. *)
 let make ~target ~grammar ~symtab ~(parse : Parse_table.t) ~compressed
     ~compiled ~n_user_prods ~class_of ~kind_of ~hashes =
-  let automaton = parse.Parse_table.automaton in
   {
     target;
     grammar;
     symtab;
-    start = automaton.Lr0.start;
+    start = parse.Parse_table.automaton.Lr0.start;
     compressed;
     compiled;
     n_user_prods;
     class_of;
     kind_of;
-    rows = section parse.Parse_table.actions;
-    conflict_log = section parse.Parse_table.conflicts;
-    states = section automaton.Lr0.states;
+    parse_table = Once.of_value parse;
     hashes;
     builders = builders_of target compiled;
   }
 
 let n_states t = t.compressed.Compress.n_states
-let actions t = force t.rows
-let conflicts t = force t.conflict_log
 
-(** The full parse table; decodes whatever of it was not used yet. *)
-let parse t : Parse_table.t =
-  {
-    Parse_table.grammar = t.grammar;
-    automaton =
-      { Lr0.grammar = t.grammar; states = force t.states; start = t.start };
-    actions = actions t;
-    conflicts = conflicts t;
-  }
+(** The full parse table; rebuilt from the grammar if it was not used
+    yet. *)
+let parse t = Once.force t.parse_table
+
+let actions t = (parse t).Parse_table.actions
+let conflicts t = (parse t).Parse_table.conflicts
 
 let class_of t sym = t.class_of.(sym)
 let kind_of t sym = t.kind_of.(sym)

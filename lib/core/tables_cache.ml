@@ -23,8 +23,11 @@
    narrowest widths and a section directory; v10: the CGB8 bundle, whose
    checksum is two word-at-a-time lanes instead of an MD5, with every
    byte after the header as in CGB7.  Since v10 an entry's name carries
-   the version too ([entry_prefix]). *)
-let format_version = 10
+   the version too ([entry_prefix]).  v11: the CGB9 bundle, without the
+   dense action rows, the conflict log and the lookahead-mode word; a
+   loaded bundle rebuilds its parse table from the grammar on first
+   use. *)
+let format_version = 11
 
 type origin = Cache_hit | Built | Built_incremental of Cogg_build.incr_stats
 

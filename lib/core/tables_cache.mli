@@ -1,8 +1,11 @@
 (** On-disk cache of built table bundles, keyed by a content digest of the
     specification (plus target and serialization-format version).
 
-    A hit loads the {!Tables_io} bundle and skips LR construction
-    entirely; a miss builds with {!Cogg_build} and stores the result.
+    A hit loads the {!Tables_io} bundle and skips table construction: a
+    comb compile never runs it, and whatever asks for the full parse
+    table (flat dispatch, a driver error report, statistics) rebuilds
+    only that, from the bundle's grammar, once per process.  A miss
+    builds with {!Cogg_build} and stores the result.
     A bundle's checksum is checked before anything in it is decoded, so
     corrupt, truncated or stale entries are always a miss and a rebuild,
     never an error and never a wrong hit.  Entries live in

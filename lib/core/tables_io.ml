@@ -6,46 +6,39 @@
     4096-byte pages.  The format round-trips: [read (write t)]
     reconstructs a bundle that drives code generation identically.
 
-    {b Bundle format [CGB8].}  Every multi-byte field is little-endian;
+    {b Bundle format [CGB9].}  Every multi-byte field is little-endian;
     scalars, counts and string lengths take 4 bytes.
 
     {v
-    0   "CGB8"
+    0   "CGB9"
     4   u32  length of the whole bundle
     8   16   checksum of bytes [24, length): two 63-bit lanes, 8 bytes
              each (see [checksum])
-    24  u32 x 7  section lengths (the directory); the sections follow
+    24  u32 x 5  section lengths (the directory); the sections follow
                  in this order, back to back, and end at [length]
-        meta       target, grammar, symbol table, start state,
-                   lookahead mode (always 0), user production count
+        meta       target, grammar, symbol table, start state, user
+                   production count
         comb       the comb-packed table (Compress.t), which also
                    carries the state and symbol counts
         templates  the CGT1 template array
         types      per-symbol register class and value kind
-        rows       the dense action table, state x symbol
-        conflicts  the resolved-conflict log, one column per field
         hashes     the incremental-rebuild hashes (Spec_hash.t)
     v}
 
     Integer arrays are {!Cells} columns at the narrowest of 1, 2 or 4
     bytes per cell, so the comb's cells take exactly the bytes
-    [Compress.size_bytes] charges and the dense rows take 16 bits.
+    [Compress.size_bytes] charges.
 
     [read] checks the length and the checksum before it decodes
     anything, so a torn bundle, or one with any change confined to one
-    8-byte word, is always [Corrupt] and never a wrong table.
-    It then decodes the runtime part (meta, comb, templates, types) and
-    the small hashes section, and checks the structure of the rest:
-    every length and column fits its section.  The meta section's
-    lookahead-mode word is always 0 (SLR(1), the one construction), and
-    any other value is [Corrupt].  The word is kept so that the layout
-    and the bytes of every bundle stay as they were when a second
-    construction could be chosen: dropping it would change the format
-    for no change in the tables.  The comb's cells are not
-    copied: the dispatcher probes them in the loaded string.  The rows
-    and conflicts, and the skeletal automaton, are decoded on first use
-    ({!Tables.section}), from bytes already checked, so a first use
-    cannot fail. *)
+    8-byte word, is always [Corrupt] and never a wrong table.  It then
+    decodes every section and checks its structure: every length and
+    column fits its section, and every symbol the grammar names is in
+    range.  The comb's cells are not copied: the dispatcher probes them
+    in the loaded string.  The automaton, the dense action rows and the
+    conflict log are not stored: they are a function of the grammar,
+    rebuilt on first use ({!Tables.of_grammar}), and the grammar checks
+    here are what keeps that rebuild from failing. *)
 
 exception Corrupt of string
 
@@ -344,8 +337,8 @@ let method_of_code = function
   | 3 -> Compress.Defaults_and_comb
   | k -> corrupt "bad compression method %d" k
 
-let magic = "CGB8"
-let n_sections = 7
+let magic = "CGB9"
+let n_sections = 5
 let header_bytes = 24
 let directory_end = header_bytes + (4 * n_sections)
 
@@ -459,8 +452,7 @@ let w_meta b (t : Tables.t) =
   (* constants may be negative: plain 32-bit values *)
   w_list b (fun b (n, v) -> w_str b n; w_i32 b v) st.Symtab.constants;
   w_list b w_str st.Symtab.semantics;
-  List.iter (w_i32 b)
-    [ t.Tables.start; 0 (* lookahead mode *); t.Tables.n_user_prods ]
+  List.iter (w_i32 b) [ t.Tables.start; t.Tables.n_user_prods ]
 
 let r_grammar r : Grammar.t =
   let names = r_arr r r_str in
@@ -476,7 +468,13 @@ let r_grammar r : Grammar.t =
   let line = r_ints_n r n_prods "production lines" in
   if Array.fold_left ( + ) 0 rhs_len <> Array.length rhs_all then
     raise (Corrupt "rhs lengths do not match the rhs cells");
+  (* cells are unsigned: these bounds put every symbol in range, and an
+     LR item has room for every dot *)
   if Array.exists (fun s -> s >= n) lhs then raise (Corrupt "lhs out of range");
+  if Array.exists (fun s -> s >= n) rhs_all then
+    raise (Corrupt "rhs symbol out of range");
+  if Array.exists (fun l -> l > Lr0.max_rhs) rhs_len then
+    raise (Corrupt "rhs too long for an LR item");
   let next = ref 0 in
   let prods =
     Array.init n_prods (fun id ->
@@ -488,12 +486,17 @@ let r_grammar r : Grammar.t =
   let lambda = r_i32 r in
   let stmts = r_i32 r in
   let eof = r_i32 r in
+  if List.exists (fun s -> s < 0 || s >= n) [ goal; lambda; stmts; eof ] then
+    raise (Corrupt "special symbol out of range");
   let index = Hashtbl.create n in
   Array.iteri (fun i nm -> Hashtbl.replace index nm i) names;
   let by_lhs = Array.make n [] in
   for id = n_prods - 1 downto 0 do
     by_lhs.(lhs.(id)) <- id :: by_lhs.(lhs.(id))
   done;
+  (* LR(0) construction starts from the goal's one production *)
+  if List.length by_lhs.(goal) <> 1 then
+    raise (Corrupt "the goal symbol needs exactly one production");
   { Grammar.names; index; is_nonterminal; in_if; prods; by_lhs; goal; lambda;
     stmts; eof }
 
@@ -573,75 +576,6 @@ let r_types r ~n_syms =
   let kind_of = decode kind_of_kcode "kinds" in
   (class_of, kind_of)
 
-(* -- dense rows ------------------------------------------------------------ *)
-
-(* One column of n_states x n_syms encoded actions. *)
-let w_rows b (rows : Parse_table.action array array) =
-  let len = Array.fold_left (fun n row -> n + Array.length row) 0 rows in
-  let cells = Array.make len 0 and k = ref 0 in
-  Array.iter
-    (fun (row : Parse_table.action array) ->
-      for y = 0 to Array.length row - 1 do
-        cells.(!k + y) <- Compress.encode_action row.(y)
-      done;
-      k := !k + Array.length row)
-    rows;
-  w_ints b cells
-
-(* One shared value per encoded action, so decoding a table allocates per
-   distinct action, not per cell. *)
-let action_table ~n_states ~n_prods =
-  Array.init ((2 * Int.max n_states n_prods) + 4) Compress.decode_action
-
-let action_of (by_code : Parse_table.action array) v =
-  if v < Array.length by_code then by_code.(v) else Compress.decode_action v
-
-let decode_rows cells ~n_states ~n_syms ~n_prods () =
-  let by_code = action_table ~n_states ~n_prods in
-  Array.init n_states (fun s ->
-      let row = Array.make n_syms Parse_table.Error in
-      for y = 0 to n_syms - 1 do
-        row.(y) <- action_of by_code (Cells.get cells ((s * n_syms) + y))
-      done;
-      row)
-
-(* -- conflict log ---------------------------------------------------------- *)
-
-let w_conflicts b (cs : Parse_table.conflict list) =
-  let n = List.length cs in
-  let col () = Array.make n 0 in
-  let state = col () and sym = col () and kind = col () and chosen = col ()
-  and dropped = col () in
-  List.iteri
-    (fun i (c : Parse_table.conflict) ->
-      state.(i) <- c.Parse_table.c_state;
-      sym.(i) <- c.Parse_table.c_sym;
-      kind.(i) <-
-        (match c.Parse_table.c_kind with
-        | `Shift_reduce -> 0
-        | `Reduce_reduce -> 1);
-      chosen.(i) <- Compress.encode_action c.Parse_table.c_chosen;
-      dropped.(i) <- Compress.encode_action c.Parse_table.c_dropped)
-    cs;
-  List.iter (w_ints b) [ state; sym; kind; chosen; dropped ]
-
-let decode_conflicts (state, sym, kind, chosen, dropped) ~n_states ~n_prods () =
-  let by_code = action_table ~n_states ~n_prods in
-  let acc = ref [] in
-  for i = Cells.length state - 1 downto 0 do
-    acc :=
-      {
-        Parse_table.c_state = Cells.get state i;
-        c_sym = Cells.get sym i;
-        c_kind =
-          (if Cells.get kind i = 0 then `Shift_reduce else `Reduce_reduce);
-        c_chosen = action_of by_code (Cells.get chosen i);
-        c_dropped = action_of by_code (Cells.get dropped i);
-      }
-      :: !acc
-  done;
-  !acc
-
 (* -- incremental-rebuild hashes -------------------------------------------- *)
 
 let w_hashes b (h : Spec_hash.t) =
@@ -659,21 +593,9 @@ let r_hashes r ~n_user_prods : Spec_hash.t =
 
 (* -- the bundle ------------------------------------------------------------ *)
 
-(* A section of a built table is encoded; one that came off disk is
-   copied back as it was read, decoded or not. *)
-let w_section encode (s : 'a Tables.section) b =
-  match s.Tables.encoded with
-  | Some (buf, pos, len) -> Buffer.add_substring b buf pos len
-  | None -> encode b (Tables.force s)
-
 let encode_bundle (t : Tables.t) : string =
   let c = t.Tables.compressed in
-  let b =
-    Buffer.create
-      (directory_end + Compress.cell_bytes c
-      + Compress.uncompressed_bytes c
-      + (1 lsl 17))
-  in
+  let b = Buffer.create (directory_end + Compress.cell_bytes c + (1 lsl 17)) in
   Buffer.add_string b magic;
   (* length, digest and directory are filled in below *)
   Buffer.add_string b
@@ -689,8 +611,6 @@ let encode_bundle (t : Tables.t) : string =
         (fun b -> w_comb b c);
         (fun b -> Buffer.add_string b (template_array_bytes t));
         (fun b -> w_types b t);
-        w_section w_rows t.Tables.rows;
-        w_section w_conflicts t.Tables.conflict_log;
         (fun b -> w_hashes b t.Tables.hashes);
       ]
   in
@@ -704,7 +624,7 @@ let encode_bundle (t : Tables.t) : string =
   seal bytes;
   Bytes.unsafe_to_string bytes
 
-(** Serialize a complete table bundle (format [CGB8]), in a
+(** Serialize a complete table bundle (format [CGB9]), in a
     [tables_io.write] {!Trace} span. *)
 let write (t : Tables.t) : string =
   Trace.with_span ~cat:"tables_io" "tables_io.write" (fun () ->
@@ -734,7 +654,6 @@ let decode_bundle (s : string) : Tables.t =
   let finish r =
     if r.pos <> r.lim then raise (Corrupt "trailing bytes in a section")
   in
-  let encoded r = Some (s, r.pos, r.lim - r.pos) in
   (* meta *)
   let r = sections.(0) in
   let target_name = r_str r in
@@ -746,7 +665,6 @@ let decode_bundle (s : string) : Tables.t =
   let grammar = r_grammar r in
   let symtab = r_symtab r in
   let start = r_i32 r in
-  (match r_i32 r with 0 -> () | k -> corrupt "bad lookahead mode %d" k);
   let n_user_prods = r_i32 r in
   finish r;
   let n_syms = Grammar.n_syms grammar in
@@ -761,29 +679,8 @@ let decode_bundle (s : string) : Tables.t =
   finish sections.(2);
   let class_of, kind_of = r_types sections.(3) ~n_syms in
   finish sections.(3);
-  (* first-use sections: structure checked now, decoded later *)
-  let r = sections.(4) in
-  let enc_rows = encoded r in
-  let cells = r_cells r in
-  finish r;
-  if Cells.length cells <> n_states * n_syms then
-    raise (Corrupt "dense rows do not match the table dimensions");
-  let r = sections.(5) in
-  let enc_conflicts = encoded r in
-  let state = r_cells r in
-  let sym = r_cells r in
-  let kind = r_cells r in
-  let chosen = r_cells r in
-  let dropped = r_cells r in
-  finish r;
-  let nc = Cells.length state in
-  if
-    List.exists (fun c -> Cells.length c <> nc) [ sym; kind; chosen; dropped ]
-    || not (all_below kind 2)
-  then raise (Corrupt "inconsistent conflict log");
-  let hashes = r_hashes sections.(6) ~n_user_prods in
-  finish sections.(6);
-  let deferred encoded f = { Tables.value = Once.make f; encoded } in
+  let hashes = r_hashes sections.(4) ~n_user_prods in
+  finish sections.(4);
   {
     Tables.target;
     grammar;
@@ -794,24 +691,15 @@ let decode_bundle (s : string) : Tables.t =
     n_user_prods;
     class_of;
     kind_of;
-    rows = deferred enc_rows (decode_rows cells ~n_states ~n_syms ~n_prods);
-    conflict_log =
-      deferred enc_conflicts
-        (decode_conflicts (state, sym, kind, chosen, dropped) ~n_states
-           ~n_prods);
-    states =
-      deferred None (fun () ->
-          Array.init n_states (fun id ->
-              { Lr0.id; kernel = [||]; closure = [||]; transitions = [] }));
+    parse_table = Tables.of_grammar grammar;
     hashes;
     builders = Tables.builders_of target compiled;
   }
 
 (** Reload a bundle written by {!write}, in a [tables_io.read] {!Trace}
     span; [Corrupt] unless the length and the checksum match and every
-    section is well formed.  The automaton is not stored: a skeletal one
-    with only the state ids is rebuilt on first use, which is all the
-    driver needs (it reads actions, never items). *)
+    section is well formed.  The parse table is rebuilt from the grammar
+    on first use. *)
 let read (s : string) : Tables.t =
   Trace.with_span ~cat:"tables_io" "tables_io.read" (fun () ->
       decode_bundle s)

@@ -58,10 +58,11 @@ type t = {
   pending : job Queue.t;
   mutable conns : conn list;
   mutable accepting : bool;
-      (** false after [accept] ran out of descriptors: the listening
-          socket stays readable then, so it is left out of [select]
-          until a connection closes, or until a [select] times out (an
-          [ENFILE] is freed by other processes, not by our clients) *)
+      (** false after [accept] ran out of descriptors, or gave one
+          [select] cannot watch: the listening socket stays readable
+          then, so it is left out of [select] until a connection closes,
+          or until a [select] times out (an [ENFILE] is freed by other
+          processes, not by our clients) *)
   mutable pause_until : float;
   mutable stop : bool;
   mutable n_requests : int;
@@ -109,6 +110,13 @@ let run_compile (tables : Cogg.Tables.t) (source : string) : Wire.outcome =
   | exception e -> Error ("internal: " ^ Printexc.to_string e)
 
 (* -- connection plumbing ------------------------------------------------------ *)
+
+(* [select] refuses a descriptor at or past FD_SETSIZE (1024) with
+   [EINVAL], and one such descriptor fails every call it is passed to *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
 
 let close_conn (t : t) (c : conn) =
   if c.alive then begin
@@ -290,29 +298,39 @@ let create ?pool ?(queue_capacity = 64) ?(cache_capacity = 256) ~socket_path
       try
         if Sys.file_exists socket_path then Sys.remove socket_path;
         let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind sock (Unix.ADDR_UNIX socket_path);
-        Unix.listen sock 64;
-        Ok
-          {
-            tables;
-            pool;
-            sock;
-            socket_path;
-            queue_capacity = max 1 queue_capacity;
-            cache = Result_cache.create ~capacity:cache_capacity;
-            pending = Queue.create ();
-            conns = [];
-            accepting = true;
-            pause_until = 0.;
-            stop = false;
-            n_requests = 0;
-            n_compiles = 0;
-            n_inline_hits = 0;
-            n_verified_hits = 0;
-            n_overloaded = 0;
-            n_gate_failures = 0;
-            n_oversized = 0;
-          }
+        if not (selectable sock) then begin
+          Unix.close sock;
+          Error
+            (Fmt.str
+               "cannot serve on %s: the socket's descriptor is past what \
+                select can watch"
+               socket_path)
+        end
+        else begin
+          Unix.bind sock (Unix.ADDR_UNIX socket_path);
+          Unix.listen sock 64;
+          Ok
+            {
+              tables;
+              pool;
+              sock;
+              socket_path;
+              queue_capacity = max 1 queue_capacity;
+              cache = Result_cache.create ~capacity:cache_capacity;
+              pending = Queue.create ();
+              conns = [];
+              accepting = true;
+              pause_until = 0.;
+              stop = false;
+              n_requests = 0;
+              n_compiles = 0;
+              n_inline_hits = 0;
+              n_verified_hits = 0;
+              n_overloaded = 0;
+              n_gate_failures = 0;
+              n_oversized = 0;
+            }
+        end
       with
       | Unix.Unix_error (e, _, _) ->
           Error
@@ -341,9 +359,16 @@ let run (t : t) : unit =
           (fun fd ->
             if fd = t.sock then begin
               match Unix.accept t.sock with
-              | cfd, _ ->
+              | cfd, _ when selectable cfd ->
                   t.conns <-
                     { fd = cfd; inb = Wire.inbuf (); alive = true } :: t.conns
+              | cfd, _ ->
+                  (try Unix.close cfd with Unix.Unix_error _ -> ());
+                  Log.warn (fun f ->
+                      f
+                        "closed a connection whose descriptor select cannot \
+                         watch: not accepting until a client leaves");
+                  t.accepting <- false
               | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _)
                 ->
                   Log.warn (fun f ->

@@ -40,13 +40,17 @@ val create :
     bounds the pending-compile queue (default 64); [cache_capacity] the
     result cache (default 256 entries).  The determinism oracle runs on
     a known program before binding; if it fails, nothing is served.  A
-    stale socket file at [socket_path] is replaced. *)
+    stale socket file at [socket_path] is replaced.  A listening socket
+    whose descriptor [select] cannot watch (1024 or above) is an
+    [Error]. *)
 
 val run : t -> unit
 (** Serve until a [Shutdown] request arrives: accept connections, parse
     frames, answer cache hits inline, drain queued compiles through the
     pool.  Pending compiles are drained (and answered) before the
-    socket is closed and unlinked. *)
+    socket is closed and unlinked.  Out of descriptors, or handed one
+    [select] cannot watch (which it closes at once, dropping that
+    connection), it stops accepting until a connection closes. *)
 
 val stats_text : t -> string
 (** The [Stats_reply] rendering: one [key value] per line, in this

@@ -175,6 +175,17 @@ let check_edit ~prev (s : subject) kind seed : unit =
             fail "%s %s(%d): incremental bytes differ from scratch (%s)"
               s.name (kind_name kind) seed
               (Fmt.str "%a" Cogg.Cogg_build.pp_incr_stats stats);
+          (* the parse table is not in the bundle either: reloaded, the
+             edited spec rebuilds the one its scratch build made *)
+          let pa = Cogg.Tables.parse a
+          and pb = Cogg.Tables.parse (Cogg.Tables_io.read wb) in
+          if
+            pa.Cogg.Parse_table.actions <> pb.Cogg.Parse_table.actions
+            || pa.Cogg.Parse_table.conflicts <> pb.Cogg.Parse_table.conflicts
+            || Cogg.Parse_table.n_states pb <> Cogg.Tables.n_states a
+          then
+            fail "%s %s(%d): the reloaded bundle rebuilds another parse table"
+              s.name (kind_name kind) seed;
           (* what emission derives from the templates is not in the
              bundle: both tables must also emit the same code *)
           if emitted a <> emitted b then
@@ -282,7 +293,7 @@ let format_gate_tests () =
           fail "post-%s-migration build failed: %s" magic (errors_str es));
       Printf.printf "incremental oracle: %s->%s rejection/migration ok\n%!"
         magic Cogg.Tables_io.magic)
-    [ "CGB4"; "CGB5"; "CGB6"; "CGB7" ]
+    [ "CGB4"; "CGB5"; "CGB6"; "CGB7"; "CGB8" ]
 
 (* -- cross-process path: an edited spec splices through the cache ------------- *)
 

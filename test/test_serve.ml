@@ -19,23 +19,28 @@ let cache_dir =
          Sys.rmdir d);
      d)
 
-(* [f pid sock]; with [fd_limit], the daemon runs under a shell's
-   [ulimit -n], which execs it, so [pid] is the daemon's *)
-let with_daemon_pid ?(spec = "amdahl470.cgg") ?(args = []) ?fd_limit
-    (f : int -> string -> 'a) : 'a =
-  let sock = Filename.temp_file "pascd-test" ".sock" in
-  Sys.remove sock;
+let fd_filler =
+  Filename.concat (Filename.dirname Sys.executable_name) "fd_filler.exe"
+
+(* `pasc serve` on [sock]; its pid.  With [fd_limit], it runs under a
+   shell's [ulimit -n], and with [free_fds], under fd_filler, which
+   leaves it that many descriptors below select's limit; either execs
+   it, so the pid is the daemon's *)
+let spawn_daemon ?(spec = "amdahl470.cgg") ?(args = []) ?fd_limit ?free_fds
+    sock =
   let argv =
     [ pasc; "serve"; "--socket"; sock; "--spec"; Util.spec_path spec ] @ args
   in
   let prog, argv =
-    match fd_limit with
-    | None -> (pasc, Array.of_list argv)
-    | Some n ->
+    match (fd_limit, free_fds) with
+    | Some n, _ ->
         ( "/bin/sh",
           Array.of_list
             ("sh" :: "-c" :: Printf.sprintf "ulimit -n %d; exec \"$0\" \"$@\"" n
             :: argv) )
+    | None, Some n ->
+        (fd_filler, Array.of_list (fd_filler :: string_of_int n :: argv))
+    | None, None -> (pasc, Array.of_list argv)
   in
   (* the first definition of a variable is the one getenv finds *)
   let env =
@@ -43,9 +48,18 @@ let with_daemon_pid ?(spec = "amdahl470.cgg") ?(args = []) ?fd_limit
       [| "COGG_CACHE_DIR=" ^ Lazy.force cache_dir |]
       (Unix.environment ())
   in
-  let pid =
-    Unix.create_process_env prog argv env Unix.stdin Unix.stdout Unix.stderr
-  in
+  Unix.create_process_env prog argv env Unix.stdin Unix.stdout Unix.stderr
+
+let fresh_socket () =
+  let sock = Filename.temp_file "pascd-test" ".sock" in
+  Sys.remove sock;
+  sock
+
+(* [f pid sock] *)
+let with_daemon_pid ?spec ?args ?fd_limit ?free_fds
+    (f : int -> string -> 'a) : 'a =
+  let sock = fresh_socket () in
+  let pid = spawn_daemon ?spec ?args ?fd_limit ?free_fds sock in
   Fun.protect
     ~finally:(fun () ->
       (match Serve.Client.connect sock with
@@ -557,6 +571,62 @@ let test_out_of_descriptors () =
                   Alcotest.(check bool) "the queued client gets its Ack" true
                     (acked fd inbs.(index fd)))))
 
+(* (k) a descriptor [select] cannot watch is not fatal.  [select]
+   refuses any descriptor of 1024 (FD_SETSIZE) or above with EINVAL, for
+   the whole call, so a daemon that watched one would die and drop every
+   client; under a high enough [ulimit -n], [accept] hands out such
+   descriptors before it fails with EMFILE.  Under fd_filler with 8
+   descriptors left below the limit, an early client and 20 later
+   connections take them all and more: the daemon closes each
+   connection past the limit, stops accepting, and the early client
+   still gets its Ack.  With none left, the listening socket itself is
+   past the limit, and the daemon exits 1 without serving. *)
+let test_unselectable_descriptor () =
+  (* a daemon that died must fail the ping, not kill this process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_daemon_pid ~free_fds:8 (fun _ sock ->
+      with_client sock (fun c ->
+          let later =
+            Array.init 20 (fun _ ->
+                let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                Unix.connect fd (Unix.ADDR_UNIX sock);
+                fd)
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              Array.iter
+                (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+                later)
+            (fun () ->
+              Unix.sleepf 0.3;
+              match Serve.Client.ping c with
+              | Ok () -> ()
+              | Error m ->
+                  Alcotest.failf "the early client, after 20 more: %s" m)));
+  let sock = fresh_socket () in
+  let pid = spawn_daemon ~free_fds:0 sock in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "a daemon whose socket select cannot watch kept running"
+    | _, status -> status
+  in
+  (match wait () with
+  | Unix.WEXITED 1 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "the daemon exited %d, want 1" n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "the daemon was stopped by signal %d" n);
+  if Sys.file_exists sock then begin
+    Sys.remove sock;
+    Alcotest.fail "the daemon left its socket behind"
+  end
+
 let requests =
   Serve.Wire.
     [ Compile { id = 7; source = Pipeline.Programs.gcd };
@@ -827,6 +897,8 @@ let () =
             test_big_reply_batch;
           Alcotest.test_case "out of descriptors, the daemon does not spin"
             `Quick test_out_of_descriptors;
+          Alcotest.test_case "a descriptor select cannot watch is closed"
+            `Quick test_unselectable_descriptor;
         ] );
       ( "codec",
         [

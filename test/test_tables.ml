@@ -81,8 +81,7 @@ let test_sizes_sane () =
     "template array nonempty" true
     (s.Cogg.Tables_io.template_array > 1000);
   (* the bundle carries the comb at exactly the widths Table 2 charges,
-     and [sizes] of a loaded bundle decodes none of its first-use
-     sections *)
+     and [sizes] of a loaded bundle does not rebuild its parse table *)
   List.iter
     (fun (name, t, bytes) ->
       let loaded = Cogg.Tables_io.read (Cogg.Tables_io.write t) in
@@ -97,9 +96,9 @@ let test_sizes_sane () =
            0 (Cogg.Tables.actions t))
         s'.Cogg.Tables_io.uncompressed_table;
       Alcotest.(check bool)
-        (name ^ ": sizes leaves the dense rows encoded")
+        (name ^ ": sizes leaves the parse table unbuilt")
         false
-        (Cogg.Once.is_ready loaded.Cogg.Tables.rows.Cogg.Tables.value))
+        (Cogg.Once.is_ready loaded.Cogg.Tables.parse_table))
     [ ("amdahl470", tables (), 63_135);
       ("risc32", Lazy.force Util.risc32_tables, 63_132) ]
 
@@ -187,68 +186,66 @@ let test_full_beats_core_on_code_size () =
 
 (* -- full bundle roundtrip -------------------------------------------------- *)
 
-(* the sections a comb compile never needs, decoded or not yet *)
-let first_use_ready (t : Cogg.Tables.t) =
-  Cogg.
-    [
-      Once.is_ready t.Tables.rows.Tables.value;
-      Once.is_ready t.Tables.conflict_log.Tables.value;
-      Once.is_ready t.Tables.states.Tables.value;
-    ]
-
+(* On both targets: a reloaded bundle compiles byte-identical code
+   without building its parse table, and the table it rebuilds from its
+   grammar is the build's: the same automaton, the same dense rows, the
+   same conflicts in the same order, as many states as the comb. *)
 let test_bundle_roundtrip_drives_codegen () =
-  let t = tables () in
-  let bytes = Cogg.Tables_io.write t in
-  let t2 = Cogg.Tables_io.read bytes in
-  (* the reloaded bundle must generate byte-identical code *)
   List.iter
-    (fun (name, src) ->
-      match (Pipeline.compile t src, Pipeline.compile t2 src) with
-      | Ok a, Ok b ->
-          Alcotest.(check string)
-            (name ^ " identical listings")
-            a.Pipeline.gen.Cogg.Codegen.listing
-            b.Pipeline.gen.Cogg.Codegen.listing
-      | Error m, _ | _, Error m -> Alcotest.failf "%s: %s" name m)
-    [ ("gcd", Pipeline.Programs.gcd);
-      ("appendix1", Pipeline.Programs.appendix1_equation);
-      ("classify", Pipeline.Programs.classify) ];
-  (* ...without decoding anything a comb compile does not read *)
-  Alcotest.(check (list bool))
-    "rows, conflicts and states still encoded"
-    [ false; false; false ] (first_use_ready t2);
-  (* and every first-use section decodes to what was written *)
-  let p = Cogg.Tables.parse t and p2 = Cogg.Tables.parse t2 in
-  Alcotest.(check bool) "dense rows" true
-    (p.Cogg.Parse_table.actions = p2.Cogg.Parse_table.actions);
-  Alcotest.(check bool) "conflicts" true
-    (p.Cogg.Parse_table.conflicts = p2.Cogg.Parse_table.conflicts);
-  Alcotest.(check bool) "hashes" true
-    (t.Cogg.Tables.hashes = t2.Cogg.Tables.hashes);
-  check_int "skeletal states" (Cogg.Tables.n_states t)
-    (Array.length p2.Cogg.Parse_table.automaton.Cogg.Lr0.states);
-  (* a decoded section is written back as the bytes it came from *)
-  Alcotest.(check string) "rewritten bundle" bytes (Cogg.Tables_io.write t2)
+    (fun (target, t) ->
+      let bytes = Cogg.Tables_io.write t in
+      let t2 = Cogg.Tables_io.read bytes in
+      let check_bool what = Alcotest.(check bool) (target ^ ": " ^ what) in
+      List.iter
+        (fun (name, src) ->
+          match (Pipeline.compile t src, Pipeline.compile t2 src) with
+          | Ok a, Ok b ->
+              Alcotest.(check string)
+                (target ^ ": " ^ name ^ " identical listings")
+                a.Pipeline.gen.Cogg.Codegen.listing
+                b.Pipeline.gen.Cogg.Codegen.listing
+          | Error m, _ | _, Error m -> Alcotest.failf "%s %s: %s" target name m)
+        [ ("gcd", Pipeline.Programs.gcd);
+          ("appendix1", Pipeline.Programs.appendix1_equation);
+          ("classify", Pipeline.Programs.classify) ];
+      ignore (Cogg.Tables_io.sizes t2);
+      check_bool "comb compiles and sizes leave the parse table unbuilt" false
+        (Cogg.Once.is_ready t2.Cogg.Tables.parse_table);
+      let p = Cogg.Tables.parse t and p2 = Cogg.Tables.parse t2 in
+      check_bool "automaton" true
+        (p.Cogg.Parse_table.automaton.Cogg.Lr0.states
+        = p2.Cogg.Parse_table.automaton.Cogg.Lr0.states);
+      check_bool "dense rows" true
+        (p.Cogg.Parse_table.actions = p2.Cogg.Parse_table.actions);
+      check_bool "conflicts, in order" true
+        (p.Cogg.Parse_table.conflicts = p2.Cogg.Parse_table.conflicts);
+      check_bool "hashes" true (t.Cogg.Tables.hashes = t2.Cogg.Tables.hashes);
+      check_int (target ^ ": states") (Cogg.Tables.n_states t2)
+        (Cogg.Parse_table.n_states p2);
+      Alcotest.(check string)
+        (target ^ ": rewritten bundle")
+        bytes (Cogg.Tables_io.write t2))
+    [ ("amdahl470", tables ()); ("risc32", Lazy.force Util.risc32_tables) ]
 
 (* The bytes a table build produces are a contract: a from-scratch build
    of either shipped spec writes the bundle these digests and lengths
    pin.  A change to LR construction, lookaheads, compression, template
    compilation, the spec hashes or the bundle layout that moves a byte
    fails here, not only in a digest computed by hand.  The second digest
-   covers only the bytes after the header, which CGB7 bundles carried
-   unchanged, so it is the MD5 a CGB7 header stored. *)
+   covers only the bytes after the header (the directory and the
+   sections), so a change to the checksum alone moves only the first. *)
 let pinned_bundles =
   [
     ( "amdahl470",
       "amdahl470.cgg",
-      "cdcf55e9b5bad7183cd9310204684cee",
-      "86f8fcd9e665eed32cf7a049dc430227",
-      260_192 );
+      "03cde1785526355a3308c167202643af",
+      "852ee6310bf2e184e84d975939a9801b",
+      103_506 );
     ( "risc32",
       "risc32.cgg",
-      "61bf012034f9dd878ce3c59741c1a9cf",
-      "c8a48115d9fc9f2aa3a4226d778ba84e",
-      263_762 );
+      "c16398dd37ea439d7611d80198769dd0",
+      "30e979669c55a5d68c2ea6ec7184e245",
+      108_330 );
   ]
 
 let test_bundle_bytes_pinned () =
@@ -412,7 +409,7 @@ let methods =
    older magic is refused as a stale format, not misread. *)
 let test_bundle_format_magic () =
   let bytes = Cogg.Tables_io.write (tables ()) in
-  Alcotest.(check string) "current magic" "CGB8" (String.sub bytes 0 4);
+  Alcotest.(check string) "current magic" "CGB9" (String.sub bytes 0 4);
   let body = String.sub bytes 4 (String.length bytes - 4) in
   List.iter
     (fun magic ->
@@ -420,7 +417,7 @@ let test_bundle_format_magic () =
         (magic ^ " named as a stale format")
         true
         (Util.contains (rejected magic (magic ^ body)) "stale"))
-    [ "CGB4"; "CGB5"; "CGB6"; "CGB7" ]
+    [ "CGB4"; "CGB5"; "CGB6"; "CGB7"; "CGB8" ]
 
 (* Method codes are on-disk format: each packing keeps its number, and
    one that names no packing is corruption. *)
@@ -463,26 +460,6 @@ let resealed bytes patch =
   patch b;
   Cogg.Tables_io.seal b;
   Bytes.to_string b
-
-(* The meta section ends with the start state, the lookahead-mode word
-   and the user production count.  The mode word is on-disk format too:
-   every bundle carries 0, for SLR(1), and a bundle that carries 1, the
-   code of a lookahead construction the format no longer has, is
-   refused. *)
-let test_lookahead_mode_word () =
-  let bytes = Lazy.force amdahl_bundle in
-  let meta_len =
-    Int32.to_int (String.get_int32_le bytes Cogg.Tables_io.header_bytes)
-  in
-  let mode = Cogg.Tables_io.directory_end + meta_len - 8 in
-  check_int "the written mode word" 0
-    (Int32.to_int (String.get_int32_le bytes mode));
-  let m =
-    rejected "lookahead mode 1"
-      (resealed bytes (fun b -> Bytes.set_int32_le b mode 1l))
-  in
-  if not (Util.contains m "lookahead mode") then
-    Alcotest.failf "refused for another reason: %s" m
 
 (* [a] as a column of 4-byte cells, wider than its values need *)
 let wide a =
@@ -553,18 +530,54 @@ let test_bundle_rejects_out_of_range () =
        (resealed bytes (fun b -> Bytes.set_int32_le b h Int32.max_int)));
   ignore
     (rejected "a negative section length"
-       (resealed bytes (fun b -> Bytes.set_int32_le b (h + 4) (-1l))))
+       (resealed bytes (fun b -> Bytes.set_int32_le b (h + 4) (-1l))));
+  (* a grammar the parse table cannot be rebuilt from: a loaded bundle
+     rebuilds it on first use, which must not fail, so the reader refuses
+     a symbol out of range, a right-hand side longer than an LR item's
+     dot can mark, and a goal without exactly one production *)
+  let g = t.Cogg.Tables.grammar in
+  let n = Cogg.Grammar.n_syms g in
+  let with_prod0 f =
+    Cogg.Grammar.
+      { g with prods = Array.mapi (fun i p -> if i = 0 then f p else p) g.prods }
+  in
+  List.iter
+    (fun (what, reason, grammar) ->
+      let m =
+        rejected what (Cogg.Tables_io.write { t with Cogg.Tables.grammar })
+      in
+      if not (Util.contains m reason) then
+        Alcotest.failf "%s: refused for another reason: %s" what m)
+    Cogg.Grammar.
+      [
+        ( "an rhs symbol past the last symbol",
+          "rhs symbol out of range",
+          with_prod0 (fun p -> { p with rhs = Array.append p.rhs [| n + 5 |] })
+        );
+        ( "an rhs one symbol longer than an item holds",
+          "rhs too long",
+          with_prod0 (fun p ->
+              { p with rhs = Array.make (Cogg.Lr0.max_rhs + 1) p.lhs }) );
+        ("goal past the last symbol", "special symbol", { g with goal = n });
+        ("lambda = -1", "special symbol", { g with lambda = -1 });
+        ("stmts past the last symbol", "special symbol", { g with stmts = n + 1 });
+        ("eof = -1", "special symbol", { g with eof = -1 });
+        ( "a second goal production",
+          "exactly one production",
+          with_prod0 (fun p -> { p with lhs = g.goal }) );
+      ]
 
 (* -- concurrent first use -------------------------------------------------- *)
 
 (* One loaded bundle is shared by every domain of a pool, so the first
-   use of a section can happen on several domains at once.  Each of 200
-   rounds loads a fresh bundle and releases four domains on it together;
-   each runs a flat-dispatch compile (which decodes the dense rows) and a
-   parse of truncated IF (whose error report reads them too).  Nothing
-   may raise and every domain must see the sequential result.  The
-   domains live across rounds: spawning four per round would cost more
-   than the rounds themselves. *)
+   use of its parse table can happen on several domains at once.  Each
+   of 200 rounds loads a fresh bundle and releases four domains on it
+   together; each runs a flat-dispatch compile (which rebuilds the parse
+   table from the grammar) and a parse of truncated IF (whose error
+   report reads its dense rows too).  Nothing may raise and every domain
+   must see the sequential result.  The domains live across rounds:
+   spawning four per round would cost more than the rounds
+   themselves. *)
 let test_concurrent_first_use () =
   let bytes = Lazy.force amdahl_bundle in
   let tokens =
@@ -664,8 +677,6 @@ let () =
           Alcotest.test_case "current and stale magic" `Quick
             test_bundle_format_magic;
           Alcotest.test_case "method codes are stable" `Quick test_method_codes;
-          Alcotest.test_case "lookahead mode word is 0" `Quick
-            test_lookahead_mode_word;
           Alcotest.test_case "every method survives" `Quick
             test_every_method_survives_bundle;
           Alcotest.test_case "rejects out-of-range values" `Quick

@@ -264,18 +264,22 @@ let test_store_auto_prunes () =
 
 (* An entry of an older cache format is deleted by its name alone: a
    directory holding a CGB7 entry named as format 9 named entries
-   ("cogg-<digest>.cgt") and a current entry keeps only the current one
-   after one prune, though it is far below the cap. *)
+   ("cogg-<digest>.cgt"), a CGB8 entry named as format 10 named them
+   ("cogg-v10-<digest>.cgt") and a current entry keeps only the current
+   one after one prune, though it is far below the cap. *)
 let test_prune_removes_older_formats () =
   let dir = fresh_cache_dir () in
   let _ = build dir in
   let current =
     Filename.basename (Cogg.Tables_cache.entry_path ~cache_dir:dir intro_spec)
   in
-  let older = "cogg-" ^ Digest.to_hex (Digest.string "an older key") ^ ".cgt" in
-  clobber (Filename.concat dir older) ("CGB7" ^ String.make 60 '\000');
+  List.iter
+    (fun (name, magic) ->
+      let older = name ^ Digest.to_hex (Digest.string "an older key") ^ ".cgt" in
+      clobber (Filename.concat dir older) (magic ^ String.make 60 '\000'))
+    [ ("cogg-", "CGB7"); ("cogg-v10-", "CGB8") ];
   Alcotest.(check int)
-    "the older entry is deleted" 1
+    "the older entries are deleted" 2
     (Cogg.Tables_cache.prune ~cache_dir:dir ());
   Alcotest.(check (list string))
     "only the current entry is left" [ current ]
